@@ -34,6 +34,9 @@ reproduce:
 examples:
 	for ex in examples/*.py; do echo "== $$ex"; python $$ex; done
 
+# benchmarks/results/ holds tracked artifacts next to scratch reports:
+# remove only what .gitignore calls scratch there.
 clean:
-	rm -rf .pytest_cache .hypothesis .benchmarks benchmarks/results
+	rm -rf .pytest_cache .hypothesis .benchmarks
+	git clean -qfX benchmarks/results
 	find . -name __pycache__ -type d -exec rm -rf {} +

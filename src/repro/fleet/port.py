@@ -76,13 +76,13 @@ class NodePort:
         size = msg.size_bytes
         if msg.dest is None:
             self.stats.incr("multicast")
-            self.endpoint.multicast(membership.members, msg, size, group=group)
+            self.endpoint.multicast(membership.members, msg, size, group)
         elif len(msg.dest) == 1:
             self.stats.incr("unicast")
-            self.endpoint.unicast(msg.dest[0], msg, size, group=group)
+            self.endpoint.unicast(msg.dest[0], msg, size, group)
         elif msg.dest:
             self.stats.incr("multicast")
-            self.endpoint.multicast(msg.dest, msg, size, group=group)
+            self.endpoint.multicast(msg.dest, msg, size, group)
         else:
             self.stats.incr("empty_dest")
 
@@ -90,7 +90,8 @@ class NodePort:
     # Upward: packet -> mux, routed by the wire group id
     # ------------------------------------------------------------------
     def _on_packet(self, packet: Packet) -> None:
-        if packet.group not in self._groups:
+        group = packet.group
+        if group not in self._groups:
             # Teardown race: the group left this port while the packet
             # was in flight.  Dropping is the correct behaviour.
             self.stats.incr("stray_group")
@@ -99,7 +100,7 @@ class NodePort:
         if not isinstance(payload, Message):
             raise StackError(f"non-message payload on the wire: {payload!r}")
         self.stats.incr("received")
-        self.mux.receive(payload, group=packet.group)
+        self.mux.receive(payload, group)
 
     def detach(self) -> None:
         """Release the network node (only once every group is gone)."""

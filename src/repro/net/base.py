@@ -114,8 +114,14 @@ class Network(ABC):
     def detach(self, node: int) -> None:
         """Unregister ``node``'s receiver so a later attach can rebuild it.
 
-        Packets already in flight to a detached node raise on arrival —
-        teardown should drain first (or the caller swallows strays).
+        What happens to a packet already in flight to the detached node
+        is the model's call.  The point-to-point mesh checks at arrival
+        and counts it under ``dead_letters``; the Ethernet model checks
+        when the frame leaves the wire and skips the node, so only a
+        copy already past that point (in propagation or the host's CPU
+        queue) reaches the unattached sentinel and raises; UDP delivers
+        whatever the socket still holds, and that raises too.  Teardown
+        that cannot tolerate either should drain first.
         """
         self._check_node(node)
         if not self._attached[node]:

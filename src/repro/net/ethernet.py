@@ -24,6 +24,7 @@ the sequencer's ordering work) that queues behind packet handling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, List, Optional
 
 from ..errors import NetworkError
@@ -217,8 +218,7 @@ class EthernetNetwork(Network):
             if loop_local:
                 # Loopback copies skip the wire entirely.
                 self._schedule_receive(
-                    Packet(src, src, payload, size, sent_at, group),
-                    extra_delay=0.0,
+                    [Packet(src, src, payload, size, sent_at, group)], 0.0
                 )
             if not remote:
                 return
@@ -243,6 +243,12 @@ class EthernetNetwork(Network):
         params = self.params
         for sniffer in self._sniffers:
             sniffer(Packet(src, dsts[0], payload, size, sent_at, group))
+        # Without jitter every surviving copy of the frame reaches its NIC
+        # at the same instant, so they share one arrival event.  (One event
+        # per receiver would carry consecutive sequence numbers at that
+        # instant: nothing could fire between them, so this is the same
+        # firing order with fewer events.)
+        together: List[Packet] = []
         for dst in dsts:
             if not self._attached[dst]:
                 continue
@@ -251,20 +257,28 @@ class EthernetNetwork(Network):
                 if self.obs.enabled:
                     self.obs.count("net.drops")
                 continue
-            extra = params.jitter * self._rng.random() if params.jitter else 0.0
-            self._schedule_receive(
-                Packet(src, dst, payload, size, sent_at, group),
-                extra_delay=params.propagation + extra,
-            )
+            packet = Packet(src, dst, payload, size, sent_at, group)
+            if params.jitter:
+                self._schedule_receive(
+                    [packet], params.propagation + params.jitter * self._rng.random()
+                )
+            else:
+                together.append(packet)
+        if together:
+            self._schedule_receive(together, params.propagation)
 
-    def _schedule_receive(self, packet: Packet, extra_delay: float) -> None:
+    def _schedule_receive(self, packets: List[Packet], delay: float) -> None:
+        """After ``delay``, queue each packet on its destination's CPU."""
+
         def arrive() -> None:
-            self.cpus[packet.dst].run(
-                self.params.cpu_recv, lambda: self._count_and_deliver(packet)
-            )
+            cpu_recv = self.params.cpu_recv
+            for packet in packets:
+                self.cpus[packet.dst].run(
+                    cpu_recv, partial(self._count_and_deliver, packet)
+                )
 
-        if extra_delay > 0:
-            self.runtime.schedule(extra_delay, arrive)
+        if delay > 0:
+            self.runtime.schedule(delay, arrive)
         else:
             arrive()
 
@@ -274,7 +288,7 @@ class EthernetNetwork(Network):
         self.stats.incr("deliveries")
         if self.obs.enabled:
             self.obs.count("net.packets_delivered")
-        self._deliver(packet)
+        self._receivers[packet.dst](packet)
 
 
 class EthernetEndpoint(Endpoint):

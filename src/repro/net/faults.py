@@ -125,6 +125,12 @@ class FaultDecision:
     extra_delay: float = 0.0
 
 
+#: The two verdicts almost every copy gets.  Decisions are immutable, so
+#: :meth:`FaultPlan.decide` hands these out instead of building one per copy.
+_PASS = FaultDecision()
+_DROP = FaultDecision(drop=True)
+
+
 #: An intercept inspects (time, src, dst, channel, payload) for one copy
 #: and either dictates its fate with a FaultDecision or returns None to
 #: fall through to the plan's probabilistic machinery.  Used by tests to
@@ -185,6 +191,24 @@ class FaultPlan:
             and self.intercept is None
         )
 
+    def touches_links(self) -> bool:
+        """True if the plan can alter a copy travelling between two live nodes.
+
+        Crashes are not link faults (they silence a node, and
+        :meth:`node_alive` answers for them); ``channels`` only narrows
+        the probabilistic faults and injects nothing on its own.  When
+        this is False, :meth:`decide_live` would pass the copy without
+        consuming a random number, so a caller may skip it.
+        """
+        return bool(
+            self.loss_rate
+            or self.duplicate_rate
+            or self.reorder_jitter
+            or self.partitions
+            or self.links
+            or self.intercept is not None
+        )
+
     # ------------------------------------------------------------------
     # Crash queries
     # ------------------------------------------------------------------
@@ -224,22 +248,43 @@ class FaultPlan:
         network cannot tell); ``payload`` is the on-wire object, passed to
         the intercept only.
         """
-        if not self.node_alive(src, time) or not self.node_alive(dst, time):
-            return FaultDecision(drop=True)
+        if self.crashes and not (
+            self.node_alive(src, time) and self.node_alive(dst, time)
+        ):
+            return _DROP
+        return self.decide_live(rng, time, src, dst, channel, payload)
+
+    def decide_live(
+        self,
+        rng: random.Random,
+        time: float,
+        src: int,
+        dst: int,
+        channel: Optional[int] = None,
+        payload: object = None,
+    ) -> FaultDecision:
+        """:meth:`decide` for a copy whose endpoints the caller knows are up.
+
+        The point-to-point network has already answered the crash
+        question (scheduled and dynamic) for this ``(node, time)`` by the
+        time it asks about the link, so it enters here.
+        """
         if self.intercept is not None:
             verdict = self.intercept(time, src, dst, channel, payload)
             if verdict is not None:
                 return verdict
         for partition in self.partitions:
             if partition.active_at(time) and not partition.allows(src, dst):
-                return FaultDecision(drop=True)
+                return _DROP
         if self.channels is not None and channel not in self.channels:
-            return FaultDecision()
+            return _PASS
         loss, dup, jitter = self._rates(src, dst)
         if loss and rng.random() < loss:
-            return FaultDecision(drop=True)
+            return _DROP
         duplicates = 0
         if dup and rng.random() < dup:
             duplicates = 1
+        if not duplicates and not jitter:
+            return _PASS
         extra = rng.random() * jitter if jitter else 0.0
         return FaultDecision(duplicates=duplicates, extra_delay=extra)

@@ -8,7 +8,6 @@ declared on-wire size used to compute serialization delay.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any
 
 __all__ = ["Packet", "BROADCAST"]
@@ -17,9 +16,14 @@ __all__ = ["Packet", "BROADCAST"]
 BROADCAST = -1
 
 
-@dataclass(frozen=True)
 class Packet:
     """One network-level datagram.
+
+    A plain slotted class, not a dataclass: every simulated hop builds
+    one, and a frozen dataclass pays an ``object.__setattr__`` call per
+    field.  Treat instances as immutable all the same — equality and the
+    hash cover ``(src, dst, payload, size_bytes)``; ``sent_at`` and
+    ``group`` are carried but not compared.
 
     Attributes:
         src: sending node id.
@@ -34,16 +38,36 @@ class Packet:
             carrying it to the receiver).
     """
 
-    src: int
-    dst: int
-    payload: Any
-    size_bytes: int
-    sent_at: float = field(default=0.0, compare=False)
-    group: int = field(default=0, compare=False)
+    __slots__ = ("src", "dst", "payload", "size_bytes", "sent_at", "group")
 
-    def __post_init__(self) -> None:
-        if self.size_bytes <= 0:
-            raise ValueError(f"packet size must be positive, got {self.size_bytes}")
+    def __init__(
+        self,
+        src: int,
+        dst: int,
+        payload: Any,
+        size_bytes: int,
+        sent_at: float = 0.0,
+        group: int = 0,
+    ) -> None:
+        if size_bytes <= 0:
+            raise ValueError(f"packet size must be positive, got {size_bytes}")
+        self.src = src
+        self.dst = dst
+        self.payload = payload
+        self.size_bytes = size_bytes
+        self.sent_at = sent_at
+        self.group = group
+
+    def _key(self) -> tuple:
+        return (self.src, self.dst, self.payload, self.size_bytes)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def size_bits(self) -> int:

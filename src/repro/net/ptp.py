@@ -9,6 +9,7 @@ effects muddying the picture.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from ..errors import NetworkError
@@ -39,6 +40,11 @@ class LatencyMatrix:
         """Override the one-way latency for the ordered pair (src, dst)."""
         if latency < 0:
             raise NetworkError("latency must be non-negative")
+        for node in (src, dst):
+            if not 0 <= node < self.num_nodes:
+                raise NetworkError(
+                    f"node {node} out of range [0, {self.num_nodes})"
+                )
         self._overrides[(src, dst)] = latency
 
     def set_symmetric(self, a: int, b: int, latency: float) -> None:
@@ -133,9 +139,10 @@ class PointToPointNetwork(Network):
     def node_alive(self, node: int) -> bool:
         """True if ``node`` is up right now (dynamic and scheduled crashes)."""
         self._check_node(node)
-        return node not in self._down and self.faults.node_alive(
-            node, self.runtime.now
-        )
+        return self._up(node, self.runtime.now)
+
+    def _up(self, node: int, now: float) -> bool:
+        return node not in self._down and self.faults.node_alive(node, now)
 
     @staticmethod
     def _channel_of(payload: object) -> Optional[int]:
@@ -149,46 +156,60 @@ class PointToPointNetwork(Network):
     def _send_copy(
         self, src: int, dst: int, payload: object, size: int, group: int = 0
     ) -> None:
-        self.stats.incr("sends")
-        if self.obs.enabled:
-            self.obs.count("net.packets_sent")
-            self.obs.count("net.bytes_sent", size)
-        if not self.node_alive(src) or not self.node_alive(dst):
-            self.stats.incr("crash_drops")
-            if self.obs.enabled:
-                self.obs.count("net.drops")
+        """One copy's hop.  Unfaulted, it costs one ``schedule``, one
+        :class:`Packet` and the counters: liveness is asked only while some
+        node can be down, the plan only while it can touch a link, and the
+        channel only for a plan that reads it.  The plan is read afresh for
+        every copy, so :meth:`set_faults` and in-place edits take effect at
+        once."""
+        stats = self.stats
+        stats.incr("sends")
+        obs = self.obs
+        if obs.enabled:
+            obs.count("net.packets_sent")
+            obs.count("net.bytes_sent", size)
+        faults = self.faults
+        now = self.runtime.now
+        if (self._down or faults.crashes) and not (
+            self._up(src, now) and self._up(dst, now)
+        ):
+            stats.incr("crash_drops")
+            if obs.enabled:
+                obs.count("net.drops")
             return
-        if src == dst:
-            # Loopback copies never traverse the faulty medium.
-            packet = Packet(src, dst, payload, size, self.runtime.now, group)
-            self.runtime.schedule(self.latency.get(src, dst), lambda: self._arrive(packet))
-            return
-        decision = self.faults.decide(
-            self._rng,
-            self.runtime.now,
-            src,
-            dst,
-            channel=self._channel_of(payload),
-            payload=payload,
-        )
-        if decision.drop:
-            self.stats.incr("drops")
-            if self.obs.enabled:
-                self.obs.count("net.drops")
-            return
-        packet = Packet(src, dst, payload, size, self.runtime.now, group)
-        copies = 1 + decision.duplicates
-        if decision.duplicates:
-            self.stats.incr("duplicates", decision.duplicates)
-        for __ in range(copies):
-            delay = self.latency.get(src, dst) + decision.extra_delay
-            self.runtime.schedule(delay, lambda p=packet: self._arrive(p))
+        delay = self.latency.get(src, dst)
+        duplicates = 0
+        # Loopback copies never traverse the faulty medium.
+        if src != dst and faults.touches_links():
+            channel = None
+            if faults.channels is not None or faults.intercept is not None:
+                channel = self._channel_of(payload)
+            decision = faults.decide_live(
+                self._rng, now, src, dst, channel, payload
+            )
+            if decision.drop:
+                stats.incr("drops")
+                if obs.enabled:
+                    obs.count("net.drops")
+                return
+            duplicates = decision.duplicates
+            if duplicates:
+                stats.incr("duplicates", duplicates)
+            delay += decision.extra_delay
+        arrive = partial(self._arrive, Packet(src, dst, payload, size, now, group))
+        schedule = self.runtime.schedule
+        schedule(delay, arrive)
+        for __ in range(duplicates):
+            schedule(delay, arrive)
 
     def _arrive(self, packet: Packet) -> None:
-        if not self._attached[packet.dst]:
+        dst = packet.dst
+        if not self._attached[dst]:
             self.stats.incr("dead_letters")
             return
-        if not self.node_alive(packet.dst):
+        if (self._down or self.faults.crashes) and not self._up(
+            dst, self.runtime.now
+        ):
             self.stats.incr("crash_drops")
             if self.obs.enabled:
                 self.obs.count("net.drops")
@@ -196,7 +217,7 @@ class PointToPointNetwork(Network):
         self.stats.incr("deliveries")
         if self.obs.enabled:
             self.obs.count("net.packets_delivered")
-        self._deliver(packet)
+        self._receivers[dst](packet)
 
 
 class PtpEndpoint(Endpoint):
@@ -217,6 +238,9 @@ class PtpEndpoint(Endpoint):
         size_bytes: int,
         group: int = 0,
     ) -> None:
-        for dst in dict.fromkeys(dsts):
-            self.network._check_node(dst)
-            self.network._send_copy(self.node, dst, payload, size_bytes, group)
+        network = self.network
+        unique = dict.fromkeys(dsts)  # dedupe, keep order
+        for dst in unique:
+            network._check_node(dst)  # all of them, before any copy leaves
+        for dst in unique:
+            network._send_copy(self.node, dst, payload, size_bytes, group)

@@ -592,13 +592,38 @@ class Simulator:
             raise SimulationError("simulator is already running (reentrant run)")
         self._running = True
         fired = 0
+        free = self._free
         try:
+            # :meth:`step`'s body with the horizon test fused in: every
+            # packet hop is one trip round this loop, so it looks at the
+            # head of the due-heap once instead of peeking and stepping.
             while True:
-                next_time = self._peek_time()
-                if next_time is None or next_time > time:
+                due = self._due  # reloaded: a callback may rebuild the wheel
+                if not due:
+                    if not self._advance():
+                        break
+                    continue
+                when, __, handle = due[0]
+                if handle._cancelled:
+                    heappop(due)
+                    self._dead -= 1
+                elif when > time:
                     break
-                self.step()
-                fired += 1
+                else:
+                    heappop(due)
+                    self._now = when
+                    self._events_processed += 1
+                    self._live -= 1
+                    handle._sim = None
+                    callback = handle._callback
+                    handle._callback = _NOOP
+                    callback()
+                    fired += 1
+                if (
+                    len(free) < _FREE_CAP
+                    and getrefcount(handle) == _EXCLUSIVE_REFS
+                ):
+                    free.append(handle)
             self._now = max(self._now, time)
         finally:
             self._running = False

@@ -46,10 +46,20 @@ class MuxChannel:
         self.channel_id = channel_id
         self.group = group
         self._deliver: Optional[DeliverFn] = None
+        # Counter keys, formatted once per channel, not once per message.
+        label = str(channel_id) if group == 0 else f"g{group}:{channel_id}"
+        self._tx_key = f"tx[{label}]"
+        self._rx_key = f"rx[{label}]"
 
     def send(self, msg: Message) -> None:
         """Tag and forward a downward message."""
-        self._mux._send_tagged(self.channel_id, msg, self.group)
+        mux = self._mux
+        tagged = msg.with_header(_HEADER, self.channel_id, _HEADER_SIZE)
+        mux.stats.incr(self._tx_key)
+        if self.group == 0:
+            mux._bottom_send(tagged)
+        else:
+            mux._bottom_send(tagged, self.group)
 
     def on_deliver(self, deliver: DeliverFn) -> None:
         """Install the upward callback for this channel (once)."""
@@ -72,13 +82,6 @@ class MuxChannel:
     def wired(self) -> bool:
         """True while a deliver callback is installed."""
         return self._deliver is not None
-
-    def _receive(self, msg: Message) -> None:
-        if self._deliver is None:
-            raise StackError(
-                f"channel {self.channel_id} received traffic before wiring"
-            )
-        self._deliver(msg)
 
 
 class Multiplexer:
@@ -122,15 +125,6 @@ class Multiplexer:
             chan for (gid, __), chan in self._channels.items() if gid == group
         )
 
-    def _send_tagged(self, channel_id: int, msg: Message, group: int = 0) -> None:
-        tagged = msg.with_header(_HEADER, channel_id, _HEADER_SIZE)
-        if group == 0:
-            self.stats.incr(f"tx[{channel_id}]")
-            self._bottom_send(tagged)
-        else:
-            self.stats.incr(f"tx[g{group}:{channel_id}]")
-            self._bottom_send(tagged, group)
-
     def receive(self, msg: Message, group: int = 0) -> None:
         """Upward dispatch: route by (group, channel tag)."""
         channel_id = msg.header(_HEADER)
@@ -142,8 +136,10 @@ class Multiplexer:
                 f"message for unknown mux channel {channel_id} "
                 f"(group {group}): {msg!r}"
             )
-        if group == 0:
-            self.stats.incr(f"rx[{channel_id}]")
-        else:
-            self.stats.incr(f"rx[g{group}:{channel_id}]")
-        chan._receive(msg.without_header(_HEADER, _HEADER_SIZE))
+        self.stats.incr(chan._rx_key)
+        deliver = chan._deliver
+        if deliver is None:
+            raise StackError(
+                f"channel {channel_id} received traffic before wiring"
+            )
+        deliver(msg.without_header(_HEADER, _HEADER_SIZE))

@@ -31,3 +31,20 @@ def test_equality_ignores_sent_at():
     a = Packet(0, 1, "p", 10, sent_at=0.0)
     b = Packet(0, 1, "p", 10, sent_at=9.0)
     assert a == b
+
+
+def test_equality_and_hash_ignore_group_too():
+    a = Packet(0, 1, "p", 10, sent_at=0.0, group=0)
+    b = Packet(0, 1, "p", 10, sent_at=9.0, group=4)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != Packet(0, 2, "p", 10)
+    assert a != (0, 1, "p", 10)
+
+
+def test_slotted_with_defaults():
+    packet = Packet(0, 1, "p", 10)
+    assert (packet.sent_at, packet.group) == (0.0, 0)
+    assert not hasattr(packet, "__dict__")
+    with pytest.raises(AttributeError):
+        packet.colour = "red"

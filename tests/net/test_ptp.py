@@ -44,6 +44,17 @@ class TestLatencyMatrix:
         with pytest.raises(NetworkError):
             LatencyMatrix(2).set(0, 1, -1)
 
+    @pytest.mark.parametrize("pair", [(99, 0), (0, 3), (-1, 0)])
+    def test_out_of_range_override_rejected(self, pair):
+        """An override for a node the matrix does not have used to be
+        stored and never read."""
+        matrix = LatencyMatrix(3)
+        with pytest.raises(NetworkError):
+            matrix.set(*pair, 1.0)
+        with pytest.raises(NetworkError):
+            matrix.set_symmetric(*pair, 1.0)
+        assert matrix.get(0, 2) == matrix.base_latency  # nothing half-applied
+
 
 class TestDelivery:
     def test_unicast_uses_matrix_latency(self):
@@ -68,6 +79,19 @@ class TestDelivery:
         src.multicast((1, 2), "m", 10)
         sim.run()
         assert arrivals == [(1, pytest.approx(1e-3)), (2, pytest.approx(5e-3))]
+
+    def test_bad_destination_sends_nothing(self):
+        """Regression: the range check ran inside the send loop, so a bad
+        rank mid-list raised with earlier copies already in flight."""
+        sim, net = make_net(3)
+        src = net.attach(0, lambda pkt: None)
+        arrivals = []
+        net.attach(1, arrivals.append)
+        with pytest.raises(NetworkError):
+            src.multicast((1, 7, 2), "m", 10)
+        sim.run()
+        assert net.stats.get("sends") == 0
+        assert arrivals == []
 
     def test_delivery_to_unattached_node_counted_dead(self):
         sim, net = make_net(2)

@@ -118,3 +118,112 @@ def test_rearm_ties_break_like_cancel_plus_schedule():
         == run(_cancel_schedule_rearm)
         == ["a", "b", "c", "moved"]
     )
+
+
+# ----------------------------------------------------------------------
+# run_until in slices: the fused drain loop
+# ----------------------------------------------------------------------
+#: Delays and slice widths share one 1 ms grid, so a large share of the
+#: events land *exactly* on a slice horizon (``run_until`` is inclusive).
+_GRID_DELAYS = (0.0, 0.001, 0.001, 0.002, 0.003, 0.005, 0.010, 0.040)
+_GRID_SLICES = (0.0, 0.001, 0.002, 0.004, 0.016)
+
+
+def drive_sliced(engine, seed, ops=500):
+    """Advance ``engine`` by ``run_until`` slices only.
+
+    Between slices the script arms timers and cancels the *earliest*
+    pending one (so the head of the queue is a cancelled entry when the
+    next slice starts); callbacks arm and cancel from inside the drain,
+    which is where a rebuilt wheel or a recycled handle would show.  A
+    third of the fired handles are retained and must never be recycled
+    under the script's feet.
+    """
+    rng = random.Random(seed)
+    fired = []
+    live = {}       # event id -> handle of a timer not yet fired or cancelled
+    retained = []   # (handle, time, seq) of fired timers the script kept
+    trace = []
+    ids = iter(range(10**9))
+
+    def cancel_earliest():
+        if live:
+            eid = min(live, key=lambda e: (live[e].time, live[e]._seq))
+            live.pop(eid).cancel()
+
+    def arm(delay):
+        eid = next(ids)
+
+        def callback():
+            handle = live.pop(eid)
+            fired.append((eid, engine.now))
+            if eid % 3 == 0:
+                retained.append((handle, handle.time, handle._seq))
+            roll = rng.random()
+            if roll < 0.35:
+                arm(rng.choice(_GRID_DELAYS))  # may land on this very instant
+            elif roll < 0.50:
+                cancel_earliest()
+
+        live[eid] = engine.schedule(delay, callback)
+
+    for __ in range(ops):
+        roll = rng.random()
+        if roll < 0.50 or not live:
+            arm(rng.choice(_GRID_DELAYS))
+        elif roll < 0.65:
+            cancel_earliest()
+        else:
+            horizon = engine.now + rng.choice(_GRID_SLICES)
+            trace.append(("ran", engine.run_until(horizon), engine.now == horizon))
+        trace.append((round(engine.now, 9), engine.pending()))
+    trace.append(("drain", engine.run_until(engine.now + 1.0), engine.pending()))
+    for handle, time, seq in retained:
+        assert (handle.time, handle._seq) == (time, seq), "retained handle recycled"
+        assert not handle.cancelled
+    return fired, trace, engine.now, engine.events_processed
+
+
+@pytest.mark.parametrize("seed", [0, 2, 11, 42, 77])
+def test_sliced_run_until_matches_frozen_heap_reference(seed):
+    heap = drive_sliced(HeapSimulator(), seed)
+    wheel = drive_sliced(Simulator(), seed)
+    assert wheel == heap
+    fired = wheel[0]
+    assert len(fired) > 100
+    assert fired == sorted(fired, key=lambda entry: entry[1])  # time never runs back
+
+
+def test_sliced_run_until_under_tight_compaction():
+    heap_engine = HeapSimulator()
+    heap_engine.COMPACT_MIN_DEAD = 4
+    wheel_engine = Simulator()
+    wheel_engine.COMPACT_MIN_DEAD = 4
+    assert drive_sliced(wheel_engine, 5, ops=1200) == drive_sliced(
+        heap_engine, 5, ops=1200
+    )
+
+
+def test_run_until_is_inclusive_and_skips_a_cancelled_head():
+    sim = Simulator()
+    fired = []
+    head = sim.schedule(0.001, lambda: fired.append("head"))
+    sim.schedule(0.002, lambda: fired.append("on the horizon"))
+    sim.schedule(0.002 + 1e-12, lambda: fired.append("just past"))
+    sim.run_until(0.0)  # drains the first bucket into the due-heap
+    head.cancel()       # ... so this cancel is the lazy kind: a dead head
+    assert sim.run_until(0.002) == 1
+    assert fired == ["on the horizon"]
+    assert sim.now == 0.002 and sim.pending() == 1
+    assert sim.run_until(0.003) == 1
+    assert fired == ["on the horizon", "just past"]
+
+
+def test_run_until_recycles_unretained_handles_only():
+    sim = Simulator()
+    kept = sim.schedule(0.001, lambda: None)
+    sim.schedule(0.001, lambda: None)
+    sim.run_until(0.002)
+    assert len(sim._free) == 1  # the anonymous handle; ``kept`` is ours
+    fresh = sim.schedule(0.001, lambda: None)
+    assert fresh is not kept and kept.time == 0.001
