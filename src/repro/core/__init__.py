@@ -24,7 +24,7 @@ from .oracle import (
     ScheduledOracle,
     ThresholdOracle,
 )
-from .stats import ActivityMonitor, RateMonitor
+from .stats import ActivityMonitor
 from .switch import BroadcastSwitchProtocol
 from .switchable import (
     GroupHandle,
@@ -58,7 +58,6 @@ __all__ = [
     "ScheduledOracle",
     "ThresholdOracle",
     "ActivityMonitor",
-    "RateMonitor",
     "BroadcastSwitchProtocol",
     "GroupHandle",
     "ProtocolSpec",

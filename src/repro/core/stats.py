@@ -9,13 +9,12 @@ shipped oracle policies consume.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional, Set, Tuple
+from typing import Deque, Set, Tuple
 
 from ..runtime.api import Clock
-from ..sim.monitor import Ewma
 from ..stack.message import Message
 
-__all__ = ["ActivityMonitor", "RateMonitor"]
+__all__ = ["ActivityMonitor"]
 
 
 class ActivityMonitor:
@@ -47,56 +46,3 @@ class ActivityMonitor:
         self._expire()
         senders: Set[int] = {sender for __, sender in self._events}
         return len(senders)
-
-    def delivery_rate(self) -> float:
-        """Deliveries per second over the window."""
-        self._expire()
-        return len(self._events) / self.window
-
-
-class RateMonitor:
-    """Smoothed deliveries-per-second signal (EWMA over window samples).
-
-    Elapsed windows are folded in at *read* time too, not only when the
-    next delivery happens to arrive: a monitor that saw a burst and then
-    went idle decays toward zero instead of reporting the stale burst
-    rate forever (the oracle would otherwise never switch back down).
-    """
-
-    def __init__(self, clock: Clock, window: float = 0.25, alpha: float = 0.3) -> None:
-        self.clock = clock
-        self.window = window
-        self._count_in_window = 0
-        self._window_start = clock.now
-        self._ewma = Ewma(alpha)
-
-    def observe(self, msg: Message) -> None:
-        """Record one delivered message (attach to ``on_deliver``)."""
-        self._flush_elapsed()
-        self._count_in_window += 1
-
-    def _flush_elapsed(self) -> None:
-        """Fold every *completed* window since the last flush into the EWMA.
-
-        The first completed window carries the pending in-window count;
-        the rest were empty, applied in closed form (no O(idle) loop).
-        Before the first delivery there is nothing to flush — the rate
-        stays None rather than becoming a spurious 0.0.
-        """
-        now = self.clock.now
-        elapsed = int((now - self._window_start) / self.window)
-        if elapsed <= 0:
-            return
-        if self._ewma.count == 0 and self._count_in_window == 0:
-            self._window_start += elapsed * self.window
-            return
-        self._ewma.observe(self._count_in_window / self.window)
-        self._count_in_window = 0
-        if elapsed > 1:
-            self._ewma.decay(elapsed - 1)
-        self._window_start += elapsed * self.window
-
-    @property
-    def rate(self) -> Optional[float]:
-        self._flush_elapsed()
-        return self._ewma.value

@@ -299,11 +299,6 @@ class SwitchableStack:
         """True when the active protocol accepts a send right now."""
         return self.core.can_send()
 
-    @property
-    def sim(self) -> Runtime:
-        """Back-compat alias for :attr:`runtime` (pre-boundary name)."""
-        return self.runtime
-
     def _app_deliver(self, msg: Message) -> None:
         for callback in self._deliver_callbacks:
             callback(msg)

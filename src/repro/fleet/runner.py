@@ -27,20 +27,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..core.oracle import FleetOracle, RateMeter
-from ..core.switchable import GroupHandle, ProtocolSpec
+from ..core.switchable import GroupHandle
 from ..errors import ReproError, SwitchError
-from ..net.ptp import LatencyMatrix, PointToPointNetwork
 from ..obs.bus import Bus
-from ..protocols.reliable import ReliableLayer
-from ..protocols.sequencer import SequencerLayer
-from ..protocols.tokenring import TokenRingLayer
-from ..runtime import AsyncioRuntime, make_runtime
-from ..sim.rng import RandomStreams
 from ..sim.seeding import fleet_group_streams, fleet_sender_stream
-from ..stack.layer import Layer
-from ..stack.membership import Group
-from ..workloads.generator import PoissonSender
 from ..workloads.latency import LatencyProbe
+from ..workloads.session import Session, total_order_specs
 from .manager import GroupManager
 
 __all__ = [
@@ -358,31 +350,6 @@ class FleetResult:
         return "\n".join(lines)
 
 
-def _specs(
-    sequencer_rank: int, config: FleetConfig, reliable: bool
-) -> List[ProtocolSpec]:
-    """Both slots of one group; ``reliable`` adds NAK/retransmit under
-    each order layer (needed on real UDP, pure timer load on the
-    loss-free simulated mesh)."""
-
-    def with_reliable(order_layer: Layer) -> List[Layer]:
-        layers: List[Layer] = [order_layer]
-        if reliable:
-            layers.append(ReliableLayer())
-        return layers
-
-    return [
-        ProtocolSpec(
-            "sequencer",
-            lambda r: with_reliable(SequencerLayer(sequencer=sequencer_rank)),
-        ),
-        ProtocolSpec(
-            "tokenring",
-            lambda r: with_reliable(TokenRingLayer(hold_cost=config.hold_cost)),
-        ),
-    ]
-
-
 def run_fleet(
     config: Optional[FleetConfig] = None,
     bus: Optional[Bus] = None,
@@ -398,100 +365,87 @@ def run_fleet(
     outcomes of the unpartitioned run.
     """
     config = config or FleetConfig()
-    runtime = make_runtime(config.runtime)
-    streams = RandomStreams(config.seed)
+    with Session(
+        config.nodes,
+        config.seed,
+        config.runtime,
+        latency=config.latency,
+        base_port=config.base_port,
+    ) as session:
+        runtime = session.runtime
+        # The fleet bus carries the per-group delivery counters the
+        # oracle reads.  Metrics only: max_events=0 keeps the event list
+        # empty even if a caller-supplied bus arrives enabled.
+        fleet_bus = bus if bus is not None else Bus(max_events=0)
+        fleet_bus.clock = runtime
 
-    if isinstance(runtime, AsyncioRuntime):
-        from ..net.udp import UdpNetwork
-
-        network = UdpNetwork(runtime, config.nodes, base_port=config.base_port)
-        runtime.run_task(network.open())
-        reliable = True
-    else:
-        network = PointToPointNetwork(
-            runtime,
-            config.nodes,
-            latency=LatencyMatrix(config.nodes, config.latency),
-            rng=streams,
-        )
-        reliable = False
-
-    # The fleet bus carries the per-group delivery counters the oracle
-    # reads.  Metrics only: max_events=0 keeps the event list empty even
-    # if a caller-supplied bus arrives enabled.
-    fleet_bus = bus if bus is not None else Bus(clock=runtime, max_events=0)
-    fleet_bus.clock = runtime
-
-    oracle = FleetOracle(
-        metric_factory=lambda gid: RateMeter(
-            lambda: runtime.now,
-            lambda: fleet_bus.metrics.counter(f"fleet.delivered[g{gid}]"),
-        ),
-        high_threshold=config.high_threshold,
-        low_protocol=SLOT_NAMES[0],
-        high_protocol=SLOT_NAMES[1],
-    )
-    manager = GroupManager(runtime, network, oracle=oracle)
-
-    plane = None
-    server = None
-    if config.telemetry:
-        from ..obs.telemetry import SLOTarget, TelemetryConfig, TelemetryPlane
-
-        slos = []
-        if config.slo_p99_ms is not None:
-            slos.append(
-                SLOTarget("delivery-p99", "delivery_p99_ms", config.slo_p99_ms)
-            )
-        if config.slo_switch_s is not None:
-            slos.append(
-                SLOTarget(
-                    "time-to-switch", "switch_duration_s", config.slo_switch_s
-                )
-            )
-        if config.slo_ratio is not None:
-            slos.append(
-                SLOTarget("delivery-ratio", "delivery_ratio", config.slo_ratio)
-            )
-        plane = TelemetryPlane(
-            runtime,
-            fleet_bus,
-            TelemetryConfig(
-                window=config.telemetry_window,
-                history=config.telemetry_history,
-                slos=slos,
+        oracle = FleetOracle(
+            metric_factory=lambda gid: RateMeter(
+                lambda: runtime.now,
+                lambda: fleet_bus.metrics.counter(
+                    f"fleet.delivered[g{gid}]"
+                ),
             ),
+            high_threshold=config.high_threshold,
+            low_protocol=SLOT_NAMES[0],
+            high_protocol=SLOT_NAMES[1],
         )
-        plane.attach_oracle(oracle)
-        plane.attach_manager(manager)
-        if config.expo_port is not None:
-            from ..obs.telemetry.expo import TelemetryServer
+        manager = GroupManager(runtime, session.network, oracle=oracle)
 
-            server = TelemetryServer(plane, port=config.expo_port)
-            runtime.run_task(server.open())
+        plane = None
+        server = None
+        if config.telemetry:
+            from ..obs.telemetry import (
+                SLOTarget,
+                TelemetryConfig,
+                TelemetryPlane,
+            )
 
-    try:
-        return _drive(
-            runtime, manager, fleet_bus, config, streams, plane, server,
-            indices=indices,
-        )
-    finally:
-        if isinstance(runtime, AsyncioRuntime):
+            slos = [
+                SLOTarget(name, metric, budget)
+                for name, metric, budget in (
+                    ("delivery-p99", "delivery_p99_ms", config.slo_p99_ms),
+                    ("time-to-switch", "switch_duration_s", config.slo_switch_s),
+                    ("delivery-ratio", "delivery_ratio", config.slo_ratio),
+                )
+                if budget is not None
+            ]
+            plane = TelemetryPlane(
+                runtime,
+                fleet_bus,
+                TelemetryConfig(
+                    window=config.telemetry_window,
+                    history=config.telemetry_history,
+                    slos=slos,
+                ),
+            )
+            plane.attach_oracle(oracle)
+            plane.attach_manager(manager)
+            if config.expo_port is not None:
+                from ..obs.telemetry.expo import TelemetryServer
+
+                server = TelemetryServer(plane, port=config.expo_port)
+                runtime.run_task(server.open())
+
+        try:
+            return _drive(
+                session, manager, fleet_bus, config, plane, server, indices
+            )
+        finally:
             if server is not None:
                 runtime.run_task(server.aclose())
-            runtime.close()
 
 
 def _drive(
-    runtime,
+    session: Session,
     manager: GroupManager,
     fleet_bus: Bus,
     config: FleetConfig,
-    streams: RandomStreams,
-    plane=None,
-    server=None,
-    indices: Optional[Sequence[int]] = None,
+    plane,
+    server,
+    indices: Optional[Sequence[int]],
 ) -> FleetResult:
+    runtime, streams = session.runtime, session.streams
     reliable = config.runtime != "sim"
     full_fleet = indices is None
     indices = range(config.groups) if full_fleet else sorted(indices)
@@ -502,7 +456,6 @@ def _drive(
     casts: Dict[int, int] = {}
     hot: Dict[int, bool] = {}
     sequencers: Dict[int, int] = {}
-    senders: List[PoissonSender] = []
 
     for index in indices:
         members = group_members(index, config.members, config.nodes)
@@ -511,7 +464,14 @@ def _drive(
         )
         handle = manager.create_group(
             members,
-            _specs(sequencer_rank, config, reliable),
+            # NAK/retransmit under each order layer is needed on real
+            # UDP and is pure timer load on the loss-free simulated mesh.
+            total_order_specs(
+                SLOT_NAMES,
+                reliable=reliable,
+                sequencer=sequencer_rank,
+                hold_cost=config.hold_cost,
+            ),
             initial=SLOT_NAMES[0],
             token_interval=config.token_interval,
             control_factory=None if reliable else (lambda __: []),
@@ -554,9 +514,8 @@ def _drive(
         # The probe computes each delivery's latency exactly once; with
         # telemetry on, the plane rides that computation as the probe's
         # sink instead of re-deriving it from the payload timestamp.
-        probe = LatencyProbe(
-            runtime,
-            warmup=config.warmup,
+        probe = session.probe(
+            config.warmup,
             sink=None if plane is None else plane.delivery_hook(gid),
         )
         probes[gid] = probe
@@ -584,24 +543,19 @@ def _drive(
             stack.on_send(send)
             # Poisson superposition: this member's share of the group's
             # client population, folded into one compound-rate stream.
-            sender = PoissonSender(
-                runtime,
+            session.sender(
                 stack,
-                rate=config.group_rate(index) / config.members,
-                rng=fleet_sender_stream(streams, index, rank),
+                config.group_rate(index) / config.members,
+                fleet_sender_stream(streams, index, rank),
                 body_size=config.body_size,
                 stop=config.duration,
-            )
-            sender.start()
-            senders.append(sender)
+            ).start()
 
     manager.start_oracle_polling(config.oracle_poll)
     if plane is not None:
         plane.start()
 
-    runtime.run_until(config.duration)
-    for sender in senders:
-        sender.stop()
+    session.run(config.duration)
     runtime.run_for(config.settle)
     manager.stop_oracle_polling()
     if plane is not None:

@@ -93,11 +93,6 @@ class Network(ABC):
         """Attach an instrumentation bus for packet/byte/drop metrics."""
         self.obs = bus.scoped(None)
 
-    @property
-    def sim(self) -> Runtime:
-        """Back-compat alias for :attr:`runtime` (pre-boundary name)."""
-        return self.runtime
-
     def nodes(self) -> range:
         """All node ids in the network."""
         return range(self.num_nodes)

@@ -100,12 +100,19 @@ class UdpNetwork(Network):
         if self._open:
             return
         loop = self.runtime.loop
-        for node in range(self.num_nodes):
-            transport, __ = await loop.create_datagram_endpoint(
-                lambda node=node: _NodeProtocol(self, node),
-                local_addr=(self.host, self.base_port + node),
-            )
-            self._transports[node] = transport
+        try:
+            for node in range(self.num_nodes):
+                transport, __ = await loop.create_datagram_endpoint(
+                    lambda node=node: _NodeProtocol(self, node),
+                    local_addr=(self.host, self.base_port + node),
+                )
+                self._transports[node] = transport
+        except BaseException:
+            # A port of the range is taken (or the bind was cancelled):
+            # release the lower ports already bound, so a retry on the
+            # same range does not collide with this attempt.
+            self.close()
+            raise
         self._open = True
         self._was_open = True
 

@@ -39,7 +39,9 @@ Two implementations ship with the library:
 The interface is structural on purpose: a bare
 :class:`~repro.sim.engine.Simulator` already satisfies ``Clock`` +
 ``Scheduler`` (same ``now`` / ``schedule`` / ``schedule_at`` surface), so
-legacy call sites that still hold a simulator keep working unchanged.
+unit tests can hand an engine straight to a layer or a network model.
+Nothing in ``src/`` does: every run gets its runtime from
+:class:`repro.workloads.session.Session`.
 """
 
 from __future__ import annotations

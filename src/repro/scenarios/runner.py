@@ -29,21 +29,14 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.hybrid import AdaptiveController
 from ..core.oracle import HysteresisOracle
-from ..core.switchable import ProtocolSpec, build_switch_group
 from ..core.token_switch import FaultToleranceConfig
 from ..errors import ScenarioError
 from ..net.faults import FaultPlan
-from ..net.ptp import LatencyMatrix, PointToPointNetwork
 from ..obs.bus import Bus
-from ..protocols.reliable import ReliableLayer
-from ..protocols.sequencer import SequencerLayer
-from ..protocols.tokenring import TokenRingLayer
-from ..runtime import AsyncioRuntime, make_runtime
-from ..sim.rng import RandomStreams
 from ..stack.membership import Group
-from ..testing.chaos import check_slot_order
-from ..workloads.generator import Payload, PoissonSender
+from ..workloads.generator import Payload
 from ..workloads.latency import LatencyProbe
+from ..workloads.session import Session, total_order_specs
 from .signals import SignalTracker
 from .spec import PhaseSpec, ScenarioSpec
 
@@ -160,13 +153,6 @@ class ScenarioVerdict:
         return "\n".join(lines)
 
 
-def _specs() -> List[ProtocolSpec]:
-    return [
-        ProtocolSpec("sequencer", lambda r: [SequencerLayer(), ReliableLayer()]),
-        ProtocolSpec("tokenring", lambda r: [TokenRingLayer(), ReliableLayer()]),
-    ]
-
-
 def _plan(phase: PhaseSpec) -> FaultPlan:
     """The phase's network conditions as a live fault plan (all channels)."""
     return FaultPlan(
@@ -199,64 +185,35 @@ def run_scenario(
             f"scenario {spec.name!r} declares runtimes {list(spec.runtimes)}, "
             f"not {runtime_name!r}"
         )
-    runtime = make_runtime(runtime_name)
     if bus is None:
-        bus = Bus(clock=runtime, enabled=True)
-    else:
-        bus.clock = runtime
-    streams = RandomStreams(spec.seed)
-    members = spec.group.members
-
-    if isinstance(runtime, AsyncioRuntime):
-        from ..net.udp import UdpNetwork
-
-        network = UdpNetwork(runtime, members, base_port=base_port)
-        runtime.run_task(network.open())
-    else:
-        network = PointToPointNetwork(
-            runtime,
-            members,
-            latency=LatencyMatrix(
-                members, spec.phases[0].net.latency_ms / 1e3
-            ),
-            faults=_plan(spec.phases[0]),
-            rng=streams,
-        )
-    network.instrument(bus)
-
-    try:
-        return _drive(runtime, network, spec, streams, bus)
-    finally:
-        if isinstance(runtime, AsyncioRuntime):
-            runtime.close()
+        bus = Bus(enabled=True)
+    with Session(
+        spec.group.members,
+        spec.seed,
+        runtime_name,
+        latency=spec.phases[0].net.latency_ms / 1e3,
+        faults=_plan(spec.phases[0]),
+        base_port=base_port,
+        bus=bus,
+    ) as session:
+        return _drive(session, spec)
 
 
-def _drive(runtime, network, spec: ScenarioSpec, streams, bus) -> ScenarioVerdict:
+def _drive(session: Session, spec: ScenarioSpec) -> ScenarioVerdict:
+    runtime, network = session.runtime, session.network
     group = Group.of_size(spec.group.members)
-    sim_network = isinstance(network, PointToPointNetwork)
-    stacks = build_switch_group(
-        runtime,
-        network,
+    sim_network = runtime.name == "sim"
+    stacks = session.build(
         group,
-        _specs(),
-        initial=spec.group.initial,
-        variant="token",
+        total_order_specs(SLOT_NAMES),
+        spec.group.initial,
         token_interval=spec.group.token_interval,
-        streams=streams,
         # The resilient token variant: scenario faults hit every channel,
         # so the SP itself must ride out loss on its control traffic.
         fault_tolerance=FaultToleranceConfig(),
-        bus=bus,
-    )
-
-    # --- observation ---------------------------------------------------
-    deliveries: Dict[int, List[tuple]] = {r: [] for r in group}
-    for rank, stack in stacks.items():
-        stack.on_deliver(
-            lambda msg, rank=rank: deliveries[rank].append(msg.mid)
-        )
-    cast_slot: Dict[tuple, str] = {}
-    probe = LatencyProbe(runtime, warmup=WARMUP)
+    ).stacks
+    session.record(stacks)
+    probe = session.probe(WARMUP)
     probe.attach_all(stacks)
 
     tracker = SignalTracker(
@@ -264,24 +221,12 @@ def _drive(runtime, network, spec: ScenarioSpec, streams, bus) -> ScenarioVerdic
         spec.oracle.window,
         network=network if sim_network else None,
     )
-
-    senders: List[PoissonSender] = []
-    for rank in group:
-        stack = stacks[rank]
-
-        def on_send(msg, stack=stack):
-            cast_slot[msg.mid] = stack.core.send_slot
-            tracker.record_cast()
-
-        stack.on_send(on_send)
-        senders.append(
-            PoissonSender(
-                runtime,
-                stack,
-                rate=spec.phases[0].rate,
-                rng=streams.stream(f"workload{rank}"),
-            )
-        )
+    for stack in stacks.values():
+        stack.on_send(lambda msg: tracker.record_cast())
+    # Built idle: each phase starts, retunes or stops them.
+    senders = [
+        session.sender(stacks[rank], spec.phases[0].rate) for rank in group
+    ]
     tracker.senders = senders
 
     # The observer rank feeds the latency/throughput signals.
@@ -334,35 +279,15 @@ def _drive(runtime, network, spec: ScenarioSpec, streams, bus) -> ScenarioVerdic
         start += phase.duration
     controller.start()
 
-    # --- run, then let the group settle --------------------------------
-    runtime.run_until(spec.duration)
+    session.run(spec.duration)
     controller.stop()
-    for sender in senders:
-        sender.stop()
-    violations: List[str] = []
-    settle_time = spec.duration
-    for __ in range(spec.settle.windows):
-        runtime.run_for(spec.settle.window)
-        settle_time = runtime.now
-        if not any(stacks[r].switching for r in group) and (
-            len({stacks[r].current_protocol for r in group}) == 1
-        ):
-            break
-    else:
-        violations.append(
-            f"group did not converge within {spec.settle.windows} settle "
-            f"windows (still switching: "
-            f"{[r for r in group if stacks[r].switching]})"
-        )
-
+    settle_time, violations = session.settle(
+        spec.settle.windows, spec.settle.window
+    )
     return _score(
         spec,
-        runtime,
-        bus,
-        stacks,
+        session,
         group,
-        deliveries,
-        cast_slot,
         probe,
         controller,
         completions,
@@ -374,12 +299,8 @@ def _drive(runtime, network, spec: ScenarioSpec, streams, bus) -> ScenarioVerdic
 
 def _score(
     spec: ScenarioSpec,
-    runtime,
-    bus: Bus,
-    stacks,
+    session: Session,
     group,
-    deliveries: Dict[int, List[tuple]],
-    cast_slot: Dict[tuple, str],
     probe: LatencyProbe,
     controller: AdaptiveController,
     completions: List[Tuple[float, float]],
@@ -389,20 +310,11 @@ def _score(
 ) -> ScenarioVerdict:
     """Fold the raw run outcome into a scored verdict."""
     expect = spec.expect
+    bus, stacks = session.bus, session.stacks
     live = list(group)
-    finals = {r: stacks[r].current_protocol for r in live}
-
     # Correctness oracle (shared with the chaos harness).
-    if len(set(finals.values())) > 1:
-        violations.append(f"members disagree on the protocol: {finals}")
-    for rank in live:
-        mids = deliveries[rank]
-        if len(mids) != len(set(mids)):
-            dupes = len(mids) - len(set(mids))
-            violations.append(f"member {rank} delivered {dupes} duplicates")
-    violations.extend(
-        check_slot_order(deliveries, cast_slot, live, SLOT_NAMES)
-    )
+    finals, broken = session.check_order(live)
+    violations.extend(broken)
 
     # Adaptation contract.
     wrong = {r: p for r, p in finals.items() if p != expect.protocol}
@@ -437,8 +349,8 @@ def _score(
                 f"expected <= {expect.max_time_to_switch}s"
             )
 
-    casts = len(cast_slot)
-    delivered = {r: len(deliveries[r]) for r in live}
+    casts = len(session.cast_slot)
+    delivered = {r: len(session.deliveries[r]) for r in live}
     ratio = min(
         (count / casts for count in delivered.values()), default=0.0
     ) if casts else 0.0
@@ -478,7 +390,7 @@ def _score(
     has_samples = probe.latency.count > 0
     return ScenarioVerdict(
         scenario=spec.name,
-        runtime=runtime.name,
+        runtime=session.runtime.name,
         seed=spec.seed,
         expected_protocol=expect.protocol,
         final_protocols=finals,

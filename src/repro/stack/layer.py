@@ -114,11 +114,6 @@ class LayerContext:
     # Time and CPU
     # ------------------------------------------------------------------
     @property
-    def sim(self) -> Runtime:
-        """Back-compat alias for :attr:`runtime` (pre-boundary name)."""
-        return self.runtime
-
-    @property
     def now(self) -> float:
         return self.runtime.now
 

@@ -108,11 +108,6 @@ class ProcessStack:
         """True when every layer is willing to accept a send right now."""
         return all(layer.can_send() for layer in self.layers)
 
-    @property
-    def sim(self) -> Runtime:
-        """Back-compat alias for :attr:`runtime` (pre-boundary name)."""
-        return self.runtime
-
     def find_layer(self, layer_type: type) -> Any:
         """Fetch the first layer of the given type (testing/telemetry)."""
         for layer in self.layers:

@@ -34,18 +34,13 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.switchable import ProtocolSpec, SwitchableStack, build_switch_group
 from ..core.token_switch import FaultToleranceConfig
 from ..errors import SimulationError
 from ..net.faults import FaultPlan, Intercept
-from ..net.ptp import LatencyMatrix, PointToPointNetwork
 from ..obs.bus import Bus
-from ..protocols.reliable import ReliableLayer
-from ..protocols.sequencer import SequencerLayer
-from ..protocols.tokenring import TokenRingLayer
-from ..runtime import SimRuntime, Timeline
-from ..sim.rng import RandomStreams
+from ..runtime import Timeline
 from ..stack.membership import Group
+from ..workloads.session import Session, check_slot_order, total_order_specs
 
 __all__ = [
     "ChaosConfig",
@@ -184,13 +179,6 @@ class ChaosResult:
 PROTOCOL_NAMES = ("seq", "tok")
 
 
-def _default_specs() -> List[ProtocolSpec]:
-    return [
-        ProtocolSpec("seq", lambda r: [SequencerLayer(), ReliableLayer()]),
-        ProtocolSpec("tok", lambda r: [TokenRingLayer(), ReliableLayer()]),
-    ]
-
-
 def run_chaos(
     config: ChaosConfig, bus: Optional[Bus] = None
 ) -> ChaosResult:
@@ -202,10 +190,6 @@ def run_chaos(
     a chaos failure can be exported and inspected in Perfetto.
     """
     rng = random.Random(config.seed)
-    sim = SimRuntime()
-    if bus is not None:
-        bus.clock = sim
-    streams = RandomStreams(config.seed)
     plan = FaultPlan(
         loss_rate=config.control_loss,
         duplicate_rate=config.control_dup,
@@ -213,39 +197,27 @@ def run_chaos(
         channels=frozenset({0}),
         intercept=config.intercept,
     )
-    network = PointToPointNetwork(
-        sim,
+    session = Session(
         config.members,
-        latency=LatencyMatrix(config.members, config.latency),
+        config.seed,
+        latency=config.latency,
         faults=plan,
-        rng=streams,
+        bus=bus,
     )
-    if bus is not None:
-        network.instrument(bus)
+    sim, network = session.runtime, session.network
     group = Group.of_size(config.members)
-    stacks = build_switch_group(
-        sim,
-        network,
+    stacks = session.build(
         group,
-        _default_specs(),
-        initial=PROTOCOL_NAMES[0],
-        variant="token",
+        total_order_specs(PROTOCOL_NAMES),
+        PROTOCOL_NAMES[0],
         token_interval=config.token_interval,
         # Bare control channel: the FT token machinery must survive raw
         # loss/duplication/reordering on its own.
         control_factory=lambda __: [],
-        streams=streams,
         fault_tolerance=config.ft,
-        bus=bus,
-    )
-
-    # --- observation ---------------------------------------------------
-    deliveries: Dict[int, List[tuple]] = {r: [] for r in group}
-    for rank, stack in stacks.items():
-        stack.on_deliver(
-            lambda msg, rank=rank: deliveries[rank].append(msg.mid)
-        )
-    cast_slot: Dict[tuple, str] = {}  # mid -> slot it was sent on
+    ).stacks
+    session.record(stacks)
+    cast_slot = session.cast_slot  # mid -> slot it was sent on
     aborts: List[tuple] = []
     for rank, stack in stacks.items():
         stack.on_switch_aborted(
@@ -254,9 +226,7 @@ def run_chaos(
 
     # --- the scripted timeline -----------------------------------------
     timeline = Timeline()
-    crashed_ever = set()
     for crash in config.crashes:
-        crashed_ever.add(crash.rank)
         timeline.at(
             crash.at,
             lambda r=crash.rank: network.fail_node(r),
@@ -272,10 +242,7 @@ def run_chaos(
     def cast_from(rank: int) -> None:
         if not network.node_alive(rank):
             return  # a dead member generates no load
-        stack = stacks[rank]
-        slot = stack.core.send_slot
-        mid = stack.cast(("chaos", rank, len(cast_slot)))
-        cast_slot[mid] = slot
+        stacks[rank].cast(("chaos", rank, len(cast_slot)))
 
     time = 0.0
     while True:
@@ -302,43 +269,17 @@ def run_chaos(
 
     timeline.install(sim)
 
-    # --- run, then let the group settle --------------------------------
-    sim.run_until(config.duration)
-    violations: List[str] = []
-    settle_time = config.duration
-    for __ in range(config.settle):
-        # Run the window first: even a converged group still has casts
-        # in flight at the horizon that must land before the oracle runs.
-        sim.run_for(config.settle_window)
-        settle_time = sim.now
-        if _converged(stacks, network):
-            break
-    else:
-        violations.append(
-            f"group did not converge within {config.settle} settle windows "
-            f"(still switching: "
-            f"{[r for r, s in stacks.items() if s.switching]})"
-        )
-
-    # --- oracle ---------------------------------------------------------
+    session.run(config.duration)
+    settle_time, violations = session.settle(
+        config.settle, config.settle_window
+    )
     live = [
         r
         for r in group
         if r not in {c.rank for c in config.crashes if c.permanent}
     ]
-    finals = {r: stacks[r].current_protocol for r in live}
-    if len(set(finals.values())) > 1:
-        violations.append(f"live members disagree on the protocol: {finals}")
-
-    for rank in live:
-        mids = deliveries[rank]
-        if len(mids) != len(set(mids)):
-            dupes = len(mids) - len(set(mids))
-            violations.append(f"member {rank} delivered {dupes} duplicates")
-
-    violations.extend(
-        check_slot_order(deliveries, cast_slot, live, PROTOCOL_NAMES)
-    )
+    finals, broken = session.check_order(live)
+    violations.extend(broken)
 
     suspicions = sum(
         stacks[r].protocol.stats.get("suspected") for r in group
@@ -347,7 +288,7 @@ def run_chaos(
     if quiet:
         expected = set(cast_slot)
         for rank in live:
-            missing = expected - set(deliveries[rank])
+            missing = expected - set(session.deliveries[rank])
             if missing:
                 violations.append(
                     f"member {rank} missed {len(missing)} casts in a "
@@ -368,7 +309,7 @@ def run_chaos(
         violations=violations,
         final_protocols=finals,
         casts=len(cast_slot),
-        delivered={r: len(deliveries[r]) for r in live},
+        delivered={r: len(session.deliveries[r]) for r in live},
         switches_completed=counters.get("globally_complete", 0),
         switches_aborted=len({outcome.switch_id for __, outcome in aborts}),
         counters=counters,
@@ -387,55 +328,3 @@ def run_chaos_cell(cell) -> ChaosResult:
     them serially, in cell order.
     """
     return run_chaos(cell["config"])
-
-
-def _converged(
-    stacks: Dict[int, SwitchableStack], network: PointToPointNetwork
-) -> bool:
-    live = [r for r in stacks if network.node_alive(r)]
-    if any(stacks[r].switching for r in live):
-        return False
-    return len({stacks[r].current_protocol for r in live}) == 1
-
-
-def check_slot_order(
-    deliveries: Dict[int, List[tuple]],
-    cast_slot: Dict[tuple, str],
-    live: Sequence[int],
-    slots: Sequence[str],
-) -> List[str]:
-    """Pairwise order agreement, per sending slot.
-
-    Both subordinate protocols are totally ordered, so two members that
-    both delivered messages m1 and m2 (cast on the same slot) must agree
-    on their relative order — under crashes, aborts and reverts alike.
-    Cross-slot interleavings may legitimately differ after an abort.
-
-    Shared by the chaos harness and the ``repro run`` switch demo (the
-    latter runs it over real-UDP executions too).
-    """
-    violations = []
-    positions: Dict[int, Dict[str, Dict[tuple, int]]] = {}
-    for rank in live:
-        per_slot: Dict[str, Dict[tuple, int]] = {}
-        for index, mid in enumerate(deliveries[rank]):
-            slot = cast_slot.get(mid)
-            if slot is not None:
-                per_slot.setdefault(slot, {})[mid] = index
-        positions[rank] = per_slot
-    ranks = list(live)
-    for i, a in enumerate(ranks):
-        for b in ranks[i + 1 :]:
-            for slot in slots:
-                pos_a = positions[a].get(slot, {})
-                pos_b = positions[b].get(slot, {})
-                common = sorted(
-                    set(pos_a) & set(pos_b), key=lambda m: pos_a[m]
-                )
-                order_b = [pos_b[m] for m in common]
-                if order_b != sorted(order_b):
-                    violations.append(
-                        f"members {a} and {b} disagree on slot {slot!r} "
-                        f"delivery order"
-                    )
-    return violations

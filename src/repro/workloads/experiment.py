@@ -24,19 +24,13 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..core.hybrid import AdaptiveController
 from ..core.oracle import HysteresisOracle, Oracle, ThresholdOracle
 from ..core.stats import ActivityMonitor
-from ..core.switchable import ProtocolSpec, SwitchableStack, build_group_handle
+from ..core.switchable import ProtocolSpec, SwitchableStack
 from ..errors import ReproError
-from ..net.ethernet import EthernetNetwork, EthernetParams
-from ..protocols.sequencer import SequencerLayer
-from ..protocols.tokenring import TokenRingLayer
-from ..runtime.api import Runtime
-from ..runtime.sim_runtime import SimRuntime
-from ..sim.rng import RandomStreams
+from ..net.ethernet import EthernetParams
 from ..sim.seeding import figure2_cell_seed, figure2_repeat_seed
 from ..stack.membership import Group
 from ..stack.stack import build_group
-from .generator import PoissonSender
-from .latency import LatencyProbe
+from .session import Session, total_order_specs
 
 __all__ = [
     "Figure2Config",
@@ -106,56 +100,36 @@ class LatencyResult:
         )
 
 
-def _sequencer_layers(config: Figure2Config):
-    return lambda rank: [SequencerLayer(order_cost=config.sequencer_order_cost)]
+#: Slot names of the §7 hybrid (Figure 2 calls the ring "token").
+SLOT_NAMES = ("sequencer", "token")
 
 
-def _token_layers(config: Figure2Config):
-    return lambda rank: [TokenRingLayer()]
+def _session(config: Figure2Config, seed: int) -> Session:
+    """The §7 testbed: a shared Ethernet segment (sim only, so no
+    sockets or loop to close)."""
+    return Session(config.group_size, seed, ethernet=replace(config.ethernet))
 
 
-def _build_plain(
-    runtime: Runtime,
-    network: EthernetNetwork,
-    group: Group,
-    protocol: str,
-    config: Figure2Config,
-    streams: RandomStreams,
-):
-    if protocol == "sequencer":
-        factory = _sequencer_layers(config)
-    elif protocol == "token":
-        factory = _token_layers(config)
-    else:
-        raise ReproError(f"unknown plain protocol {protocol!r}")
-    return build_group(runtime, network, group, factory, streams=streams)
+def _specs(config: Figure2Config) -> List[ProtocolSpec]:
+    return total_order_specs(
+        SLOT_NAMES, reliable=False, order_cost=config.sequencer_order_cost
+    )
 
 
 def _build_hybrid(
-    runtime: Runtime,
-    network: EthernetNetwork,
+    session: Session,
     group: Group,
     config: Figure2Config,
-    streams: RandomStreams,
-    initial: str,
     oracle_factory: Optional[Callable[[ActivityMonitor], Oracle]] = None,
 ) -> Tuple[Dict[int, SwitchableStack], AdaptiveController]:
-    specs = [
-        ProtocolSpec("sequencer", _sequencer_layers(config)),
-        ProtocolSpec("token", _token_layers(config)),
-    ]
-    stacks = build_group_handle(
-        runtime,
-        network,
+    stacks = session.build(
         group,
-        specs,
-        initial=initial,
-        variant="token",
+        _specs(config),
+        SLOT_NAMES[0],
         token_interval=config.token_interval,
-        streams=streams,
     ).stacks
     manager = stacks[group.coordinator]
-    monitor = ActivityMonitor(runtime, window=0.5)
+    monitor = ActivityMonitor(session.runtime, window=0.5)
     manager.on_deliver(monitor.observe)
     if oracle_factory is None:
         oracle: Oracle = HysteresisOracle(
@@ -189,43 +163,32 @@ def run_total_order_experiment(
         raise ReproError(
             f"active_senders must be in [1, {config.group_size}]"
         )
-    runtime = SimRuntime()
-    streams = RandomStreams(figure2_cell_seed(config.seed, active_senders))
-    network = EthernetNetwork(
-        runtime, config.group_size, replace(config.ethernet), rng=streams
-    )
+    session = _session(config, figure2_cell_seed(config.seed, active_senders))
     group = Group.of_size(config.group_size)
 
-    switches = 0
-    if protocol == "hybrid":
-        # Start on the per-regime best guess's *opposite* to force the
-        # oracle to earn its keep near the thresholds.
-        initial = "sequencer"
-        stacks, controller = _build_hybrid(
-            runtime, network, group, config, streams, initial
+    hybrid = protocol == "hybrid"
+    if hybrid:
+        # Starts on the sequencer whatever the load, so near the
+        # thresholds the oracle has to earn its keep.
+        stacks, __ = _build_hybrid(session, group, config)
+    elif protocol in SLOT_NAMES:
+        factory = _specs(config)[SLOT_NAMES.index(protocol)].factory
+        stacks = build_group(
+            session.runtime,
+            session.network,
+            group,
+            factory,
+            streams=session.streams,
         )
     else:
-        stacks = _build_plain(runtime, network, group, protocol, config, streams)
-        controller = None
+        raise ReproError(f"unknown plain protocol {protocol!r}")
 
-    probe = LatencyProbe(runtime, warmup=config.warmup)
+    probe = session.probe(config.warmup)
     probe.attach_all(stacks)
-
-    senders = []
-    for rank in list(group)[:active_senders]:
-        sender = PoissonSender(
-            runtime,
-            stacks[rank],
-            rate=config.rate,
-            rng=streams.stream(f"workload{rank}"),
-            body_size=config.body_size,
-        )
-        sender.start()
-        senders.append(sender)
-
-    runtime.run_until(config.duration)
-    if controller is not None:
-        switches = stacks[group.coordinator].core.switches_completed
+    session.load(
+        list(stacks.values())[:active_senders], config.rate, config.body_size
+    )
+    session.run(config.duration)
     if probe.latency.count == 0:
         raise ReproError(
             f"no latency samples for {protocol} at {active_senders} senders"
@@ -237,7 +200,9 @@ def run_total_order_experiment(
         median_ms=probe.median_ms,
         p90_ms=probe.quantile_ms(0.90),
         samples=probe.latency.count,
-        switches=switches,
+        switches=(
+            stacks[group.coordinator].core.switches_completed if hybrid else 0
+        ),
     )
 
 
@@ -373,30 +338,20 @@ def run_switch_overhead_experiment(
     initial, target = direction.split("->")
 
     def run(trigger_switch: bool) -> Tuple[float, float, int]:
-        runtime = SimRuntime()
-        streams = RandomStreams(config.seed)
-        network = EthernetNetwork(
-            runtime, config.group_size, replace(config.ethernet), rng=streams
-        )
+        session = _session(config, config.seed)
+        runtime = session.runtime
         group = Group.of_size(config.group_size)
-        specs = [
-            ProtocolSpec("sequencer", _sequencer_layers(config)),
-            ProtocolSpec("token", _token_layers(config)),
-        ]
-        stacks = build_group_handle(
-            runtime, network, group, specs, initial=initial,
-            variant="token", token_interval=config.token_interval,
-            streams=streams,
+        stacks = session.build(
+            group, _specs(config), initial, token_interval=config.token_interval
         ).stacks
-        probe = LatencyProbe(runtime, warmup=config.warmup)
+        probe = session.probe(config.warmup)
         probe.attach_all(stacks)
         blocked = 0
-        for rank in list(group)[:active_senders]:
-            PoissonSender(
-                runtime, stacks[rank], rate=config.rate,
-                rng=streams.stream(f"workload{rank}"),
-                body_size=config.body_size,
-            ).start()
+        session.load(
+            list(stacks.values())[:active_senders],
+            config.rate,
+            config.body_size,
+        )
         durations: List[float] = []
         manager = stacks[group.coordinator]
         manager.protocol.on_global_complete(
@@ -405,7 +360,7 @@ def run_switch_overhead_experiment(
         switch_at = config.warmup + 1.0
         if trigger_switch:
             runtime.schedule_at(switch_at, lambda: manager.request_switch(target))
-        runtime.run_until(config.duration)
+        session.run(config.duration)
         for rank in list(group)[:active_senders]:
             if not stacks[rank].can_send():
                 blocked += 1
@@ -448,11 +403,8 @@ def run_oscillation_experiment(
     "hysteresis" policy stays put or switches rarely.
     """
     config = config or Figure2Config()
-    runtime = SimRuntime()
-    streams = RandomStreams(config.seed)
-    network = EthernetNetwork(
-        runtime, config.group_size, replace(config.ethernet), rng=streams
-    )
+    session = _session(config, config.seed)
+    runtime = session.runtime
     group = Group.of_size(config.group_size)
 
     def oracle_factory(monitor: ActivityMonitor) -> Oracle:
@@ -474,28 +426,20 @@ def run_oscillation_experiment(
             )
         raise ReproError(f"unknown policy {policy!r}")
 
-    stacks, controller = _build_hybrid(
-        runtime, network, group, config, streams, "sequencer", oracle_factory
-    )
-    probe = LatencyProbe(runtime, warmup=config.warmup)
+    stacks, controller = _build_hybrid(session, group, config, oracle_factory)
+    probe = session.probe(config.warmup)
     probe.attach_all(stacks)
 
     # Five steady senders plus one that flutters on and off.
-    steady = list(group)[:5]
-    for rank in steady:
-        PoissonSender(
-            runtime, stacks[rank], rate=config.rate,
-            rng=streams.stream(f"workload{rank}"),
-            body_size=config.body_size,
-        ).start()
+    session.load(list(stacks.values())[:5], config.rate, config.body_size)
     flutter_rank = list(group)[5]
-    flutter_rng = streams.stream("flutter")
+    flutter_rng = session.streams.stream("flutter")
 
     def schedule_flutter(start: float) -> None:
         if start >= duration:
             return
-        sender = PoissonSender(
-            runtime, stacks[flutter_rank], rate=config.rate, rng=flutter_rng,
+        sender = session.sender(
+            stacks[flutter_rank], config.rate, flutter_rng,
             body_size=config.body_size, start=start,
             stop=start + flutter_period,
         )
@@ -503,7 +447,7 @@ def run_oscillation_experiment(
         schedule_flutter(start + 2 * flutter_period)
 
     schedule_flutter(config.warmup)
-    runtime.run_until(duration)
+    session.run(duration)
     manager = stacks[group.coordinator]
     return OscillationResult(
         policy=policy,

@@ -26,13 +26,12 @@ violation really is the switch's doing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..core.switchable import ProtocolSpec, SwitchableStack, build_group_handle
+from ..core.switchable import ProtocolSpec, SwitchableStack
 from ..core.view_switch import ViewSwitchStack
-from ..net.ethernet import EthernetNetwork, EthernetParams
+from ..net.ethernet import EthernetParams
 from ..net.faults import FaultPlan
-from ..net.ptp import LatencyMatrix, PointToPointNetwork
 from ..protocols.amoeba import AmoebaLayer
 from ..protocols.confidentiality import ConfidentialityLayer
 from ..protocols.crypto import Ciphertext, GroupKey
@@ -41,12 +40,9 @@ from ..protocols.integrity import IntegrityLayer
 from ..protocols.noreplay import NoReplayLayer
 from ..protocols.priority import PrioritizedDeliveryLayer
 from ..protocols.reliable import ReliableLayer
-from ..protocols.sequencer import SequencerLayer
 from ..protocols.tokenring import TokenRingLayer
 from ..protocols.virtual_synchrony import VirtualSynchronyLayer
 from ..runtime.api import Runtime
-from ..runtime.sim_runtime import SimRuntime
-from ..sim.rng import RandomStreams
 from ..stack.membership import Group
 from ..stack.message import Message
 from ..traces.properties import (
@@ -61,6 +57,7 @@ from ..traces.properties import (
     VirtualSynchrony,
 )
 from ..traces.recorder import TraceRecorder
+from .session import Session, total_order_specs
 
 __all__ = ["ScenarioOutcome", "run_preservation_suite", "SCENARIOS"]
 
@@ -102,31 +99,27 @@ class ScenarioOutcome:
 def _switch_run(
     specs: List[ProtocolSpec],
     script: Callable[[Runtime, Dict[int, SwitchableStack]], None],
-    group_size: int = 4,
     duration: float = 2.0,
-    initial: Optional[str] = None,
-    variant: str = "broadcast",
-    latency: Optional[LatencyMatrix] = None,
+    latency: float = 1e-3,
+    slow_links: Sequence[Tuple[int, int, float]] = (),
     faults: Optional[FaultPlan] = None,
-    seed: int = 7,
+    **switching,
 ) -> Tuple[TraceRecorder, Dict[int, SwitchableStack]]:
-    """Run a scripted switching execution on a PTP network; return the
-    recorder (app-level global trace) and the stacks."""
-    sim = SimRuntime()
-    streams = RandomStreams(seed)
-    net = PointToPointNetwork(
-        sim, group_size, latency=latency, faults=faults, rng=streams
-    )
-    group = Group.of_size(group_size)
-    stacks = build_group_handle(
-        sim,
-        net,
-        group,
+    """Run a scripted switching execution of a 4-member group on a PTP
+    network; return the recorder (app-level global trace) and the
+    stacks.  ``slow_links`` are ``(src, dst, one-way latency)``
+    overrides of the base ``latency``; ``switching`` reaches the SP."""
+    session = Session(4, 7, latency=latency, faults=faults)
+    for src, dst, delay in slow_links:
+        session.network.latency.set(src, dst, delay)
+    sim = session.runtime
+    stacks = session.build(
+        Group.of_size(4),
         specs,
-        initial=initial or specs[0].name,
-        variant=variant,
+        specs[0].name,
+        variant="broadcast",
         token_interval=0.002,
-        streams=streams,
+        **switching,
     ).stacks
     recorder = TraceRecorder(sim)
     recorder.attach_all(stacks)
@@ -171,10 +164,7 @@ def _outcome(
 # ----------------------------------------------------------------------
 def scenario_total_order() -> ScenarioOutcome:
     """Total Order survives a sequencer -> token switch under load."""
-    specs = [
-        ProtocolSpec("seq", lambda r: [SequencerLayer()]),
-        ProtocolSpec("tok", lambda r: [TokenRingLayer()]),
-    ]
+    specs = total_order_specs(("seq", "tok"), reliable=False)
 
     def script(sim, stacks):
         schedule = []
@@ -233,9 +223,8 @@ def scenario_integrity() -> ScenarioOutcome:
     attacker_rank = group_size  # extra node, outside the group
 
     def build_and_run(defended: bool) -> TraceRecorder:
-        sim = SimRuntime()
-        streams = RandomStreams(11)
-        net = PointToPointNetwork(sim, group_size + 1, rng=streams)
+        session = Session(group_size + 1, 11)
+        sim, net = session.runtime, session.network
         group = Group.of_size(group_size)
         if defended:
             specs = [
@@ -249,9 +238,8 @@ def scenario_integrity() -> ScenarioOutcome:
                 ProtocolSpec("macA", lambda r: []),
                 ProtocolSpec("macB", lambda r: [FifoLayer()]),
             ]
-        stacks = build_group_handle(
-            sim, net, group, specs, initial="macA", variant="broadcast",
-            streams=streams,
+        stacks = session.build(
+            group, specs, "macA", variant="broadcast"
         ).stacks
         recorder = TraceRecorder(sim)
         recorder.attach_all(stacks)
@@ -306,9 +294,8 @@ def scenario_confidentiality() -> ScenarioOutcome:
     sniffer_id = 99  # identity of the eavesdropper in the trace
 
     def build_and_run(defended: bool) -> TraceRecorder:
-        sim = SimRuntime()
-        streams = RandomStreams(13)
-        net = EthernetNetwork(sim, group_size, EthernetParams(), rng=streams)
+        session = Session(group_size, 13, ethernet=EthernetParams())
+        sim, net = session.runtime, session.network
         group = Group.of_size(group_size)
 
         def conf_layers(extra):
@@ -324,10 +311,9 @@ def scenario_confidentiality() -> ScenarioOutcome:
             ProtocolSpec("confA", conf_layers(lambda: [])),
             ProtocolSpec("confB", conf_layers(lambda: [FifoLayer()])),
         ]
-        stacks = build_group_handle(
-            sim, net, group, specs, initial="confA", variant="broadcast",
+        stacks = session.build(
+            group, specs, "confA", variant="broadcast",
             control_factory=conf_layers(lambda: [ReliableLayer()]),
-            streams=streams,
         ).stacks
         recorder = TraceRecorder(sim)
         recorder.attach_all(stacks)
@@ -401,6 +387,36 @@ def scenario_no_replay() -> ScenarioOutcome:
     )
 
 
+#: Token-ring total order under Amoeba: a sender's own cast takes most
+#: of a token rotation to come back, which is the window the switch hits.
+_AMOEBA_SPECS = [
+    ProtocolSpec("amA", lambda r: [AmoebaLayer(), TokenRingLayer()]),
+    ProtocolSpec("amB", lambda r: [AmoebaLayer()]),
+]
+
+
+def _amoeba_script(do_switch: bool, sent_second: List[bool]):
+    """Rank 1 casts, the switch (if any) starts while that cast is still
+    outstanding, and rank 1 — honestly consulting ``can_send()`` —
+    retries a second cast until it is let through (noted in
+    ``sent_second``)."""
+
+    def script(sim, stacks):
+        def try_second_send() -> None:
+            if stacks[1].can_send():
+                stacks[1].cast("second", 64)
+                sent_second.append(True)
+            else:
+                sim.schedule(0.001, try_second_send)
+
+        sim.schedule_at(0.004, lambda: stacks[1].cast("first", 64))
+        if do_switch:
+            sim.schedule_at(0.005, lambda: stacks[0].request_switch("amB"))
+        sim.schedule_at(0.006, try_second_send)
+
+    return script
+
+
 def scenario_amoeba() -> ScenarioOutcome:
     """Amoeba breaks: the switch lets a blocked sender send again while
     its old-protocol message is still outstanding (§5.3–§5.4).
@@ -410,34 +426,12 @@ def scenario_amoeba() -> ScenarioOutcome:
     that window, and the application — honestly consulting can_send() —
     is allowed to send over the new protocol.
     """
-    specs = [
-        ProtocolSpec("amA", lambda r: [AmoebaLayer(), TokenRingLayer()]),
-        ProtocolSpec("amB", lambda r: [AmoebaLayer()]),
-    ]
-    latency = LatencyMatrix(4, base_latency=3e-3)
-
-    def script(do_switch: bool):
-        def inner(sim, stacks):
-            sent_second = []
-
-            def try_second_send() -> None:
-                if sent_second:
-                    return
-                if stacks[1].can_send():
-                    stacks[1].cast("second", 64)
-                    sent_second.append(True)
-                    return
-                sim.schedule(0.001, try_second_send)
-
-            sim.schedule_at(0.004, lambda: stacks[1].cast("first", 64))
-            if do_switch:
-                sim.schedule_at(0.005, lambda: stacks[0].request_switch("amB"))
-            sim.schedule_at(0.006, try_second_send)
-
-        return inner
-
-    recorder, __ = _switch_run(specs, script(True), latency=latency)
-    control_recorder, __ = _switch_run(specs, script(False), latency=latency)
+    recorder, __ = _switch_run(
+        _AMOEBA_SPECS, _amoeba_script(True, []), latency=3e-3
+    )
+    control_recorder, __ = _switch_run(
+        _AMOEBA_SPECS, _amoeba_script(False, []), latency=3e-3
+    )
     prop = Amoeba()
     return ScenarioOutcome(
         scenario="unblocked sender",
@@ -462,10 +456,8 @@ def scenario_prioritized_delivery() -> ScenarioOutcome:
         ProtocolSpec("prA", lambda r: [PrioritizedDeliveryLayer(master)]),
         ProtocolSpec("prB", lambda r: [PrioritizedDeliveryLayer(master)]),
     ]
-    latency = LatencyMatrix(4, base_latency=1e-3)
-    for rank in (1, 2, 3):
-        latency.set(rank, master, 25e-3)  # into the master: slow
-    latency.set(1, 3, 25e-3)  # initiator's control traffic to rank 3: slow
+    slow = [(rank, master, 25e-3) for rank in (1, 2, 3)]  # into the master
+    slow.append((1, 3, 25e-3))  # initiator's control traffic to rank 3
 
     def script(do_switch: bool):
         def inner(sim, stacks):
@@ -481,8 +473,8 @@ def scenario_prioritized_delivery() -> ScenarioOutcome:
 
         return inner
 
-    recorder, __ = _switch_run(specs, script(True), latency=latency)
-    control_recorder, __ = _switch_run(specs, script(False), latency=latency)
+    recorder, __ = _switch_run(specs, script(True), slow_links=slow)
+    control_recorder, __ = _switch_run(specs, script(False), slow_links=slow)
     prop = PrioritizedDelivery(master)
     return ScenarioOutcome(
         scenario="buffered past the master",
@@ -541,9 +533,8 @@ def scenario_virtual_synchrony() -> ScenarioOutcome:
 
 def scenario_view_switch_preserves_vs() -> ScenarioOutcome:
     """The §8 extension: switching *via a view change* preserves VS."""
-    sim = SimRuntime()
-    streams = RandomStreams(17)
-    net = PointToPointNetwork(sim, 4, rng=streams)
+    session = Session(4, 17)
+    sim, net, streams = session.runtime, session.network, session.streams
     group = Group.of_size(4)
     specs = [
         ProtocolSpec("fifoA", lambda r: [FifoLayer()]),
@@ -622,40 +613,13 @@ def scenario_blocking_sp_preserves_amoeba() -> ScenarioOutcome:
     """Extension (section 8's 'other switching protocols'): a *blocking*
     SP variant queues sends during the switch, which preserves Amoeba —
     the switch cannot complete until the outstanding message drains."""
-    from ..protocols.amoeba import AmoebaLayer as _Amoeba
-    from ..protocols.tokenring import TokenRingLayer as _Token
-
-    specs = [
-        ProtocolSpec("amA", lambda r: [_Amoeba(), _Token()]),
-        ProtocolSpec("amB", lambda r: [_Amoeba()]),
-    ]
-    sim = SimRuntime()
-    streams = RandomStreams(9)
-    net = PointToPointNetwork(
-        sim, 4, latency=LatencyMatrix(4, base_latency=3e-3), rng=streams
-    )
-    group = Group.of_size(4)
-    stacks = build_group_handle(
-        sim, net, group, specs, initial="amA", variant="broadcast",
-        streams=streams, block_sends_during_switch=True,
-    ).stacks
-    recorder = TraceRecorder(sim)
-    recorder.attach_all(stacks)
     sent_second: List[bool] = []
-
-    def try_second_send() -> None:
-        if sent_second:
-            return
-        if stacks[1].can_send():
-            stacks[1].cast("second", 64)
-            sent_second.append(True)
-            return
-        sim.schedule(0.001, try_second_send)
-
-    sim.schedule_at(0.004, lambda: stacks[1].cast("first", 64))
-    sim.schedule_at(0.005, lambda: stacks[0].request_switch("amB"))
-    sim.schedule_at(0.006, try_second_send)
-    sim.run_until(2.0)
+    recorder, __ = _switch_run(
+        _AMOEBA_SPECS,
+        _amoeba_script(True, sent_second),
+        latency=3e-3,
+        block_sends_during_switch=True,
+    )
     assert sent_second
     prop = Amoeba()
     return ScenarioOutcome(

@@ -24,21 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..core.switchable import ProtocolSpec, build_group_handle
 from ..errors import ReproError
-from ..net.ptp import LatencyMatrix, PointToPointNetwork
 from ..obs.bus import Bus
-from ..protocols.reliable import ReliableLayer
-from ..protocols.sequencer import SequencerLayer
-from ..protocols.tokenring import TokenRingLayer
-from ..runtime import AsyncioRuntime, make_runtime
-from ..sim.rng import RandomStreams
-from ..stack.batching import BatchingLayer
-from ..stack.layer import Layer
 from ..stack.membership import Group
-from ..testing.chaos import check_slot_order
-from .generator import PoissonSender
-from .latency import LatencyProbe
+from .session import Session, total_order_specs
 
 __all__ = ["SwitchRunConfig", "SwitchRunResult", "run_switch_demo"]
 
@@ -147,26 +136,6 @@ class SwitchRunResult:
         return "\n".join(lines)
 
 
-def _specs(config: Optional[SwitchRunConfig] = None) -> List[ProtocolSpec]:
-    # ReliableLayer under each total-order layer: a no-op on the loss-free
-    # simulated mesh, real NAK/retransmit protection on the UDP runtime.
-    # With max_batch > 1 a BatchingLayer tops each slot — above the
-    # total-order layer so a whole batch is ordered (and pays CPU) once,
-    # below the switching core so SP send counts stay per-message.
-    def data_layers(r: int, order_layer: Layer) -> List[Layer]:
-        layers: List[Layer] = []
-        if config is not None and config.max_batch > 1:
-            layers.append(BatchingLayer(config.max_batch, config.linger))
-        layers.append(order_layer)
-        layers.append(ReliableLayer())
-        return layers
-
-    return [
-        ProtocolSpec("sequencer", lambda r: data_layers(r, SequencerLayer())),
-        ProtocolSpec("tokenring", lambda r: data_layers(r, TokenRingLayer())),
-    ]
-
-
 def run_switch_demo(
     config: Optional[SwitchRunConfig] = None,
     bus: Optional[Bus] = None,
@@ -179,82 +148,34 @@ def run_switch_demo(
     The caller exports the bus afterwards (see :mod:`repro.obs.export`).
     """
     config = config or SwitchRunConfig()
-    runtime = make_runtime(config.runtime)
-    if bus is not None:
-        bus.clock = runtime
-    streams = RandomStreams(config.seed)
-
-    if isinstance(runtime, AsyncioRuntime):
-        from ..net.udp import UdpNetwork
-
-        network = UdpNetwork(
-            runtime, config.members, base_port=config.base_port
-        )
-        runtime.run_task(network.open())
-    else:
-        network = PointToPointNetwork(
-            runtime,
-            config.members,
-            latency=LatencyMatrix(config.members, config.latency),
-            rng=streams,
-        )
-
-    if bus is not None:
-        network.instrument(bus)
-
-    try:
-        return _drive(runtime, network, config, streams, bus)
-    finally:
-        if isinstance(runtime, AsyncioRuntime):
-            runtime.close()
+    with Session(
+        config.members,
+        config.seed,
+        config.runtime,
+        latency=config.latency,
+        base_port=config.base_port,
+        bus=bus,
+    ) as session:
+        return _drive(session, config)
 
 
-def _drive(
-    runtime, network, config: SwitchRunConfig, streams, bus=None
-) -> SwitchRunResult:
+def _drive(session: Session, config: SwitchRunConfig) -> SwitchRunResult:
+    runtime = session.runtime
     group = Group.of_size(config.members)
+    batch = (config.max_batch, config.linger) if config.max_batch > 1 else None
     # A single-group run is a fleet of size one: the same GroupHandle
     # lifecycle the fleet's GroupManager drives at thousands.
-    handle = build_group_handle(
-        runtime,
-        network,
+    handle = session.build(
         group,
-        _specs(config),
-        initial=SLOT_NAMES[0],
-        variant="token",
+        total_order_specs(SLOT_NAMES, batch=batch),
+        SLOT_NAMES[0],
         token_interval=config.token_interval,
-        streams=streams,
-        bus=bus,
     )
     stacks = handle.stacks
-
-    # --- observation ---------------------------------------------------
-    deliveries: Dict[int, List[tuple]] = {r: [] for r in group}
-    for rank, stack in stacks.items():
-        stack.on_deliver(
-            lambda msg, rank=rank: deliveries[rank].append(msg.mid)
-        )
-    cast_slot: Dict[tuple, str] = {}
-    probe = LatencyProbe(runtime, warmup=config.warmup)
+    session.record(stacks)
+    probe = session.probe(config.warmup)
     probe.attach_all(stacks)
-
-    senders = []
-    for rank in group:
-        stack = stacks[rank]
-        stack.on_send(
-            lambda msg, stack=stack: cast_slot.__setitem__(
-                msg.mid, stack.core.send_slot
-            )
-        )
-        sender = PoissonSender(
-            runtime,
-            stack,
-            rate=config.rate,
-            rng=streams.stream(f"workload{rank}"),
-            body_size=config.body_size,
-        )
-        sender.start()
-        senders.append(sender)
+    session.load(stacks.values(), config.rate, config.body_size)
 
     durations: List[float] = []
     manager = stacks[group.coordinator]
@@ -265,51 +186,25 @@ def _drive(
         config.switch_at, lambda: handle.request_switch(SLOT_NAMES[1])
     )
 
-    # --- run, then let the group settle --------------------------------
-    runtime.run_until(config.duration)
-    for sender in senders:
-        sender.stop()
-    violations: List[str] = []
-    settle_time = config.duration
-    for __ in range(config.settle_windows):
-        runtime.run_for(config.settle_window)
-        settle_time = runtime.now
-        if not any(stacks[r].switching for r in group) and (
-            len({stacks[r].current_protocol for r in group}) == 1
-        ):
-            break
-    else:
-        violations.append(
-            f"group did not converge within {config.settle_windows} settle "
-            f"windows (still switching: "
-            f"{[r for r in group if stacks[r].switching]})"
-        )
-
-    # --- oracle ---------------------------------------------------------
+    session.run(config.duration)
+    settle_time, violations = session.settle(
+        config.settle_windows, config.settle_window
+    )
     live = list(group)
-    finals = {r: stacks[r].current_protocol for r in live}
-    if len(set(finals.values())) > 1:
-        violations.append(f"members disagree on the protocol: {finals}")
-    elif finals and next(iter(finals.values())) != SLOT_NAMES[1]:
+    finals, broken = session.check_order(live)
+    if len(set(finals.values())) == 1 and finals[live[0]] != SLOT_NAMES[1]:
         violations.append(
             f"switch never took effect: group settled on "
-            f"{next(iter(finals.values()))!r}"
+            f"{finals[live[0]]!r}"
         )
-    for rank in live:
-        mids = deliveries[rank]
-        if len(mids) != len(set(mids)):
-            dupes = len(mids) - len(set(mids))
-            violations.append(f"member {rank} delivered {dupes} duplicates")
-    violations.extend(
-        check_slot_order(deliveries, cast_slot, live, SLOT_NAMES)
-    )
+    violations.extend(broken)
 
     has_samples = probe.latency.count > 0
     return SwitchRunResult(
         config=config,
         runtime=runtime.name,
-        casts=len(cast_slot),
-        delivered={r: len(deliveries[r]) for r in live},
+        casts=len(session.cast_slot),
+        delivered={r: len(session.deliveries[r]) for r in live},
         mean_ms=probe.mean_ms if has_samples else float("nan"),
         median_ms=probe.median_ms if has_samples else float("nan"),
         p90_ms=probe.quantile_ms(0.90) if has_samples else float("nan"),

@@ -6,7 +6,7 @@ import pytest
 from helpers import switch_group
 from repro.core.hybrid import AdaptiveController
 from repro.core.oracle import ManualOracle, ScheduledOracle
-from repro.core.stats import ActivityMonitor, RateMonitor
+from repro.core.stats import ActivityMonitor
 from repro.core.switchable import ProtocolSpec
 from repro.errors import SwitchError
 from repro.protocols.fifo import FifoLayer
@@ -35,60 +35,9 @@ class TestActivityMonitor:
         monitor.observe(make_msg(2))
         assert monitor.active_senders() == 1
 
-    def test_delivery_rate(self):
-        sim = Simulator()
-        monitor = ActivityMonitor(sim, window=2.0)
-        for __ in range(10):
-            monitor.observe(make_msg(1))
-        assert monitor.delivery_rate() == pytest.approx(5.0)
-
     def test_window_validation(self):
         with pytest.raises(ValueError):
             ActivityMonitor(Simulator(), window=0)
-
-
-class TestRateMonitor:
-    def test_rate_converges(self):
-        sim = Simulator()
-        monitor = RateMonitor(sim, window=0.1, alpha=1.0)
-        for i in range(20):
-            sim.run_until(i * 0.05)
-            monitor.observe(make_msg(0))
-        assert monitor.rate == pytest.approx(20.0, rel=0.5)
-
-    def test_no_observations_no_rate(self):
-        assert RateMonitor(Simulator()).rate is None
-
-    def test_no_observations_no_rate_even_after_idle_time(self):
-        sim = Simulator()
-        monitor = RateMonitor(sim, window=0.1)
-        sim.run_until(10.0)
-        assert monitor.rate is None
-
-    def test_rate_decays_while_idle(self):
-        sim = Simulator()
-        monitor = RateMonitor(sim, window=0.1, alpha=0.5)
-        for i in range(20):
-            sim.run_until(i * 0.05)
-            monitor.observe(make_msg(0))
-        busy = monitor.rate
-        assert busy == pytest.approx(20.0, rel=0.5)
-        # Deliveries stop; the smoothed rate must fall at read time, not
-        # stay frozen at the burst value until the next delivery.
-        sim.run_until(2.0)
-        idle = monitor.rate
-        assert idle is not None and idle < busy / 100.0
-        sim.run_until(60.0)
-        assert monitor.rate == pytest.approx(0.0, abs=1e-6)
-
-    def test_idle_decay_is_closed_form_per_window(self):
-        sim = Simulator()
-        monitor = RateMonitor(sim, window=0.1, alpha=0.5)
-        monitor.observe(make_msg(0))
-        # One full busy window (10/s), then exactly three empty windows.
-        sim.run_until(0.4)
-        expected = 10.0 * (1 - 0.5) ** 3
-        assert monitor.rate == pytest.approx(expected)
 
 
 def specs():

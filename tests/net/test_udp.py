@@ -97,6 +97,24 @@ def test_close_is_idempotent_and_registered_with_runtime():
     net.close()  # second close is a no-op
 
 
+def test_failed_open_releases_the_ports_already_bound(runtime):
+    import socket
+
+    base = BASE_PORT + 130
+    squatter = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    squatter.bind(("127.0.0.1", base + 1))
+    net = UdpNetwork(runtime, 3, base_port=base)
+    try:
+        with pytest.raises(OSError):
+            runtime.run_task(net.open())
+    finally:
+        squatter.close()
+    assert net._transports == [None, None, None]
+    # A retry on the same range binds every port, node 0's included.
+    runtime.run_task(net.open())
+    assert all(transport is not None for transport in net._transports)
+
+
 def test_multicast_oversized_payload_rejected(runtime):
     net = open_net(runtime, 3, BASE_PORT + 70)
     collect(net, runtime)

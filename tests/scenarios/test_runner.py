@@ -7,8 +7,11 @@ deterministic (inline and through the sweeprunner's process pool), and
 at least one clean-net scenario passes over real asyncio/UDP loopback.
 """
 
+from pathlib import Path
+
 import pytest
 
+from repro.cli import main
 from repro.errors import ScenarioError
 from repro.scenarios import load_catalog, run_scenario
 from repro.scenarios.runner import run_scenario_cell, scenario_cells
@@ -75,6 +78,19 @@ def test_verdicts_deterministic_inline_and_pooled(catalog):
     pooled = [v.to_dict() for v in run_cells(cells, run_scenario_cell, 4)]
     assert inline == serial
     assert inline == pooled
+
+
+def test_full_catalog_matches_the_checked_in_artifact(tmp_path, capsys):
+    # The CI sweep's `cmp`, at tier-1: any reordering of hooks, timers
+    # or RNG draws in the harness shows up as a byte diff here.
+    pinned = (
+        Path(__file__).resolve().parents[2]
+        / "benchmarks" / "results" / "scenarios.json"
+    )
+    fresh = tmp_path / "scenarios.json"
+    assert main(["scenario", "--all", "--json", str(fresh)]) == 0
+    capsys.readouterr()
+    assert fresh.read_bytes() == pinned.read_bytes()
 
 
 def test_undeclared_runtime_is_rejected(catalog):

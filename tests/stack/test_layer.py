@@ -58,14 +58,14 @@ class TestLayerContext:
         ctx = make_ctx()
         done = []
         ctx.cpu_work(0.5, lambda: done.append(ctx.now))
-        ctx.sim.run()
+        ctx.runtime.run()
         assert done == [0.5]
 
     def test_after_schedules_timer(self):
         ctx = make_ctx()
         fired = []
         ctx.after(0.2, lambda: fired.append(ctx.now))
-        ctx.sim.run()
+        ctx.runtime.run()
         assert fired == [0.2]
 
 
