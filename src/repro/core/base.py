@@ -91,6 +91,20 @@ class ProtocolSlot:
         self.name = name
         self.layers = list(layers)
         self.send = send
+        #: True while the core neither sends on this slot nor is owed
+        #: deliveries from it; its layers have been told to keep quiet.
+        self.dormant = False
+
+    def set_dormant(self, dormant: bool) -> None:
+        """Tell the layers when (and only when) the state flips."""
+        if dormant == self.dormant:
+            return
+        self.dormant = dormant
+        for layer in self.layers:
+            if dormant:
+                layer.quiesce()
+            else:
+                layer.resume()
 
     def can_send(self) -> bool:
         """Back-pressure query: AND of every layer in the slot."""
@@ -144,6 +158,16 @@ class SwitchCore:
         self.obs: BusScope = obs if obs is not None else null_scope()
         self._completion_callbacks: List[_CompletionSub] = []
         self._boundary_callbacks: List[Callable[[str, str], None]] = []
+        self._sync_dormancy()
+
+    def _sync_dormancy(self) -> None:
+        """Keep every slot in step with the mode: the live set is
+        ``{current}`` in normal mode and ``{old, new}`` while switching;
+        every other slot is dormant."""
+        switching = self.mode is SwitchMode.SWITCHING
+        live = {self.old, self.new} if switching else {self.current}
+        for name, slot in self.slots.items():
+            slot.set_dormant(name not in live)
 
     # ------------------------------------------------------------------
     # Observers
@@ -278,6 +302,7 @@ class SwitchCore:
         self.old = old
         self.new = new
         self.vector = None
+        self._sync_dormancy()
         self.stats.incr("switches_started")
         return self.sent[old]
 
@@ -306,6 +331,7 @@ class SwitchCore:
         self.old = None
         self.new = None
         self.vector = None
+        self._sync_dormancy()
         self.switches_completed += 1
         self.stats.incr("switches_completed")
         for callback in self._boundary_callbacks:
@@ -356,6 +382,7 @@ class SwitchCore:
         self.old = None
         self.new = None
         self.vector = None
+        self._sync_dormancy()
         self.stats.incr("switches_aborted")
         if self.obs.enabled:
             self.obs.emit(
@@ -385,6 +412,7 @@ class SwitchCore:
         if old == self.current:
             return
         self.current = old
+        self._sync_dormancy()
         self.stats.incr("reverts")
         # Deliveries buffered for the adopted slot are current-protocol
         # traffic now: flush them in arrival order (mirrors _finish).

@@ -433,6 +433,15 @@ class GroupHandle:
     def current_protocols(self) -> Dict[int, str]:
         return {r: s.current_protocol for r, s in self.stacks.items()}
 
+    @property
+    def dormant_protocols(self) -> Dict[int, List[str]]:
+        """Per member, the slots told to keep quiet ("why is this ring
+        silent": it is not the one being sent on)."""
+        return {
+            r: [n for n, slot in s.core.slots.items() if slot.dormant]
+            for r, s in self.stacks.items()
+        }
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<GroupHandle id={self.group_id} members={len(self.stacks)} "

@@ -25,6 +25,7 @@ Mechanism (one *stream* per (origin, destination-set) pair):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import ProtocolError
@@ -256,11 +257,14 @@ class ReliableLayer(Layer):
                 continue
             if stream.known_top < stream.expected:
                 continue
-            missing = [
+            # known_top comes off the wire: walk no further than the
+            # batch we will actually request.
+            gaps = (
                 seq
                 for seq in range(stream.expected, stream.known_top + 1)
                 if seq not in stream.holdback
-            ][: self.config.nak_batch]
+            )
+            missing = list(islice(gaps, self.config.nak_batch))
             if not missing:
                 continue
             self.stats.incr("naks_sent")

@@ -18,12 +18,19 @@ heartbeat/NAK machinery retransmits a lost token automatically.  For bare
 stacks an optional epoch-stamped watchdog lets the coordinator regenerate
 the token after prolonged silence; stale-epoch tokens are discarded on
 receipt.
+
+Dormancy: mounted under a :class:`~repro.core.base.SwitchCore`, the layer
+is told when its slot carries no traffic (``quiesce``) and when it is
+about to again (``resume``).  A dormant member with nothing to multicast
+*parks* the token instead of forwarding it, so an unused ring is silent;
+``resume`` at the holder puts it back in circulation.  A standalone stack
+is never told anything and the token free-runs as described above.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Optional
+from typing import Deque, Dict, Optional, Tuple
 
 from ..errors import ProtocolError
 from ..sim.monitor import Counter
@@ -73,6 +80,8 @@ class TokenRingLayer(Layer):
         self._last_token_seen = 0.0
         self._epoch = 0  # highest token epoch seen
         self._next_unassigned = 0  # best knowledge of the next free gseq
+        self._dormant = False
+        self._parked: Optional[Tuple[int, int]] = None  # (gseq, epoch) kept
         self.stats = Counter()
 
     # ------------------------------------------------------------------
@@ -82,8 +91,29 @@ class TokenRingLayer(Layer):
         super().start()
         if self.ctx.rank == self.ctx.group.coordinator:
             self.ctx.after(0.0, lambda: self._hold_token(0, 0))
-        if self.watchdog_timeout > 0:
-            self.ctx.after(self.watchdog_timeout, self._watchdog)
+            if self.watchdog_timeout > 0:
+                self.ctx.after(self.watchdog_timeout, self._watchdog)
+
+    def quiesce(self) -> None:
+        self._dormant = True
+
+    def resume(self) -> None:
+        self._dormant = False
+        # A parked ring was silent by design: restart the silence window.
+        self._last_token_seen = self.ctx.now
+        if self._parked is not None:
+            # One scheduler turn later, so the token leaves *after* the SP
+            # message that woke us (docs/PROTOCOLS.md, "Dormant slots").
+            self.ctx.after(0.0, self._release)
+
+    def _release(self) -> None:
+        if self._parked is None:
+            return
+        (gseq, epoch), self._parked = self._parked, None
+        self.stats.incr("resumed")
+        if self.ctx.obs.enabled:
+            self.ctx.obs.emit("tring/resume", gseq=gseq, epoch=epoch)
+        self._hold_token(gseq, epoch)
 
     # ------------------------------------------------------------------
     # Downward: queue until we hold the token
@@ -132,6 +162,14 @@ class TokenRingLayer(Layer):
         if not self._started:
             return
         self.stats.incr("holds")
+        if self._dormant and not self._pending:
+            # Nobody sends on this slot and nothing is owed from it: keep
+            # the token here until resume() instead of spinning the ring.
+            self._parked = (gseq, epoch)
+            self.stats.incr("parked")
+            if self.ctx.obs.enabled:
+                self.ctx.obs.emit("tring/park", gseq=gseq, epoch=epoch)
+            return
         burst = len(self._pending)
         if self.max_burst is not None:
             burst = min(burst, self.max_burst)
@@ -163,10 +201,7 @@ class TokenRingLayer(Layer):
         if not self._started:
             return
         silent_for = self.ctx.now - self._last_token_seen
-        if (
-            silent_for >= self.watchdog_timeout
-            and self.ctx.rank == self.ctx.group.coordinator
-        ):
+        if silent_for >= self.watchdog_timeout and not self._dormant:
             self.stats.incr("regenerations")
             self._epoch += 1
             self._hold_token(self._next_unassigned, self._epoch)
@@ -190,3 +225,8 @@ class TokenRingLayer(Layer):
     @property
     def queued(self) -> int:
         return len(self._pending)
+
+    @property
+    def parked(self) -> bool:
+        """True while this member keeps the token of a dormant ring."""
+        return self._parked is not None

@@ -179,6 +179,18 @@ class Layer:
         """
         self._started = False
 
+    def quiesce(self) -> None:
+        """The switching core says this layer's slot is dormant: no
+        application send is routed to it and none is owed from it.
+
+        Stop originating traffic that is not needed for safety; keep
+        receiving (see "Dormant slots" in docs/PROTOCOLS.md).  May arrive
+        before :meth:`start`.  A standalone stack never calls it.
+        """
+
+    def resume(self) -> None:
+        """The slot is live again (it is, or is about to be, sent on)."""
+
     # ------------------------------------------------------------------
     # Vertical traffic — subclasses override these two
     # ------------------------------------------------------------------

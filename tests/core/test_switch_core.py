@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.base import ProtocolSlot, SwitchCore, SwitchMode
 from repro.errors import SwitchError
+from repro.stack.layer import Layer
 from repro.stack.message import Message
 
 
@@ -235,3 +236,113 @@ class TestMultipleSwitches:
         core.set_vector({})
         assert core.current == "c"
         assert [m.mid for m in delivered] == [(1, 0)]
+
+
+class RecordingLayer(Layer):
+    """Logs the dormancy hooks the core fires at its slot."""
+
+    def __init__(self, slot, log):
+        super().__init__()
+        self.slot = slot
+        self.log = log
+
+    def quiesce(self):
+        self.log.append(("quiesce", self.slot))
+
+    def resume(self):
+        self.log.append(("resume", self.slot))
+
+
+class TestDormancy:
+    """The live set is {current} in normal mode and {old, new} while
+    switching; hooks fire once per flip and never on a no-op."""
+
+    def make(self):
+        """A three-slot core on ``a`` and the one log its hooks and its
+        application deliveries share (cleared of the start-up calls)."""
+        log = []
+        core = SwitchCore(
+            {
+                name: ProtocolSlot(
+                    name, [RecordingLayer(name, log)], lambda m: None
+                )
+                for name in ("a", "b", "c")
+            },
+            lambda msg: log.append(("deliver", msg.mid)),
+            "a",
+        )
+        assert log == [("quiesce", "b"), ("quiesce", "c")]
+        del log[:]
+        return core, log
+
+    def dormant(self, core):
+        return sorted(n for n, slot in core.slots.items() if slot.dormant)
+
+    def test_only_the_initial_slot_starts_live(self):
+        core, __ = self.make()
+        assert self.dormant(core) == ["b", "c"]
+
+    def test_begin_switch_wakes_the_new_slot_only(self):
+        core, log = self.make()
+        core.begin_switch("a", "b")
+        assert self.dormant(core) == ["c"]
+        assert log == [("resume", "b")]
+
+    def test_finish_quiesces_old_before_callbacks_and_flush(self):
+        core, log = self.make()
+        core.on_epoch_boundary(lambda old, new: log.append("boundary"))
+        core.on_switch_complete(lambda old, new: log.append("complete"))
+        core.begin_switch("a", "b")
+        core.slot_deliver("b", make_msg(1, 0))  # buffered until the flip
+        del log[:]
+        core.set_vector({})
+        assert self.dormant(core) == ["a", "c"]
+        assert log == [
+            ("quiesce", "a"),
+            "boundary",
+            ("deliver", (1, 0)),
+            "complete",
+        ]
+
+    def test_abort_falls_back_to_old_and_quiesces_new(self):
+        core, log = self.make()
+        core.begin_switch("a", "b")
+        del log[:]
+        core.abort_switch()
+        assert self.dormant(core) == ["b", "c"]
+        assert log == [("quiesce", "b")]
+
+    def test_revert_swaps_the_live_slot(self):
+        core, log = self.make()
+        core.begin_switch("a", "b")
+        core.set_vector({})
+        del log[:]
+        core.revert_to("a")
+        assert self.dormant(core) == ["b", "c"]
+        assert sorted(log) == [("quiesce", "b"), ("resume", "a")]
+
+    def test_noop_transitions_fire_nothing(self):
+        core, log = self.make()
+        core.revert_to("a")  # already current
+        core.app_send(make_msg(0, 0))
+        assert log == []
+        core.begin_switch("a", "c")
+        core.set_vector({})
+        del log[:]
+        core.revert_to("c")  # current again: nothing flips
+        assert log == []
+
+    def test_every_flip_is_one_call(self):
+        core, log = self.make()
+        for old, new in (("a", "b"), ("b", "c"), ("c", "a")):
+            core.begin_switch(old, new)
+            core.set_vector({})
+        assert log == [
+            ("resume", "b"),
+            ("quiesce", "a"),
+            ("resume", "c"),
+            ("quiesce", "b"),
+            ("resume", "a"),
+            ("quiesce", "c"),
+        ]
+        assert self.dormant(core) == ["b", "c"]

@@ -113,6 +113,13 @@ class TestConveniences:
         __, __, handle = make_handle()
         assert handle.current_protocols == {0: "A", 1: "A", 2: "A"}
 
+    def test_dormant_protocols_follow_the_switch(self):
+        runtime, __, handle = make_handle()
+        assert handle.dormant_protocols == {0: ["B"], 1: ["B"], 2: ["B"]}
+        handle.request_switch("B")
+        runtime.run_for(2.0)
+        assert handle.dormant_protocols == {0: ["A"], 1: ["A"], 2: ["A"]}
+
 
 class TestWrapperParity:
     def test_build_switch_group_is_a_size_one_fleet(self):

@@ -74,6 +74,16 @@ class TestInstrumentedRun:
         ]
         assert layer_hists, "no per-layer deliver latency recorded"
 
+    def test_dormancy_is_on_the_trace(self, traced_run):
+        """"Why is this ring silent" has an answer in the artifact: the
+        token ring parks at start-up (the group begins on the sequencer)
+        and is released once, by the switch that wakes it."""
+        bus, __ = traced_run
+        parks = [e for e in bus.events if e.name == "tring/park"]
+        resumes = [e for e in bus.events if e.name == "tring/resume"]
+        assert len(parks) == 1 and len(resumes) == 1
+        assert parks[0].time < resumes[0].time
+
 
 class TestDisabledOverhead:
     def test_uninstrumented_run_records_nothing(self):

@@ -6,6 +6,7 @@ from helpers import ptp_group
 from repro.errors import ProtocolError
 from repro.net.faults import FaultPlan
 from repro.protocols.reliable import ReliableConfig, ReliableLayer
+from repro.stack.message import Message
 
 
 def reliable_group(n, faults=None, seed=1, config=None):
@@ -148,3 +149,27 @@ def test_holdback_drains():
     sim.run_until(5.0)
     for rank in range(3):
         assert stacks[rank].find_layer(ReliableLayer).holdback_size == 0
+
+
+def test_hostile_heartbeat_top_cannot_stall_the_tick():
+    """``known_top`` comes off the wire.  One heartbeat advertising an
+    absurd top used to make the next tick walk (and allocate) every
+    sequence number up to it before slicing to ``nak_batch``."""
+    sim, stacks, log = reliable_group(2, config=ReliableConfig(nak_batch=8))
+    layer = stacks[0].find_layer(ReliableLayer)
+    naks = []
+    down = layer._down
+    layer._down = lambda msg: (
+        naks.append(msg) if msg.header("rel") == {"k": "nak"} else down(msg)
+    )
+    stacks[1].cast("real", 10)
+    sim.run_until(0.01)  # seq 0 delivered: expected is 1
+    hostile = Message(
+        sender=1, mid=(1, 999), body=("G", 2**40), body_size=16, dest=(0,)
+    ).with_header("rel", {"k": "hb"}, 10)
+    layer.receive(hostile)
+    layer._tick()  # returns promptly instead of iterating 2**40 times
+    assert len(naks) == 1
+    dest_key, missing = naks[0].body
+    assert dest_key == "G"
+    assert missing == list(range(1, 9))

@@ -109,3 +109,85 @@ def test_watchdog_regenerates_token_on_bare_stack():
     assert log.bodies(0) == ["after-regen"]
     regens = stacks[0].find_layer(TokenRingLayer).stats.get("regenerations")
     assert regens >= 1
+
+
+# ----------------------------------------------------------------------
+# Dormancy: quiesce() parks the token, resume() releases it
+# ----------------------------------------------------------------------
+def ring_layers(stacks):
+    return [stack.find_layer(TokenRingLayer) for stack in stacks.values()]
+
+
+def test_standalone_ring_never_parks():
+    """Nobody tells a ProcessStack's layers anything: the static ring
+    (Figure 2's right-hand curve) free-runs exactly as before."""
+    sim, stacks, log = ptp_group(3, lambda r: [TokenRingLayer()])
+    stacks[1].cast("x", 10)
+    sim.run_until(0.5)
+    for layer in ring_layers(stacks):
+        assert layer.stats.get("parked") == 0
+        assert not layer.parked
+        assert layer.stats.get("holds") > 10
+
+
+def test_quiesced_ring_parks_one_token_and_resumes():
+    sim, stacks, log = ptp_group(3, lambda r: [TokenRingLayer()])
+    sim.run_until(0.1)
+    layers = ring_layers(stacks)
+    for layer in layers:
+        layer.quiesce()
+    sim.run_until(0.2)
+    holds = [layer.stats.get("holds") for layer in layers]
+    sim.run_until(1.0)
+    assert [layer.stats.get("holds") for layer in layers] == holds
+    assert sum(layer.parked for layer in layers) == 1
+    # A cast made while dormant waits for the token, then goes out.
+    stacks[2].cast("late", 10)
+    sim.run_until(1.5)
+    assert log.bodies(0) == []
+    for layer in layers:
+        layer.resume()
+    sim.run_until(2.0)
+    assert log.bodies(0) == log.bodies(1) == log.bodies(2) == ["late"]
+    assert sum(layer.stats.get("resumed") for layer in layers) == 1
+    assert not any(layer.parked for layer in layers)
+
+
+def test_dormant_member_with_pending_casts_still_multicasts():
+    """Parking needs an empty queue: a dormant member the token reaches
+    sends what it accepted, forwards, and parks on the next visit."""
+    sim, stacks, log = ptp_group(3, lambda r: [TokenRingLayer()])
+    layers = ring_layers(stacks)
+    layers[1].quiesce()
+    stacks[1].cast("owed", 10)
+    sim.run_until(0.5)
+    assert log.bodies(0) == log.bodies(2) == ["owed"]
+    assert [layer.parked for layer in layers] == [False, True, False]
+    assert layers[1].stats.get("holds") == 2
+
+
+def test_parked_ring_regenerates_nothing_and_wakes_up():
+    """A parked ring is silent by design: the coordinator's watchdog
+    must not mistake it for a lost token, and only the coordinator keeps
+    a watchdog timer at all."""
+    timeout = 0.05
+    sim, stacks, log = ptp_group(
+        3, lambda r: [TokenRingLayer(watchdog_timeout=timeout)]
+    )
+    layers = ring_layers(stacks)
+    for layer in layers:
+        layer.quiesce()
+    sim.run_until(0.01)
+    before = sim.events_processed
+    sim.run_until(0.01 + 10 * timeout)
+    # One watchdog tick per timeout, at the coordinator only.
+    assert sim.events_processed - before <= 11
+    for layer in layers:
+        assert layer.stats.get("regenerations") == 0
+        assert layer._epoch == 0
+    for layer in layers:
+        layer.resume()
+    stacks[1].cast("first", 10)
+    sim.run_until(sim.now + 0.04)  # inside the fresh silence window
+    assert log.bodies(0) == log.bodies(1) == log.bodies(2) == ["first"]
+    assert all(layer.stats.get("regenerations") == 0 for layer in layers)
