@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Hot-path microbenchmarks: headers, codec, timers and delivery.
+"""Hot-path microbenchmarks: headers, fan-out encode and decode.
 
-Six kernels, each timing the optimized implementation against the
+Three kernels, each timing the optimized implementation against the
 baseline it replaced:
 
 ``header_hop``
@@ -13,26 +13,11 @@ baseline it replaced:
     O(1) unlinks and whose multicast pops after the first receiver are
     memoized loads.  Bar: >= 2x.
 
-``codec_roundtrip``
-    Encode + decode of a representative sequencer data message (fifo +
-    seqr + rel headers, 256 B payload accounting) through the binary
-    ``WireCodec`` vs. ``pickle`` of the same ``(src, dst, msg)``
-    triple.  Bars: faster than pickle (>= 1x) and strictly smaller.
-
 ``multicast_fanout``
     The datagram bytes for one 8-destination multicast.  The codec
     encodes the payload once and re-frames 6 bytes per destination;
     the baseline pickles the whole triple once per destination, as the
     seed's UDP transport did.  Bar: >= 2x.
-
-``timer_churn``
-    The deadline-refresh pattern that dominates failure detectors and
-    retransmit timers: 64 armed timers, 512 refreshes, then a drain.
-    The baseline is the frozen pre-wheel heap engine
-    (``repro.sim._heapref``) refreshing via cancel + schedule — every
-    refresh pushes a fresh heap entry and leaves a dead one behind;
-    the optimized path is the hashed timer wheel's fused ``rearm``,
-    which retimes the live entry in place.  Bar: >= 2x.
 
 ``decode_fanin``
     Decode of the datagram mix a sequencer fan-in sees (mostly small
@@ -43,20 +28,6 @@ baseline it replaced:
     memoryview zero-copy, which was built, measured slower at every
     site on CPython 3.11, and rejected (see docs/ARCHITECTURE.md).
     Bar: >= 1x (strictly faster).
-
-``pooled_deliver``
-    The steady-state deliver loop: decode a datagram, drop it at
-    delivery completion, recycle the ``Message`` shell through the
-    refcount-guarded pool — against allocating a fresh shell per
-    datagram.  On CPython 3.11 recycling is break-even with obmalloc
-    (pop + guard + strip costs about what ``__new__`` + dealloc does),
-    so this kernel is pinned as a *soundness and non-regression* gate,
-    not a speedup claim: the leak-check invariants must hold (zero
-    rejections, exactly one live shell in steady state) and recycling
-    must stay within 5% of raw allocation.  What the pool buys is
-    bounded shell churn with a safety proof, not nanoseconds; the raw-
-    speed wins of this pass live in the wheel and decoder kernels.
-    Bar: >= 0.95x.
 
 Timings use best-of-N (``min`` over ``timeit.repeat``), which is the
 stable estimator on noisy shared runners — the minimum approaches the
@@ -90,8 +61,6 @@ from repro.net.codec import (
     _T_BIGINT, _T_BYTES, _T_DICT, _T_FALSE, _T_FLOAT, _T_INT, _T_LIST,
     _T_MESSAGE, _T_NONE, _T_PICKLE, _T_STR, _T_TRUE, _T_TUPLE,
 )
-from repro.sim._heapref import HeapSimulator
-from repro.sim.engine import Simulator
 from repro.stack.message import BASE_WIRE_OVERHEAD, Message
 
 SCHEMA_VERSION = 1
@@ -218,31 +187,6 @@ def kernel_header_hop(number: int, repeat: int) -> Dict[str, Any]:
     }
 
 
-def kernel_codec_roundtrip(number: int, repeat: int) -> Dict[str, Any]:
-    codec = WireCodec()
-    msg = _representative_message()
-    wire = codec.encode(3, 5, msg)
-    blob = pickle.dumps((3, 5, msg), pickle.HIGHEST_PROTOCOL)
-
-    def codec_rt():
-        codec.decode(codec.encode(3, 5, msg))
-
-    def pickle_rt():
-        pickle.loads(pickle.dumps((3, 5, msg), pickle.HIGHEST_PROTOCOL))
-
-    pickle_us, codec_us = _compare_us(pickle_rt, codec_rt, number, repeat)
-    speedup = pickle_us / codec_us
-    return {
-        "codec_bytes": len(wire),
-        "pickle_bytes": len(blob),
-        "pickle_us": round(pickle_us, 3),
-        "codec_us": round(codec_us, 3),
-        "speedup": round(speedup, 3),
-        "threshold": 1.0,
-        "pass": speedup >= 1.0 and len(wire) < len(blob),
-    }
-
-
 def kernel_multicast_fanout(number: int, repeat: int) -> Dict[str, Any]:
     codec = WireCodec()
     msg = _representative_message()
@@ -272,59 +216,6 @@ def kernel_multicast_fanout(number: int, repeat: int) -> Dict[str, Any]:
         "shared_body_bytes": body_bytes,
         "pickle_us": round(pickle_us, 3),
         "codec_us": round(codec_us, 3),
-        "speedup": round(speedup, 3),
-        "threshold": 2.0,
-        "pass": speedup >= 2.0,
-    }
-
-
-_CHURN_TIMERS = 64
-_CHURN_REFRESHES = 512
-
-
-def _noop() -> None:
-    pass
-
-
-def _churn_heap() -> int:
-    """Deadline refresh on the frozen heap: cancel + schedule per hit."""
-    sim = HeapSimulator()
-    handles = [
-        sim.schedule(0.05, _noop) for __ in range(_CHURN_TIMERS)
-    ]
-    for i in range(_CHURN_REFRESHES):
-        slot = i & (_CHURN_TIMERS - 1)
-        handles[slot].cancel()
-        handles[slot] = sim.schedule(0.05, _noop)
-    return sim.run()
-
-
-def _churn_wheel() -> int:
-    """The same workload through the wheel's fused in-place rearm."""
-    sim = Simulator()
-    handles = [
-        sim.schedule(0.05, _noop) for __ in range(_CHURN_TIMERS)
-    ]
-    for i in range(_CHURN_REFRESHES):
-        slot = i & (_CHURN_TIMERS - 1)
-        handles[slot] = sim.rearm(handles[slot], 0.05)
-    return sim.run()
-
-
-def kernel_timer_churn(number: int, repeat: int) -> Dict[str, Any]:
-    assert _churn_heap() == _churn_wheel() == _CHURN_TIMERS
-    # A churn run is ~3 orders heavier than the other kernels' calls;
-    # scale the sample size down to keep total runtime comparable.
-    number = max(1, number // 40)
-    baseline, optimized = _compare_us(
-        _churn_heap, _churn_wheel, number, repeat
-    )
-    speedup = baseline / optimized
-    return {
-        "timers": _CHURN_TIMERS,
-        "refreshes": _CHURN_REFRESHES,
-        "baseline_us": round(baseline, 3),
-        "optimized_us": round(optimized, 3),
         "speedup": round(speedup, 3),
         "threshold": 2.0,
         "pass": speedup >= 2.0,
@@ -518,58 +409,6 @@ def kernel_decode_fanin(number: int, repeat: int) -> Dict[str, Any]:
     }
 
 
-def kernel_pooled_deliver(number: int, repeat: int) -> Dict[str, Any]:
-    delivers = 64
-    codec = WireCodec()
-    msg = Message(3, (3, 41), ("payload", 41), 64, dest=(1, 2, 3),
-                  headers={"fifo": 41})
-    wire = codec.encode(3, 7, msg, group=9)
-
-    def baseline():
-        Message.pool_clear()  # pool disabled: every decode allocates
-        for __ in range(delivers):
-            payload = codec.decode_datagram(wire)[3]
-            del payload
-
-    def optimized():
-        Message.pool_clear()
-        for __ in range(delivers):
-            payload = codec.decode_datagram(wire)[3]
-            Message._recycle(payload)
-
-    # Leak check: the pooled loop must recycle every shell it decodes
-    # and run the whole steady state on exactly one of them.
-    optimized()
-    stats = Message.pool_stats()
-    assert stats["rejected"] == 0 and stats["recycled"] == delivers
-    assert stats["new"] + stats["reused"] == delivers
-    assert stats["new"] == 1
-    Message.pool_clear()
-
-    # Honest economics (measured, CPython 3.11): pool pop + refcount
-    # guard + strip costs about what ``__new__`` + refcount dealloc
-    # does, and a steady-state deliver loop frees each shell by
-    # refcount, so the gen-0 counter never climbs and there is no
-    # collector pressure for the pool to relieve either.  The kernel
-    # therefore gates the pool's *soundness* (the asserts above) and
-    # pins recycling at within-5%-of-allocation so a future regression
-    # in _recycle or _from_wire cannot hide.
-    number = max(1, number // 40)
-    baseline_us, optimized_us = _compare_us(baseline, optimized, number,
-                                            repeat)
-    Message.pool_clear()
-    speedup = baseline_us / optimized_us
-    return {
-        "delivers": delivers,
-        "steady_state_shells": stats["new"],
-        "baseline_us": round(baseline_us, 3),
-        "optimized_us": round(optimized_us, 3),
-        "speedup": round(speedup, 3),
-        "threshold": 0.95,
-        "pass": speedup >= 0.95,
-    }
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -588,11 +427,8 @@ def main(argv=None) -> int:
 
     kernels = {
         "header_hop": kernel_header_hop(args.number, args.repeat),
-        "codec_roundtrip": kernel_codec_roundtrip(args.number, args.repeat),
         "multicast_fanout": kernel_multicast_fanout(args.number, args.repeat),
-        "timer_churn": kernel_timer_churn(args.number, args.repeat),
         "decode_fanin": kernel_decode_fanin(args.number, args.repeat),
-        "pooled_deliver": kernel_pooled_deliver(args.number, args.repeat),
     }
     for name, result in kernels.items():
         verdict = "PASS" if result["pass"] else "FAIL"

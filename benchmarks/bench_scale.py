@@ -37,17 +37,24 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+# The frozen heap engine is a test reference and lives beside the
+# differential test that replays it; the engine-uplift A/B borrows it.
+sys.path.insert(0, os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests", "sim"
+))
+
+from _heap_reference import HeapSimulator  # noqa: E402
 from repro.core.switchable import ProtocolSpec, build_switch_group
 from repro.net.ethernet import EthernetNetwork, EthernetParams
 from repro.protocols.sequencer import SequencerLayer
 from repro.protocols.tokenring import TokenRingLayer
 from repro.runtime.sim_runtime import SimRuntime
-from repro.sim._heapref import HeapSimulator
 from repro.sim.rng import RandomStreams
 from repro.sim.seeding import scale_point_seed, scale_switch_seed
 from repro.stack.batching import BatchingLayer
@@ -269,11 +276,11 @@ def run_engine_uplift(cfg: ScaleConfig, reps: int = 5) -> dict:
     """Wall-clock A/B of the timer-wheel engine against the frozen heap.
 
     Replays the largest-group unbatched sequencer cell on the current
-    engine and on the pre-wheel heap reference (``repro.sim._heapref``),
-    best-of-``reps`` per side with the reps *interleaved* (and the
-    collector drained before each) so clock drift or garbage left over
-    from the main sweep lands on both engines instead of biasing
-    whichever ran second.  Simulated results must be identical — the
+    engine and on the pre-wheel heap reference
+    (``tests/sim/_heap_reference.py``), best-of-``reps`` per side with
+    the reps *interleaved* (and the collector drained before each) so
+    clock drift or garbage left over from the main sweep lands on both
+    engines instead of biasing whichever ran second.  Simulated results must be identical — the
     wheel is a pure engine swap — so the only thing allowed to move is
     how many delivered (simulated) messages one wall-clock second buys.
     Bar: >= 1.02x (typically 1.1-1.3x at n=100; pinned low so noisy CI

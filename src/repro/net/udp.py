@@ -36,7 +36,6 @@ from ..errors import NetworkError
 from ..obs.bus import Bus
 from ..runtime.aio import AsyncioRuntime
 from ..sim.monitor import Counter
-from ..stack.message import Message
 from .base import Endpoint, Network
 from .codec import FRAME_OVERHEAD, WireCodec
 from .packet import Packet
@@ -106,6 +105,11 @@ class UdpNetwork(Network):
                     lambda node=node: _NodeProtocol(self, node),
                     local_addr=(self.host, self.base_port + node),
                 )
+                # asyncio asks recvfrom() for 256 KiB a call; malloc serves
+                # a request that size with fresh pages (two page faults a
+                # datagram) or not, depending on where the heap happens
+                # to end.  Nothing larger than the cap is ever sent.
+                transport.max_size = MAX_DATAGRAM
                 self._transports[node] = transport
         except BaseException:
             # A port of the range is taken (or the bind was cancelled):
@@ -153,16 +157,9 @@ class UdpNetwork(Network):
         if self.obs.enabled:
             self.obs.count("net.packets_delivered")
             self.obs.count("net.bytes_delivered", len(data))
-        packet = Packet(src, dst, payload, len(data), self.runtime.now, group)
-        self._deliver(packet)
-        # Delivery completed: the decoded message's one-way trip up the
-        # stack is over.  Drop the packet (it holds the last structural
-        # reference) and offer the shell back to the pool — the refcount
-        # guard inside _recycle leaves it alone if any layer or callback
-        # retained it.
-        del packet
-        if type(payload) is Message:
-            Message._recycle(payload)
+        self._deliver(
+            Packet(src, dst, payload, len(data), self.runtime.now, group)
+        )
 
     # ------------------------------------------------------------------
     # Transmission

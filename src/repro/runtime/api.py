@@ -93,25 +93,6 @@ class Scheduler(Clock):
     ) -> TimerHandle:
         """Arm ``callback`` at absolute runtime time ``time``."""
 
-    def rearm(
-        self,
-        handle: TimerHandle,
-        delay: float,
-        callback: Callable[[], None],
-    ) -> TimerHandle:
-        """Cancel ``handle`` and arm ``callback`` ``delay`` seconds from
-        now, returning the replacement handle.
-
-        Semantically identical to ``handle.cancel()`` followed by
-        :meth:`schedule` — this portable default is exactly that — but
-        runtimes with a fused engine path (the simulated runtime's
-        timer wheel) override it with an O(1), allocation-free retiming
-        of the live entry.  Callers must always rebind to the return
-        value; the handle passed in may or may not be reused.
-        """
-        handle.cancel()
-        return self.schedule(delay, callback)
-
 
 class Runtime(Scheduler):
     """Clock + scheduler + task spawning + lifecycle.

@@ -58,28 +58,6 @@ class SimRuntime(Runtime):
     ) -> EventHandle:
         return self.sim.schedule_at(time, callback)
 
-    def rearm(
-        self,
-        handle: TimerHandle,
-        delay: float,
-        callback: Callable[[], None],
-    ) -> EventHandle:
-        """Fused cancel + reschedule on the engine's timer wheel.
-
-        Falls back to the portable cancel + schedule when the handle
-        already fired (or belongs to another engine) — the semantics
-        are identical either way, only the fast path differs.
-        """
-        sim = self.sim
-        if (
-            type(handle) is EventHandle
-            and not handle._cancelled
-            and handle._sim is sim
-        ):
-            return sim.rearm(handle, delay, callback)
-        handle.cancel()
-        return sim.schedule(delay, callback)
-
     # ------------------------------------------------------------------
     # Tasks
     # ------------------------------------------------------------------

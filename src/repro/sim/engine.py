@@ -10,16 +10,13 @@ single :class:`Simulator`.  Simulated time is a ``float`` number of
 seconds; it only advances when the engine pops the next event, so a run
 is fully deterministic given deterministic callbacks.
 
-Why a wheel and not a heap: cancellation-heavy traffic (the armed-then-
-cancelled retransmit-timer pattern of the reliable layer and the SP
-watchdogs) makes cancel/reschedule the common case.  On the old binary
-heap every timer paid an O(log n) push even when it was cancelled a
-microsecond later, and every cancelled entry eventually paid an
-O(log n) pop to leave.  On the wheel ``schedule``, ``cancel`` and the
-fused :meth:`Simulator.rearm` are all O(1): scheduling inserts into a
-bucket dict, cancelling a not-yet-due entry deletes it on the spot, and
-only entries that already reached the due-heap fall back to lazy
-flagging (dropped on pop, or at compaction) — never sorted.
+Why a wheel and not a heap: ``schedule`` and ``cancel`` are O(1) —
+scheduling inserts into a bucket dict, cancelling a not-yet-due entry
+deletes it on the spot, and only entries that already reached the
+due-heap fall back to lazy flagging (dropped on pop, or at compaction).
+A binary-heap engine is less than half the code and was measured in
+this one's place on the cost ledger: it loses where the queue is deep
+("Timer wheel slotting" in ``docs/ARCHITECTURE.md`` has the numbers).
 
 Firing order is **exactly** ``(time, seq)`` — identical to the heap
 engine, as the differential tests in ``tests/sim/`` replay:
@@ -36,16 +33,13 @@ Usage::
     sim.run()
 
 Handles returned by :meth:`Simulator.schedule` can be cancelled, which is
-how protocol retransmission timers are implemented.  Fired and dropped
-handles are recycled through a free list when (and only when) the
-engine holds the last reference — ``sys.getrefcount`` proves
-exclusivity — so steady-state timer churn allocates nothing.
+how protocol retransmission timers are implemented; a deadline refresh
+is ``handle.cancel()`` followed by a fresh ``schedule``.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from sys import getrefcount
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import SimulationError
@@ -59,7 +53,7 @@ class EventHandle:
     Cancellation is O(1) either way the wheel resolves it: a handle
     still sitting in a future bucket is unlinked on the spot (a dict
     delete), one that already reached the due-heap is flagged and
-    skipped (and reclaimed) when it pops.  The owning simulator counts
+    skipped when it pops.  The owning simulator counts
     lazy cancellations so ``pending()`` stays O(1) and the due-heap is
     compacted when dead entries pile up (the armed-then-cancelled
     retransmit-timer pattern of long chaos runs).
@@ -111,9 +105,6 @@ _NOOP = _noop
 #: Smallest (and initial) bucket count; always a power of two.
 _MIN_BUCKETS = 256
 
-#: Handles kept on the per-simulator free list, at most.
-_FREE_CAP = 1024
-
 #: Bucket index for times whose product with ``inv_width`` overflows a
 #: float (``inf`` horizons).  Larger than any finite index: a finite
 #: ``time * inv_width`` is < 1e309, far below 10**400.
@@ -132,20 +123,6 @@ def _pow2(n: int) -> int:
     return 1 << max(n - 1, 0).bit_length()
 
 
-def _exclusive_refs() -> int:
-    """The refcount a handle shows when only a local + this call see it.
-
-    Measured (not hard-coded) because calling conventions differ across
-    CPython versions.  The recycle sites compare against exactly this
-    shape, so a handle still referenced by caller code can never be
-    recycled out from under it.
-    """
-    probe = object()
-    return getrefcount(probe)
-
-
-_EXCLUSIVE_REFS = _exclusive_refs()
-
 #: Bare allocation for the schedule fast path (attributes are stored by
 #: the caller, so running ``__init__`` would just repeat the work).
 _NEW_HANDLE = object.__new__
@@ -162,8 +139,8 @@ class Simulator:
 
     * ``_buckets[i]`` is an insertion-ordered dict (handle -> None) of
       live entries whose absolute bucket index hashes to slot ``i``
-      (``index & mask``) — a dict so cancel and rearm unlink in O(1)
-      by identity regardless of how crowded the slot is;
+      (``index & mask``) — a dict so cancel unlinks in O(1) by
+      identity regardless of how crowded the slot is;
     * ``_due`` is a small ``(time, seq, handle)`` heap holding every
       pending event with absolute bucket index <= ``_cur``;
     * ``_width`` adapts on resize so the live population spreads to
@@ -192,7 +169,6 @@ class Simulator:
         ]
         self._cur = -1  # all buckets <= _cur have drained into _due
         self._due: List[Tuple[float, int, EventHandle]] = []
-        self._free: List[EventHandle] = []
 
     # ------------------------------------------------------------------
     # Clock
@@ -310,7 +286,7 @@ class Simulator:
         # so no drained bucket has outstanding events: snap the cursor
         # back to the present.  Without this, draining a far-future
         # bucket would leave ``_cur`` ahead of ``now`` and every nearer
-        # schedule/rearm would degrade into the due-heap's lazy path.
+        # schedule would degrade into the due-heap's lazy path.
         self._cur = int(self._now * self._inv_width) - 1
         due = self._due
         buckets = self._buckets
@@ -370,8 +346,7 @@ class Simulator:
         time = self._now + delay
         seq = self._seq
         self._seq = seq + 1
-        free = self._free
-        handle = free.pop() if free else _NEW_HANDLE(EventHandle)
+        handle = _NEW_HANDLE(EventHandle)
         handle.time = time
         handle._seq = seq
         handle._callback = callback
@@ -399,10 +374,7 @@ class Simulator:
             )
         seq = self._seq
         self._seq = seq + 1
-        free = self._free
-        # Bypass EventHandle.__init__: on this path the attribute stores
-        # happen either way, and a recycled handle skips allocation too.
-        handle = free.pop() if free else _NEW_HANDLE(EventHandle)
+        handle = _NEW_HANDLE(EventHandle)
         handle.time = time
         handle._seq = seq
         handle._callback = callback
@@ -422,80 +394,6 @@ class Simulator:
             self._rebuild(_pow2(self._live))
         return handle
 
-    def rearm(
-        self,
-        handle: EventHandle,
-        delay: float,
-        callback: Optional[Callable[[], None]] = None,
-    ) -> EventHandle:
-        """Fused cancel + reschedule of a live timer.  O(1).
-
-        Moves ``handle``'s deadline to ``delay`` seconds from now,
-        keeping its callback (or swapping in ``callback`` when given).
-        On the fast path the handle is unlinked
-        from its slot (an O(1) dict delete) and relinked in place — no
-        allocation, no heap traffic, no dead entry left behind; this is
-        the wheel operation a binary heap cannot offer, and what the
-        retransmit/linger armed-then-rearmed pattern should use.
-        Always rebind to the return value (``t = sim.rearm(t, d)``):
-        when the old entry already reached the due-heap a fresh handle
-        is issued instead and the old one is cancelled.
-
-        Firing order stays exactly ``(time, seq)``: a rearm takes a new
-        sequence number, as cancel + ``schedule`` would.
-        """
-        if handle._cancelled or handle._sim is not self:
-            raise SimulationError(
-                "rearm() needs a live handle owned by this simulator"
-            )
-        if delay < 0:
-            raise SimulationError(f"cannot rearm {delay:.6f}s into the past")
-        if callback is not None:
-            handle._callback = callback
-        time = self._now + delay
-        seq = self._seq
-        self._seq = seq + 1
-        try:
-            bucket = int(time * self._inv_width)
-        except (OverflowError, ValueError):
-            bucket = _FAR_BUCKET
-        cur = self._cur
-        old_bucket = handle._bucket
-        if old_bucket > cur:
-            if bucket == old_bucket:
-                # Same bucket: the entry does not even move — retiming
-                # it is two attribute stores.  Ordering is untouched
-                # because the due-heap re-keys on (time, seq) when the
-                # bucket drains.
-                handle.time = time
-                handle._seq = seq
-                return handle
-            buckets = self._buckets
-            mask = self._mask
-            try:
-                del buckets[old_bucket & mask][handle]
-            except KeyError:  # pragma: no cover - invariant guard
-                pass
-            else:
-                handle.time = time
-                handle._seq = seq
-                handle._bucket = bucket
-                if bucket <= cur:
-                    heappush(self._due, (time, seq, handle))
-                else:
-                    buckets[bucket & mask][handle] = None
-                return handle
-        # Slow path: retire the old entry lazily and issue a new handle.
-        callback = handle._callback
-        handle._cancelled = True
-        handle._callback = _NOOP
-        handle._sim = None
-        self._live -= 1
-        self._dead += 1
-        if self._dead >= self.COMPACT_MIN_DEAD and self._dead > self._live:
-            self._compact()
-        return self.schedule_at(time, callback)
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -510,11 +408,6 @@ class Simulator:
             time, __, handle = heappop(due)
             if handle._cancelled:
                 self._dead -= 1
-                if (
-                    len(self._free) < _FREE_CAP
-                    and getrefcount(handle) == _EXCLUSIVE_REFS
-                ):
-                    self._free.append(handle)
                 continue
             self._now = time
             self._events_processed += 1
@@ -523,14 +416,6 @@ class Simulator:
             callback = handle._callback
             handle._callback = _NOOP  # break reference cycles early
             callback()
-            # Steady-state pooling: recycle the handle only when the
-            # caller kept no reference (getrefcount proves exclusivity),
-            # so a retained handle can never be scribbled on.
-            if (
-                len(self._free) < _FREE_CAP
-                and getrefcount(handle) == _EXCLUSIVE_REFS
-            ):
-                self._free.append(handle)
             return True
 
     def run(
@@ -592,7 +477,6 @@ class Simulator:
             raise SimulationError("simulator is already running (reentrant run)")
         self._running = True
         fired = 0
-        free = self._free
         try:
             # :meth:`step`'s body with the horizon test fused in: every
             # packet hop is one trip round this loop, so it looks at the
@@ -619,11 +503,6 @@ class Simulator:
                     handle._callback = _NOOP
                     callback()
                     fired += 1
-                if (
-                    len(free) < _FREE_CAP
-                    and getrefcount(handle) == _EXCLUSIVE_REFS
-                ):
-                    free.append(handle)
             self._now = max(self._now, time)
         finally:
             self._running = False

@@ -13,13 +13,13 @@ may scribble on it.
 Headers are stored in a small **persistent chain** rather than a dict
 that is copied on every push/pop.  Each :meth:`with_header` allocates one
 chain node (O(1)) that points at the previous chain; :meth:`without_header`
-either unlinks the top node (the common LIFO case — layers pop exactly
-what the peer layer pushed, in reverse order) or shadows a deeper key
-with a tombstone node.  Every message therefore shares header storage
-with its ancestors, and a hop through a 14-layer stack allocates 14
-nodes instead of 14 full dict copies.  Lookups walk the chain, which is
-at most a few nodes deep; pathological push/pop churn is bounded by
-compaction back into a plain-dict base node.
+unlinks the top node (the LIFO case — layers pop exactly what the peer
+layer pushed, in reverse order) and otherwise rebuilds the remaining
+headers into a plain-dict base node.  Every message therefore shares
+header storage with its ancestors, and a hop through a 14-layer stack
+allocates 14 nodes instead of 14 full dict copies.  Lookups walk the
+chain, which is as deep as the message has headers pushed since its
+last base node.
 
 Identity: ``mid`` (message id) is a ``(origin, seq)`` pair unique per
 originating process.  Note that identity is distinct from the *body* — the
@@ -29,9 +29,8 @@ No Replay property (Table 1) is about bodies, and its Composable failure
 
 from __future__ import annotations
 
-from sys import getrefcount
 from types import MappingProxyType
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from ..errors import StackError
 
@@ -42,23 +41,15 @@ MessageId = Tuple[int, int]
 #: Fixed per-packet overhead (addresses, lengths, checksums) in bytes.
 BASE_WIRE_OVERHEAD = 28
 
-#: Tombstone marker for a header popped out of LIFO order.
-_REMOVED = object()
-
 #: Sentinel distinguishing "header absent" from "header value is None".
 _MISSING = object()
 
-#: Compact a chain into a dict base once a tombstone push finds it this
-#: deep with a third or more of its links dead; normal stacks never get
-#: close (their depth equals their header count).
-_COMPACT_DEPTH = 16
-
 #: A header chain is ``None`` (empty) or a tuple:
 #:
-#: * link — ``(mask, parent_chain, key, value)``, 4-tuple; ``value is
-#:   _REMOVED`` marks a tombstone shadowing a deeper push;
+#: * link — ``(mask, parent_chain, key, value)``, 4-tuple;
 #: * base — ``(mask, mapping)``, 2-tuple wrapping a plain dict (from the
-#:   constructor or compaction; never mutated after construction).
+#:   constructor or an out-of-order pop; never mutated after
+#:   construction).
 #:
 #: ``mask`` is a 64-bit bloom of every key at or below the node: a clear
 #: bit proves a key absent, making the duplicate-push check and the
@@ -84,8 +75,7 @@ def _chain_get(chain: _Chain, key: str) -> Any:
     while node is not None:
         if len(node) == 4:
             if node[2] == key:
-                value = node[3]
-                return _MISSING if value is _REMOVED else value
+                return node[3]
             node = node[1]
         else:  # dict base
             return node[1].get(key, _MISSING)
@@ -101,70 +91,13 @@ def _materialize(chain: _Chain) -> Dict[str, Any]:
         node = node[1]
     mapping: Dict[str, Any] = dict(node[1]) if node is not None else {}
     for __, __, key, value in reversed(links):
-        if value is _REMOVED:
-            mapping.pop(key, None)
-        else:
-            mapping[key] = value
+        mapping[key] = value
     return mapping
-
-
-def _shadow(chain: _Chain, key: str) -> _Chain:
-    """Push a tombstone for ``key``, compacting a degenerate chain."""
-    depth = dead = 0
-    node = chain
-    while node is not None and len(node) == 4:
-        depth += 1
-        dead += node[3] is _REMOVED
-        node = node[1]
-    if depth >= _COMPACT_DEPTH and 3 * (dead + 1) >= depth:
-        mapping = _materialize(chain)
-        del mapping[key]
-        return _base(mapping)
-    # A bloom mask cannot shed bits, so the tombstone keeps its parent's.
-    return (chain[0], chain, key, _REMOVED)
 
 
 def _rebuild(sender, mid, body, body_size, dest, headers, header_size):
     """Pickle constructor: rebuild from a plain header dict."""
     return Message(sender, mid, body, body_size, dest, headers, header_size)
-
-
-# ----------------------------------------------------------------------
-# Message pooling for the steady-state deliver path
-# ----------------------------------------------------------------------
-#: Recycled :class:`Message` shells for the wire-decode path.  The
-#: transport decodes thousands of messages per second whose lifetime is
-#: exactly one synchronous trip up the stack; pooling the shell turns
-#: that churn into two list ops instead of an allocation per datagram.
-_POOL: List["Message"] = []
-
-#: Never hold more shells than a burst plausibly needs.
-_POOL_CAP = 1024
-
-# Pool telemetry.  Module globals on purpose: a class-attribute
-# increment would bump Message's type version tag on every decode,
-# flushing CPython's per-type method cache and taxing every subsequent
-# attribute lookup on the class — measurably slower than the pool wins.
-_POOL_NEW = 0       # shells allocated fresh
-_POOL_REUSED = 0    # shells served from the pool
-_POOL_RECYCLED = 0  # shells returned to the pool
-_POOL_REJECTED = 0  # recycle refused (still referenced, or pool full)
-
-
-def _measure_exclusive_refs() -> int:
-    """Refcount of an object reachable only through the recycle call
-    shape — one caller local, one parameter, and ``getrefcount``'s own
-    argument.  Measured at import so the exclusivity guard tracks the
-    interpreter's calling convention rather than hard-coding it."""
-
-    def recycle_shape(msg: object) -> int:
-        return getrefcount(msg)
-
-    probe = object()
-    return recycle_shape(probe)
-
-
-_EXCLUSIVE_REFS = _measure_exclusive_refs()
 
 
 class Message:
@@ -216,17 +149,8 @@ class Message:
         Trusted input (our own wire codec): skips validation.  The
         codec builds ``chain`` link by link in push order using the
         same ``(mask | key_bit, parent, key, value)`` shape as
-        :meth:`with_header`.  Shells come from the recycle pool when
-        one is free; a recycled shell is indistinguishable from a
-        fresh ``__new__`` because :meth:`_recycle` strips every slot
-        (including the lazy ``_hmap``/``_pop`` caches)."""
-        global _POOL_NEW, _POOL_REUSED
-        if _POOL:
-            msg = _POOL.pop()
-            _POOL_REUSED += 1
-        else:
-            msg = cls.__new__(cls)
-            _POOL_NEW += 1
+        :meth:`with_header`."""
+        msg = cls.__new__(cls)
         msg.sender = sender
         msg.mid = mid
         msg.body = body
@@ -235,64 +159,6 @@ class Message:
         msg._chain = chain
         msg._header_size = header_size
         return msg
-
-    @classmethod
-    def _recycle(cls, msg: "Message") -> bool:
-        """Return a delivered message's shell to the pool, if safe.
-
-        Called by the transport at delivery completion, when the
-        decoded message's one-way trip up the stack has finished.  The
-        refcount guard makes this sound rather than merely plausible:
-        if *anything* — a retransmit buffer, an ordering queue, an
-        application callback — retained the message, the shell is left
-        alone and the guard reports a rejection instead of corrupting
-        a live object.  Returns True when the shell was pooled.
-        """
-        global _POOL_RECYCLED, _POOL_REJECTED
-        if getrefcount(msg) != _EXCLUSIVE_REFS or len(_POOL) >= _POOL_CAP:
-            _POOL_REJECTED += 1
-            return False
-        # Strip exactly the slots that can pin unbounded object graphs
-        # — the body, the header chain, and the two lazy caches.  The
-        # rest (ints, the mid pair, a rank tuple) is bounded stale data
-        # that the next ``_from_wire`` overwrites anyway; not touching
-        # those slots keeps recycling competitive with the allocator.
-        # The caches are overwritten with None rather than deleted — a
-        # plain store is an order of magnitude cheaper than raising
-        # AttributeError when the slot was never filled (the common
-        # case), and both cache readers already treat None as "empty".
-        msg.body = None
-        msg._chain = None
-        msg._hmap = None
-        msg._pop = None
-        _POOL.append(msg)
-        _POOL_RECYCLED += 1
-        return True
-
-    @classmethod
-    def pool_stats(cls) -> Dict[str, int]:
-        """Lifetime pool counters plus the current free-shell count.
-
-        The leak-check invariant asserted by the tests: every shell
-        ever acquired (``new + reused``) is either free in the pool,
-        was refused recycling while still referenced (``rejected``),
-        or is still owned by a caller — so ``recycled <= new + reused``
-        and ``free <= recycled`` always hold.
-        """
-        return {
-            "new": _POOL_NEW,
-            "reused": _POOL_REUSED,
-            "recycled": _POOL_RECYCLED,
-            "rejected": _POOL_REJECTED,
-            "free": len(_POOL),
-        }
-
-    @classmethod
-    def pool_clear(cls) -> None:
-        """Empty the pool and zero the counters (test isolation)."""
-        global _POOL_NEW, _POOL_REUSED, _POOL_RECYCLED, _POOL_REJECTED
-        _POOL.clear()
-        _POOL_NEW = _POOL_REUSED = _POOL_RECYCLED = _POOL_REJECTED = 0
 
     def _derive(self, body, body_size, dest, chain, header_size) -> "Message":
         """Allocate a sibling sharing this message's identity."""
@@ -341,37 +207,27 @@ class Message:
         if shrunk < 0:
             shrunk = 0
         if chain is not None and len(chain) == 4 and chain[2] == key:
-            if chain[3] is _REMOVED:
-                raise StackError(f"header {key!r} missing on {self!r}")
             # LIFO pop — the overwhelmingly common case: the peer layer
             # pushed last, so popping is just unlinking the top link.
             # Memoized: a multicast hands the *same* message object to
             # every receiver, so all pops after the first are one load.
             try:
-                # Raises AttributeError for an unset slot *and* for the
-                # None left by Message._recycle (None has no
-                # _header_size) — both mean "no memo".
                 memo = self._pop
                 if memo._header_size == shrunk:
                     return memo
-            except AttributeError:
+            except AttributeError:  # slot never set: no memo yet
                 pass
             popped: _Chain = chain[1]
         elif _chain_get(chain, key) is _MISSING:
             raise StackError(f"header {key!r} missing on {self!r}")
-        elif len(chain) == 2:
-            # Popping from a dict base: one dict copy, as the original
-            # copy-on-write implementation did.
-            mapping = dict(chain[1])
+        else:
+            # Not the top link (no protocol layer does this): rebuild
+            # what is left as a dict base, which also recomputes the
+            # bloom mask exactly.
+            mapping = _materialize(chain)
             del mapping[key]
             return self._derive(
                 self.body, self.body_size, self.dest, _base(mapping), shrunk
-            )
-        else:
-            # Out-of-order pop: shadow the deeper key with a tombstone.
-            return self._derive(
-                self.body, self.body_size, self.dest,
-                _shadow(chain, key), shrunk,
             )
         clone = Message.__new__(Message)
         clone.sender = self.sender
@@ -400,16 +256,11 @@ class Message:
         return _chain_get(chain, key) is not _MISSING
 
     def _materialized(self) -> Dict[str, Any]:
-        # The cache slot has three states: filled, never set (fresh
-        # shell), or None (stripped by ``_recycle``).
         try:
-            mapping = self._hmap
-            if mapping is not None:
-                return mapping
-        except AttributeError:
-            pass
-        mapping = self._hmap = _materialize(self._chain)
-        return mapping
+            return self._hmap
+        except AttributeError:  # slot never set: first use
+            mapping = self._hmap = _materialize(self._chain)
+            return mapping
 
     @property
     def headers(self) -> Mapping[str, Any]:

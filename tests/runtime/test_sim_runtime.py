@@ -112,61 +112,3 @@ def test_make_runtime_factory():
     assert isinstance(make_runtime("sim"), SimRuntime)
     with pytest.raises(SimulationError, match="unknown runtime"):
         make_runtime("quantum")
-
-
-class TestRuntimeRearm:
-    """rearm() through the runtime boundary (fused on SimRuntime)."""
-
-    def test_rearm_retimes_and_rebinds(self):
-        from repro.runtime import SimRuntime
-
-        runtime = SimRuntime()
-        fired = []
-        handle = runtime.schedule(5.0, lambda: fired.append("a"))
-        handle = runtime.rearm(handle, 1.0, lambda: fired.append("a"))
-        runtime.run()
-        assert fired == ["a"]
-        assert runtime.now == 1.0
-
-    def test_rearm_swaps_the_callback(self):
-        from repro.runtime import SimRuntime
-
-        runtime = SimRuntime()
-        fired = []
-        handle = runtime.schedule(5.0, lambda: fired.append("old"))
-        runtime.rearm(handle, 1.0, lambda: fired.append("new"))
-        runtime.run()
-        assert fired == ["new"]
-
-    def test_rearm_of_fired_handle_falls_back_to_schedule(self):
-        from repro.runtime import SimRuntime
-
-        runtime = SimRuntime()
-        fired = []
-        handle = runtime.schedule(1.0, lambda: fired.append("first"))
-        runtime.run()
-        # The fused engine path would raise on a fired handle; the
-        # runtime surface keeps cancel+schedule semantics instead.
-        runtime.rearm(handle, 1.0, lambda: fired.append("second"))
-        runtime.run()
-        assert fired == ["first", "second"]
-        assert runtime.now == 2.0
-
-    def test_rearm_matches_cancel_plus_schedule_ordering(self):
-        from repro.runtime import SimRuntime
-
-        def run(use_rearm):
-            runtime = SimRuntime()
-            fired = []
-            for name in "ab":
-                runtime.schedule(1.0, lambda name=name: fired.append(name))
-            mover = runtime.schedule(9.0, lambda: fired.append("m"))
-            if use_rearm:
-                runtime.rearm(mover, 1.0, lambda: fired.append("m"))
-            else:
-                mover.cancel()
-                runtime.schedule(1.0, lambda: fired.append("m"))
-            runtime.run()
-            return fired
-
-        assert run(True) == run(False) == ["a", "b", "m"]

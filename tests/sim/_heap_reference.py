@@ -4,17 +4,13 @@ This is the pre-wheel :class:`~repro.sim.engine.Simulator` (binary heap
 with counted lazy cancellation and compaction), preserved verbatim so
 that
 
-* the differential timer-stress tests can replay identical random
+* ``test_engine_differential.py`` can replay identical random
   schedule/cancel/reschedule workloads on both engines and assert
   bit-identical firing order and ``pending()`` counts, and
-* the speed benchmarks (``bench_hotpath``'s timer-churn kernel,
-  ``bench_scale``'s engine-uplift section) can measure the hashed
-  timer wheel against exactly the implementation it replaced.
+* ``benchmarks/bench_scale.py``'s engine-uplift section can measure the
+  hashed timer wheel against exactly the implementation it replaced.
 
-Nothing on a production path may import this module; the boundary test
-in ``tests/test_runtime_boundary.py`` pins production code to
-``repro.sim.engine``.  Do not "fix" or optimize this file — its value
-is that it does not move.
+Do not "fix" or optimize this file — its value is that it does not move.
 """
 
 from __future__ import annotations
@@ -23,7 +19,7 @@ import heapq
 import itertools
 from typing import Callable, List, Optional, Tuple
 
-from ..errors import SimulationError
+from repro.errors import SimulationError
 
 __all__ = ["HeapEventHandle", "HeapSimulator"]
 

@@ -201,6 +201,16 @@ def test_late_cancel_after_firing_does_not_corrupt_pending():
     assert sim.pending() == 0
 
 
+def test_handle_kept_after_firing_is_never_handed_out_again():
+    sim = Simulator()
+    kept = sim.schedule(0.001, lambda: None)
+    sim.schedule(0.001, lambda: None)
+    sim.run_until(0.002)
+    later = [sim.schedule(0.001, lambda: None) for __ in range(4)]
+    assert all(handle is not kept for handle in later)
+    assert kept.time == 0.001
+
+
 def test_compaction_shrinks_wheel_after_mass_cancellation():
     sim = Simulator()
     keep = []
@@ -427,97 +437,3 @@ def test_run_guard_composes_with_max_events():
         sim.schedule(0.1 * (i + 1), lambda i=i: fired.append(i))
     assert sim.run(max_events=3, until=10.0) == 3
     assert fired == [0, 1, 2]
-
-
-# ----------------------------------------------------------------------
-# rearm(): fused cancel + reschedule on the wheel
-# ----------------------------------------------------------------------
-class TestRearm:
-    def test_moves_deadline_and_keeps_callback(self):
-        sim = Simulator()
-        fired = []
-        handle = sim.schedule(5.0, lambda: fired.append("x"))
-        handle = sim.rearm(handle, 1.0)
-        sim.run()
-        assert fired == ["x"]
-        assert sim.now == 1.0
-
-    def test_optional_callback_replacement(self):
-        sim = Simulator()
-        fired = []
-        handle = sim.schedule(5.0, lambda: fired.append("old"))
-        sim.rearm(handle, 1.0, lambda: fired.append("new"))
-        sim.run()
-        assert fired == ["new"]
-
-    def test_same_bucket_rearm_reuses_the_handle(self):
-        sim = Simulator()
-        handle = sim.schedule(1.0, lambda: None)
-        again = sim.rearm(handle, 1.0 + 1e-7)  # lands in the same slot
-        assert again is handle
-        assert sim.pending() == 1
-
-    def test_cross_bucket_rearm_keeps_one_live_entry(self):
-        sim = Simulator()
-        handle = sim.schedule(0.001, lambda: None)
-        handle = sim.rearm(handle, 30.0)
-        assert sim.pending() == 1
-        assert sim.footprint() == 1  # no dead debris left behind
-        sim.run()
-        assert sim.now == 30.0
-        assert not handle.cancelled  # fired, not cancelled
-
-    def test_rearm_of_cancelled_handle_raises(self):
-        sim = Simulator()
-        handle = sim.schedule(1.0, lambda: None)
-        handle.cancel()
-        with pytest.raises(SimulationError, match="live handle"):
-            sim.rearm(handle, 1.0)
-
-    def test_rearm_of_fired_handle_raises(self):
-        sim = Simulator()
-        handle = sim.schedule(1.0, lambda: None)
-        sim.run()
-        with pytest.raises(SimulationError, match="live handle"):
-            sim.rearm(handle, 1.0)
-
-    def test_rearm_of_foreign_handle_raises(self):
-        sim, other = Simulator(), Simulator()
-        handle = other.schedule(1.0, lambda: None)
-        with pytest.raises(SimulationError, match="owned by this"):
-            sim.rearm(handle, 1.0)
-
-    def test_negative_delay_rejected(self):
-        sim = Simulator()
-        handle = sim.schedule(1.0, lambda: None)
-        with pytest.raises(SimulationError, match="past"):
-            sim.rearm(handle, -0.1)
-
-    def test_rearm_after_due_heap_drain_issues_fresh_handle(self):
-        # Two ties force the bucket into the due-heap on the first
-        # step; rearming the survivor then exercises the slow path.
-        sim = Simulator()
-        fired = []
-        sim.schedule(1.0, lambda: fired.append("first"))
-        mover = sim.schedule(1.0, lambda: fired.append("moved"))
-        sim.step()
-        fresh = sim.rearm(mover, 3.0)
-        assert fresh is not mover
-        assert mover.cancelled
-        assert sim.pending() == 1
-        sim.run()
-        assert fired == ["first", "moved"]
-        assert sim.now == 4.0
-
-    def test_rearm_chain_survives_compaction(self):
-        sim = Simulator()
-        sim.COMPACT_MIN_DEAD = 4
-        fired = []
-        handle = sim.schedule(10.0, lambda: fired.append("kept"))
-        for i in range(50):
-            handle = sim.rearm(handle, 10.0 + i * 1e-3)
-        debris = [sim.schedule(5.0, lambda: None) for __ in range(20)]
-        for d in debris:
-            d.cancel()
-        sim.run()
-        assert fired == ["kept"]

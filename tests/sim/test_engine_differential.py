@@ -2,46 +2,33 @@
 
 The hashed timer wheel replaced the binary heap behind an identical
 interface; the only acceptable observable difference is speed.  This
-test replays seeded random schedule/cancel/rearm/run workloads on
-
-* the frozen pre-wheel engine (``repro.sim._heapref.HeapSimulator``),
-* the wheel with rearm expressed as cancel + schedule, and
-* the wheel using the fused :meth:`Simulator.rearm` fast path,
-
-and asserts bit-identical firing order, ``pending()`` counts after
-every operation, clock readings, and ``run_until`` return values.
-The fused rearm consumes exactly one sequence number — the same as
-cancel + schedule — so all three traces must agree to the event.
+test replays seeded random schedule/cancel/refresh/run workloads (a
+deadline refresh is cancel + schedule) on the frozen pre-wheel engine
+(``_heap_reference.HeapSimulator``) and on the wheel, and asserts
+bit-identical firing order, ``pending()`` counts after every operation,
+clock readings, and ``run_until`` return values.
 """
 
 import random
 
 import pytest
 
-from repro.sim._heapref import HeapSimulator
 from repro.sim.engine import Simulator
+
+from ._heap_reference import HeapSimulator
 
 #: Quantized delays so ties (same firing instant) occur constantly —
 #: ordering bugs hide exactly there.
 _DELAYS = (0.0, 0.001, 0.002, 0.005, 0.01, 0.01, 0.05, 0.1, 0.5, 2.0, 50.0)
 
 
-def _cancel_schedule_rearm(engine, handle, delay, callback):
-    handle.cancel()
-    return engine.schedule(delay, callback)
-
-
-def _fused_rearm(engine, handle, delay, callback):
-    return engine.rearm(handle, delay)
-
-
-def drive(engine, rearm, seed, ops=600):
+def drive(engine, seed, ops=600):
     """Replay one seeded workload; return every observable the engine
     exposes along the way."""
     rng = random.Random(seed)
     fired = []
     handles = {}    # event id -> handle (may be fired/cancelled)
-    callbacks = {}  # event id -> its callback (for cancel+schedule rearm)
+    callbacks = {}  # event id -> its callback (for the deadline refresh)
     trace = []
     next_id = 0
     for __ in range(ops):
@@ -62,8 +49,9 @@ def drive(engine, rearm, seed, ops=600):
             # Both engines mark fired handles with _sim = None, so this
             # liveness check resolves identically on both sides.
             if not handle.cancelled and handle._sim is not None:
-                handles[eid] = rearm(
-                    engine, handle, rng.choice(_DELAYS), callbacks[eid]
+                handle.cancel()
+                handles[eid] = engine.schedule(
+                    rng.choice(_DELAYS), callbacks[eid]
                 )
         elif roll < 0.90:
             engine.step()
@@ -79,11 +67,7 @@ def drive(engine, rearm, seed, ops=600):
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 23, 99])
 def test_wheel_matches_frozen_heap_reference(seed):
-    heap = drive(HeapSimulator(), _cancel_schedule_rearm, seed)
-    wheel = drive(Simulator(), _cancel_schedule_rearm, seed)
-    fused = drive(Simulator(), _fused_rearm, seed)
-    assert wheel == heap
-    assert fused == heap
+    assert drive(Simulator(), seed) == drive(HeapSimulator(), seed)
 
 
 @pytest.mark.parametrize("seed", [3, 5])
@@ -93,30 +77,8 @@ def test_long_workload_with_tight_compaction(seed):
     heap_engine.COMPACT_MIN_DEAD = 8
     wheel_engine = Simulator()
     wheel_engine.COMPACT_MIN_DEAD = 8
-    heap = drive(heap_engine, _cancel_schedule_rearm, seed, ops=1500)
-    fused = drive(wheel_engine, _fused_rearm, seed, ops=1500)
-    assert fused == heap
-
-
-def test_rearm_ties_break_like_cancel_plus_schedule():
-    """A rearm into an existing tie-bucket must fire after the timers
-    already armed for that instant — it takes a fresh sequence number
-    exactly as cancel + schedule would."""
-
-    def run(rearm):
-        sim = Simulator()
-        fired = []
-        for name in "abc":
-            sim.schedule(1.0, lambda name=name: fired.append(name))
-        mover = sim.schedule(5.0, lambda: fired.append("moved"))
-        rearm(sim, mover, 1.0, lambda: fired.append("moved"))
-        sim.run()
-        return fired
-
-    assert (
-        run(_fused_rearm)
-        == run(_cancel_schedule_rearm)
-        == ["a", "b", "c", "moved"]
+    assert drive(wheel_engine, seed, ops=1500) == drive(
+        heap_engine, seed, ops=1500
     )
 
 
@@ -217,13 +179,3 @@ def test_run_until_is_inclusive_and_skips_a_cancelled_head():
     assert sim.now == 0.002 and sim.pending() == 1
     assert sim.run_until(0.003) == 1
     assert fired == ["on the horizon", "just past"]
-
-
-def test_run_until_recycles_unretained_handles_only():
-    sim = Simulator()
-    kept = sim.schedule(0.001, lambda: None)
-    sim.schedule(0.001, lambda: None)
-    sim.run_until(0.002)
-    assert len(sim._free) == 1  # the anonymous handle; ``kept`` is ours
-    fresh = sim.schedule(0.001, lambda: None)
-    assert fresh is not kept and kept.time == 0.001

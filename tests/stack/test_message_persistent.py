@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import StackError
-from repro.stack.message import BASE_WIRE_OVERHEAD, Message
+from repro.stack.message import BASE_WIRE_OVERHEAD, Message, _base
 
 KEYS = ["fifo", "seqr", "tring", "rel", "batch", "mux", "causal", "vs"]
 
@@ -112,18 +112,35 @@ def test_persistence_ancestors_unchanged(ops):
         assert dict(snapshot.headers) == expected
 
 
+def _link_depth(msg):
+    """Links above the message's base node (or above the empty chain)."""
+    node, depth = msg._chain, 0
+    while node is not None and len(node) == 4:
+        node, depth = node[1], depth + 1
+    return depth
+
+
 def test_deep_churn_stays_bounded():
-    """Pathological push/pop churn compacts instead of growing a chain."""
+    """Out-of-order pops rebase the chain, so churn cannot grow it."""
     msg = Message(sender=0, mid=(0, 0), body=None, body_size=0)
+    three = msg.with_header("a", 1).with_header("b", 2).with_header("c", 3)
+    assert _link_depth(three) == 3  # the walker does follow parent links
     msg = msg.with_header("base", 0)
     for i in range(500):
         msg = msg.with_header("churn", i)
-        # Pop out of order (the deep key) to force tombstones.
-        msg = msg.without_header("base")
+        msg = msg.without_header("base")  # the deep key: not the top link
         msg = msg.with_header("base", i)
         msg = msg.without_header("churn")
-    node, depth = msg._chain, 0
-    while type(node) is tuple:
-        node, depth = node[0], depth + 1
-    assert depth < 64
+    assert _link_depth(msg) <= 2
     assert dict(msg.headers) == {"base": 499}
+
+
+def test_non_top_pop_rebases_with_an_exact_mask():
+    msg = Message(sender=0, mid=(0, 0), body=None, body_size=0)
+    for value, key in enumerate(KEYS):
+        msg = msg.with_header(key, value)
+    popped = msg.without_header(KEYS[2])
+    assert len(popped._chain) == 2  # a dict base, no links above it
+    assert popped._chain[0] == _base(dict(popped.headers))[0]
+    assert not popped.has_header(KEYS[2])
+    assert msg.header(KEYS[2]) == 2  # the ancestor is untouched

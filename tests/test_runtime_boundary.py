@@ -80,37 +80,3 @@ def test_the_scan_itself_sees_engine_imports():
         for hit in _engine_imports(path)
     ]
     assert hits, "detector found no engine imports even in repro/runtime/"
-
-
-def test_no_production_module_imports_the_heap_reference():
-    """``repro.sim._heapref`` is the frozen pre-wheel engine, kept only
-    for differential tests and uplift benchmarks.  A production import
-    would silently run the old engine; nothing in src/ may touch it —
-    not even the packages allowed to import the live engine."""
-    violations = []
-    for path in sorted(SRC.rglob("*.py")):
-        if path.name == "_heapref.py":
-            continue
-        tree = ast.parse(path.read_text(), filename=str(path))
-        package_parts = ("repro",) + path.relative_to(SRC).parts[:-1]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if "_heapref" in alias.name:
-                        violations.append(f"{path}:{node.lineno}")
-            elif isinstance(node, ast.ImportFrom):
-                if node.level:
-                    base = package_parts[: len(package_parts) - node.level + 1]
-                    module = ".".join(
-                        base + tuple((node.module or "").split("."))
-                    )
-                else:
-                    module = node.module or ""
-                if "_heapref" in module or any(
-                    alias.name == "_heapref" for alias in node.names
-                ):
-                    violations.append(f"{path}:{node.lineno}")
-    assert not violations, (
-        "the frozen heap reference leaked into production code:\n  "
-        + "\n  ".join(violations)
-    )
