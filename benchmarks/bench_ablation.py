@@ -1,8 +1,11 @@
 """Ablations of the switching-protocol design choices (DESIGN.md §7).
 
-1. **NORMAL-token pacing** — the token variant's idle overhead vs. its
-   switch-initiation latency: slower pacing means fewer control packets
-   but a longer wait for the NORMAL token when the oracle fires.
+1. **Token at rest** — the token variant's NORMAL token rests where the
+   last switch ended and a quiet group sends nothing.  A switch asked
+   for at the resting member starts at once; asked for anywhere else it
+   costs one ``want`` and one hand-over first (two one-way delays).
+   Either way the only control packets in five otherwise idle seconds
+   are the switch's own three rotations.
 2. **Variant comparison** — token (3 rotations, serialized initiations)
    vs. broadcast (PREPARE/OK/SWITCH, manager-driven): switch duration on
    an otherwise idle group.
@@ -27,7 +30,7 @@ from repro.workloads.experiment import (
 
 
 def _measure_switch(
-    variant, token_interval, request_at=0.05, layers=None, blocking=False
+    variant, requester=0, request_at=0.05, layers=None, control=None
 ):
     sim = Simulator()
     net = PointToPointNetwork(sim, 10, rng=RandomStreams(3))
@@ -36,14 +39,14 @@ def _measure_switch(
     specs = [ProtocolSpec("A", factory), ProtocolSpec("B", factory)]
     stacks = build_switch_group(
         sim, net, group, specs, initial="A", variant=variant,
-        token_interval=token_interval, block_sends_during_switch=blocking,
+        control_factory=control,
     )
     durations = []
     request_to_done = []
-    stacks[0].protocol.on_global_complete(
+    stacks[requester].protocol.on_global_complete(
         lambda __, d: (durations.append(d), request_to_done.append(sim.now - request_at))
     )
-    sim.schedule_at(request_at, lambda: stacks[0].request_switch("B"))
+    sim.schedule_at(request_at, lambda: stacks[requester].request_switch("B"))
     sim.run_until(5.0)
     control_packets = sum(
         s.transport.stats.get("unicast") + s.transport.stats.get("multicast")
@@ -56,44 +59,47 @@ def _measure_switch(
     }
 
 
-def test_ablation_token_pacing(benchmark, report):
+def test_ablation_token_at_rest(benchmark, report):
+    # A bare control channel, so every transport send is the SP's own.
+    def bare(rank):
+        return []
+
     def run():
         return {
-            interval: _measure_switch("token", interval)
-            for interval in (0.001, 0.005, 0.020, 0.080)
+            "resting member": _measure_switch("token", 0, control=bare),
+            "non-holder": _measure_switch("token", 5, control=bare),
         }
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
     lines = [
-        "Ablation: NORMAL-token pacing (idle 10-member group, one switch)",
+        "Ablation: the token at rest (idle 10-member group, one switch)",
         "",
-        f"{'interval':>10} {'request->done':>14} {'packets(5s)':>12}",
+        f"{'requested at':<16} {'request->done':>14} {'packets(5s)':>12}",
     ]
-    for interval, r in results.items():
+    for where, r in results.items():
         lines.append(
-            f"{interval * 1e3:>8.0f}ms {r['request_to_done_ms']:>12.1f}ms "
-            f"{r['packets']:>12}"
+            f"{where:<16} {r['request_to_done_ms']:>12.1f}ms {r['packets']:>12}"
         )
     lines.append("")
-    lines.append("tradeoff: slow pacing = fewer control packets, slower "
-                 "switch initiation")
-    report("ablation_pacing.txt", "\n".join(lines))
+    lines.append("a quiet group sends nothing: the packets are the switch's")
+    lines.append("three rotations, plus one want and one hand-over when the")
+    lines.append("requester does not hold the token.")
+    report("ablation_token_at_rest.txt", "\n".join(lines))
 
-    intervals = sorted(results)
-    # Initiation latency grows with pacing interval...
-    assert (
-        results[intervals[-1]]["request_to_done_ms"]
-        > results[intervals[0]]["request_to_done_ms"]
-    )
-    # ...while idle control traffic shrinks.
-    assert results[intervals[-1]]["packets"] < results[intervals[0]]["packets"]
+    holder, other = results["resting member"], results["non-holder"]
+    rotations = 3 * 10
+    assert holder["packets"] == rotations
+    assert other["packets"] == rotations + 2
+    # One want out, one hand-over back: two one-way delays.
+    fetch_ms = other["request_to_done_ms"] - holder["request_to_done_ms"]
+    assert 0 < fetch_ms <= holder["duration_ms"] / rotations * 2 * 1.5
 
 
 def test_ablation_variant_comparison(benchmark, report):
     def run():
         return {
-            "token": _measure_switch("token", 0.005),
-            "broadcast": _measure_switch("broadcast", 0.005),
+            "token": _measure_switch("token"),
+            "broadcast": _measure_switch("broadcast"),
         }
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)

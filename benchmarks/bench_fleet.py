@@ -81,7 +81,6 @@ def asyncio_smoke_config(base_port: int) -> FleetConfig:
         settle=2.0,
         oracle_poll=0.5,
         high_threshold=100.0,
-        token_interval=0.05,
         base_port=base_port,
     )
 

@@ -180,8 +180,7 @@ def test_switch_latency_kernel(benchmark):
             ProtocolSpec("B", lambda r: [FifoLayer()]),
         ]
         stacks = build_switch_group(
-            sim, net, group, specs, initial="A", variant="token",
-            token_interval=0.002,
+            sim, net, group, specs, initial="A", variant="token"
         )
         stacks[0].request_switch("B")
         sim.run_until(2.0)

@@ -84,7 +84,6 @@ class ScaleConfig:
     warmup: float = 0.6
     linger: float = 0.02
     order_cost: float = 0.9e-3
-    token_interval: float = 0.01  # SP NORMAL-token pacing (switch runs)
     switch_group_size: int = 50
     switch_offered: float = 600.0
     switch_at: float = 1.5
@@ -226,7 +225,6 @@ def run_switch_point(max_batch: int, cfg: ScaleConfig) -> dict:
         specs,
         initial="sequencer",
         variant="token",
-        token_interval=cfg.token_interval,
         streams=streams,
     )
     delivered: Dict[int, int] = {r: 0 for r in group}
@@ -248,11 +246,14 @@ def run_switch_point(max_batch: int, cfg: ScaleConfig) -> dict:
     for sender in senders:
         sender.stop()
     # Let the group settle: a saturated unbatched sequencer has a deep
-    # backlog to drain before the SWITCH vector check passes.
+    # backlog to drain before the SWITCH vector check passes, the FLUSH
+    # rotation closes after the last member drained, and casts in
+    # flight when the senders stopped still have to land everywhere.
     settle_deadline = cfg.switch_duration + SETTLE_LIMIT
     while runtime.now < settle_deadline and (
-        manager.core.switches_completed < 1
+        not durations
         or any(stacks[r].switching for r in group)
+        or len(set(delivered.values())) > 1
     ):
         runtime.run_for(0.25)
 

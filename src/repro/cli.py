@@ -455,7 +455,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             hot_multiplier=args.hot_multiplier,
             duration=args.duration,
             seed=args.seed,
-            token_interval=args.token_interval,
             high_threshold=args.high_threshold,
             oracle_poll=args.oracle_poll,
             settle=args.settle,
@@ -771,7 +770,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fleet.add_argument("--hot-multiplier", type=float, default=50.0)
     p_fleet.add_argument("--duration", type=float, default=10.0)
     p_fleet.add_argument("--seed", type=int, default=42)
-    p_fleet.add_argument("--token-interval", type=float, default=0.25)
     p_fleet.add_argument(
         "--high-threshold",
         type=float,

@@ -93,7 +93,6 @@ class SwitchableChannel:
         protocols: Sequence[ProtocolSpec],
         initial: str,
         variant: str = "broadcast",
-        token_interval: float = 0.005,
         streams: Optional[RandomStreams] = None,
     ) -> None:
         if a == b:
@@ -110,7 +109,6 @@ class SwitchableChannel:
                 protocols,
                 initial,
                 variant=variant,
-                token_interval=token_interval,
                 streams=master.fork(f"chan{rank}"),
             )
         self.ends: Tuple[ChannelEnd, ChannelEnd] = (

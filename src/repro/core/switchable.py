@@ -82,7 +82,8 @@ class SwitchableStack:
         protocols: the subordinate protocols (≥ 2).
         initial: name of the protocol that starts as current.
         variant: "token" (the paper's implementation) or "broadcast".
-        token_interval: NORMAL-token pacing for the token variant.
+        token_interval: NORMAL-token pacing of the fault-tolerant token
+            variant (the baseline token rests outside a switch).
         control_factory: layers for the SP's private control channel
             (defaults to a single :class:`ReliableLayer`).
         fault_tolerance: opt into the fault-tolerant token variant
@@ -100,7 +101,7 @@ class SwitchableStack:
             owns the transport and multiplexer for *many* groups on this
             rank.  ``None`` means this stack owns its own transport —
             exactly the pre-fleet wiring.
-        auto_start: start layers and inject the SP token at the end of
+        auto_start: start layers and the SP token at the end of
             construction (the historical behaviour).  ``False`` builds a
             dormant stack; call :meth:`start` explicitly.
     """
@@ -238,7 +239,7 @@ class SwitchableStack:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Start the layers and (token variant) inject the SP token.
+        """Start the layers and (token variant) the SP's token.
 
         Idempotent: a second call is a no-op.  Called automatically at
         the end of construction unless ``auto_start=False``.
@@ -338,6 +339,11 @@ class SwitchableStack:
     def switching(self) -> bool:
         return self.core.switching
 
+    @property
+    def holds_token(self) -> bool:
+        """True while the SP's NORMAL token rests at this member."""
+        return getattr(self.protocol, "resting", False)
+
     def find_slot_layer(self, protocol: str, layer_type: type) -> Any:
         """Fetch a layer inside a named slot (testing/telemetry)."""
         for layer in self.core.slots[protocol].layers:
@@ -420,7 +426,16 @@ class GroupHandle:
         return self.stacks[rank].cast(body, body_size)
 
     def request_switch(self, to: str, rank: Optional[int] = None) -> None:
-        """Ask one member (default: the coordinator) to initiate a switch."""
+        """Ask one member (default: the coordinator) to initiate a switch.
+
+        Refused once the group is draining or torn down, like a cast; a
+        request made before :meth:`start` is served when the group starts.
+        """
+        if self.state in ("draining", "torn_down"):
+            raise SwitchError(
+                f"group {self.group_id} does not accept switch requests in "
+                f"state {self.state!r}"
+            )
         member = self.group.coordinator if rank is None else rank
         self.stacks[member].request_switch(to)
 
@@ -441,6 +456,17 @@ class GroupHandle:
             r: [n for n, slot in s.core.slots.items() if slot.dormant]
             for r, s in self.stacks.items()
         }
+
+    @property
+    def token_holder(self) -> Optional[int]:
+        """The member the SP's NORMAL token rests at ("why is the control
+        channel quiet": the token is parked there); ``None`` while a
+        hand-over or a switch is in flight, and for SP variants whose
+        token never rests."""
+        for rank, stack in self.stacks.items():
+            if stack.holds_token:
+                return rank
+        return None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -1,13 +1,17 @@
 """The token-ring variant of the switching protocol (§2, as implemented
 by the paper's authors).
 
-A token circulates a logical ring of the group members over the SP's
+A token travels a logical ring of the group members over the SP's
 private control channel.  "The token itself has a mode based on the phase
 of the protocol":
 
-* ``NORMAL`` — nothing happening; circulates at a configurable pace.
-  A member wanting to switch must await this token (concurrent switch
-  requests are therefore serialized for free — the paper's "bonus").
+* ``NORMAL`` — nothing happening.  A member wanting to switch must hold
+  this token (concurrent switch requests are therefore serialized for
+  free — the paper's "bonus").  The paper circulates it "at a
+  configurable pace"; here the baseline protocol *rests* it where the
+  last switch ended and fetches it on demand, so a quiet group sends
+  nothing, while the fault-tolerant subclass keeps it circulating as its
+  failure detector (see "The SP token at rest" in docs/PROTOCOLS.md).
 * ``PREPARE`` — the initiator changed the token; every receiver acts as
   if it received the broadcast variant's PREPARE (send on the new
   protocol, buffer its deliveries) and piggybacks its OK count on the
@@ -46,12 +50,19 @@ SwitchId = Tuple[int, int]
 class TokenSwitchProtocol:
     """NORMAL → PREPARE → SWITCH → FLUSH token-ring switching.
 
+    Outside a switch the token *rests* at one member — the coordinator
+    at start, afterwards whoever initiated the last switch — and the
+    control channel carries nothing.  A member that wants to switch and
+    does not hold the token announces ``("want", target)`` to the group;
+    the holder hands the token over, one asker at a time in ring order,
+    so concurrent requests stay serialized by the token.
+
     Args:
         ctx: layer context (rank, group, timers).
         core: the shared switching state machine.
         control_send: send function of the SP's private control channel.
-        token_interval: pacing delay before forwarding a NORMAL token
-            (switching-phase tokens are forwarded immediately).
+        token_interval: paces the NORMAL token of the fault-tolerant
+            subclass only; this class keeps no token in motion.
     """
 
     def __init__(
@@ -69,10 +80,14 @@ class TokenSwitchProtocol:
         self.token_interval = token_interval
         self._initiations = 0
         self._want: Optional[str] = None
+        self._resting = False
+        #: Announced, unserved wants of the other members: rank -> target.
+        self._asked: Dict[int, str] = {}
         self._held_flush: Optional[tuple] = None  # flush token awaiting drain
         self._switch_started_at = 0.0
         self.last_switch_duration: Optional[float] = None
         self.stats = Counter()
+        self._started = False
         self._stopped = False
         #: Instrumentation scope + initiator-side switch-phase spans.
         #: No-ops unless the run wired an enabled bus into the context.
@@ -82,41 +97,60 @@ class TokenSwitchProtocol:
         core.on_switch_complete(self._on_local_complete)
 
     # ------------------------------------------------------------------
-    # Lifecycle: the ring coordinator injects the token
+    # Lifecycle: the token starts at rest with the ring coordinator
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Inject the NORMAL token if this process is the ring coordinator."""
+        """Rest the token at the ring coordinator; nothing is sent.
+
+        A switch requested before ``start()`` is served now.
+        """
+        self._started = True
         if self.ctx.rank == self.ctx.group.coordinator:
-            self.ctx.after(0.0, lambda: self._forward(("normal",), paced=False))
+            self._rest()
+        if self._want is not None:
+            self._seek()
 
     def stop(self) -> None:
-        """Teardown: drop arriving tokens and stop forwarding.
+        """Teardown: drop arriving tokens and stop sending.
 
-        The token dies at this member instead of circulating forever
-        through a group that no longer exists.  Idempotent.
+        A token resting or arriving here dies with the group instead of
+        being handed to a member that no longer exists.  Idempotent.
         """
         self._stopped = True
+        self._resting = False
 
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
     def request_switch(self, to: str) -> None:
-        """Ask to switch to ``to`` at the next NORMAL token.
+        """Ask to switch to ``to`` as soon as the NORMAL token is here.
 
-        Requests are sticky: the latest request wins and is served when
-        the NORMAL token next arrives here.  Requesting the protocol that
-        is already current cancels any pending request.
+        Requests are sticky: the latest request wins.  The member the
+        token rests at initiates on the next scheduler turn; any other
+        member announces its want to the group and initiates when the
+        token is handed over.  Requesting the protocol that is already
+        current cancels any pending request.
         """
         if to not in self.core.slots:
             raise SwitchError(f"unknown protocol {to!r}")
+        if self._stopped:
+            self.stats.incr("dropped_after_stop")
+            return
         if to == self.core.current and not self.core.switching:
             self._want = None
             return
-        self._want = to
+        announced, self._want = self._want, to
+        if to != announced:
+            self._seek()
 
     @property
     def pending_request(self) -> Optional[str]:
         return self._want
+
+    @property
+    def resting(self) -> bool:
+        """True while the NORMAL token rests at this member."""
+        return self._resting
 
     def on_global_complete(
         self, callback: Callable[[SwitchId, float], None]
@@ -129,14 +163,17 @@ class TokenSwitchProtocol:
     # Control-channel input
     # ------------------------------------------------------------------
     def control_receive(self, msg: Message) -> None:
-        """Process the token arriving on the SP control channel."""
+        """Process the token (or a want) arriving on the control channel."""
         if self._stopped:
             self.stats.incr("dropped_after_stop")
             return
         token = msg.body
         phase = token[0]
         if phase == "normal":
+            self.stats.incr("normal_tokens")
             self._on_normal()
+        elif phase == "want":
+            self._on_want(msg.sender, token[1])
         elif phase == "prepare":
             self._on_prepare(*token[1:])
         elif phase == "switch":
@@ -147,17 +184,68 @@ class TokenSwitchProtocol:
             raise SwitchError(f"unknown token phase {phase!r}")
 
     # ------------------------------------------------------------------
+    # The token at rest: seek, hand over, come to rest
+    # ------------------------------------------------------------------
+    def _seek(self) -> None:
+        """Fetch the token for the want just recorded."""
+        if not self._started:
+            return  # start() seeks
+        if self._resting:
+            # Never re-enter the core under the caller (an oracle poll,
+            # possibly a deliver callback): initiate on the next turn.
+            self.ctx.after(0.0, self._wake)
+            return
+        self.stats.incr("wants_sent")
+        if self.obs.enabled:
+            self.obs.emit("token/want", to=self._want)
+        self._control_send(self.ctx.make_message(("want", self._want), 24))
+
+    def _wake(self) -> None:
+        if self._resting:
+            self._resting = False
+            self._on_normal()
+
+    def _on_want(self, asker: int, target: str) -> None:
+        if asker == self.ctx.rank:
+            return  # loopback copy of our own announcement
+        self._asked[asker] = target
+        if self._resting and self._want is None:
+            self._wake()  # hand over at once (a want of our own has a wake due)
+
+    def _settle(self) -> None:
+        """The token is here and unwanted: hand it to the next asker in
+        ring order, or rest.  Wants for the protocol that is already
+        current are dropped, not served."""
+        group, rank = self.ctx.group, self.ctx.rank
+        for member in sorted(
+            self._asked, key=lambda asker: group.ring_distance(rank, asker)
+        ):
+            target = self._asked.pop(member)
+            if target == self.core.current:
+                self.stats.incr("stale_wants_dropped")
+                continue
+            self.stats.incr("handovers")
+            if self.obs.enabled:
+                self.obs.emit("token/handover", to=member)
+            self._send(("normal",), member)
+            return
+        self._rest()
+
+    def _rest(self) -> None:
+        self._resting = True
+        self.stats.incr("rested")
+        if self.obs.enabled:
+            self.obs.emit("token/rest")
+
+    # ------------------------------------------------------------------
     # Phase handling
     # ------------------------------------------------------------------
     def _on_normal(self) -> None:
-        self.stats.incr("normal_tokens")
+        """The NORMAL token is here (handed over, woken from rest, or the
+        FLUSH rotation just closed): initiate our own want, else settle."""
         want = self._want
-        if want is not None and want == self.core.current:
-            # Stale request (a previous switch already got us here).
-            self._want = None
-            want = None
         if want is None or self.core.mode is not SwitchMode.NORMAL:
-            self._forward(("normal",), paced=True)
+            self._settle()
             return
         # Become the initiator: NORMAL -> PREPARE.
         self._want = None
@@ -168,10 +256,7 @@ class TokenSwitchProtocol:
         count = self.core.begin_switch(old, new)
         self.stats.incr("initiated")
         self._phases.begin(switch_id, old, new)
-        self._forward(
-            ("prepare", switch_id, old, new, {self.ctx.rank: count}),
-            paced=False,
-        )
+        self._forward(("prepare", switch_id, old, new, {self.ctx.rank: count}))
 
     def _on_prepare(
         self, switch_id: SwitchId, old: str, new: str, counts: Dict[int, int]
@@ -181,13 +266,15 @@ class TokenSwitchProtocol:
             self.core.set_vector(counts)
             self.stats.incr("vector_built")
             self._phases.phase(switch_id, "switch")
-            self._forward(("switch", switch_id, dict(counts)), paced=False)
+            self._forward(("switch", switch_id, dict(counts)))
             return
+        # The initiator has the token: its want is served.
+        self._asked.pop(switch_id[0], None)
         count = self.core.begin_switch(old, new)
         new_counts = dict(counts)
         new_counts[self.ctx.rank] = count
         self.stats.incr("prepared")
-        self._forward(("prepare", switch_id, old, new, new_counts), paced=False)
+        self._forward(("prepare", switch_id, old, new, new_counts))
 
     def _on_switch(self, switch_id: SwitchId, vector: Dict[int, int]) -> None:
         if switch_id[0] == self.ctx.rank:
@@ -196,7 +283,7 @@ class TokenSwitchProtocol:
             self._forward_flush(("flush", switch_id))
             return
         self.core.set_vector(vector)
-        self._forward(("switch", switch_id, vector), paced=False)
+        self._forward(("switch", switch_id, vector))
 
     def _on_flush(self, switch_id: SwitchId) -> None:
         if switch_id[0] == self.ctx.rank:
@@ -207,7 +294,7 @@ class TokenSwitchProtocol:
             self._phases.complete(switch_id, duration)
             for callback in self._global_callbacks:
                 callback(switch_id, duration)
-            self._forward(("normal",), paced=True)
+            self._on_normal()
             return
         self._forward_flush(("flush", switch_id))
 
@@ -216,35 +303,35 @@ class TokenSwitchProtocol:
     # ------------------------------------------------------------------
     def _forward_flush(self, token: tuple) -> None:
         if self.core.mode is SwitchMode.NORMAL:
-            self._forward(token, paced=False)
+            self._forward(token)
         else:
             self.stats.incr("flush_held")
             self._held_flush = token
 
     def _on_local_complete(self, old: str, new: str) -> None:
+        if self._want == new:
+            # Stale: someone else's switch got us there.  Cleared here, the
+            # one place ``current`` changes, so a want is never for the
+            # current protocol and asking for ``new`` again later is
+            # announced afresh.
+            self._want = None
         if self._held_flush is not None:
             token, self._held_flush = self._held_flush, None
-            self._forward(token, paced=False)
+            self._forward(token)
 
     # ------------------------------------------------------------------
     # Wire helpers
     # ------------------------------------------------------------------
-    def _forward(self, token: tuple, paced: bool) -> None:
-        successor = self.ctx.group.ring_successor(self.ctx.rank)
+    def _forward(self, token: tuple) -> None:
+        self._send(token, self.ctx.group.ring_successor(self.ctx.rank))
 
-        def transmit() -> None:
-            if self._stopped:
-                return
-            if self.obs.enabled:
-                self.obs.count("token.hops")
-                self.obs.emit("token/hop", kind=token[0], to=successor)
-            msg = self.ctx.make_message(token, 40, dest=(successor,))
-            self._control_send(msg)
-
-        if paced and self.token_interval > 0:
-            self.ctx.after(self.token_interval, transmit)
-        else:
-            transmit()
+    def _send(self, token: tuple, to: int) -> None:
+        if self._stopped:
+            return
+        if self.obs.enabled:
+            self.obs.count("token.hops")
+            self.obs.emit("token/hop", kind=token[0], to=to)
+        self._control_send(self.ctx.make_message(token, 40, dest=(to,)))
 
 
 # ----------------------------------------------------------------------
@@ -396,6 +483,11 @@ class ResilientTokenSwitchProtocol(TokenSwitchProtocol):
         if watchdog is not None:
             watchdog.cancel()
         self._cancel_pending_hop()
+
+    def _seek(self) -> None:
+        """Nothing to fetch: this variant's NORMAL token keeps circulating
+        (it is the failure detector and the reconcile channel) and serves
+        a want when it next comes by."""
 
     # ------------------------------------------------------------------
     # Observers

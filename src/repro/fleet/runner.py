@@ -92,7 +92,6 @@ class FleetConfig:
         warmup: latency samples before this horizon are discarded.
         seed: master seed (workload + stack RNG forks).
         body_size: application payload bytes.
-        token_interval: SP NORMAL-token pacing.
         hold_cost: token-ring per-hold CPU cost — paces idle rings so a
             thousand of them fit one event loop.
         high_threshold: per-group delivered-rate (member-deliveries/s)
@@ -129,7 +128,6 @@ class FleetConfig:
     warmup: float = 0.5
     seed: int = 42
     body_size: int = 64
-    token_interval: float = 0.25
     hold_cost: float = 0.05
     high_threshold: float = 50.0
     oracle_poll: float = 0.5
@@ -473,7 +471,6 @@ def _drive(
                 hold_cost=config.hold_cost,
             ),
             initial=SLOT_NAMES[0],
-            token_interval=config.token_interval,
             control_factory=None if reliable else (lambda __: []),
             streams=fleet_group_streams(streams, index),
             group_id=index + 1,

@@ -72,7 +72,6 @@ class Figure2Config:
         )
     )
     sequencer_order_cost: float = 0.9e-3
-    token_interval: float = 0.010  # SP NORMAL-token pacing (hybrid only)
     oracle_low: float = 4.5  # hybrid: switch down below this many senders
     oracle_high: float = 5.5  # hybrid: switch up above this
     oracle_dwell: float = 0.5
@@ -122,12 +121,7 @@ def _build_hybrid(
     config: Figure2Config,
     oracle_factory: Optional[Callable[[ActivityMonitor], Oracle]] = None,
 ) -> Tuple[Dict[int, SwitchableStack], AdaptiveController]:
-    stacks = session.build(
-        group,
-        _specs(config),
-        SLOT_NAMES[0],
-        token_interval=config.token_interval,
-    ).stacks
+    stacks = session.build(group, _specs(config), SLOT_NAMES[0]).stacks
     manager = stacks[group.coordinator]
     monitor = ActivityMonitor(session.runtime, window=0.5)
     manager.on_deliver(monitor.observe)
@@ -341,9 +335,7 @@ def run_switch_overhead_experiment(
         session = _session(config, config.seed)
         runtime = session.runtime
         group = Group.of_size(config.group_size)
-        stacks = session.build(
-            group, _specs(config), initial, token_interval=config.token_interval
-        ).stacks
+        stacks = session.build(group, _specs(config), initial).stacks
         probe = session.probe(config.warmup)
         probe.attach_all(stacks)
         blocked = 0

@@ -118,7 +118,6 @@ def _switch_run(
         specs,
         specs[0].name,
         variant="broadcast",
-        token_interval=0.002,
         **switching,
     ).stacks
     recorder = TraceRecorder(sim)

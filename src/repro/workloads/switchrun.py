@@ -48,7 +48,6 @@ class SwitchRunConfig:
         seed: master seed for the Poisson workload.
         switch_at: when the coordinator requests sequencer→tokenring.
         warmup: latency samples before this horizon are discarded.
-        token_interval: SP NORMAL-token pacing.
         settle_windows / settle_window: convergence grace after the
             workload stops (same shape as the chaos harness).
         base_port: first UDP port (asyncio runtime only).
@@ -65,7 +64,6 @@ class SwitchRunConfig:
     seed: int = 42
     switch_at: float = 1.5
     warmup: float = 0.25
-    token_interval: float = 0.005
     settle_windows: int = 20
     settle_window: float = 0.25
     base_port: int = 47310
@@ -169,7 +167,6 @@ def _drive(session: Session, config: SwitchRunConfig) -> SwitchRunResult:
         group,
         total_order_specs(SLOT_NAMES, batch=batch),
         SLOT_NAMES[0],
-        token_interval=config.token_interval,
     )
     stacks = handle.stacks
     session.record(stacks)

@@ -2,15 +2,19 @@
 
 import pytest
 
-from helpers import switch_group
+from helpers import switch_group, tokens_in_play
 from repro.core.switchable import ProtocolSpec
 from repro.core.token_switch import TokenSwitchProtocol
 from repro.errors import SwitchError
 from repro.net.faults import FaultPlan
+from repro.obs.bus import Bus
 from repro.protocols.fifo import FifoLayer
-from repro.protocols.reliable import ReliableLayer
+from repro.protocols.reliable import ReliableConfig, ReliableLayer
 from repro.protocols.sequencer import SequencerLayer
 from repro.protocols.tokenring import TokenRingLayer
+from repro.stack.layer import Layer
+from repro.stack.membership import Group
+from repro.workloads.session import Session
 
 
 def specs_fifo():
@@ -173,16 +177,18 @@ class TestTokenVariantSpecifics:
         with pytest.raises(SwitchError):
             stacks[0].request_switch("nope")
 
-    def test_normal_token_is_paced(self):
-        sim, stacks, log = switch_group(
-            3, specs_fifo(), "A", "token", token_interval=0.05
-        )
-        sim.run_until(1.0)
-        # ~20 paced hops per second spread over 3 members.
-        tokens = sum(
-            s.protocol.stats.get("normal_tokens") for s in stacks.values()
-        )
-        assert 10 <= tokens <= 30
+    def test_quiet_group_sends_nothing(self):
+        """Outside a switch the token rests: ten idle seconds cost the
+        control channel's reliable ticks and not one packet."""
+        sim, stacks, log = switch_group(3, specs_fifo(), "A", "token")
+        sim.run_until(10.01)  # clear of the 400th tick's float drift
+        for stack in stacks.values():
+            assert stack.transport.stats.get("unicast") == 0
+            assert stack.transport.stats.get("multicast") == 0
+            assert stack.protocol.stats.get("normal_tokens") == 0
+        assert [s.holds_token for s in stacks.values()] == [True, False, False]
+        ticks = int(10.0 / ReliableConfig().tick_interval)
+        assert sim.events_processed == 3 * ticks
 
     def test_three_rotations_per_switch(self):
         sim, stacks, log = switch_group(3, specs_fifo(), "A", "token")
@@ -195,6 +201,166 @@ class TestTokenVariantSpecifics:
         # Non-initiators each prepared exactly once.
         for rank in (1, 2):
             assert stacks[rank].protocol.stats.get("prepared") == 1
+
+
+class ControlTap(Layer):
+    """The whole control stack of a member: logs what the SP sends."""
+
+    name = "tap"
+
+    def __init__(self, sent):
+        super().__init__()
+        self.sent = sent
+
+    def send(self, msg):
+        self.sent.append((self.ctx.rank, msg.dest, msg.body))
+        self.send_down(msg)
+
+
+def tapped_group(num, specs=None):
+    """A token-variant group on a bare, tapped control channel: every
+    control-channel send of every member, in order."""
+    sent = []
+    sim, stacks, log = switch_group(
+        num, specs or specs_abc(), "A", "token",
+        control_factory=lambda rank: [ControlTap(sent)],
+    )
+    return sim, stacks, sent
+
+
+def specs_abc():
+    return [ProtocolSpec(name, lambda r: [FifoLayer()]) for name in "ABC"]
+
+
+def initiations(sent):
+    """``(initiator, target)`` of every switch, from the PREPARE tokens."""
+    return [
+        (rank, body[3]) for rank, __, body in sent
+        if body[0] == "prepare" and rank == body[1][0]
+    ]
+
+
+def run_conserved(sim, stacks, until):
+    while sim.now < until and sim.step():
+        assert tokens_in_play(stacks) == 1
+    assert tokens_in_play(stacks) == 1
+
+
+class TestTokenAtRest:
+    def test_request_at_the_resting_member_starts_with_prepare(self):
+        sim, stacks, sent = tapped_group(3)
+        stacks[0].request_switch("B")
+        assert sent == []  # never under the caller: the next scheduler turn
+        run_conserved(sim, stacks, 1.0)
+        assert sent[0][2][0] == "prepare"
+        kinds = {body[0] for __, __, body in sent}
+        assert kinds == {"prepare", "switch", "flush"}
+        assert len(sent) == 9  # three rotations of three hops
+        assert all(s.current_protocol == "B" for s in stacks.values())
+        assert stacks[0].holds_token
+
+    def test_request_at_a_non_holder_costs_one_want_and_one_handover(self):
+        sim, stacks, sent = tapped_group(3)
+        stacks[2].request_switch("B")
+        run_conserved(sim, stacks, 1.0)
+        assert sent[0] == (2, None, ("want", "B"))
+        assert sent[1] == (0, (2,), ("normal",))
+        assert sent[2][0] == 2 and sent[2][2][0] == "prepare"
+        kinds = [body[0] for __, __, body in sent]
+        assert kinds.count("want") == 1 and kinds.count("normal") == 1
+        assert all(s.current_protocol == "B" for s in stacks.values())
+        assert [s.holds_token for s in stacks.values()] == [False, False, True]
+        assert stacks[2].protocol.stats.get("wants_sent") == 1
+        assert stacks[0].protocol.stats.get("handovers") == 1
+        assert stacks[2].protocol.stats.get("normal_tokens") == 1
+
+    def test_repeating_a_pending_request_is_not_announced_twice(self):
+        sim, stacks, sent = tapped_group(3)
+        stacks[2].request_switch("B")
+        stacks[2].request_switch("B")
+        assert [body[0] for __, __, body in sent] == ["want"]
+
+    def test_concurrent_wanters_are_served_one_after_the_other(self):
+        sim, stacks, sent = tapped_group(4)
+        stacks[1].request_switch("B")
+        stacks[2].request_switch("C")
+        run_conserved(sim, stacks, 2.0)
+        # Ring order after the holder: rank 1 first, then rank 2.
+        assert initiations(sent) == [(1, "B"), (2, "C")]
+        assert all(s.current_protocol == "C" for s in stacks.values())
+        assert all(s.core.switches_completed == 2 for s in stacks.values())
+        assert sum(s.protocol.stats.get("handovers") for s in stacks.values()) == 2
+        assert stacks[2].holds_token
+
+    def test_want_arriving_mid_switch_is_served_after_flush_returns(self):
+        sim, stacks, sent = tapped_group(3)
+        stacks[0].request_switch("B")
+        sim.schedule_at(0.002, lambda: stacks[2].request_switch("C"))
+        run_conserved(sim, stacks, 2.0)
+        kinds = [body[0] for __, __, body in sent]
+        handover = kinds.index("normal")
+        assert kinds.index("want") < handover
+        assert max(i for i, k in enumerate(kinds[:handover]) if k == "flush") == handover - 1
+        assert kinds[handover + 1] == "prepare"
+        assert all(s.current_protocol == "C" for s in stacks.values())
+
+    def test_mid_switch_request_for_the_protocol_being_left_is_kept(self):
+        """Rank 1, already switching A→B, asks to go back to A; rank 2's
+        want arriving meanwhile must not cancel it as 'already current'."""
+        sim, stacks, sent = tapped_group(3)
+        stacks[0].request_switch("B")
+
+        def back_to_a():
+            assert stacks[1].switching
+            stacks[1].request_switch("A")
+            stacks[2].request_switch("C")
+
+        sim.schedule_at(0.0015, back_to_a)
+        run_conserved(sim, stacks, 2.0)
+        assert initiations(sent) == [(0, "B"), (1, "A"), (2, "C")]
+        assert all(s.current_protocol == "C" for s in stacks.values())
+
+    def test_stale_want_does_not_move_the_token(self):
+        """Rank 2 asks for what rank 0's switch already delivers."""
+        sim, stacks, sent = tapped_group(3)
+        stacks[0].request_switch("B")
+        stacks[2].request_switch("B")
+        run_conserved(sim, stacks, 2.0)
+        assert "normal" not in [body[0] for __, __, body in sent]
+        assert stacks[0].holds_token
+        assert stacks[0].protocol.stats.get("stale_wants_dropped") == 1
+        assert stacks[2].protocol.pending_request is None
+        assert all(s.core.switches_completed == 1 for s in stacks.values())
+        # Asking for it again after the group moved on is a fresh want.
+        stacks[0].request_switch("A")
+        run_conserved(sim, stacks, 3.0)
+        stacks[2].request_switch("B")
+        run_conserved(sim, stacks, 4.0)
+        assert all(s.current_protocol == "B" for s in stacks.values())
+        assert stacks[2].holds_token
+
+    def test_request_after_stop_sends_nothing(self):
+        sim, stacks, sent = tapped_group(3)
+        for rank in (0, 1):
+            stacks[rank].protocol.stop()
+            stacks[rank].request_switch("B")
+        sim.run_until(1.0)
+        assert sent == []
+        assert all(s.current_protocol == "A" for s in stacks.values())
+        for rank in (0, 1):
+            assert stacks[rank].protocol.stats.get("dropped_after_stop") == 1
+            assert stacks[rank].protocol.pending_request is None
+
+    def test_rest_want_and_handover_are_bus_events(self):
+        bus = Bus(enabled=True)
+        with Session(3, seed=1, bus=bus) as session:
+            handle = session.build(Group.of_size(3), specs_fifo(), "A")
+            handle.request_switch("B", rank=1)
+            session.runtime.run_for(1.0)
+            names = [e.name for e in bus.events if e.name.startswith("token/")]
+        assert names[:3] == ["token/rest", "token/want", "token/handover"]
+        assert names[-1] == "token/rest"
+        assert handle.token_holder == 1
 
 
 class TestBroadcastVariantSpecifics:

@@ -83,6 +83,34 @@ class TestLifecycle:
         with pytest.raises(SwitchError, match="torn down"):
             handle.drain()
 
+    def test_switch_request_before_start_is_served_at_start(self):
+        runtime, __, handle = make_handle(auto_start=False)
+        handle.request_switch("B")
+        handle.request_switch("B", rank=2)
+        runtime.run_for(1.0)
+        assert set(handle.current_protocols.values()) == {"A"}  # not started
+        handle.start()
+        runtime.run_for(2.0)
+        assert set(handle.current_protocols.values()) == {"B"}
+        assert handle.token_holder == 0
+
+    def test_drain_refuses_switch_requests(self):
+        runtime, __, handle = make_handle()
+        handle.drain()
+        with pytest.raises(SwitchError, match="does not accept switch requests"):
+            handle.request_switch("B")
+        runtime.run_for(1.0)
+        assert set(handle.current_protocols.values()) == {"A"}
+        assert all(
+            s.protocol.pending_request is None for s in handle.stacks.values()
+        )
+
+    def test_teardown_refuses_switch_requests(self):
+        __, __, handle = make_handle()
+        handle.teardown()
+        with pytest.raises(SwitchError, match="does not accept switch requests"):
+            handle.request_switch("B", rank=1)
+
     def test_teardown_frees_the_network_nodes(self):
         runtime, net, handle = make_handle()
         handle.teardown()
@@ -108,6 +136,17 @@ class TestConveniences:
         handle.request_switch("B")
         runtime.run_for(2.0)
         assert set(handle.current_protocols.values()) == {"B"}
+
+    def test_token_holder_follows_the_last_initiator(self):
+        runtime, __, handle = make_handle()
+        assert handle.token_holder == 0
+        assert handle.stacks[0].holds_token
+        handle.request_switch("B", rank=2)
+        runtime.run_for(0.0015)  # the hand-over is on its way to rank 2
+        assert handle.token_holder is None
+        runtime.run_for(2.0)
+        assert set(handle.current_protocols.values()) == {"B"}
+        assert handle.token_holder == 2
 
     def test_current_protocols_per_member(self):
         __, __, handle = make_handle()

@@ -137,7 +137,6 @@ class TestAsyncioFleet:
             warmup=0.1,
             settle=0.5,
             oracle_poll=0.5,
-            token_interval=0.05,
             base_port=47610,
         )
         result = run_fleet(config)

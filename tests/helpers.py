@@ -95,3 +95,15 @@ def switch_group(
     log = DeliveryLog(group)
     log.attach_all(stacks)
     return sim, stacks, log
+
+
+def tokens_in_play(stacks: Dict[int, SwitchableStack]) -> int:
+    """Conservation of the baseline token SP's one token: members it
+    rests at + NORMAL hand-overs in flight + switches in progress.
+    Exactly one, at every instant."""
+    stats = [stack.protocol.stats for stack in stacks.values()]
+    return (
+        sum(stack.holds_token for stack in stacks.values())
+        + sum(s.get("handovers") - s.get("normal_tokens") for s in stats)
+        + sum(s.get("initiated") - s.get("globally_complete") for s in stats)
+    )

@@ -4,8 +4,9 @@ The switching core tells a slot when no application send is routed to
 it and no delivery is owed from it; the token ring then parks its token
 instead of spinning it.  Two things are checked here end to end:
 
-* the idle floor: an unloaded switchable group costs the SP's own
-  NORMAL token and the reliable ticks, not a free-running second ring;
+* the idle floor: an unloaded switchable group costs the reliable
+  ticks — no free-running second ring, no circulating SP token, and on
+  real sockets not one datagram;
 * token conservation: over random interleavings of casts, switch
   requests in both directions and a severed control channel (which
   drives the fault-tolerant SP through regeneration, abort, late join
@@ -21,7 +22,8 @@ from helpers import switch_group
 from repro.core.switchable import ProtocolSpec
 from repro.core.token_switch import FaultToleranceConfig
 from repro.net.faults import FaultDecision, FaultPlan
-from repro.protocols.reliable import ReliableLayer
+from repro.fleet import GroupManager
+from repro.protocols.reliable import ReliableConfig, ReliableLayer
 from repro.protocols.sequencer import SequencerLayer
 from repro.protocols.tokenring import TokenRingLayer
 from repro.stack.membership import Group
@@ -48,9 +50,11 @@ def idle_events(specs):
         return session.runtime.events_processed, handle.stacks
 
 
-def test_unloaded_group_costs_the_sp_token_only():
-    """At the parent the dormant ring did ~100 holds here (one per
-    ``hold_cost + latency``), each a timer, a datagram and an arrival."""
+def test_unloaded_group_costs_the_reliable_ticks_only():
+    """At the parent of dormant slots the second ring did ~100 holds
+    here (one per ``hold_cost + latency``), each a timer, a datagram and
+    an arrival; the SP's own NORMAL token then circulated on top.  Both
+    rest now: what is left is the reliable layers' maintenance ticks."""
     events, stacks = idle_events(total_order_specs(SLOTS, hold_cost=0.05))
     layers = ring_layers(stacks)
     assert all(layer.stats.get("holds") <= 1 for layer in layers.values())
@@ -58,14 +62,42 @@ def test_unloaded_group_costs_the_sp_token_only():
     assert all(
         stack.core.slots[SLOTS[1]].dormant for stack in stacks.values()
     )
-    # The same group with a second slot that never originates anything:
-    # the SP's NORMAL token and the reliable ticks, nothing else.
+    assert [stack.holds_token for stack in stacks.values()] == [True, False, False]
+    # The same group with a second slot that never originates anything.
     silent = [
         total_order_specs(SLOTS)[0],
         ProtocolSpec(SLOTS[1], lambda rank: [ReliableLayer()]),
     ]
     floor, __ = idle_events(silent)
     assert events <= floor + 2  # the coordinator's one hold, parked
+    # Three members x (two slots + the control channel), one tick each
+    # per 25 ms, for 5 s — and not one event more.
+    assert floor <= 3 * 3 * round(5.0 / ReliableConfig().tick_interval)
+
+
+def test_idle_udp_groups_send_no_datagrams_and_still_switch():
+    """Real sockets: two groups over eight nodes stay off the wire while
+    nobody casts, and a switch asked for at a member that does not hold
+    the resting token still fetches it and completes."""
+    with Session(8, seed=3, runtime="asyncio", base_port=47710) as session:
+        manager = GroupManager(session.runtime, session.network)
+        handles = [
+            manager.create_group(
+                members, total_order_specs(SLOTS), SLOTS[0],
+                streams=session.streams.fork(f"group{index}"),
+            )
+            for index, members in enumerate([(0, 1, 2, 3), (4, 5, 6, 7)])
+        ]
+        session.runtime.run_for(0.2)  # the ring's first hold parks
+        sends = session.network.stats.get("sends")
+        session.runtime.run_for(1.0)
+        assert session.network.stats.get("sends") == sends
+        assert [handle.token_holder for handle in handles] == [0, 4]
+        handles[1].request_switch(SLOTS[1], rank=6)
+        session.runtime.run_for(1.0)
+        assert set(handles[1].current_protocols.values()) == {SLOTS[1]}
+        assert set(handles[0].current_protocols.values()) == {SLOTS[0]}
+        assert [handle.token_holder for handle in handles] == [0, 6]
 
 
 # ----------------------------------------------------------------------

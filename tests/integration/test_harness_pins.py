@@ -8,11 +8,13 @@ order, RNG stream names and sender start order, and all three fix
 same-instant tie-breaks in the engine.  A pin that needs editing means
 ordering or RNG use changed — fix the code, not the fixture.
 
-The fixture has been regenerated once on purpose: when dormant slots
-landed (a sequencer-mode group's token ring parks instead of spinning),
-which is a change of model-time behaviour.  Same keys, same oracle
-outcomes; packet counts, a few latencies and the §7 switch duration
-moved, each listed old → new under ``repinned`` in ``BENCH_15.json``.
+The fixture has been regenerated twice on purpose, each time for a
+change of model-time behaviour: when dormant slots landed (a
+sequencer-mode group's token ring parks instead of spinning), and when
+the baseline SP's NORMAL token came to rest (six entries; the chaos pins
+run the fault-tolerant SP and did not move).  Same keys, same oracle
+outcomes; a few latencies and the §7 switch duration moved, each listed
+old → new under ``repinned`` in ``BENCH_15.json`` / ``BENCH_22.json``.
 
 (Figure 2 has its own capture in ``test_runtime_parity.py``; the full
 scenario catalog is pinned against ``benchmarks/results/scenarios.json``
