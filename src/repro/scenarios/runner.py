@@ -234,10 +234,11 @@ def _drive(session: Session, spec: ScenarioSpec) -> ScenarioVerdict:
     observer_deliveries: List[float] = []
 
     def observe(msg):
-        if isinstance(msg.body, Payload):
+        payload = Payload.read(msg.body)
+        if payload is not None:
             now = runtime.now
             observer_deliveries.append(now)
-            tracker.record_delivery(now - msg.body.sent_at)
+            tracker.record_delivery(now - payload.sent_at)
 
     stacks[observer].on_deliver(observe)
 

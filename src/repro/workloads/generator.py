@@ -14,8 +14,7 @@ receiver can compute end-to-end latency without a side channel.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Any, NamedTuple, Optional
 
 from ..errors import ReproError
 from ..runtime.api import Scheduler
@@ -23,13 +22,25 @@ from ..runtime.api import Scheduler
 __all__ = ["Payload", "PoissonSender", "UniformSender"]
 
 
-@dataclass(frozen=True)
-class Payload:
-    """Application payload with latency bookkeeping."""
+class Payload(NamedTuple):
+    """Application payload with latency bookkeeping.
+
+    Plain data: behind a socket it arrives as the bare 3-tuple, which
+    :meth:`read` recognises.
+    """
 
     origin: int
     seq: int
     sent_at: float
+
+    @classmethod
+    def read(cls, body: Any) -> Optional["Payload"]:
+        """``body`` as a payload, or ``None`` if it is not one."""
+        if type(body) is cls:
+            return body
+        if type(body) is tuple and tuple(map(type, body)) == (int, int, float):
+            return cls(*body)
+        return None
 
 
 class _SenderBase:

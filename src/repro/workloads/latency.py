@@ -66,9 +66,9 @@ class LatencyProbe:
     def observe(self, rank: int, msg: Message) -> None:
         """Record one delivery at ``rank`` (hooked via attach)."""
         now = self.clock.now
-        body = msg.body
+        body = Payload.read(msg.body)
         sink = self.sink
-        if not isinstance(body, Payload):
+        if body is None:
             if sink is not None:
                 sink(None)
             return  # control/view payloads are not workload messages

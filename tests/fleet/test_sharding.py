@@ -186,3 +186,23 @@ class TestSupervisor:
         assert summary["kind"] == "shard_summary"
         assert summary["groups"] == 4
         assert summary["cpu_s"] > 0
+
+    def test_undecodable_frame_on_a_pipe_is_a_shard_error(self):
+        import multiprocessing
+        import time
+
+        from repro.fleet.sharding import _collect_shard
+        from repro.net.codec import WireCodec
+
+        recv, send = multiprocessing.get_context("fork").Pipe(duplex=False)
+        frame = bytearray(WireCodec().encode(1, 0, {"kind": "shard_summary"}))
+        frame[1] = 2  # a retired frame version
+        send.send_bytes(bytes(frame))
+        with pytest.raises(
+            ShardError, match="shard 1 sent an undecodable frame: version"
+        ):
+            _collect_shard(
+                recv, None, 1, set(), WireCodec(), time.monotonic() + 5.0
+            )
+        send.close()
+        recv.close()

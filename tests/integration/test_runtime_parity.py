@@ -81,3 +81,7 @@ def test_asyncio_udp_switch_completes_with_clean_oracle():
     assert set(result.final_protocols.values()) == {"tokenring"}
     assert result.switches_completed == 1
     assert all(count > 0 for count in result.delivered.values())
+    # The load generator's payload crossed the codec as plain data (an
+    # unencodable body raises at the sender) and the probe behind the
+    # socket still recognised it: no samples means the recogniser missed.
+    assert result.samples > 0

@@ -7,12 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import NetworkError
+from repro.errors import CodecError
 from repro.net.codec import (
     FRAME_OVERHEAD,
-    MAGIC,
-    VERSION_BINARY,
-    VERSION_PICKLE,
     WireCodec,
     register_header_codec,
     registered_header_keys,
@@ -62,7 +59,7 @@ HEADER_STRATEGIES = {
     "prio": st.sampled_from([{"k": "data"}, {"k": "release"}]),
 }
 
-# Unregistered headers travel through the generic TLV (or pickle) path.
+# Unregistered headers travel through the generic TLV path.
 generic_values = st.recursive(
     st.one_of(
         st.none(),
@@ -103,7 +100,7 @@ def assert_messages_equal(a: Message, b: Message) -> None:
 def wire_messages(draw):
     keys = draw(
         st.lists(
-            st.sampled_from(sorted(registered_header_keys())),
+            st.sampled_from(sorted(HEADER_STRATEGIES)),
             unique=True,
             max_size=6,
         )
@@ -180,44 +177,60 @@ def test_smaller_and_correct_vs_pickle_for_sequencer_data():
     assert len(data) < len(pickle.dumps((3, 5, msg), -1))
 
 
-class TestPickleFallback:
-    def test_unknown_type_falls_back_and_counts(self):
+class TestUnencodable:
+    """A value with no TLV tag fails at the sender, naming the type."""
+
+    def test_set_body_raises_at_encode_naming_set(self):
         codec = WireCodec()
+        msg = Message(sender=0, mid=(0, 1), body={1, 2, 3}, body_size=8)
+        with pytest.raises(CodecError, match="set") as caught:
+            codec.encode(0, 1, msg)
+        assert caught.value.reason == "unencodable"
+        # The same values as plain data travel.
+        codec.encode(0, 1, ("abc", 1, None, {"k": (2.5, b"raw")}))
+
+    def test_dataclass_and_object_bodies_name_their_type(self):
+        import dataclasses
+
+        @dataclasses.dataclass(frozen=True)
+        class Stamp:
+            at: float
 
         class Oddball:
-            def __init__(self, x):
-                self.x = x
+            pass
 
-            def __eq__(self, other):
-                return isinstance(other, Oddball) and other.x == self.x
-
-        global _TestOddball  # picklable
-        _TestOddball = Oddball
-        Oddball.__qualname__ = "_TestOddball"
-        Oddball.__name__ = "_TestOddball"
-        __, __, back = codec.decode(codec.encode(0, 1, Oddball(3)))
-        assert back == Oddball(3)
-        assert codec.stats.get("pickle_fallbacks") == 1
-
-    def test_plain_values_never_fall_back(self):
         codec = WireCodec()
-        codec.encode(0, 1, ("abc", 1, None, {"k": (2.5, b"raw")}))
-        assert codec.stats.get("pickle_fallbacks") == 0
+        for body in (Stamp(1.0), Oddball()):
+            msg = Message(sender=0, mid=(0, 1), body=body, body_size=8)
+            with pytest.raises(CodecError, match=type(body).__name__):
+                codec.encode_payload(msg)
 
-    def test_fallback_counted_on_obs_scope(self):
-        class Scope:
-            enabled = True
+    def test_named_tuple_travels_as_its_fields(self):
+        from repro.workloads.generator import Payload
 
-            def __init__(self):
-                self.counts = {}
+        codec = WireCodec()
+        __, __, back = codec.decode(codec.encode(0, 1, Payload(3, 9, 0.25)))
+        assert type(back) is tuple and back == (3, 9, 0.25)
+        assert Payload.read(back) == Payload(3, 9, 0.25)
 
-            def count(self, name, n=1):
-                self.counts[name] = self.counts.get(name, 0) + n
+    def test_field_outside_the_skeleton_raises_at_encode(self):
+        codec = WireCodec()
+        for msg in (
+            Message(sender=2**16, mid=(0, 1), body=None, body_size=0),
+            Message(sender=0, mid=(0, 2**63), body=None, body_size=0),
+            Message(sender=0, mid=(0, 1), body=None, body_size=2**32),
+            Message(sender=0, mid=(0, 1), body=None, body_size=0,
+                    dest=tuple(range(2**16 - 1))),
+        ):
+            with pytest.raises(CodecError) as caught:
+                codec.encode(0, 1, msg)
+            assert caught.value.reason == "unencodable"
 
-        scope = Scope()
-        codec = WireCodec(obs=scope)
-        codec.encode(0, 1, {1, 2, 3})  # sets have no TLV tag
-        assert scope.counts["codec.pickle_fallbacks"] == 1
+    def test_a_group_wider_than_254_still_encodes(self):
+        codec = WireCodec()
+        dest = tuple(range(300))
+        msg = Message(sender=0, mid=(0, 1), body=None, body_size=0, dest=dest)
+        assert codec.decode(codec.encode(0, 1, msg))[2].dest == dest
 
 
 class TestFraming:
@@ -225,26 +238,21 @@ class TestFraming:
         codec = WireCodec()
         data = bytearray(codec.encode(0, 1, "hi"))
         data[0] ^= 0xFF
-        with pytest.raises(NetworkError, match="magic"):
+        with pytest.raises(CodecError, match="magic"):
             codec.decode(bytes(data))
+        assert codec.stats.get("undecodable.magic") == 1
 
     def test_unknown_version_rejected(self):
         codec = WireCodec()
         data = bytearray(codec.encode(0, 1, "hi"))
         data[1] = 9
-        with pytest.raises(NetworkError, match="version"):
+        with pytest.raises(CodecError, match="version"):
             codec.decode(bytes(data))
 
     def test_trailing_garbage_rejected(self):
         codec = WireCodec()
-        with pytest.raises(NetworkError, match="trailing"):
+        with pytest.raises(CodecError, match="trailing"):
             codec.decode(codec.encode(0, 1, "hi") + b"junk")
-
-    def test_pickle_version_decodes(self):
-        codec = WireCodec()
-        body = pickle.dumps({"legacy": True}, -1)
-        data = codec.frame(4, 7, body, version=VERSION_PICKLE)
-        assert codec.decode(data) == (4, 7, {"legacy": True})
 
     def test_frame_prefix_is_fixed_size(self):
         codec = WireCodec()
@@ -278,7 +286,7 @@ class TestFraming:
 
 
 class TestRelHeaderCodec:
-    """The reliable layer's header: u16 dest-key count + legacy decode."""
+    """The reliable layer's header: one data shape, u16 dest-key count."""
 
     def _roundtrip(self, value):
         from repro.net.codec import _pack_rel, _unpack_rel
@@ -293,20 +301,6 @@ class TestRelHeaderCodec:
     def test_empty_dest_tuple_survives(self):
         value = {"k": "data", "seq": 0, "dk": (), "src": 0}
         assert self._roundtrip(value) == value
-
-    def test_legacy_u8_frames_still_decode(self):
-        import struct
-
-        from repro.net.codec import _unpack_rel
-
-        # A pre-widening frame: shape 0x01, u8 count.
-        legacy = (
-            b"\x01" + struct.pack("!IH", 7, 3)
-            + bytes([2]) + struct.pack("!2H", 10, 20)
-        )
-        assert _unpack_rel(legacy) == {
-            "k": "data", "seq": 7, "dk": (10, 20), "src": 3,
-        }
 
     def test_dispatch_is_on_kind_not_dict_width(self):
         from repro.net.codec import _pack_rel

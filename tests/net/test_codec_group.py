@@ -1,9 +1,9 @@
-"""Group-id framing: varint boundaries, legacy parity, and round trips.
+"""Group-id framing: varint boundaries, group-0 parity, and round trips.
 
 The fleet runtime multiplexes thousands of groups over one socket per
 node, so every frame carries a group id — except group 0, the
-single-group world, which must stay byte-identical to the pre-group
-codec (``test_wire_pin.py`` pins the exact bytes).
+single-group world, which keeps the id-less ``VERSION_BINARY`` frame
+(``test_wire_pin.py`` pins the exact bytes).
 """
 
 import pytest
@@ -156,14 +156,3 @@ def test_any_group_round_trips(group, src, dst, body):
     got = codec.decode_datagram(codec.encode(src, dst, msg, group=group))
     assert got[:3] == (group, src, dst)
     assert got[3].body == body
-
-
-@settings(max_examples=50, deadline=None)
-@given(group=st.integers(1, MAX_GROUP_ID))
-def test_pickle_fallback_survives_group_framing(group):
-    # Sets have no TLV tag, so the payload takes the pickle-fallback
-    # path; the group id must still frame and decode around it.
-    codec = WireCodec()
-    got = codec.decode_datagram(codec.encode(0, 1, {1, 2, 3}, group=group))
-    assert got == (group, 0, 1, {1, 2, 3})
-    assert codec.stats.get("pickle_fallbacks") == 1

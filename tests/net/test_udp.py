@@ -134,19 +134,25 @@ def test_multicast_oversized_payload_rejected(runtime):
 
 
 def test_multicast_encodes_payload_once(runtime):
-    net = open_net(runtime, 4, BASE_PORT + 80)
+    from repro.net.codec import WireCodec
+
+    calls = {"encode_payload": 0, "frame": 0}
+
+    class CountingCodec(WireCodec):
+        def encode_payload(self, payload):
+            calls["encode_payload"] += 1
+            return super().encode_payload(payload)
+
+        def frame(self, src, dst, body, group=0):
+            calls["frame"] += 1
+            return super().frame(src, dst, body, group)
+
+    net = UdpNetwork(runtime, 4, base_port=BASE_PORT + 80, codec=CountingCodec())
+    runtime.run_task(net.open())
     received = collect(net, runtime)
-    calls = []
-    original = net._encode_body
-
-    def counting(payload):
-        calls.append(payload)
-        return original(payload)
-
-    net._encode_body = counting
     net._make_endpoint(0).multicast([1, 2, 3], "fan", 16)
     runtime.run_for(0.2)
-    assert len(calls) == 1  # one encode, three datagrams
+    assert calls == {"encode_payload": 1, "frame": 3}
     assert net.stats.get("sends") == 3
     for node in (1, 2, 3):
         assert [p.payload for p in received[node]] == ["fan"]
@@ -166,7 +172,7 @@ def test_multicast_target_cache_revalidates_on_change(runtime):
 
 
 def test_wire_format_is_binary_codec(runtime):
-    """Datagrams on the socket start with the codec magic, not pickle."""
+    """Datagrams on the socket are the codec's frames."""
     from repro.net.codec import FRAME_OVERHEAD, MAGIC
 
     net = open_net(runtime, 2, BASE_PORT + 100)
@@ -194,3 +200,57 @@ def test_retained_message_survives_delivery_completion(runtime):
         ep.unicast(1, m, m.size_bytes)
     runtime.run_for(0.3)
     assert [m.body for m in kept] == [("body", i) for i in range(5)]
+
+
+def test_hostile_datagrams_only_move_counters(runtime):
+    """Garbage, a retired frame version and a frame for another node
+    arrive on a real socket: each is counted, none is delivered, and
+    the next good datagram still is."""
+    import socket
+
+    from repro.obs.bus import Bus
+
+    net = open_net(runtime, 3, BASE_PORT + 130)
+    bus = Bus(clock=runtime, enabled=True)
+    net.instrument(bus)
+    received = collect(net, runtime)
+    good = net.codec.encode(0, 1, "good")
+    retired = bytearray(good)
+    retired[1] = 1
+    hostile = [
+        b"\x00garbage",
+        good[:-2],
+        bytes(retired),
+        net.codec.encode(0, 2, "for node 2"),
+        good + b"junk",
+    ]
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+        for data in hostile + [good]:
+            sock.sendto(data, (net.host, net.base_port + 1))
+    runtime.run_for(0.2)
+    assert [p.payload for p in received[1]] == ["good"]
+    assert received[0] == [] and received[2] == []
+    stats = net.stats.as_dict()
+    assert stats["undecodable"] == 4
+    assert {k: v for k, v in stats.items() if k.startswith("undecodable.")} == {
+        "undecodable.magic": 1,
+        "undecodable.truncated": 1,
+        "undecodable.version": 1,
+        "undecodable.trailing": 1,
+    }
+    assert stats["misrouted"] == 1
+    assert stats["deliveries"] == 1
+    assert net.codec.stats.get("undecodable.version") == 1
+    assert bus.metrics.counter("net.undecodable.version") == 1
+
+
+def test_a_bug_in_delivery_code_is_not_booked_as_a_bad_datagram(runtime):
+    net = open_net(runtime, 2, BASE_PORT + 140)
+
+    def broken(pkt):
+        raise RuntimeError("receiver bug")
+
+    net.attach(1, broken)
+    with pytest.raises(RuntimeError, match="receiver bug"):
+        net._on_datagram(1, net.codec.encode(0, 1, "x"))
+    assert net.stats.get("undecodable") == 0

@@ -1,6 +1,8 @@
 """Unit tests for messages and headers."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import StackError
 from repro.stack.message import BASE_WIRE_OVERHEAD, Message
@@ -146,3 +148,124 @@ class TestIdentity:
     def test_headers_do_not_affect_identity(self):
         msg = make()
         assert msg == msg.with_header("h", 1)
+
+
+# The dict model: under any sequence of pushes and pops a Message behaves
+# exactly like a dict copied on write.
+KEYS = ["fifo", "seqr", "tring", "rel", "batch", "mux", "causal", "vs"]
+
+VALUES = st.one_of(
+    st.integers(-2**40, 2**40),
+    st.text(max_size=8),
+    st.dictionaries(st.sampled_from(["k", "gseq", "ep"]), st.integers(), max_size=3),
+    st.tuples(st.integers(), st.integers()),
+    st.none(),
+)
+
+
+class DictModel:
+    """Copy-on-write header semantics, kept as the oracle."""
+
+    def __init__(self):
+        self.headers = {}
+        self.header_size = 0
+
+    def push(self, key, value, size):
+        if key in self.headers:
+            raise StackError(f"header {key!r} already present")
+        self.headers = dict(self.headers)
+        self.headers[key] = value
+        self.header_size += size
+
+    def pop(self, key, size):
+        if key not in self.headers:
+            raise StackError(f"header {key!r} missing")
+        self.headers = dict(self.headers)
+        del self.headers[key]
+        self.header_size = max(0, self.header_size - size)
+
+
+operations = st.lists(
+    st.tuples(
+        st.sampled_from(["push", "pop"]),
+        st.sampled_from(KEYS),
+        VALUES,
+        st.integers(0, 64),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=operations)
+def test_random_push_pop_matches_dict_model(ops):
+    msg = Message(sender=0, mid=(0, 0), body="b", body_size=10)
+    model = DictModel()
+    for op, key, value, size in ops:
+        if op == "push":
+            try:
+                model.push(key, value, size)
+            except StackError:
+                with pytest.raises(StackError):
+                    msg.with_header(key, value, size)
+                continue
+            msg = msg.with_header(key, value, size)
+        else:
+            try:
+                model.pop(key, size)
+            except StackError:
+                with pytest.raises(StackError):
+                    msg.without_header(key, size)
+                continue
+            msg = msg.without_header(key, size)
+        assert dict(msg.headers) == model.headers
+        assert list(msg.headers) == list(model.headers)  # push order
+        assert msg.size_bytes == 10 + model.header_size + BASE_WIRE_OVERHEAD
+        for probe in KEYS:
+            assert msg.has_header(probe) == (probe in model.headers)
+            assert msg.header(probe, "absent") == model.headers.get(probe, "absent")
+
+
+@settings(max_examples=50, deadline=None)
+@given(ops=operations)
+def test_persistence_ancestors_unchanged(ops):
+    """Every intermediate message keeps its snapshot after later ops."""
+    msg = Message(sender=0, mid=(0, 0), body="b", body_size=10)
+    snapshots = [(msg, dict(msg.headers))]
+    for op, key, value, size in ops:
+        try:
+            msg = (
+                msg.with_header(key, value, size)
+                if op == "push"
+                else msg.without_header(key, size)
+            )
+        except StackError:
+            continue
+        snapshots.append((msg, dict(msg.headers)))
+    for snapshot, expected in snapshots:
+        assert dict(snapshot.headers) == expected
+
+
+def test_a_multicasts_second_pop_returns_the_memoised_object():
+    msg = make().with_header("mux", 1, 2).with_header("rel", 7, 4)
+    first = msg.without_header("rel", 4)
+    assert msg.without_header("rel", 4) is first
+    # Keyed on the popped header and the size: neither is served the memo.
+    other = msg.without_header("mux", 2)
+    assert other is not first
+    assert dict(other.headers) == {"rel": 7}
+    assert msg.without_header("rel", 1).size_bytes == first.size_bytes + 3
+
+
+def test_the_dict_given_to_from_wire_cannot_be_mutated_through_headers():
+    given_dict = {"fifo": 3}
+    msg = Message._from_wire(1, (1, 0), None, 0, None, 4, given_dict)
+    view = msg.headers
+    assert view is not given_dict
+    with pytest.raises(TypeError):
+        view["fifo"] = 9
+    with pytest.raises(TypeError):
+        del view["fifo"]
+    assert not hasattr(view, "pop") and not hasattr(view, "update")
+    assert msg.with_header("mux", 1).header("mux") == 1
+    assert given_dict == {"fifo": 3}  # a push copied, it did not write
