@@ -66,7 +66,7 @@ def test_switch_phase_breakdown(benchmark, report_json):
         "counters": {
             name: value
             for name, value in snapshot["counters"].items()
-            if name.startswith(("switch.", "token.", "net."))
+            if name.startswith(("sp.", "core.", "net."))
         },
     }
     report_json("switch_phases.json", payload)

@@ -18,7 +18,12 @@ Checks the acceptance contract for ``repro run --trace ... --metrics
   per-phase histograms, each with p50/p90/p99 percentiles once it has
   two or more observations (single-sample histograms legitimately omit
   quantiles — one sample carries no distribution — but must still
-  report min/max).
+  report min/max);
+* it carries the components' counters: ``net.sends``/``net.deliveries``
+  (no more deliveries than sends — ``repro run`` injects no
+  duplicates), ``sp.initiated``/``sp.globally_complete`` and
+  ``core.switches_completed``, and exactly one ``switch.duration_s``
+  observation per ``sp.globally_complete``.
 
 Exit code 0 when every check passes, 1 with a report otherwise.
 """
@@ -40,6 +45,13 @@ PHASE_SPANS = (
 )
 REQUIRED_KEYS = {"name", "ph", "pid", "tid", "ts"}
 PERCENTILES = ("p50", "p90", "p99")
+REQUIRED_COUNTERS = (
+    "net.sends",
+    "net.deliveries",
+    "sp.initiated",
+    "sp.globally_complete",
+    "core.switches_completed",
+)
 
 
 def check_trace(path, problems):
@@ -125,6 +137,31 @@ def check_metrics(path, problems):
             print(f"metrics: switch.duration_s count={duration['count']} "
                   f"single sample {duration.get('max', 0.0):.6g}s "
                   f"(quantiles need >= 2) ({path})")
+    check_counters(snapshot.get("counters"), duration, problems)
+
+
+def check_counters(counters, duration, problems):
+    if not isinstance(counters, dict):
+        problems.append("metrics: no counters section")
+        return
+    missing = [name for name in REQUIRED_COUNTERS if name not in counters]
+    if missing:
+        problems.append(f"metrics: counters {missing} missing")
+        return
+    completed = counters["sp.globally_complete"]
+    if duration.get("count", 0) != completed:
+        problems.append(
+            f"metrics: switch.duration_s has {duration.get('count', 0)} "
+            f"observations but sp.globally_complete is {completed}"
+        )
+    if counters["net.deliveries"] > counters["net.sends"]:
+        problems.append(
+            f"metrics: net.deliveries {counters['net.deliveries']} exceeds "
+            f"net.sends {counters['net.sends']}"
+        )
+    print(f"metrics: net.sends={counters['net.sends']} "
+          f"net.deliveries={counters['net.deliveries']} "
+          f"sp.globally_complete={completed}")
 
 
 def main(argv):

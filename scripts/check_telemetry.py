@@ -77,6 +77,7 @@ PROM_SERIES = (
     "repro_fleet_delivered_per_s",
     "repro_slo_burn_minutes",
     "repro_group_delivered_total",
+    "repro_counter_total",
 )
 AGREEMENT = 0.01  # telemetry vs. artifact delivered-count drift ceiling
 

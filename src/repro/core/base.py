@@ -32,7 +32,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import SwitchError
 from ..obs.bus import BusScope, null_scope
-from ..sim.monitor import Counter
+from ..obs.metrics import Counter
 from ..stack.layer import DeliverFn, Layer, SendFn
 from ..stack.message import Message
 
@@ -259,7 +259,6 @@ class SwitchCore:
                 self.stats.incr("early_buffered")
                 self._buffer.append((slot_name, msg))
                 if self.obs.enabled:
-                    self.obs.count("core.buffered_early")
                     self.obs.gauge("core.buffer_depth", len(self._buffer))
             return
         # Switching mode.
@@ -270,7 +269,6 @@ class SwitchCore:
             self.stats.incr("buffered")
             self._buffer.append((slot_name, msg))
             if self.obs.enabled:
-                self.obs.count("core.buffered")
                 self.obs.gauge("core.buffer_depth", len(self._buffer))
 
     def _deliver(self, slot_name: str, msg: Message) -> None:
@@ -344,7 +342,6 @@ class SwitchCore:
             self.obs.emit(
                 "core/flip", old=old, new=new, flushed=len(flushable)
             )
-            self.obs.count("core.flushed", len(flushable))
             self.obs.gauge("core.buffer_depth", len(self._buffer))
         for slot_name, msg in flushable:
             self._deliver(slot_name, msg)

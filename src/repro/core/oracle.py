@@ -183,9 +183,8 @@ class RateMeter:
 
     Each call reads the counter, diffs it against the previous reading,
     and returns the change per second of clock time.  This is how the
-    fleet oracle derives per-group message rates from the obs bus's
-    cumulative ``fleet.delivered[g<id>]`` counters without the bus having
-    to window anything itself.
+    fleet oracle derives per-group message rates from cumulative
+    per-group delivery counts without anything windowing them.
 
     Args:
         clock: zero-argument callable returning the current time (use the

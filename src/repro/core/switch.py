@@ -29,7 +29,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import SwitchError
 from ..obs.bus import PhaseTracker
-from ..sim.monitor import Counter
+from ..obs.metrics import Counter
 from ..stack.layer import LayerContext, SendFn
 from ..stack.message import Message
 from .base import SwitchAborted, SwitchCore, SwitchMode
@@ -175,7 +175,6 @@ class BroadcastSwitchProtocol:
         count = self.core.begin_switch(old, new)
         self.stats.incr("prepared")
         if self.obs.enabled:
-            self.obs.count("switch.prepared")
             self.obs.emit(
                 "switch/prepared", switch=list(switch_id), old=old, new=new
             )

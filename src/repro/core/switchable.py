@@ -232,6 +232,13 @@ class SwitchableStack:
         self.variant = variant
         self._all_layers = all_layers
 
+        obs = self.ctx.obs
+        obs.attach("core", self.core.stats)
+        obs.attach("sp", self.protocol.stats)
+        if self.transport is not None:
+            obs.attach("transport", self.transport.stats)
+            obs.attach("mux", self.mux.stats)
+
         if auto_start:
             self.start()
 

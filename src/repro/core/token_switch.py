@@ -33,7 +33,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import SwitchError
 from ..obs.bus import PhaseTracker
-from ..sim.monitor import Counter
+from ..obs.metrics import Counter
 from ..stack.layer import LayerContext, SendFn
 from ..stack.message import Message
 from .base import SwitchAborted, SwitchCore, SwitchMode
@@ -329,7 +329,6 @@ class TokenSwitchProtocol:
         if self._stopped:
             return
         if self.obs.enabled:
-            self.obs.count("token.hops")
             self.obs.emit("token/hop", kind=token[0], to=to)
         self._control_send(self.ctx.make_message(token, 40, dest=(to,)))
 
@@ -540,7 +539,6 @@ class ResilientTokenSwitchProtocol(TokenSwitchProtocol):
     def _on_stall(self) -> None:
         self.stats.incr("stalls_detected")
         if self.obs.enabled:
-            self.obs.count("watchdog.stalls")
             self.obs.emit(
                 "watchdog/stall",
                 gen=list(self._gen),
@@ -589,7 +587,6 @@ class ResilientTokenSwitchProtocol(TokenSwitchProtocol):
         gen = self._bump_gen()
         self.stats.incr("regenerated_tokens")
         if self.obs.enabled:
-            self.obs.count("token.regenerated")
             self.obs.emit("token/regenerate", kind="normal", gen=list(gen))
         self._normal_seq = 0
         self._emit_normal(paced=False)
@@ -599,7 +596,6 @@ class ResilientTokenSwitchProtocol(TokenSwitchProtocol):
         gen = self._bump_gen()
         self.stats.incr("regenerated_tokens")
         if self.obs.enabled:
-            self.obs.count("token.regenerated")
             self.obs.emit(
                 "token/regenerate",
                 kind="phase",
@@ -671,7 +667,6 @@ class ResilientTokenSwitchProtocol(TokenSwitchProtocol):
 
     def _transmit(self, token: tuple, target: int) -> None:
         if self.obs.enabled:
-            self.obs.count("token.hops")
             self.obs.emit(
                 "token/hop", kind=token[0], to=target, gen=list(token[1])
             )
@@ -686,7 +681,6 @@ class ResilientTokenSwitchProtocol(TokenSwitchProtocol):
             pending.attempt += 1
             self.stats.incr("hop_retransmits")
             if self.obs.enabled:
-                self.obs.count("token.retransmits")
                 self.obs.emit(
                     "token/retransmit",
                     kind=pending.token[0],
@@ -705,7 +699,6 @@ class ResilientTokenSwitchProtocol(TokenSwitchProtocol):
         if pending.targets:
             self.stats.incr("hop_reroutes")
             if self.obs.enabled:
-                self.obs.count("token.reroutes")
                 self.obs.emit(
                     "token/reroute",
                     kind=pending.token[0],
@@ -734,7 +727,6 @@ class ResilientTokenSwitchProtocol(TokenSwitchProtocol):
         ):
             self.stats.incr("hops_acked")
             if self.obs.enabled:
-                self.obs.count("token.acks")
                 self.obs.emit(
                     "token/ack", kind=kind, sender=sender, gen=list(gen)
                 )

@@ -9,9 +9,9 @@ over those shared ports.  Wire frames carry a varint group id (see
 ``net/codec.py``), so thousands of groups share one set of sockets.
 
 The :class:`~repro.core.oracle.FleetOracle` closes the loop: it reads
-per-group delivery rates off the shared obs bus (group-labelled
-``fleet.delivered[g<id>]`` counters) and escalates hot groups —
-sequencer to token ring — without touching cold ones.
+per-group delivery rates off the runner's per-group delivery counts and
+escalates hot groups — sequencer to token ring — without touching cold
+ones.
 
 One process still caps out at one core; ``repro.fleet.sharding``
 partitions the group-id space across worker processes by consistent

@@ -17,9 +17,9 @@ from ..core.oracle import FleetOracle
 from ..core.switchable import GroupHandle, ProtocolSpec, build_group_handle
 from ..errors import SwitchError
 from ..net.base import Network
-from ..obs.bus import Bus
+from ..obs.bus import Bus, null_scope
+from ..obs.metrics import Counter
 from ..runtime.api import Runtime
-from ..sim.monitor import Counter
 from ..sim.rng import RandomStreams
 from ..stack.layer import Layer
 from ..stack.membership import Group
@@ -35,7 +35,8 @@ class GroupManager:
     Args:
         runtime: the shared clock/timer runtime.
         network: the shared network model (every group's traffic rides it).
-        bus: instrumentation bus handed to every stack (optional).
+        bus: instrumentation bus handed to every stack, with the
+            manager's and ports' ``stats`` attached (optional).
         oracle: a :class:`FleetOracle` polled for per-group decisions
             (optional; groups are watched on creation, unwatched on
             teardown).
@@ -56,6 +57,8 @@ class GroupManager:
         self.handles: Dict[int, GroupHandle] = {}
         self.pool = SequencerPool()
         self.stats = Counter()
+        self._obs = null_scope() if bus is None else bus.scoped(None)
+        self._obs.attach("manager", self.stats)
         self._next_group_id = 1
         self._sequencers: Dict[int, int] = {}  # group id -> assigned rank
         self._polling = False
@@ -72,6 +75,8 @@ class GroupManager:
         if port is None:
             port = NodePort(self.network, node)
             self.ports[node] = port
+            self._obs.attach("port", port.stats)
+            self._obs.attach("mux", port.mux.stats)
         return port
 
     # ------------------------------------------------------------------

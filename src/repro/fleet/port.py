@@ -22,7 +22,7 @@ from typing import Dict
 from ..errors import StackError
 from ..net.base import Network
 from ..net.packet import Packet
-from ..sim.monitor import Counter
+from ..obs.metrics import Counter
 from ..stack.membership import Group
 from ..stack.message import Message
 from ..stack.multiplex import Multiplexer

@@ -6,8 +6,8 @@ each group's sequencer, aggregates each group's simulated clients into
 compound-rate Poisson senders (superposition: N clients at rate r are
 one stream at rate N·r), and wires a
 :class:`~repro.core.oracle.FleetOracle` that reads per-group delivery
-rates off a metrics bus and escalates *hot* groups — and only hot
-groups — from sequencer to token ring mid-run.
+rates off the runner's delivery counts and escalates *hot* groups — and
+only hot groups — from sequencer to token ring mid-run.
 
 The same engine serves both runtimes:
 
@@ -350,7 +350,6 @@ class FleetResult:
 
 def run_fleet(
     config: Optional[FleetConfig] = None,
-    bus: Optional[Bus] = None,
     indices: Optional[Sequence[int]] = None,
 ) -> FleetResult:
     """Drive one fleet sweep; see the module docstring for the shape.
@@ -371,18 +370,13 @@ def run_fleet(
         base_port=config.base_port,
     ) as session:
         runtime = session.runtime
-        # The fleet bus carries the per-group delivery counters the
-        # oracle reads.  Metrics only: max_events=0 keeps the event list
-        # empty even if a caller-supplied bus arrives enabled.
-        fleet_bus = bus if bus is not None else Bus(max_events=0)
-        fleet_bus.clock = runtime
+        # Member-deliveries per group id: what the oracle's rate meters
+        # and the per-group report read.
+        delivered: Dict[int, int] = {}
 
         oracle = FleetOracle(
             metric_factory=lambda gid: RateMeter(
-                lambda: runtime.now,
-                lambda: fleet_bus.metrics.counter(
-                    f"fleet.delivered[g{gid}]"
-                ),
+                lambda: runtime.now, lambda: delivered.get(gid, 0)
             ),
             high_threshold=config.high_threshold,
             low_protocol=SLOT_NAMES[0],
@@ -408,9 +402,14 @@ def run_fleet(
                 )
                 if budget is not None
             ]
+            # Metrics only (max_events=0): the network's counters, the
+            # plane's SLO alerts.  Stacks stay off it — an enabled bus
+            # would profile every layer of every group.
+            bus = Bus(clock=runtime, max_events=0)
+            session.network.instrument(bus)
             plane = TelemetryPlane(
                 runtime,
-                fleet_bus,
+                bus,
                 TelemetryConfig(
                     window=config.telemetry_window,
                     history=config.telemetry_history,
@@ -427,7 +426,7 @@ def run_fleet(
 
         try:
             return _drive(
-                session, manager, fleet_bus, config, plane, server, indices
+                session, manager, delivered, config, plane, server, indices
             )
         finally:
             if server is not None:
@@ -437,7 +436,7 @@ def run_fleet(
 def _drive(
     session: Session,
     manager: GroupManager,
-    fleet_bus: Bus,
+    delivered: Dict[int, int],
     config: FleetConfig,
     plane,
     server,
@@ -450,7 +449,6 @@ def _drive(
     plan = plan_sequencers(config)
     handles: Dict[int, GroupHandle] = {}
     probes: Dict[int, LatencyProbe] = {}
-    counters: Dict[int, object] = {}
     casts: Dict[int, int] = {}
     hot: Dict[int, bool] = {}
     sequencers: Dict[int, int] = {}
@@ -480,11 +478,7 @@ def _drive(
         hot[gid] = config.is_hot(index)
         sequencers[gid] = sequencer_rank
         casts[gid] = 0
-
-        # Delivery counting: one group-labelled scope per group feeds
-        # both the oracle's rate meter and the final per-group report.
-        scope = fleet_bus.scoped(None, gid)
-        counters[gid] = scope
+        delivered[gid] = 0
         if plane is not None:
             coordinator = handle.stacks[handle.group.coordinator]
             plane.watch_group(
@@ -517,12 +511,10 @@ def _drive(
         )
         probes[gid] = probe
         for rank, stack in handle.stacks.items():
-            # One fused hook per direction: the scope count and the
+            # One fused hook per direction: the delivery count and the
             # probe observation share a single dispatch per delivery.
-            def deliver(
-                msg, rank=rank, observe=probe.observe, count=scope.count
-            ):
-                count("fleet.delivered")
+            def deliver(msg, rank=rank, gid=gid, observe=probe.observe):
+                delivered[gid] += 1
                 observe(rank, msg)
 
             stack.on_deliver(deliver)
@@ -579,7 +571,6 @@ def _drive(
                 hot_switched += 1
             else:
                 cold_switched += 1
-        delivered = fleet_bus.metrics.counter(f"fleet.delivered[g{gid}]")
         probe = probes[gid]
         per_group.append(
             GroupReport(
@@ -588,7 +579,7 @@ def _drive(
                 members=list(handle.group.members),
                 sequencer=sequencers[gid],
                 casts=casts[gid],
-                delivered=delivered,
+                delivered=delivered[gid],
                 p99_ms=(
                     probe.quantile_ms(0.99) if probe.latency.count else None
                 ),
@@ -597,7 +588,7 @@ def _drive(
             )
         )
         total_casts += casts[gid]
-        total_delivered += delivered
+        total_delivered += delivered[gid]
 
     hot_total = sum(1 for is_hot in hot.values() if is_hot)
     if hot_switched < hot_total:

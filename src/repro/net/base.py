@@ -19,7 +19,8 @@ from abc import ABC, abstractmethod
 from typing import Callable, Iterable, List
 
 from ..errors import NetworkError
-from ..obs.bus import Bus, BusScope, null_scope
+from ..obs.bus import Bus
+from ..obs.metrics import Counter
 from ..runtime.api import Runtime
 from .packet import Packet
 
@@ -85,13 +86,11 @@ class Network(ABC):
             _unattached for __ in range(num_nodes)
         ]
         self._attached = [False] * num_nodes
-        #: Instrumentation scope (rank-less: the network is a global
-        #: producer).  The disabled null scope until :meth:`instrument`.
-        self.obs: BusScope = null_scope()
+        self.stats = Counter()
 
     def instrument(self, bus: Bus) -> None:
-        """Attach an instrumentation bus for packet/byte/drop metrics."""
-        self.obs = bus.scoped(None)
+        """Register this model's ``stats`` with ``bus`` as ``net.*``."""
+        bus.scoped(None).attach("net", self.stats)
 
     def nodes(self) -> range:
         """All node ids in the network."""

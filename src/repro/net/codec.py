@@ -41,7 +41,7 @@ import struct
 from typing import Any, Callable, Dict, Tuple
 
 from ..errors import CodecError, NetworkError
-from ..sim.monitor import Counter
+from ..obs.metrics import Counter
 
 __all__ = [
     "WireCodec",

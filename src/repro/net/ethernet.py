@@ -29,7 +29,6 @@ from typing import Callable, Iterable, List, Optional
 
 from ..errors import NetworkError
 from ..runtime.api import Runtime
-from ..sim.monitor import Counter
 from ..sim.rng import RandomStreams
 from .base import Endpoint, Network
 from .packet import Packet
@@ -163,7 +162,6 @@ class EthernetNetwork(Network):
         self._rng = (rng or RandomStreams(0)).stream("ethernet")
         self.medium = SharedMedium(runtime)
         self.cpus: List[HostCpu] = [HostCpu(runtime, n) for n in range(num_nodes)]
-        self.stats = Counter()
         self._sniffers: List[Callable[[Packet], None]] = []
 
     def _make_endpoint(self, node: int) -> "EthernetEndpoint":
@@ -207,9 +205,6 @@ class EthernetNetwork(Network):
         params = self.params
         sent_at = self.runtime.now
         self.stats.incr("sends")
-        if self.obs.enabled:
-            self.obs.count("net.packets_sent")
-            self.obs.count("net.bytes_sent", size)
 
         remote = [d for d in dsts if d != src]
         loop_local = src in dsts
@@ -254,8 +249,6 @@ class EthernetNetwork(Network):
                 continue
             if params.loss_rate and self._rng.random() < params.loss_rate:
                 self.stats.incr("drops")
-                if self.obs.enabled:
-                    self.obs.count("net.drops")
                 continue
             packet = Packet(src, dst, payload, size, sent_at, group)
             if params.jitter:
@@ -286,8 +279,6 @@ class EthernetNetwork(Network):
         # Counted here — after propagation and the dst CPU queue — so the
         # delivery counters agree with traces even under backlog.
         self.stats.incr("deliveries")
-        if self.obs.enabled:
-            self.obs.count("net.packets_delivered")
         self._receivers[packet.dst](packet)
 
 

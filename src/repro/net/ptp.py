@@ -14,7 +14,6 @@ from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from ..errors import NetworkError
 from ..runtime.api import Runtime
-from ..sim.monitor import Counter
 from ..sim.rng import RandomStreams
 from .base import Endpoint, Network
 from .faults import FaultPlan
@@ -100,7 +99,6 @@ class PointToPointNetwork(Network):
         self.faults = faults or FaultPlan()
         self._rng = (rng or RandomStreams(0)).stream("ptp")
         self._down: set = set()
-        self.stats = Counter()
 
     def _make_endpoint(self, node: int) -> "PtpEndpoint":
         return PtpEndpoint(self, node)
@@ -164,18 +162,12 @@ class PointToPointNetwork(Network):
         once."""
         stats = self.stats
         stats.incr("sends")
-        obs = self.obs
-        if obs.enabled:
-            obs.count("net.packets_sent")
-            obs.count("net.bytes_sent", size)
         faults = self.faults
         now = self.runtime.now
         if (self._down or faults.crashes) and not (
             self._up(src, now) and self._up(dst, now)
         ):
             stats.incr("crash_drops")
-            if obs.enabled:
-                obs.count("net.drops")
             return
         delay = self.latency.get(src, dst)
         duplicates = 0
@@ -189,8 +181,6 @@ class PointToPointNetwork(Network):
             )
             if decision.drop:
                 stats.incr("drops")
-                if obs.enabled:
-                    obs.count("net.drops")
                 return
             duplicates = decision.duplicates
             if duplicates:
@@ -211,12 +201,8 @@ class PointToPointNetwork(Network):
             dst, self.runtime.now
         ):
             self.stats.incr("crash_drops")
-            if self.obs.enabled:
-                self.obs.count("net.drops")
             return
         self.stats.incr("deliveries")
-        if self.obs.enabled:
-            self.obs.count("net.packets_delivered")
         self._receivers[dst](packet)
 
 

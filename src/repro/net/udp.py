@@ -31,8 +31,8 @@ import asyncio
 from typing import Iterable, List, Optional, Tuple
 
 from ..errors import CodecError, NetworkError
+from ..obs.bus import Bus
 from ..runtime.aio import AsyncioRuntime
-from ..sim.monitor import Counter
 from .base import Endpoint, Network
 from .codec import FRAME_OVERHEAD, WireCodec
 from .packet import Packet
@@ -76,13 +76,17 @@ class UdpNetwork(Network):
         self.base_port = base_port
         self.host = host
         self.codec = WireCodec() if codec is None else codec
-        self.stats = Counter()
         self._transports: List[Optional[asyncio.DatagramTransport]] = [
             None
         ] * num_nodes
         self._open = False
         self._was_open = False
         runtime.on_close(self.close)
+
+    def instrument(self, bus: Bus) -> None:
+        """``net.*`` plus the codec's ``stats`` as ``codec.*``."""
+        super().instrument(bus)
+        bus.scoped(None).attach("codec", self.codec.stats)
 
     # ------------------------------------------------------------------
     # Socket lifecycle
@@ -143,16 +147,11 @@ class UdpNetwork(Network):
         except CodecError as exc:
             self.stats.incr("undecodable")
             self.stats.incr("undecodable." + exc.reason)
-            if self.obs.enabled:
-                self.obs.count("net.undecodable." + exc.reason)
             return
         if dst != node:
             self.stats.incr("misrouted")
             return
         self.stats.incr("deliveries")
-        if self.obs.enabled:
-            self.obs.count("net.packets_delivered")
-            self.obs.count("net.bytes_delivered", len(data))
         self._deliver(
             Packet(src, dst, payload, len(data), self.runtime.now, group)
         )
@@ -181,9 +180,6 @@ class UdpNetwork(Network):
         """Frame pre-encoded ``body`` for ``dst`` and transmit it."""
         self.stats.incr("sends")
         data = self.codec.frame(src, dst, body, group=group)
-        if self.obs.enabled:
-            self.obs.count("net.packets_sent")
-            self.obs.count("net.bytes_sent", len(data))
         transport.sendto(data, (self.host, self.base_port + dst))
 
     def _send_copy(

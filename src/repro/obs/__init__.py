@@ -9,8 +9,9 @@ This package is the measurement layer that backs them up on live runs:
   interface, so the same instrumentation yields virtual-time traces on
   :class:`~repro.runtime.sim_runtime.SimRuntime` and wall-clock traces on
   :class:`~repro.runtime.aio.AsyncioRuntime`.
-* :mod:`repro.obs.metrics` — counters, gauges, and fixed-bucket
-  histograms (p50/p90/p99 summaries), snapshot-able to JSON.
+* :mod:`repro.obs.metrics` — the :class:`Counter` components count in,
+  gauges, and fixed-bucket histograms (p50/p90/p99 summaries),
+  snapshot-able to JSON.
 * :mod:`repro.obs.export` — JSONL event logs and Chrome trace-event
   files loadable in Perfetto / ``chrome://tracing``.
 
@@ -40,11 +41,12 @@ from .export import (
     write_jsonl,
     write_metrics,
 )
-from .metrics import DEFAULT_BUCKETS, Histogram, MetricsRegistry
+from .metrics import DEFAULT_BUCKETS, Counter, Histogram, MetricsRegistry
 
 __all__ = [
     "Bus",
     "BusScope",
+    "Counter",
     "DEFAULT_BUCKETS",
     "Event",
     "Histogram",

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .metrics import MetricsRegistry
+from .metrics import Counter, MetricsRegistry
 
 __all__ = [
     "Bus",
@@ -199,7 +199,7 @@ class Bus:
         return Span(self, name, rank, self.now, args)
 
     def count(self, name: str, amount: int = 1) -> None:
-        """Bump a metrics counter (no-op when disabled)."""
+        """Bump one of the bus's own counters (no-op when disabled)."""
         if self.enabled:
             self.metrics.incr(name, amount)
 
@@ -215,7 +215,7 @@ class Bus:
 
     def _append(self, event: Event) -> None:
         if self.max_events is not None and len(self.events) >= self.max_events:
-            self.metrics.incr("obs.events_dropped")
+            self.count("obs.events_dropped")
         else:
             self.events.append(event)
         for subscriber in self._subscribers:
@@ -229,7 +229,7 @@ class Bus:
         self._subscribers.append(callback)
 
     def clear(self) -> None:
-        """Discard recorded events and metrics (subscribers stay)."""
+        """Discard events, metrics and attachments (subscribers stay)."""
         self.events.clear()
         self.metrics.clear()
 
@@ -256,15 +256,15 @@ class Bus:
 class BusScope:
     """A (bus, rank[, group]) tuple: the handle instrumented code holds.
 
-    Counters and histograms aggregate across ranks (one group-wide
+    Components count in their own ``stats`` and :meth:`attach` it once;
+    counters and histograms aggregate across ranks (one group-wide
     number); gauges are per-producer state, so :meth:`gauge` qualifies
     the metric name with the rank (``name[r2]``).
 
     A group-labelled scope (``group`` not None) additionally suffixes
     every metric name with ``[g<id>]`` and stamps events with a
-    ``group`` arg, so per-group signals (the fleet oracle's rate inputs)
-    stay separable on a shared bus.  The unlabelled path is byte-for-byte
-    the pre-fleet behaviour.
+    ``group`` arg, so per-group signals stay separable on a shared bus.
+    The unlabelled path is byte-for-byte the pre-fleet behaviour.
     """
 
     __slots__ = ("bus", "rank", "group", "_suffix")
@@ -291,10 +291,11 @@ class BusScope:
             args.setdefault("group", self.group)
         return self.bus.span(name, rank=self.rank, **args)
 
-    def count(self, name: str, amount: int = 1) -> None:
-        if self._suffix:
-            name += self._suffix
-        self.bus.count(name, amount)
+    def attach(self, prefix: str, stats: Counter) -> None:
+        """Publish ``stats`` as the counters ``<prefix>.<key>`` (no-op on
+        a disabled bus, so the process-wide default keeps no owners)."""
+        if self.bus.enabled:
+            self.bus.metrics.attach(prefix, stats, self._suffix)
 
     def gauge(self, name: str, value: float) -> None:
         if self.rank is not None:
@@ -340,7 +341,6 @@ class PhaseTracker:
         obs = self.obs
         if not obs.enabled:
             return
-        obs.count("switch.initiated")
         self._total = obs.span(
             "switch/total", switch=list(switch_id), old=old, new=new
         )
@@ -364,7 +364,6 @@ class PhaseTracker:
             self._total.end(outcome="completed")
             self._total = None
         obs.observe("switch.duration_s", duration)
-        obs.count("switch.completed")
         obs.emit("switch/complete", switch=list(switch_id), duration=duration)
 
     def abort(self, switch_id: Tuple[int, int], reason: str, phase: str) -> None:
@@ -376,7 +375,6 @@ class PhaseTracker:
         if self._total is not None:
             self._total.end(outcome="aborted", reason=reason)
             self._total = None
-        obs.count("switch.aborted")
         obs.emit(
             "switch/abort", switch=list(switch_id), reason=reason, phase=phase
         )

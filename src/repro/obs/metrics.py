@@ -1,4 +1,8 @@
-"""Metrics registry: counters, gauges, and fixed-bucket histograms.
+"""Counting and the metrics registry: counters, gauges, histograms.
+
+A component counts in its own :class:`Counter` (its ``stats``); the
+registry reads attached owners at snapshot time, so ``net.sends`` is the
+network's ``stats["sends"]`` (:meth:`MetricsRegistry.attach`).
 
 Unlike :class:`repro.sim.monitor.Summary` (which keeps every sample for
 exact quantiles in bounded experiments), the histogram here is a
@@ -18,7 +22,29 @@ import bisect
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["DEFAULT_BUCKETS", "Histogram", "MetricsRegistry"]
+__all__ = ["DEFAULT_BUCKETS", "Counter", "Histogram", "MetricsRegistry"]
+
+
+class Counter:
+    """A bag of named monotonic counters: one owner's ``stats``."""
+
+    def __init__(self) -> None:
+        self._counts: Dict[str, int] = {}
+
+    def incr(self, name: str, amount: int = 1) -> None:
+        """Add ``amount`` to counter ``name`` (creating it at zero)."""
+        self._counts[name] = self._counts.get(name, 0) + amount
+
+    def get(self, name: str) -> int:
+        """Current value of counter ``name`` (zero if never incremented)."""
+        return self._counts.get(name, 0)
+
+    def as_dict(self) -> Dict[str, int]:
+        """Snapshot of all counters (a copy)."""
+        return dict(self._counts)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"Counter({self._counts!r})"
 
 
 def _default_buckets() -> Tuple[float, ...]:
@@ -133,14 +159,20 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._counters: Dict[str, int] = {}
+        self._owners: List[Tuple[str, str, Counter]] = []  # (prefix, suffix, stats)
         self._gauges: Dict[str, Tuple[float, float]] = {}  # name -> (value, t)
         self._histograms: Dict[str, Histogram] = {}
 
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
+    def attach(self, prefix: str, stats: Counter, suffix: str = "") -> None:
+        """Read ``stats`` as ``<prefix>.<key><suffix>``; owners sharing
+        a name (one per rank, say) sum."""
+        self._owners.append((prefix, suffix, stats))
+
     def incr(self, name: str, amount: int = 1) -> None:
-        """Add ``amount`` to counter ``name`` (creating it at zero)."""
+        """Add ``amount`` to the registry's own counter ``name``."""
         self._counters[name] = self._counters.get(name, 0) + amount
 
     def set_gauge(self, name: str, value: float, time: float = 0.0) -> None:
@@ -163,9 +195,14 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
-    def counter(self, name: str) -> int:
-        """Current value of counter ``name`` (zero if never incremented)."""
-        return self._counters.get(name, 0)
+    def counters(self) -> Dict[str, int]:
+        """Every counter's current value by name, owners summed in."""
+        totals = dict(self._counters)
+        for prefix, suffix, stats in self._owners:
+            for key, value in stats._counts.items():
+                name = f"{prefix}.{key}{suffix}"
+                totals[name] = totals.get(name, 0) + value
+        return dict(sorted(totals.items()))
 
     def gauge(self, name: str) -> Optional[float]:
         """Latest value of gauge ``name``, or None."""
@@ -178,12 +215,14 @@ class MetricsRegistry:
 
     @property
     def empty(self) -> bool:
-        return not (self._counters or self._gauges or self._histograms)
+        return not (
+            self._counters or self._owners or self._gauges or self._histograms
+        )
 
     def snapshot(self) -> Dict[str, object]:
         """One JSON-able dict of everything recorded so far."""
         return {
-            "counters": dict(sorted(self._counters.items())),
+            "counters": self.counters(),
             "gauges": {
                 name: {"value": value, "time": time}
                 for name, (value, time) in sorted(self._gauges.items())
@@ -195,7 +234,8 @@ class MetricsRegistry:
         }
 
     def clear(self) -> None:
-        """Forget everything recorded so far."""
+        """Forget everything recorded so far, attached owners included."""
         self._counters.clear()
+        self._owners.clear()
         self._gauges.clear()
         self._histograms.clear()

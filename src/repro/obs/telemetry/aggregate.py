@@ -546,6 +546,7 @@ class TelemetryPlane:
             "escalations": len(self.escalations),
             "captures": len(self.recorder.captures),
             "slo": self.slo.snapshot(),
+            "counters": self.bus.metrics.counters(),
         }
         return {
             "fleet": fleet,

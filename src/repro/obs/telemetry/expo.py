@@ -106,6 +106,13 @@ def render_prometheus(snapshot: Dict[str, Any]) -> str:
         "repro_slo_groups_burning", "gauge", "Groups with a burning SLO."
     )
     sample("repro_slo_groups_burning", slo.get("groups_burning", 0))
+    metric(
+        "repro_counter_total",
+        "counter",
+        "Component counters on the plane's bus, by <prefix>.<key>.",
+    )
+    for name, value in fleet.get("counters", {}).items():
+        sample("repro_counter_total", value, f'{{name="{name}"}}')
 
     pool = fleet.get("pool", {})
     metric(

@@ -15,8 +15,8 @@ the merged fleet.
 Merge semantics, per field class:
 
 * **counts** (delivered, casts, switches, aborts, strays, escalations,
-  captures, SLO alerts/burn) — summed; shards partition the fleet, so
-  sums are the fleet totals.
+  captures, SLO alerts/burn, the bus's ``counters`` by name) — summed;
+  shards partition the fleet, so sums are the fleet totals.
 * **clocks** (``time``, ``uptime_s``, ``windows_rolled``) — maximum;
   shards share one virtual/wall timeline, they do not accumulate it.
 * **groups** — dict union.  Shard group sets are disjoint by
@@ -137,6 +137,11 @@ def merge_snapshots(snapshots: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
     )
     fleet["pool"] = _merge_pool([f.get("pool", {}) for f in fleets])
     fleet["slo"] = _merge_slo([f.get("slo", {}) for f in fleets])
+    counters: Dict[str, int] = {}
+    for f in fleets:
+        for name, value in (f.get("counters") or {}).items():
+            counters[name] = counters.get(name, 0) + value
+    fleet["counters"] = dict(sorted(counters.items()))
 
     return {
         "fleet": fleet,

@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Optional
 
-from ..sim.monitor import Counter
+from ..obs.metrics import Counter
 from ..stack.layer import Layer
 from ..stack.message import Message, MessageId
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from ..errors import ProtocolError
-from ..sim.monitor import Counter
+from ..obs.metrics import Counter
 from ..stack.layer import Layer
 from ..stack.message import Message
 

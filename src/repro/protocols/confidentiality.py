@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..sim.monitor import Counter
+from ..obs.metrics import Counter
 from ..stack.layer import Layer
 from ..stack.message import Message
 from .crypto import Ciphertext, GroupKey

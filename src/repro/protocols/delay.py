@@ -24,7 +24,7 @@ from collections import deque
 from typing import Deque, Optional
 
 from ..errors import ProtocolError
-from ..sim.monitor import Counter
+from ..obs.metrics import Counter
 from ..stack.layer import Layer
 from ..stack.message import Message
 

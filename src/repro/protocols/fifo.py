@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from ..sim.monitor import Counter
+from ..obs.metrics import Counter
 from ..stack.layer import Layer
 from ..stack.message import Message
 

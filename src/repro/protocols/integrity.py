@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..sim.monitor import Counter
+from ..obs.metrics import Counter
 from ..stack.layer import Layer
 from ..stack.message import Message
 from .crypto import GroupKey, compute_mac, verify_mac

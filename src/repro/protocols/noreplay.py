@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Any, Set
 
-from ..sim.monitor import Counter
+from ..obs.metrics import Counter
 from ..stack.layer import Layer
 from ..stack.message import Message
 

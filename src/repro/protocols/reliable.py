@@ -29,7 +29,7 @@ from itertools import islice
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import ProtocolError
-from ..sim.monitor import Counter
+from ..obs.metrics import Counter
 from ..stack.layer import Layer
 from ..stack.message import Message
 

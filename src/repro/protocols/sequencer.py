@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from ..errors import ProtocolError
-from ..sim.monitor import Counter
+from ..obs.metrics import Counter
 from ..stack.layer import Layer
 from ..stack.message import Message
 

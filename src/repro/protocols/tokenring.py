@@ -33,7 +33,7 @@ from collections import deque
 from typing import Deque, Dict, Optional, Tuple
 
 from ..errors import ProtocolError
-from ..sim.monitor import Counter
+from ..obs.metrics import Counter
 from ..stack.layer import Layer
 from ..stack.message import Message
 

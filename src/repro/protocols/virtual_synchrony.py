@@ -35,7 +35,7 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
 from ..errors import ProtocolError
-from ..sim.monitor import Counter
+from ..obs.metrics import Counter
 from ..stack.layer import Layer
 from ..stack.membership import View
 from ..stack.message import Message

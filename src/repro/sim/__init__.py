@@ -7,18 +7,17 @@ This package replaces the paper's physical testbed (SparcStation-20s on a
 * :mod:`repro.sim.rng` — named, seeded random streams.
 * :mod:`repro.sim.seeding` — the pinned per-cell seed recipes every
   partitioned run (sweep workers, fleet shards) derives from.
-* :mod:`repro.sim.monitor` — counters and summaries.
+* :mod:`repro.sim.monitor` — exact-quantile sample summaries.
 """
 
 from .engine import EventHandle, Simulator, Timeline
-from .monitor import Counter, Summary
+from .monitor import Summary
 from .rng import RandomStreams
 
 __all__ = [
     "EventHandle",
     "Simulator",
     "Timeline",
-    "Counter",
     "Summary",
     "RandomStreams",
 ]

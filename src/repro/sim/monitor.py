@@ -4,7 +4,6 @@ These are deliberately simple, allocation-light accumulators: experiments
 in this library run hundreds of thousands of simulated events and probes
 are on the hot path.
 
-* :class:`Counter` — named monotonic counters.
 * :class:`Summary` — streaming min/max/mean/stddev plus full sample
   retention for exact quantiles (experiments are small enough to afford
   keeping samples; this keeps percentile math exact and honest).
@@ -13,31 +12,9 @@ are on the hot path.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
-__all__ = ["Counter", "Summary"]
-
-
-class Counter:
-    """A bag of named monotonic counters."""
-
-    def __init__(self) -> None:
-        self._counts: Dict[str, int] = {}
-
-    def incr(self, name: str, amount: int = 1) -> None:
-        """Add ``amount`` to counter ``name`` (creating it at zero)."""
-        self._counts[name] = self._counts.get(name, 0) + amount
-
-    def get(self, name: str) -> int:
-        """Current value of counter ``name`` (zero if never incremented)."""
-        return self._counts.get(name, 0)
-
-    def as_dict(self) -> Dict[str, int]:
-        """Snapshot of all counters (a copy)."""
-        return dict(self._counts)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Counter({self._counts!r})"
+__all__ = ["Summary"]
 
 
 class Summary:

@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..errors import StackError
-from ..sim.monitor import Counter
+from ..obs.metrics import Counter
 from .layer import Layer
 from .message import BASE_WIRE_OVERHEAD, Message
 
@@ -102,8 +102,6 @@ class BatchingLayer(Layer):
         self.stats.incr("batched_msgs", len(batch))
         obs = self.ctx.obs
         if obs.enabled:
-            obs.count("batch.batches")
-            obs.count("batch.messages", len(batch))
             obs.bus.metrics.observe(
                 "batch.size_msgs", len(batch), bounds=_SIZE_BUCKETS
             )

@@ -250,8 +250,9 @@ def compose(
     (see :func:`start_layers`), after *all* wiring in the process exists.
 
     When the context's instrumentation bus is enabled at composition
-    time, each layer's upward ``receive`` is wrapped to profile per-layer
-    deliver latency (CPU time spent inside the layer, recorded into the
+    time, each layer's ``stats`` is attached to it and each layer's
+    upward ``receive`` is wrapped to profile per-layer deliver latency
+    (CPU time spent inside the layer, recorded into the
     ``layer.<name>.deliver_cpu_s`` histogram) — with a disabled bus the
     raw bound methods are wired, so the instrumented and bare pipelines
     are literally the same callables.
@@ -259,6 +260,9 @@ def compose(
     layer_list: List[Layer] = list(layers)
     for layer in layer_list:
         layer.bind(ctx)
+        stats = getattr(layer, "stats", None)
+        if stats is not None:
+            ctx.obs.attach(layer.name, stats)
 
     # Wire from the bottom up: each layer's downward fn is the layer
     # below's send(); its upward fn is the layer above's receive().
@@ -291,13 +295,11 @@ def _instrumented_receive(layer: Layer, ctx: LayerContext) -> DeliverFn:
     obs = ctx.obs
     receive = layer.receive
     cpu_metric = f"layer.{layer.name}.deliver_cpu_s"
-    count_metric = f"layer.{layer.name}.delivers"
 
     def profiled(msg: Message) -> None:
         started = _time.perf_counter()
         receive(msg)
         obs.observe(cpu_metric, _time.perf_counter() - started)
-        obs.count(count_metric)
 
     return profiled
 

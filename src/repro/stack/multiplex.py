@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional, Tuple
 
 from ..errors import StackError
-from ..sim.monitor import Counter
+from ..obs.metrics import Counter
 from .layer import DeliverFn, SendFn
 from .message import Message
 

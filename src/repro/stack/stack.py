@@ -72,6 +72,7 @@ class ProcessStack:
         )
 
         self.transport = Transport(network, group, rank)
+        self.ctx.obs.attach("transport", self.transport.stats)
         self._top_send, bottom_receive = compose(
             self.layers, self.ctx, self.transport.send, self._app_deliver
         )

@@ -12,7 +12,7 @@ from typing import Callable, Optional
 from ..errors import StackError
 from ..net.base import Endpoint, Network
 from ..net.packet import Packet
-from ..sim.monitor import Counter
+from ..obs.metrics import Counter
 from .layer import DeliverFn
 from .membership import Group
 from .message import Message

@@ -107,6 +107,11 @@ class TestFleetTelemetryAcceptance:
         pool = telemetry_result.telemetry["snapshot"]["fleet"]["pool"]
         assert pool["nodes"] == len(telemetry_result.pool_loads)
 
+    def test_network_counters_ride_the_snapshot(self, telemetry_result):
+        counters = telemetry_result.telemetry["snapshot"]["fleet"]["counters"]
+        assert counters["net.deliveries"] == counters["net.sends"] > 0
+        assert "repro_counter_total" in telemetry_result.telemetry["prometheus"]
+
     def test_summary_mentions_telemetry_surfaces(self, telemetry_result):
         text = telemetry_result.summary()
         assert "ports:" in text and "stray-group drops=" in text
@@ -175,3 +180,9 @@ class TestLiveExposition:
             == result.delivered
         )
         assert "repro_fleet_delivered_total" in scrape["prometheus"]
+        # The network's own counters are served, and only the network's:
+        # the fleet's stacks stay off the plane's bus.
+        counters = scrape["snapshot"]["fleet"]["counters"]
+        assert counters["net.sends"] > 0 and counters["net.deliveries"] > 0
+        assert {name.split(".")[0] for name in counters} <= {"net", "codec"}
+        assert 'repro_counter_total{name="net.sends"}' in scrape["prometheus"]

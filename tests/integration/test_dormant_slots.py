@@ -16,6 +16,7 @@ instead of spinning it.  Two things are checked here end to end:
 """
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import example, given, settings
 
 from helpers import switch_group
@@ -186,8 +187,35 @@ STEADY = {
         "severs": [(0.29, 0.3, 0, 1), (0.79, 1.0, 2, 0)],
     }
 )
-@settings(max_examples=30, deadline=None)
+# Tier-1 is a gate, not an explorer: the same 30 draws on every run.
+@settings(max_examples=30, deadline=None, derandomize=True)
 def test_token_conservation(params):
+    check_conservation(params)
+
+
+#: Member 3's and the coordinator's control channels are cut as member 1
+#: asks for the switch; the group quiesces with members on different
+#: protocols.
+ORDER_SPLIT = {
+    "seed": 0,
+    "members": 4,
+    "casts": [],
+    "switches": [(0.5, 1, SLOTS[1])],
+    "severs": [(0.5, 1.0, 0, 3), (0.5, 0.5, 0, 0)],
+}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="switching under loss can leave members on different "
+    "protocols (ROADMAP: 'A switch with a bound: make switching under "
+    "loss correct, then predictable')",
+)
+def test_order_split_schedule():
+    check_conservation(ORDER_SPLIT)
+
+
+def check_conservation(params):
     severs = params["severs"]
 
     def intercept(time, src, dst, channel, payload):

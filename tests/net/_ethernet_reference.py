@@ -31,9 +31,6 @@ class ReferenceEthernetNetwork(EthernetNetwork):
         params = self.params
         sent_at = self.runtime.now
         self.stats.incr("sends")
-        if self.obs.enabled:
-            self.obs.count("net.packets_sent")
-            self.obs.count("net.bytes_sent", size)
 
         remote = [d for d in dsts if d != src]
         loop_local = src in dsts
@@ -72,8 +69,6 @@ class ReferenceEthernetNetwork(EthernetNetwork):
                 continue
             if params.loss_rate and self._rng.random() < params.loss_rate:
                 self.stats.incr("drops")
-                if self.obs.enabled:
-                    self.obs.count("net.drops")
                 continue
             extra = params.jitter * self._rng.random() if params.jitter else 0.0
             self._schedule_receive(
@@ -94,6 +89,4 @@ class ReferenceEthernetNetwork(EthernetNetwork):
 
     def _count_and_deliver(self, packet: Packet) -> None:
         self.stats.incr("deliveries")
-        if self.obs.enabled:
-            self.obs.count("net.packets_delivered")
         self._deliver(packet)

@@ -70,13 +70,8 @@ class ReferencePtpNetwork(PointToPointNetwork):
         self, src: int, dst: int, payload: object, size: int, group: int = 0
     ) -> None:
         self.stats.incr("sends")
-        if self.obs.enabled:
-            self.obs.count("net.packets_sent")
-            self.obs.count("net.bytes_sent", size)
         if not self.node_alive(src) or not self.node_alive(dst):
             self.stats.incr("crash_drops")
-            if self.obs.enabled:
-                self.obs.count("net.drops")
             return
         if src == dst:
             # Loopback copies never traverse the faulty medium.
@@ -94,8 +89,6 @@ class ReferencePtpNetwork(PointToPointNetwork):
         )
         if decision.drop:
             self.stats.incr("drops")
-            if self.obs.enabled:
-                self.obs.count("net.drops")
             return
         packet = Packet(src, dst, payload, size, self.runtime.now, group)
         copies = 1 + decision.duplicates
@@ -111,10 +104,6 @@ class ReferencePtpNetwork(PointToPointNetwork):
             return
         if not self.node_alive(packet.dst):
             self.stats.incr("crash_drops")
-            if self.obs.enabled:
-                self.obs.count("net.drops")
             return
         self.stats.incr("deliveries")
-        if self.obs.enabled:
-            self.obs.count("net.packets_delivered")
         self._deliver(packet)

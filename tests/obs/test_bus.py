@@ -18,6 +18,7 @@ from repro.obs.bus import (
     null_scope,
     set_default_bus,
 )
+from repro.obs.metrics import Counter
 from repro.runtime import SimRuntime
 
 
@@ -102,6 +103,20 @@ class TestEnabledBus:
         bus.emit("after")
         assert seen == ["before", "after"]
 
+    def test_clear_forgets_attached_counters(self, sim_bus):
+        # bench_obs clears one bus between runs: the next run's owners
+        # must not sum with the last run's.
+        __, bus = sim_bus
+        stats = Counter()
+        bus.scoped(None).attach("net", stats)
+        stats.incr("sends")
+        bus.clear()
+        assert bus.metrics.empty
+        fresh = Counter()
+        bus.scoped(None).attach("net", fresh)
+        fresh.incr("sends", 2)
+        assert bus.metrics.snapshot()["counters"] == {"net.sends": 2}
+
 
 class TestDisabledBus:
     def test_records_nothing(self):
@@ -135,10 +150,11 @@ class TestDisabledBus:
         scope = null_scope()
         assert not scope.enabled
         scope.emit("e")
-        scope.count("c")
+        scope.attach("net", Counter())
         scope.gauge("g", 1.0)
         scope.observe("h", 2.0)
         assert scope.span("s") is NULL_SPAN
+        assert default_bus().metrics.empty
 
     def test_set_default_bus_swaps_and_restores(self):
         replacement = Bus(enabled=True)
@@ -168,9 +184,12 @@ class TestBusScope:
 
     def test_counters_aggregate_across_ranks(self, sim_bus):
         __, bus = sim_bus
-        bus.scoped(0).count("token.hops")
-        bus.scoped(1).count("token.hops", 2)
-        assert bus.metrics.snapshot()["counters"]["token.hops"] == 3
+        r0, r1 = Counter(), Counter()
+        bus.scoped(0).attach("sp", r0)
+        bus.scoped(1).attach("sp", r1)
+        r0.incr("hop_retransmits")
+        r1.incr("hop_retransmits", 2)
+        assert bus.metrics.snapshot()["counters"]["sp.hop_retransmits"] == 3
 
     def test_global_scope_has_no_rank(self, sim_bus):
         __, bus = sim_bus
@@ -210,8 +229,8 @@ class TestPhaseTracker:
         assert len(by_name["switch/complete"]) == 1
 
         snapshot = bus.metrics.snapshot()
-        assert snapshot["counters"]["switch.initiated"] == 1
-        assert snapshot["counters"]["switch.completed"] == 1
+        # Counting initiations and completions is the SP's stats' job.
+        assert snapshot["counters"] == {}
         for phase in ("prepare", "switch", "flush"):
             assert snapshot["histograms"][f"switch.phase.{phase}_s"]["count"] == 1
         assert snapshot["histograms"]["switch.duration_s"]["count"] == 1
@@ -226,9 +245,10 @@ class TestPhaseTracker:
         total = next(e for e in bus.events if e.name == "switch/total")
         assert total.args["outcome"] == "aborted"
         assert total.args["reason"] == "watchdog"
-        counters = bus.metrics.snapshot()["counters"]
-        assert counters["switch.aborted"] == 1
-        assert "switch.completed" not in counters
+        assert [e.args["reason"] for e in bus.events if e.name == "switch/abort"] == [
+            "watchdog"
+        ]
+        assert "switch.duration_s" not in bus.metrics.snapshot()["histograms"]
 
     def test_noop_on_disabled_bus(self):
         tracker = PhaseTracker(null_scope())

@@ -20,6 +20,7 @@ from repro.obs.export import (
     write_jsonl,
     write_metrics,
 )
+from repro.obs.metrics import Counter
 from repro.runtime import SimRuntime
 
 
@@ -125,7 +126,9 @@ class TestJsonl:
 class TestMetricsJson:
     def test_snapshot_with_header_roundtrips(self, tmp_path):
         bus = Bus(enabled=True)
-        bus.count("token.hops", 7)
+        stats = Counter()
+        bus.scoped(None).attach("net", stats)
+        stats.incr("sends", 7)
         bus.observe("switch.duration_s", 0.012)
         bus.observe("switch.duration_s", 0.014)
         path = tmp_path / "metrics.json"
@@ -135,7 +138,7 @@ class TestMetricsJson:
         loaded = json.loads(path.read_text())
         assert loaded == json.loads(json.dumps(snapshot))
         assert loaded["command"] == "run" and loaded["seed"] == 42
-        assert loaded["counters"]["token.hops"] == 7
+        assert loaded["counters"]["net.sends"] == 7
         hist = loaded["histograms"]["switch.duration_s"]
         assert hist["count"] == 2
         for key in ("mean", "p50", "p90", "p99", "min", "max"):

@@ -10,6 +10,7 @@ from repro.core.switchable import ProtocolSpec
 from repro.fleet import GroupManager
 from repro.net.ptp import PointToPointNetwork
 from repro.obs.bus import Bus, PhaseTracker
+from repro.obs.metrics import Counter
 from repro.obs.telemetry import TelemetryConfig, TelemetryPlane
 from repro.protocols.fifo import FifoLayer
 from repro.protocols.sequencer import SequencerLayer
@@ -20,10 +21,12 @@ class TestBusScopeNesting:
     def test_rank_and_group_labels_compose(self):
         bus = Bus(enabled=True)
         scope = bus.scoped(2, 7)
-        scope.count("fleet.delivered")
+        stats = Counter()
+        scope.attach("sp", stats)
+        stats.incr("initiated")
         scope.observe("latency_s", 0.001)
         scope.gauge("queue_depth", 3.0)
-        assert bus.metrics.counter("fleet.delivered[g7]") == 1
+        assert bus.metrics.counters()["sp.initiated[g7]"] == 1
         assert bus.metrics.histogram("latency_s[g7]").count == 1
         # Gauges are per-producer: rank first, then the group label.
         assert "queue_depth[r2][g7]" in bus.metrics.snapshot()["gauges"]
@@ -36,17 +39,20 @@ class TestBusScopeNesting:
 
     def test_rank_only_scope_is_the_pre_fleet_shape(self):
         bus = Bus(enabled=True)
-        bus.scoped(1).count("fleet.delivered")
-        assert bus.metrics.counter("fleet.delivered") == 1
+        stats = Counter()
+        bus.scoped(1).attach("sp", stats)
+        stats.incr("initiated")
+        assert bus.metrics.counters() == {"sp.initiated": 1}
 
     def test_scopes_on_one_bus_stay_separable(self):
         bus = Bus(enabled=True)
         for gid in (1, 2, 3):
-            for _ in range(gid):
-                bus.scoped(0, gid).count("fleet.delivered")
-        assert [
-            bus.metrics.counter(f"fleet.delivered[g{gid}]") for gid in (1, 2, 3)
-        ] == [1, 2, 3]
+            stats = Counter()
+            bus.scoped(0, gid).attach("sp", stats)
+            stats.incr("initiated", gid)
+        assert bus.metrics.counters() == {
+            f"sp.initiated[g{gid}]": gid for gid in (1, 2, 3)
+        }
 
 
 class TestPhaseTrackerReuse:
@@ -72,10 +78,12 @@ class TestPhaseTrackerReuse:
         tracker.complete((0, 3), duration=0.0)
 
         metrics = bus.metrics
-        assert metrics.counter("switch.initiated[g9]") == 3
-        assert metrics.counter("switch.completed[g9]") == 2
-        assert metrics.counter("switch.aborted[g9]") == 1
         assert metrics.histogram("switch.duration_s[g9]").count == 2
+        assert [e.name for e in bus.events if e.kind == "i"] == [
+            "switch/complete",
+            "switch/abort",
+            "switch/complete",
+        ]
         totals = [e for e in bus.events if e.name == "switch/total"]
         assert [e.args["outcome"] for e in totals] == [
             "completed",

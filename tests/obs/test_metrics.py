@@ -1,8 +1,87 @@
-"""Edge-case coverage for the fixed-bucket histogram's quantile estimator."""
+"""Owner counters, the registry that reads them, and edge-case coverage
+for the fixed-bucket histogram's quantile estimator."""
 
 import pytest
 
-from repro.obs.metrics import DEFAULT_BUCKETS, Histogram, MetricsRegistry
+from repro.obs.metrics import DEFAULT_BUCKETS, Counter, Histogram, MetricsRegistry
+
+
+class TestCounter:
+    def test_starts_at_zero(self):
+        assert Counter().get("anything") == 0
+
+    def test_increments(self):
+        counter = Counter()
+        counter.incr("x")
+        counter.incr("x", 4)
+        assert counter.get("x") == 5
+
+    def test_as_dict_is_a_copy(self):
+        counter = Counter()
+        counter.incr("x")
+        snapshot = counter.as_dict()
+        snapshot["x"] = 99
+        assert counter.get("x") == 1
+
+
+class TestAttachedCounters:
+    def test_owners_are_read_live_under_their_prefix(self):
+        registry = MetricsRegistry()
+        stats = Counter()
+        registry.attach("net", stats)
+        stats.incr("sends", 3)
+        assert registry.counters() == {"net.sends": 3}
+        stats.incr("sends")
+        assert registry.snapshot()["counters"] == {"net.sends": 4}
+
+    def test_owners_sharing_a_prefix_sum(self):
+        registry = MetricsRegistry()
+        a, b = Counter(), Counter()
+        registry.attach("core", a)
+        registry.attach("core", b)
+        a.incr("buffered", 2)
+        b.incr("buffered", 5)
+        b.incr("early_buffered")
+        assert registry.counters() == {
+            "core.buffered": 7,
+            "core.early_buffered": 1,
+        }
+
+    def test_suffix_keeps_groups_apart(self):
+        registry = MetricsRegistry()
+        g1, g2 = Counter(), Counter()
+        registry.attach("sp", g1, "[g1]")
+        registry.attach("sp", g2, "[g2]")
+        g1.incr("initiated")
+        g2.incr("initiated", 2)
+        assert registry.counters() == {
+            "sp.initiated[g1]": 1,
+            "sp.initiated[g2]": 2,
+        }
+
+    def test_own_counters_sit_beside_owners(self):
+        registry = MetricsRegistry()
+        stats = Counter()
+        registry.attach("net", stats)
+        stats.incr("sends")
+        registry.incr("obs.events_dropped", 2)
+        assert registry.counters() == {"net.sends": 1, "obs.events_dropped": 2}
+
+    def test_an_attachment_makes_the_registry_non_empty(self):
+        registry = MetricsRegistry()
+        assert registry.empty
+        registry.attach("net", Counter())
+        assert not registry.empty
+
+    def test_clear_forgets_attachments(self):
+        registry = MetricsRegistry()
+        stats = Counter()
+        registry.attach("net", stats)
+        stats.incr("sends")
+        registry.clear()
+        assert registry.empty
+        assert registry.counters() == {}
+        assert stats.get("sends") == 1  # the owner keeps counting
 
 
 class TestQuantileEdgeCases:

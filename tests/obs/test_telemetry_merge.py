@@ -46,6 +46,7 @@ def shard_snapshot(gids, t, rate_per_group=10.0, burning=0):
                 "burn_minutes": 0.5 * burning,
                 "groups_burning": burning,
             },
+            "counters": {"net.sends": 10 * len(gids), "net.misrouted": 1},
         },
         "groups": {
             str(gid): {
@@ -86,6 +87,7 @@ class TestMergeSnapshots:
         assert fleet["time"] == 6.0
         assert fleet["windows_rolled"] == 6
         assert fleet["strays"] == 2
+        assert fleet["counters"] == {"net.misrouted": 2, "net.sends": 50}
         assert fleet["groups"] == 5
         assert sorted(merged["groups"]) == ["1", "2", "3", "5", "8"]
         # Pool loads sum per rank; SLO targets dedup, burn sums.
@@ -136,6 +138,7 @@ class TestMergePayloads:
         # Escalations interleave in time order across sources.
         assert [e["group"] for e in merged["escalations"]] == [2, 3]
         assert "repro_fleet_delivered_total 600" in merged["prometheus"]
+        assert 'repro_counter_total{name="net.sends"} 30' in merged["prometheus"]
 
     def test_top_over_two_files(self, tmp_path, capsys):
         paths = []
@@ -154,6 +157,7 @@ class TestMergePayloads:
         payload = json.loads(lines[0])
         assert payload["merged_from"] == 2
         assert payload["snapshot"]["fleet"]["delivered"] == 600
+        assert payload["snapshot"]["fleet"]["counters"]["net.misrouted"] == 2
 
     def test_top_single_source_unchanged(self, tmp_path):
         path = tmp_path / "one.json"

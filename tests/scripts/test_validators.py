@@ -141,6 +141,43 @@ def test_obs_rejects_truncated_trace(obs_artifacts, tmp_path, capsys):
     capsys.readouterr()
 
 
+def broken_counters(obs_artifacts, tmp_path, edit):
+    trace, metrics = obs_artifacts
+    snapshot = json.loads(metrics.read_text())
+    edit(snapshot["counters"])
+    return str(trace), write(tmp_path, "metrics.json", snapshot)
+
+
+def test_obs_rejects_a_missing_counter(obs_artifacts, tmp_path, capsys):
+    args = broken_counters(
+        obs_artifacts, tmp_path, lambda c: c.pop("sp.initiated")
+    )
+    assert check_obs.main(["prog", *args]) == 1
+    assert "'sp.initiated'] missing" in capsys.readouterr().out
+
+
+def test_obs_rejects_a_switch_count_the_histogram_disagrees_with(
+    obs_artifacts, tmp_path, capsys
+):
+    def one_more(counters):
+        counters["sp.globally_complete"] += 1
+
+    args = broken_counters(obs_artifacts, tmp_path, one_more)
+    assert check_obs.main(["prog", *args]) == 1
+    assert "but sp.globally_complete is" in capsys.readouterr().out
+
+
+def test_obs_rejects_more_deliveries_than_sends(
+    obs_artifacts, tmp_path, capsys
+):
+    def inflate(counters):
+        counters["net.deliveries"] = counters["net.sends"] + 1
+
+    args = broken_counters(obs_artifacts, tmp_path, inflate)
+    assert check_obs.main(["prog", *args]) == 1
+    assert "exceeds net.sends" in capsys.readouterr().out
+
+
 # ----------------------------------------------------------------------
 # check_scale: synthetic artifact that meets the documented contract
 # ----------------------------------------------------------------------

@@ -2,25 +2,7 @@
 
 import pytest
 
-from repro.sim.monitor import Counter, Summary
-
-
-class TestCounter:
-    def test_starts_at_zero(self):
-        assert Counter().get("anything") == 0
-
-    def test_increments(self):
-        counter = Counter()
-        counter.incr("x")
-        counter.incr("x", 4)
-        assert counter.get("x") == 5
-
-    def test_as_dict_is_a_copy(self):
-        counter = Counter()
-        counter.incr("x")
-        snapshot = counter.as_dict()
-        snapshot["x"] = 99
-        assert counter.get("x") == 1
+from repro.sim.monitor import Summary
 
 
 class TestSummary:

@@ -122,8 +122,10 @@ class TestObservability:
         sim, ctx, layer, sent, delivered = make_wired(max_batch=2, bus=bus)
         for i in range(4):
             layer.send(ctx.make_message(i, 10))
-        assert bus.metrics.counter("batch.batches") == 2
-        assert bus.metrics.counter("batch.messages") == 4
+        counters = bus.metrics.counters()
+        assert counters["batch.batches"] == 2
+        assert counters["batch.batched_msgs"] == 4
+        assert counters["batch.queued"] == 4
         histogram = bus.metrics.histogram("batch.size_msgs")
         assert histogram is not None
         assert histogram.count == 2

@@ -307,12 +307,15 @@ def test_cmd_run_trace_flags_write_artifacts(monkeypatch, capsys, tmp_path):
     import json
 
     import repro.workloads.switchrun as switchrun
+    from repro.obs.metrics import Counter
 
     def fake_run(config, bus=None):
         assert bus is not None and bus.enabled
         with bus.span("switch/total", rank=0, switch=[1, 0]):
             bus.emit("token/hop", rank=0, kind="PREPARE", to=1)
-        bus.count("token.hops")
+        stats = Counter()
+        bus.scoped(0).attach("sp", stats)
+        stats.incr("initiated")
         bus.observe("switch.duration_s", 0.012)
         return fake_switchrun_result(config)
 
@@ -332,7 +335,7 @@ def test_cmd_run_trace_flags_write_artifacts(monkeypatch, capsys, tmp_path):
     assert any(r.get("ph") == "X" for r in records)
     snapshot = json.loads(metrics.read_text())
     assert snapshot["command"] == "run"
-    assert snapshot["counters"]["token.hops"] == 1
+    assert snapshot["counters"]["sp.initiated"] == 1
     assert len(events.read_text().splitlines()) == 2
 
 
@@ -358,7 +361,7 @@ def test_cmd_metrics_pretty_prints(capsys, tmp_path):
     path.write_text(json.dumps({
         "command": "run",
         "seed": 42,
-        "counters": {"token.hops": 31},
+        "counters": {"net.sends": 31},
         "gauges": {"core.buffer_depth[r1]": {"value": 2.0, "time": 1.5}},
         "histograms": {
             "switch.duration_s": {
@@ -372,7 +375,7 @@ def test_cmd_metrics_pretty_prints(capsys, tmp_path):
     out = capsys.readouterr().out
     assert code == 0
     assert "command=run" in out and "seed=42" in out
-    assert "token.hops" in out and "31" in out
+    assert "net.sends" in out and "31" in out
     assert "core.buffer_depth[r1]" in out
     assert "switch.duration_s" in out and "p99" in out
 
