@@ -5,7 +5,9 @@ completing under control-channel loss at a bounded cost.  We run the
 seeded chaos harness at increasing loss rates and record how completion
 and recovery effort scale; the oracle properties must hold at every
 point — a chaotic run that converges slowly is fine, one that wedges or
-diverges is a bug.
+diverges is a bug.  The "total order" column is Total Order over the
+whole trace of the live members: observed, not judged (see
+``ChaosResult.total_order``).
 """
 
 from repro.testing.chaos import ChaosConfig, CrashWindow, run_chaos
@@ -33,7 +35,7 @@ def test_chaos_under_control_loss(benchmark, report):
         "Chaos: FT token SP under control-channel loss (seed 42)",
         "",
         f"{'loss':>6} {'completed':>10} {'aborted':>8} {'regens':>7} "
-        f"{'retransmits':>12} {'settled':>9}",
+        f"{'retransmits':>12} {'settled':>9} {'total order':>12}",
     ]
     for loss, r in results.items():
         lines.append(
@@ -41,7 +43,8 @@ def test_chaos_under_control_loss(benchmark, report):
             f"{r.switches_aborted:>8} "
             f"{r.counters.get('regenerated_tokens', 0):>7} "
             f"{r.counters.get('hop_retransmits', 0):>12} "
-            f"{r.settle_time:>8.1f}s"
+            f"{r.settle_time:>8.1f}s "
+            f"{'holds' if r.total_order is None else 'VIOLATED':>12}"
         )
     report("chaos_loss.txt", "\n".join(lines))
 

@@ -10,10 +10,11 @@ live :class:`~repro.net.faults.FaultPlan` and base latency at each
 phase boundary.
 
 After the phases play out and the group settles, the scorer applies the
-chaos harness's correctness oracle (convergence, no duplicates,
-per-slot order agreement) *plus* the scenario's adaptation contract:
-did the group end on the expected protocol, with no more switches than
-allowed, fast enough after the drift began, without losing workload?
+session's correctness oracle (convergence, then No Replay and per-slot
+Total Order over the recorded trace) *plus* the scenario's adaptation
+contract: did the group end on the expected protocol, with no more
+switches than allowed, fast enough after the drift began, without
+losing workload?
 Switch drain cost comes from the obs bus's ``switch.duration_s``
 histogram and the latency probe's worst inter-delivery hiccup.
 
@@ -351,7 +352,7 @@ def _score(
             )
 
     casts = len(session.cast_slot)
-    delivered = {r: len(session.deliveries[r]) for r in live}
+    delivered = session.delivered(live)
     ratio = min(
         (count / casts for count in delivered.values()), default=0.0
     ) if casts else 0.0

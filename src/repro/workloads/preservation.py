@@ -120,8 +120,7 @@ def _switch_run(
         variant="broadcast",
         **switching,
     ).stacks
-    recorder = TraceRecorder(sim)
-    recorder.attach_all(stacks)
+    recorder = session.record(stacks)
     script(sim, stacks)
     sim.run_until(duration)
     return recorder, stacks
@@ -240,8 +239,7 @@ def scenario_integrity() -> ScenarioOutcome:
         stacks = session.build(
             group, specs, "macA", variant="broadcast"
         ).stacks
-        recorder = TraceRecorder(sim)
-        recorder.attach_all(stacks)
+        recorder = session.record(stacks)
         attacker_endpoint = net.attach(attacker_rank, lambda pkt: None)
 
         def inject(channel: int) -> None:
@@ -267,16 +265,10 @@ def scenario_integrity() -> ScenarioOutcome:
 
     prop = Integrity(trusted=set(range(group_size)))
     control_recorder = build_and_run(defended=False)
-    control_holds = prop.holds(control_recorder.trace())
     recorder = build_and_run(defended=True)
-    return ScenarioOutcome(
-        scenario="forgery across switch",
-        property_name=prop.name,
-        paper_ref="section 6.3",
-        expected_holds=True,
-        holds=prop.holds(recorder.trace()),
-        control_holds=control_holds,
-        explanation=prop.explain(recorder.trace()),
+    return _outcome(
+        "forgery across switch", prop, "section 6.3", True, recorder,
+        prop.holds(control_recorder.trace()),
     )
 
 
@@ -314,8 +306,7 @@ def scenario_confidentiality() -> ScenarioOutcome:
             group, specs, "confA", variant="broadcast",
             control_factory=conf_layers(lambda: [ReliableLayer()]),
         ).stacks
-        recorder = TraceRecorder(sim)
-        recorder.attach_all(stacks)
+        recorder = session.record(stacks)
 
         def sniff(packet) -> None:
             payload = packet.payload
@@ -336,16 +327,10 @@ def scenario_confidentiality() -> ScenarioOutcome:
 
     prop = Confidentiality(trusted=set(range(group_size)))
     control_recorder = build_and_run(defended=False)
-    control_holds = prop.holds(control_recorder.trace())
     recorder = build_and_run(defended=True)
-    return ScenarioOutcome(
-        scenario="eavesdropper on the wire",
-        property_name=prop.name,
-        paper_ref="section 6.3",
-        expected_holds=True,
-        holds=prop.holds(recorder.trace()),
-        control_holds=control_holds,
-        explanation=prop.explain(recorder.trace()),
+    return _outcome(
+        "eavesdropper on the wire", prop, "section 6.3", True, recorder,
+        prop.holds(control_recorder.trace()),
     )
 
 
@@ -375,14 +360,9 @@ def scenario_no_replay() -> ScenarioOutcome:
 
     control_recorder, __ = _switch_run(specs, control_script)
     prop = NoReplay()
-    return ScenarioOutcome(
-        scenario="same body across switch",
-        property_name=prop.name,
-        paper_ref="section 6.2",
-        expected_holds=False,
-        holds=prop.holds(recorder.trace()),
-        control_holds=prop.holds(control_recorder.trace()),
-        explanation=prop.explain(recorder.trace()),
+    return _outcome(
+        "same body across switch", prop, "section 6.2", False, recorder,
+        prop.holds(control_recorder.trace()),
     )
 
 
@@ -432,14 +412,9 @@ def scenario_amoeba() -> ScenarioOutcome:
         _AMOEBA_SPECS, _amoeba_script(False, []), latency=3e-3
     )
     prop = Amoeba()
-    return ScenarioOutcome(
-        scenario="unblocked sender",
-        property_name=prop.name,
-        paper_ref="sections 5.3-5.4",
-        expected_holds=False,
-        holds=prop.holds(recorder.trace()),
-        control_holds=prop.holds(control_recorder.trace()),
-        explanation=prop.explain(recorder.trace()),
+    return _outcome(
+        "unblocked sender", prop, "sections 5.3-5.4", False, recorder,
+        prop.holds(control_recorder.trace()),
     )
 
 
@@ -475,14 +450,9 @@ def scenario_prioritized_delivery() -> ScenarioOutcome:
     recorder, __ = _switch_run(specs, script(True), slow_links=slow)
     control_recorder, __ = _switch_run(specs, script(False), slow_links=slow)
     prop = PrioritizedDelivery(master)
-    return ScenarioOutcome(
-        scenario="buffered past the master",
-        property_name=prop.name,
-        paper_ref="section 5.2",
-        expected_holds=False,
-        holds=prop.holds(recorder.trace()),
-        control_holds=prop.holds(control_recorder.trace()),
-        explanation=prop.explain(recorder.trace()),
+    return _outcome(
+        "buffered past the master", prop, "section 5.2", False, recorder,
+        prop.holds(control_recorder.trace()),
     )
 
 
@@ -519,14 +489,9 @@ def scenario_virtual_synchrony() -> ScenarioOutcome:
     recorder, __ = _switch_run(specs, script(True))
     control_recorder, __ = _switch_run(specs, script(False))
     prop = VirtualSynchrony()
-    return ScenarioOutcome(
-        scenario="epoch regression",
-        property_name=prop.name,
-        paper_ref="section 6.1",
-        expected_holds=False,
-        holds=prop.holds(recorder.trace()),
-        control_holds=prop.holds(control_recorder.trace()),
-        explanation=prop.explain(recorder.trace()),
+    return _outcome(
+        "epoch regression", prop, "section 6.1", False, recorder,
+        prop.holds(control_recorder.trace()),
     )
 
 
@@ -546,9 +511,7 @@ def scenario_view_switch_preserves_vs() -> ScenarioOutcome:
         )
         for rank in group
     }
-    recorder = TraceRecorder(sim)
-    for stack in stacks.values():
-        recorder.attach(stack)
+    recorder = session.record(stacks)
     schedule = [(0.004 + 0.004 * i, i % 4, f"x{i}") for i in range(8)]
     _steady_casts(sim, stacks, schedule)
     sim.schedule_at(0.020, lambda: stacks[0].request_switch("fifoB"))
@@ -557,15 +520,7 @@ def scenario_view_switch_preserves_vs() -> ScenarioOutcome:
     sim.run_until(1.0)
     assert all(s.current_protocol == "fifoB" for s in stacks.values())
     prop = VirtualSynchrony()
-    return ScenarioOutcome(
-        scenario="view-change switching",
-        property_name=prop.name,
-        paper_ref="section 8",
-        expected_holds=True,
-        holds=prop.holds(recorder.trace()),
-        control_holds=None,
-        explanation=prop.explain(recorder.trace()),
-    )
+    return _outcome("view-change switching", prop, "section 8", True, recorder)
 
 
 # ----------------------------------------------------------------------
@@ -620,15 +575,10 @@ def scenario_blocking_sp_preserves_amoeba() -> ScenarioOutcome:
         block_sends_during_switch=True,
     )
     assert sent_second
-    prop = Amoeba()
-    return ScenarioOutcome(
-        scenario="blocking SP, waiting sender",
-        property_name=prop.name,
-        paper_ref="extension of sec 8",
-        expected_holds=True,
-        holds=prop.holds(recorder.trace()),
-        control_holds=False,  # the paper's SP violates it (scenario_amoeba)
-        explanation=prop.explain(recorder.trace()),
+    # The control is the paper's SP, which violates it (scenario_amoeba).
+    return _outcome(
+        "blocking SP, waiting sender", Amoeba(), "extension of sec 8", True,
+        recorder, False,
     )
 
 

@@ -12,9 +12,9 @@ oracle, on either
 
 The run casts Poisson traffic from every member, requests one
 sequencer→tokenring switch mid-run at the coordinator, lets the group
-settle, and then applies the chaos harness's oracle: convergence (no
-member stuck mid-switch, all on the target protocol), no duplicate
-deliveries, and per-slot delivery-order agreement.  ``repro run``
+settle, and then applies the session's oracle: convergence (no member
+stuck mid-switch, all on the target protocol), then No Replay and
+per-slot Total Order over the recorded trace.  ``repro run``
 exposes it from the command line; the parity and smoke tests drive it
 directly.
 """
@@ -201,7 +201,7 @@ def _drive(session: Session, config: SwitchRunConfig) -> SwitchRunResult:
         config=config,
         runtime=runtime.name,
         casts=len(session.cast_slot),
-        delivered={r: len(session.deliveries[r]) for r in live},
+        delivered=session.delivered(live),
         mean_ms=probe.mean_ms if has_samples else float("nan"),
         median_ms=probe.median_ms if has_samples else float("nan"),
         p90_ms=probe.quantile_ms(0.90) if has_samples else float("nan"),

@@ -7,6 +7,7 @@ the group got there.  No wall-clock sleeps anywhere — everything runs on
 the discrete-event clock.
 """
 
+import pytest
 from helpers import switch_group
 
 from repro.core.token_switch import FaultToleranceConfig
@@ -16,6 +17,8 @@ from repro.protocols.sequencer import SequencerLayer
 from repro.protocols.tokenring import TokenRingLayer
 from repro.core.switchable import ProtocolSpec
 from repro.testing.chaos import ChaosConfig, run_chaos
+from repro.traces import Trace
+from repro.workloads.session import Session
 
 
 def drop_control(kind, count=1):
@@ -97,6 +100,39 @@ def test_sustained_prepare_loss_reroutes_around_silence():
     assert result.switches_completed + result.switches_aborted >= 1
     assert result.counters.get("suspected", 0) >= 1
     assert result.counters.get("hop_reroutes", 0) >= 1
+
+
+def test_quiet_run_reports_a_missed_delivery_as_reliability(monkeypatch):
+    """No crash, abort or suspicion: every cast must reach every member,
+    and one delivery planted missing is a Reliability violation."""
+    recorded = Session.trace
+
+    def last_delivery_at_1_lost(session, live):
+        trace = recorded(session, live)
+        lost = trace.delivers_at(1)[-1]
+        return Trace(event for event in trace if event is not lost)
+
+    monkeypatch.setattr(Session, "trace", last_delivery_at_1_lost)
+    result = run_chaos(ChaosConfig(seed=1, duration=1.0))
+    assert result.switches_aborted == 0
+    assert not result.counters.get("suspected")
+    [missed] = result.violations
+    assert missed.startswith("Reliability: message ")
+    assert missed.endswith(" never delivered at [1]")
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="a false suspicion on the bare control channel splits the "
+    "members' delivery order with no abort (ROADMAP: 'A switch with a "
+    "bound: make switching under loss correct, then predictable')",
+)
+def test_no_abort_run_keeps_total_order_across_slots():
+    # bench_chaos.py's loss-0.2 point: 2 suspicions, 0 aborts, ok per slot.
+    result = run_chaos(
+        ChaosConfig(seed=42, duration=4.0, cast_rate=80.0, control_loss=0.2)
+    )
+    assert result.total_order is None, result.total_order
 
 
 def _specs():

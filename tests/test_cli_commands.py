@@ -117,7 +117,7 @@ def test_cmd_table2_exit_code_reflects_agreement(monkeypatch, capsys):
 # ----------------------------------------------------------------------
 # chaos command
 # ----------------------------------------------------------------------
-def fake_chaos_result(config, violations=()):
+def fake_chaos_result(config, violations=(), total_order=None):
     from repro.testing.chaos import ChaosResult
 
     return ChaosResult(
@@ -131,6 +131,7 @@ def fake_chaos_result(config, violations=()):
         counters={"regenerated_tokens": 3},
         timeline=[(0.1, "cast")],
         settle_time=6.5,
+        total_order=total_order,
     )
 
 
@@ -181,6 +182,24 @@ def test_cmd_chaos_violations_exit_one(monkeypatch, capsys):
     assert code == 1
     assert "VIOLATIONS" in out
     assert "duplicates" in out
+
+
+def test_cmd_chaos_whole_trace_order_is_reported_not_judged(
+    monkeypatch, capsys
+):
+    import repro.testing.chaos as chaos
+
+    split = "processes 0 and 1 disagree: 0 delivered (0, 1) where 1 delivered (1, 2)"
+    monkeypatch.setattr(
+        chaos,
+        "run_chaos",
+        lambda config, bus=None: fake_chaos_result(config, total_order=split),
+    )
+    code = cli.main(["chaos"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert f"whole-trace total order (observed): {split}" in out
+    assert "oracle: all properties hold" in out
 
 
 def test_cmd_chaos_rejects_malformed_crash_spec(capsys):

@@ -2,10 +2,11 @@
 
 There is one way to build a run: ``repro.workloads.session``.  No other
 module under ``src/repro/`` may pick a runtime by name, construct a
-network model, or construct a load generator or latency probe — the
-bootstrap, the recording and the load wiring live once.  The defining
-packages (``runtime/`` for ``make_runtime``, ``net/`` for the network
-classes) are exempt; everything else goes through ``Session``.
+network model, or construct a load generator, latency probe or trace
+recorder — the bootstrap, the recording and the load wiring live once.
+The defining packages (``runtime/`` for ``make_runtime``, ``net/`` for
+the network classes, ``traces/`` for the recorder) are exempt;
+everything else goes through ``Session``.
 
 Same shape as ``test_runtime_boundary.py``: an AST scan plus a
 guard-the-guard case.
@@ -25,10 +26,11 @@ HARNESS_CALLS = {
     "EthernetNetwork",
     "PoissonSender",
     "LatencyProbe",
+    "TraceRecorder",
 }
 
 #: Packages that define (and so may call) the names above.
-DEFINING_PACKAGES = ("runtime", "net")
+DEFINING_PACKAGES = ("runtime", "net", "traces")
 
 
 def _calls(path: Path, names):
@@ -116,7 +118,10 @@ def test_settle_and_oracle_messages_live_once():
 
 
 def test_the_scan_itself_sees_the_session():
-    # Guard the guard: the session does all of this, so an empty scan
-    # there would mean the detector is broken.
-    assert {name for __, name in _calls(SESSION, HARNESS_CALLS)} == HARNESS_CALLS
+    # Guard the guard: the session does all of this — recording the
+    # trace included — so an empty scan there would mean the detector
+    # is broken.
+    called = {name for __, name in _calls(SESSION, HARNESS_CALLS)}
+    assert "TraceRecorder" in called
+    assert called == HARNESS_CALLS
     assert list(_runtime_type_checks(SESSION))

@@ -3,7 +3,8 @@
 The runners' own suites (and ``test_harness_pins.py``) cover the happy
 path byte for byte.  These cover the edges: sockets and loop released
 when a bind fails or the run raises, settle's non-convergence report,
-and the order oracle on planted evidence.
+and the oracle's trace properties on evidence planted through the
+recorder.
 """
 
 import asyncio
@@ -99,23 +100,51 @@ def test_settle_stops_at_the_first_quiescent_window():
     assert session.settle(20, 0.25) == (0.25, [])
 
 
+def planted(*deliveries, switch_to=None):
+    """A group whose member 0 cast ``a`` and then ``b``, whose data
+    reaches no other member, with ``deliveries`` — ``(rank, body)`` —
+    planted through the recorder.  With ``switch_to``, ``b`` is cast
+    once member 0 sends on that slot, so ``a`` and ``b`` travel on
+    different slots."""
+    drop_data = FaultPlan(
+        intercept=lambda time, src, dst, channel, payload: (
+            FaultDecision(drop=True) if channel != 0 else None
+        )
+    )
+    session, stacks = recorded_group(drop_data)
+    stacks[0].cast("a")
+    if switch_to is not None:
+        stacks[0].request_switch(switch_to)
+        session.runtime.run_for(0.1)
+        assert stacks[0].core.send_slot == switch_to
+    stacks[0].cast("b")
+    sent = {e.msg.body: e.msg for e in session.recorder.trace().sends()}
+    for rank, body in deliveries:
+        session.recorder.record_deliver(rank, sent[body])
+    return session
+
+
 def test_order_oracle_flags_a_planted_duplicate_and_inversion():
-    session, stacks = recorded_group()
-    for body in ("a", "b"):
-        stacks[0].cast(body)
-    session.settle(1, 0.5)
+    in_order = [(rank, body) for rank in (0, 1, 2) for body in "ab"]
     live = [0, 1, 2]
-    first, second = session.deliveries[0]
-    assert session.check_order(live) == ({r: "seq" for r in live}, [])
+    assert planted(*in_order).check_order(live) == (
+        {r: "seq" for r in live},
+        [],
+    )
 
-    session.deliveries[1].append(second)
-    assert session.check_order(live)[1] == ["member 1 delivered 1 duplicates"]
-    session.deliveries[1].pop()
+    [replay] = planted(*in_order, (1, "b")).check_order(live)[1]
+    assert replay.startswith("No Replay: process 1 delivered body 'b' twice")
 
-    session.deliveries[2][:] = [second, first]
-    assert session.check_order(live)[1] == [
-        "members 0 and 2 disagree on slot 'seq' delivery order",
-        "members 1 and 2 disagree on slot 'seq' delivery order",
-    ]
+    inverted = in_order[:4] + [(2, "b"), (2, "a")]
+    [order] = planted(*inverted).check_order(live)[1]
+    assert order.startswith("Total Order: processes 0 and 2 disagree")
+    assert order.endswith("(slot 'seq')")
     # A crashed member is outside the oracle's remit.
-    assert session.check_order([0, 1])[1] == []
+    assert planted(*inverted).check_order([0, 1])[1] == []
+    # Messages cast on different slots may interleave differently after
+    # an abort: the projection judges each slot on its own.
+    across = planted(
+        (1, "a"), (1, "b"), (2, "b"), (2, "a"), switch_to=SLOTS[1]
+    )
+    assert sorted(across.cast_slot.values()) == list(SLOTS)
+    assert across.check_order([1, 2])[1] == []
