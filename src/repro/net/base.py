@@ -113,9 +113,12 @@ class Network(ABC):
         and counts it under ``dead_letters``; the Ethernet model checks
         when the frame leaves the wire and skips the node, so only a
         copy already past that point (in propagation or the host's CPU
-        queue) reaches the unattached sentinel and raises; UDP delivers
-        whatever the socket still holds, and that raises too.  Teardown
-        that cannot tolerate either should drain first.
+        queue) reaches the unattached sentinel and raises.  A copy
+        already in a host's CPU queue still raises at delivery, and the
+        rest of its batch (the frame's other copies whose CPUs finish it
+        at the same instant) is not delivered.  UDP delivers whatever
+        the socket still holds, and that raises too.  Teardown that
+        cannot tolerate either should drain first.
         """
         self._check_node(node)
         if not self._attached[node]:

@@ -9,6 +9,9 @@ effects that shape Figure 2:
    sent or received.  Each host has a FIFO CPU queue: packet sends and
    receives are serialized through it, so a host that handles many packets
    (the sequencer!) builds a queue and its latency grows with load.
+   The receivers whose CPUs finish one frame at the same instant share
+   one completion event; a host still busy when the frame lands gets
+   its own, later one.
 2. **Wire serialization.**  The 10 Mbit medium is a single shared resource;
    a 1 KB frame occupies it for ~0.8 ms.  Transmissions queue FIFO for the
    medium (an adequate stand-in for CSMA/CD under the moderate loads of
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 from ..errors import NetworkError
 from ..runtime.api import Runtime
@@ -77,9 +80,11 @@ class EthernetParams:
 class HostCpu:
     """A FIFO single-server queue modelling one host's processor.
 
-    ``run(duration, then)`` enqueues ``duration`` seconds of work; ``then``
-    fires when that work completes.  Work is processed in submission order,
-    one piece at a time — this is what makes the sequencer saturate.
+    ``reserve(duration)`` books ``duration`` seconds of work and returns
+    the instant it completes; ``run(duration, then)`` is ``reserve`` plus
+    a timer that fires ``then`` at that instant.  Work is processed in
+    submission order, one piece at a time — this is what makes the
+    sequencer saturate.
     """
 
     def __init__(self, runtime: Runtime, node: int) -> None:
@@ -88,24 +93,31 @@ class HostCpu:
         self._busy_until = 0.0
         self.busy_time = 0.0
 
-    def run(self, duration: float, then: Callable[[], None]) -> float:
-        """Queue ``duration`` seconds of CPU work; returns completion time.
+    def reserve(self, duration: float) -> float:
+        """Book ``duration`` seconds of CPU work; returns completion time.
 
-        Zero-duration work does not queue: it completes at the current
-        instant (modelling work handled off the protocol-processing
-        path), keeping zero-cost configurations free of artificial
+        Nothing is scheduled: the caller arms whatever fires at the
+        returned instant (the Ethernet model shares one timer among the
+        receivers of a frame that finish it together).  Zero-duration
+        work does not queue: it completes at the current instant
+        (modelling work handled off the protocol-processing path),
+        keeping zero-cost configurations free of artificial
         serialization.
         """
         if duration < 0:
             raise NetworkError(f"negative CPU work: {duration}")
+        now = self.runtime.now
         if duration == 0:
-            done = self.runtime.now
-            self.runtime.schedule_at(done, then)
-            return done
-        start = max(self.runtime.now, self._busy_until)
-        done = start + duration
+            return now
+        done = max(now, self._busy_until) + duration
         self._busy_until = done
         self.busy_time += duration
+        return done
+
+    def run(self, duration: float, then: Callable[[], None]) -> float:
+        """Queue ``duration`` seconds of CPU work; ``then`` fires when it
+        completes.  Returns the completion time (see :meth:`reserve`)."""
+        done = self.reserve(duration)
         self.runtime.schedule_at(done, then)
         return done
 
@@ -261,25 +273,46 @@ class EthernetNetwork(Network):
             self._schedule_receive(together, params.propagation)
 
     def _schedule_receive(self, packets: List[Packet], delay: float) -> None:
-        """After ``delay``, queue each packet on its destination's CPU."""
+        """After ``delay``, queue each packet on its destination's CPU.
+
+        Receivers whose CPUs finish the packets at the same instant share
+        one delivery event.  Every completion one arrival books would
+        otherwise get a consecutive sequence number, so same-instant ones
+        sit next to each other in ``(time, seq)`` order and nothing can
+        fire between them: one event per distinct instant, delivering in
+        packet order, fires the same deliveries in the same order.
+        """
 
         def arrive() -> None:
             cpu_recv = self.params.cpu_recv
+            cpus = self.cpus
+            batches: Dict[float, List[Packet]] = {}
             for packet in packets:
-                self.cpus[packet.dst].run(
-                    cpu_recv, partial(self._count_and_deliver, packet)
-                )
+                done = cpus[packet.dst].reserve(cpu_recv)
+                batch = batches.get(done)
+                if batch is None:
+                    batches[done] = [packet]
+                else:
+                    batch.append(packet)
+            schedule_at = self.runtime.schedule_at
+            for done, batch in batches.items():
+                schedule_at(done, partial(self._deliver_batch, batch))
 
         if delay > 0:
             self.runtime.schedule(delay, arrive)
         else:
             arrive()
 
-    def _count_and_deliver(self, packet: Packet) -> None:
+    def _deliver_batch(self, packets: List[Packet]) -> None:
         # Counted here — after propagation and the dst CPU queue — so the
-        # delivery counters agree with traces even under backlog.
-        self.stats.incr("deliveries")
-        self._receivers[packet.dst](packet)
+        # delivery counters agree with traces even under backlog.  A
+        # receiver that raises (its node detached while the copy was
+        # queued) ends the batch: the rest of it is not delivered.
+        stats = self.stats
+        receivers = self._receivers
+        for packet in packets:
+            stats.incr("deliveries")
+            receivers[packet.dst](packet)
 
 
 class EthernetEndpoint(Endpoint):
