@@ -26,7 +26,7 @@ from repro.stack.stack import build_group
 
 
 def test_engine_event_throughput(benchmark):
-    """Schedule+fire throughput of the event wheel."""
+    """Schedule+fire throughput of the event queue."""
     benchmark.extra_info["runtime"] = "engine"
 
     def run():
@@ -87,7 +87,7 @@ def test_engine_cancellation_churn(benchmark):
                 armed.cancel()
             armed = sim.schedule(1000.0 + i * 1e-6, lambda: None)
             polled += sim.pending()
-        # The wheel stayed bounded: all but the final timer were cancelled
+        # The heap stayed bounded: all but the final timer were cancelled
         # and compaction reclaimed the dead entries.
         assert sim.footprint() < 20_000
         assert sim.pending() == 1

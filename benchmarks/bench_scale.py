@@ -26,11 +26,9 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_scale.py --quick    # CI smoke
     PYTHONPATH=src python benchmarks/bench_scale.py --out my.json
 
-Exit code 0 when the acceptance criteria hold — batched sequencer
-throughput >= 2x unbatched at the largest swept group >= 50, and the
-timer-wheel engine delivers a measured wall-clock uplift (identical
-simulated results, >= 1.02x delivered-msgs per wall second) over the
-frozen heap engine at the largest swept group — 1 when either fails.
+Exit code 0 when the acceptance criterion holds — batched sequencer
+throughput >= 2x unbatched at the largest swept group >= 50 — 1 when it
+fails.
 """
 
 from __future__ import annotations
@@ -39,17 +37,9 @@ import argparse
 import json
 import os
 import sys
-import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-# The frozen heap engine is a test reference and lives beside the
-# differential test that replays it; the engine-uplift A/B borrows it.
-sys.path.insert(0, os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests", "sim"
-))
-
-from _heap_reference import HeapSimulator  # noqa: E402
 from repro.core.switchable import ProtocolSpec, build_switch_group
 from repro.net.ethernet import EthernetNetwork, EthernetParams
 from repro.protocols.sequencer import SequencerLayer
@@ -149,9 +139,9 @@ def _batching_totals(layers) -> Dict[str, float]:
 
 
 def run_point(protocol: str, group_size: int, max_batch: int,
-              cfg: ScaleConfig, runtime_factory=SimRuntime) -> dict:
+              cfg: ScaleConfig) -> dict:
     """One sweep point: fixed offered load, measure delivered throughput."""
-    runtime = runtime_factory()
+    runtime = SimRuntime()
     streams = RandomStreams(scale_point_seed(cfg.seed, group_size, max_batch))
     network = EthernetNetwork(runtime, group_size, EthernetParams(), rng=streams)
     group = Group.of_size(group_size)
@@ -273,59 +263,6 @@ def run_switch_point(max_batch: int, cfg: ScaleConfig) -> dict:
     }
 
 
-def run_engine_uplift(cfg: ScaleConfig, reps: int = 5) -> dict:
-    """Wall-clock A/B of the timer-wheel engine against the frozen heap.
-
-    Replays the largest-group unbatched sequencer cell on the current
-    engine and on the pre-wheel heap reference
-    (``tests/sim/_heap_reference.py``), best-of-``reps`` per side with
-    the reps *interleaved* (and the collector drained before each) so
-    clock drift or garbage left over from the main sweep lands on both
-    engines instead of biasing whichever ran second.  Simulated results must be identical — the
-    wheel is a pure engine swap — so the only thing allowed to move is
-    how many delivered (simulated) messages one wall-clock second buys.
-    Bar: >= 1.02x (typically 1.1-1.3x at n=100; pinned low so noisy CI
-    runners cannot flake the gate).
-    """
-    import gc
-
-    size = max(cfg.group_sizes)
-
-    def timed(factory):
-        gc.collect()
-        start = time.perf_counter()
-        point = run_point("sequencer", size, 1, cfg,
-                          runtime_factory=factory)
-        return point, time.perf_counter() - start
-
-    wheel_wall = heap_wall = float("inf")
-    wheel_point = heap_point = None
-    for __ in range(reps):
-        wheel_point, wall = timed(SimRuntime)
-        wheel_wall = min(wheel_wall, wall)
-        heap_point, wall = timed(lambda: SimRuntime(HeapSimulator()))
-        heap_wall = min(heap_wall, wall)
-    parity = wheel_point == heap_point
-    window = cfg.duration - cfg.warmup
-    delivered_total = wheel_point["delivered_msgs_per_s"] * window * size
-    speedup = heap_wall / wheel_wall
-    return {
-        "group_size": size,
-        "protocol": "sequencer",
-        "max_batch": 1,
-        "reps": reps,
-        "deterministic_parity": parity,
-        "delivered_msgs_per_s": wheel_point["delivered_msgs_per_s"],
-        "heap_wall_s": round(heap_wall, 4),
-        "wheel_wall_s": round(wheel_wall, 4),
-        "heap_delivered_per_wall_s": round(delivered_total / heap_wall, 1),
-        "wheel_delivered_per_wall_s": round(delivered_total / wheel_wall, 1),
-        "speedup": round(speedup, 3),
-        "threshold": 1.02,
-        "pass": parity and speedup >= 1.02,
-    }
-
-
 def evaluate_acceptance(points: List[dict]) -> dict:
     """Batched vs. unbatched sequencer at the largest group >= 50."""
     eligible = [
@@ -410,8 +347,6 @@ def main(argv=None) -> int:
         cfg.batch_sizes = [int(b) for b in args.batches.split(",")]
     out = args.out
     if out is None:
-        import os
-
         out = os.path.join(
             os.path.dirname(os.path.abspath(__file__)), "results", "scale.json"
         )
@@ -436,15 +371,6 @@ def main(argv=None) -> int:
             flush=True,
         )
 
-    uplift = run_engine_uplift(cfg)
-    print(
-        f"engine     n={uplift['group_size']:<4} wheel "
-        f"{uplift['wheel_delivered_per_wall_s']}/wall-s vs heap "
-        f"{uplift['heap_delivered_per_wall_s']}/wall-s -> "
-        f"{uplift['speedup']}x (parity={uplift['deterministic_parity']})",
-        flush=True,
-    )
-
     verdict = evaluate_acceptance(points)
     artifact = {
         "benchmark": "bench_scale",
@@ -464,7 +390,6 @@ def main(argv=None) -> int:
         },
         "points": points,
         "switch_runs": switch_runs,
-        "engine_uplift": uplift,
         "acceptance": verdict,
     }
     with open(out, "w") as handle:
@@ -482,12 +407,7 @@ def main(argv=None) -> int:
         f"{verdict['best_max_batch']} -> {verdict['speedup']}x "
         f"({'PASS' if verdict['pass'] else 'FAIL'})"
     )
-    print(
-        f"engine uplift: {uplift['speedup']}x wall-clock over the heap "
-        f"engine at n={uplift['group_size']} "
-        f"({'PASS' if uplift['pass'] else 'FAIL'})"
-    )
-    return 0 if verdict["pass"] and uplift["pass"] else 1
+    return 0 if verdict["pass"] else 1
 
 
 if __name__ == "__main__":

@@ -66,6 +66,8 @@ def _number(value: Any, where: str, minimum: Optional[float] = None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{where}: expected a number, got {value!r}")
     value = float(value)
+    if value != value:  # JSON's NaN literal parses to a float
+        raise ScenarioError(f"{where}: expected a number, got NaN")
     if minimum is not None and value < minimum:
         raise ScenarioError(f"{where}: must be >= {minimum}, got {value}")
     return value

@@ -98,6 +98,9 @@ def mutated(**overrides):
         (lambda d: d["phases"][0]["workload"].update(senders=9),
          r"senders: must be an int in \[1, 4\]"),
         (lambda d: d["phases"][0].update(duration=0), "must be >="),
+        # NaN passes every ``<`` bound check; JSON's NaN literal parses to it.
+        (lambda d: d["phases"][0].update(duration=float("nan")),
+         r"phases\[0\]\.duration: expected a number, got NaN"),
         (lambda d: d["phases"][1]["net"].update(loss=1.0), "must be < 1.0"),
         (lambda d: d["expect"].update(protocol="udp"),
          "protocol: must be one of"),

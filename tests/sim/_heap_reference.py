@@ -1,14 +1,12 @@
 """Frozen binary-heap event engine, kept as a differential reference.
 
-This is the pre-wheel :class:`~repro.sim.engine.Simulator` (binary heap
-with counted lazy cancellation and compaction), preserved verbatim so
-that
-
-* ``test_engine_differential.py`` can replay identical random
-  schedule/cancel/reschedule workloads on both engines and assert
-  bit-identical firing order and ``pending()`` counts, and
-* ``benchmarks/bench_scale.py``'s engine-uplift section can measure the
-  hashed timer wheel against exactly the implementation it replaced.
+This is :class:`~repro.sim.engine.Simulator` in its plainest form
+(binary heap with counted lazy cancellation and compaction, no inlined
+fast paths, no fused drain loop), preserved verbatim so that
+``test_engine_differential.py`` can replay identical random
+schedule/cancel/reschedule workloads on both engines and assert
+bit-identical firing order and ``pending()`` counts.  Nothing outside
+the tests imports it.
 
 Do not "fix" or optimize this file — its value is that it does not move.
 """

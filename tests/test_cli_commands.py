@@ -220,6 +220,18 @@ def test_cmd_chaos_rejects_invalid_config_cleanly(capsys):
     assert "two members alive" in out
 
 
+def test_cmd_chaos_rejects_a_nan_crash_time(capsys):
+    # float("nan") parses; the timeline must refuse it rather than run
+    # the storm without the crash.
+    code = cli.main(
+        ["chaos", "--seed", "7", "--duration", "2", "--crash", "2:nan"]
+    )
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "bad chaos configuration" in out
+    assert "oracle" not in out
+
+
 def test_cmd_chaos_rejects_invalid_loss_rate_cleanly(capsys):
     code = cli.main(["chaos", "--control-loss", "1.0"])
     out = capsys.readouterr().out
