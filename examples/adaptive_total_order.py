@@ -15,17 +15,17 @@ Run:  python examples/adaptive_total_order.py
 
 from repro import Simulator
 from repro.core import (
-    ActivityMonitor,
     AdaptiveController,
     HysteresisOracle,
     ProtocolSpec,
+    SignalTracker,
     build_switch_group,
 )
 from repro.net import EthernetNetwork, EthernetParams
 from repro.protocols import SequencerLayer, TokenRingLayer
 from repro.sim import RandomStreams
 from repro.stack import Group
-from repro.workloads import LatencyProbe, PoissonSender
+from repro.workloads import LatencyProbe, Payload, PoissonSender
 
 GROUP_SIZE = 10
 RATE = 50.0  # msgs/sec per active sender, as in the paper
@@ -59,10 +59,15 @@ def main() -> None:
 
     # The adaptive loop lives at the coordinator.
     manager = stacks[group.coordinator]
-    monitor = ActivityMonitor(sim, window=0.5)
-    manager.on_deliver(monitor.observe)
+    tracker = SignalTracker(sim, window=0.5)
+
+    def observe(msg):
+        latency = sim.now - Payload.read(msg.body).sent_at
+        tracker.record_delivery(msg.sender, latency)
+
+    manager.on_deliver(observe)
     oracle = HysteresisOracle(
-        metric=monitor.active_senders,
+        metric=tracker.delivering_senders,
         low_threshold=4.5,
         high_threshold=5.5,
         low_protocol="sequencer",

@@ -8,7 +8,7 @@ surroundings.
   rotations: PREPARE, SWITCH, FLUSH).
 * :mod:`repro.core.switchable` — per-process assembly (Figure 1).
 * :mod:`repro.core.oracle` / :mod:`repro.core.hybrid` /
-  :mod:`repro.core.stats` — when-to-switch policies and their inputs.
+  :mod:`repro.core.signals` — when-to-switch policies and their inputs.
 * :mod:`repro.core.view_switch` — the §8 virtually-synchronous switching
   extension.
 """
@@ -24,7 +24,7 @@ from .oracle import (
     ScheduledOracle,
     ThresholdOracle,
 )
-from .stats import ActivityMonitor
+from .signals import SignalTracker
 from .switch import BroadcastSwitchProtocol
 from .switchable import (
     GroupHandle,
@@ -57,7 +57,7 @@ __all__ = [
     "Oracle",
     "ScheduledOracle",
     "ThresholdOracle",
-    "ActivityMonitor",
+    "SignalTracker",
     "BroadcastSwitchProtocol",
     "GroupHandle",
     "ProtocolSpec",

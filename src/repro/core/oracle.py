@@ -54,7 +54,7 @@ class ThresholdOracle(Oracle):
 
     Args:
         metric: zero-argument callable returning the current load signal
-            (e.g. ``ActivityMonitor.active_senders``).
+            (e.g. ``SignalTracker.delivering_senders``).
         threshold: values strictly above select ``high_protocol``.
         low_protocol / high_protocol: protocol names per regime.
     """

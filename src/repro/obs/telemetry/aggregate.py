@@ -47,6 +47,7 @@ from typing import (
 )
 
 from ...errors import TelemetryError
+from ...sim.monitor import quantile
 from ..bus import Bus
 from .recorder import FlightRecorder
 from .slo import SLOEngine, SLOTarget
@@ -60,14 +61,6 @@ __all__ = ["WINDOW_SAMPLE_CAP", "TelemetryConfig", "TelemetryPlane"]
 #: window's quantile estimate.
 WINDOW_SAMPLE_CAP = 4096
 
-
-def _quantile(ordered: List[float], q: float) -> float:
-    """Exact quantile of an already-sorted sample list (len >= 2)."""
-    position = q * (len(ordered) - 1)
-    low = int(position)
-    high = min(low + 1, len(ordered) - 1)
-    fraction = position - low
-    return ordered[low] * (1.0 - fraction) + ordered[high] * fraction
 
 #: Escalation-record storage cap: latching fleets record at most one
 #: per group, so hitting this means a flapping oracle, not normal load.
@@ -405,8 +398,8 @@ class TelemetryPlane:
         # same contract as Histogram.quantile.
         if len(samples) >= 2:
             samples.sort()
-            p50: Optional[float] = _quantile(samples, 0.50) * 1e3
-            p99: Optional[float] = _quantile(samples, 0.99) * 1e3
+            p50: Optional[float] = quantile(samples, 0.50) * 1e3
+            p99: Optional[float] = quantile(samples, 0.99) * 1e3
         else:
             p50 = p99 = None
         window: Dict[str, Any] = {

@@ -12,7 +12,6 @@ sweeps the catalog.  See ``docs/SCENARIOS.md``.
 """
 
 from .runner import ScenarioVerdict, run_scenario
-from .signals import SignalTracker
 from .spec import (
     ExpectSpec,
     GroupSpec,
@@ -35,7 +34,6 @@ __all__ = [
     "ScenarioSpec",
     "ScenarioVerdict",
     "SettleSpec",
-    "SignalTracker",
     "catalog_dir",
     "load_catalog",
     "load_scenario",

@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.hybrid import AdaptiveController
 from ..core.oracle import HysteresisOracle
+from ..core.signals import SignalTracker
 from ..core.token_switch import FaultToleranceConfig
 from ..errors import ScenarioError
 from ..net.faults import FaultPlan
@@ -38,7 +39,6 @@ from ..stack.membership import Group
 from ..workloads.generator import Payload
 from ..workloads.latency import LatencyProbe
 from ..workloads.session import Session, total_order_specs
-from .signals import SignalTracker
 from .spec import PhaseSpec, ScenarioSpec
 
 __all__ = [
@@ -239,7 +239,7 @@ def _drive(session: Session, spec: ScenarioSpec) -> ScenarioVerdict:
         if payload is not None:
             now = runtime.now
             observer_deliveries.append(now)
-            tracker.record_delivery(now - payload.sent_at)
+            tracker.record_delivery(msg.sender, now - payload.sent_at)
 
     stacks[observer].on_deliver(observe)
 

@@ -24,6 +24,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..core.signals import SIGNALS
 from ..errors import ScenarioError
 
 __all__ = [
@@ -45,15 +46,6 @@ PROTOCOLS = ("sequencer", "tokenring")
 
 #: Runtimes a scenario may declare.
 RUNTIMES = ("sim", "asyncio")
-
-#: Oracle signals the tracker can compute (see scenarios/signals.py).
-SIGNALS = (
-    "active_senders",
-    "offered_rate",
-    "delivered_rate",
-    "delivery_latency_ms",
-    "loss_ratio",
-)
 
 
 def _require(mapping: Mapping[str, Any], key: str, where: str) -> Any:

@@ -1,43 +1,13 @@
-"""Unit tests for oracle inputs (ActivityMonitor) and the adaptive
-controller."""
+"""Unit tests for the adaptive controller."""
 
 import pytest
 
 from helpers import switch_group
 from repro.core.hybrid import AdaptiveController
 from repro.core.oracle import ManualOracle, ScheduledOracle
-from repro.core.stats import ActivityMonitor
 from repro.core.switchable import ProtocolSpec
 from repro.errors import SwitchError
 from repro.protocols.fifo import FifoLayer
-from repro.sim.engine import Simulator
-from repro.stack.message import Message
-
-
-def make_msg(sender):
-    return Message(sender=sender, mid=(sender, 0), body="x", body_size=1)
-
-
-class TestActivityMonitor:
-    def test_counts_distinct_senders_in_window(self):
-        sim = Simulator()
-        monitor = ActivityMonitor(sim, window=1.0)
-        monitor.observe(make_msg(1))
-        monitor.observe(make_msg(2))
-        monitor.observe(make_msg(1))
-        assert monitor.active_senders() == 2
-
-    def test_window_expiry(self):
-        sim = Simulator()
-        monitor = ActivityMonitor(sim, window=0.5)
-        monitor.observe(make_msg(1))
-        sim.run_until(1.0)
-        monitor.observe(make_msg(2))
-        assert monitor.active_senders() == 1
-
-    def test_window_validation(self):
-        with pytest.raises(ValueError):
-            ActivityMonitor(Simulator(), window=0)
 
 
 def specs():

@@ -3,7 +3,7 @@ substrate, exercised at test scale."""
 
 import pytest
 
-from repro.core.stats import ActivityMonitor
+from repro.core.signals import SignalTracker
 from repro.core.switchable import ProtocolSpec, build_switch_group
 from repro.net.ethernet import EthernetNetwork, EthernetParams
 from repro.protocols.reliable import ReliableLayer
@@ -102,10 +102,12 @@ def test_ethernet_loss_with_reliable_layer():
         assert sorted(got[rank]) == list(range(20))
 
 
-def test_activity_monitor_tracks_workload_phase():
+def test_delivering_senders_tracks_workload_phase():
     sim, net, stacks = ethernet_group(6, lambda r: [])
-    monitor = ActivityMonitor(sim, window=0.4)
-    stacks[0].on_deliver(monitor.observe)
+    tracker = SignalTracker(sim, window=0.4)
+    stacks[0].on_deliver(
+        lambda msg: tracker.record_delivery(msg.sender, 0.0)
+    )
     streams = RandomStreams(5)
     for rank in range(4):
         PoissonSender(
@@ -113,9 +115,9 @@ def test_activity_monitor_tracks_workload_phase():
             stop=1.0,
         ).start()
     sim.run_until(0.9)
-    assert monitor.active_senders() == 4
+    assert tracker.delivering_senders() == 4
     sim.run_until(2.5)
-    assert monitor.active_senders() == 0
+    assert tracker.delivering_senders() == 0
 
 
 def test_wire_utilization_reflects_load():
