@@ -19,7 +19,9 @@ from repro.net.faults import FaultDecision, FaultPlan
 from repro.protocols.reliable import ReliableLayer
 from repro.protocols.sequencer import SequencerLayer
 from repro.protocols.tokenring import TokenRingLayer
+from repro.stack.membership import Group
 from repro.stack.message import Message
+from repro.workloads.session import Session, total_order_specs
 
 FT_FAST = FaultToleranceConfig(
     hop_timeout=0.01,
@@ -96,6 +98,43 @@ class TestFaultFreeParity:
             assert stats.get("regenerated_tokens") == 0
         assert log.all_agree()
         assert len(log.mids(0)) == 2
+
+    def test_ten_switches_under_load_do_no_repair_work(self):
+        """Back-to-back switches in one token generation, no fault plan:
+        every switch completes and no repair branch ever fires."""
+        slots = ("seq", "tok")
+        group = Group.of_size(10)
+        session = Session(10, seed=5)
+        handle = session.build(
+            group,
+            total_order_specs(slots),
+            slots[0],
+            token_interval=0.005,
+            fault_tolerance=FaultToleranceConfig(),
+        )
+        stacks = handle.stacks
+        completed = []
+        stacks[group.coordinator].protocol.on_global_complete(
+            lambda switch_id, duration: completed.append(switch_id)
+        )
+        session.load(stacks.values(), 50.0, 64)
+        for k in range(1, 11):
+            session.runtime.schedule_at(
+                float(k), lambda k=k: handle.request_switch(slots[k % 2])
+            )
+        session.run(10.5)
+        assert len(completed) == 10
+        repairs = {
+            name: sum(s.protocol.stats.get(name) for s in stacks.values())
+            for name in (
+                "stalls_detected",
+                "regenerated_tokens",
+                "duplicate_tokens",
+                "normal_preempted",
+                "switches_aborted",
+            )
+        }
+        assert repairs == dict.fromkeys(repairs, 0)
 
 
 class TestWedgeFix:

@@ -121,12 +121,6 @@ def test_quiet_run_reports_a_missed_delivery_as_reliability(monkeypatch):
     assert missed.endswith(" never delivered at [1]")
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="a false suspicion on the bare control channel splits the "
-    "members' delivery order with no abort (ROADMAP: 'A switch with a "
-    "bound: make switching under loss correct, then predictable')",
-)
 def test_no_abort_run_keeps_total_order_across_slots():
     # bench_chaos.py's loss-0.2 point: 2 suspicions, 0 aborts, ok per slot.
     result = run_chaos(
