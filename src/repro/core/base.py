@@ -418,13 +418,3 @@ class SwitchCore:
             self._buffer = [(s, m) for s, m in self._buffer if s != old]
             for slot_name, msg in flushable:
                 self._deliver(slot_name, msg)
-
-    def is_drained_of(self, slot_name: str) -> bool:
-        """Testing hook: nothing owed from ``slot_name`` per the vector."""
-        if self.vector is None or slot_name != self.old:
-            return self.mode is SwitchMode.NORMAL
-        delivered = self.delivered[slot_name]
-        return all(
-            delivered.get(member, 0) >= count
-            for member, count in self.vector.items()
-        )

@@ -64,7 +64,3 @@ class AmoebaLayer(Layer):
     @property
     def blocked_count(self) -> int:
         return len(self._queue)
-
-    @property
-    def awaiting_own(self) -> bool:
-        return self._outstanding is not None
