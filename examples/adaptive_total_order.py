@@ -19,7 +19,7 @@ from repro.core import (
     HysteresisOracle,
     ProtocolSpec,
     SignalTracker,
-    build_switch_group,
+    build_group_handle,
 )
 from repro.net import EthernetNetwork, EthernetParams
 from repro.protocols import SequencerLayer, TokenRingLayer
@@ -53,9 +53,10 @@ def main() -> None:
         ),
         ProtocolSpec("token", lambda rank: [TokenRingLayer()]),
     ]
-    stacks = build_switch_group(
+    handle = build_group_handle(
         sim, network, group, protocols, initial="sequencer"
     )
+    stacks = handle.stacks
 
     # The adaptive loop lives at the coordinator.
     manager = stacks[group.coordinator]
@@ -74,8 +75,9 @@ def main() -> None:
         high_protocol="token",
         min_dwell=0.5,
     )
-    controller = AdaptiveController(manager, oracle, poll_interval=0.1)
-    controller.start()
+    controller = AdaptiveController()
+    controller.watch(handle, oracle)
+    controller.start(sim, 0.1)
 
     probe = LatencyProbe(sim, warmup=0.5)
     probe.attach_all(stacks)
@@ -111,7 +113,7 @@ def main() -> None:
     for decision in controller.decisions:
         print(
             f"  t={decision.time:6.2f}s  "
-            f"{decision.from_protocol} -> {decision.to_protocol}"
+            f"{decision.current} -> {decision.target}"
         )
     print()
     print("Cumulative mean latency at phase boundaries:")

@@ -14,7 +14,7 @@ duplicated, nothing restarts.
 Run:  python examples/online_upgrade.py
 """
 
-from repro import ProtocolSpec, Simulator, build_switch_group
+from repro import ProtocolSpec, Simulator, build_group_handle
 from repro.core import AdaptiveController, ScheduledOracle
 from repro.net import FaultPlan, PointToPointNetwork
 from repro.protocols import ReliableConfig, ReliableLayer
@@ -47,9 +47,10 @@ def main() -> None:
             lambda rank: [ReliableLayer(ReliableConfig(tick_interval=0.010))],
         ),
     ]
-    stacks = build_switch_group(
+    handle = build_group_handle(
         sim, network, group, protocols, initial="reliable-v1"
     )
+    stacks = handle.stacks
 
     deliveries = {rank: [] for rank in group}
     for rank, stack in stacks.items():
@@ -59,8 +60,9 @@ def main() -> None:
 
     # The maintenance window: swap protocols at t=1.0 s.
     oracle = ScheduledOracle([(UPGRADE_AT, "reliable-v2")])
-    controller = AdaptiveController(stacks[0], oracle, poll_interval=0.05)
-    controller.start()
+    controller = AdaptiveController()
+    controller.watch(handle, oracle)
+    controller.start(sim, 0.05)
 
     # A continuous application workload across the upgrade.
     for i in range(MESSAGES):
@@ -72,7 +74,7 @@ def main() -> None:
 
     upgraded = [s.current_protocol for s in stacks.values()]
     print(f"protocol at every member after t={UPGRADE_AT}s window: {set(upgraded)}")
-    print(f"oracle decisions: {[(d.time, d.to_protocol) for d in controller.decisions]}")
+    print(f"oracle decisions: {[(d.time, d.target) for d in controller.decisions]}")
 
     for rank in group:
         got = sorted(deliveries[rank])

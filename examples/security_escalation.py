@@ -15,7 +15,7 @@ messages.
 Run:  python examples/security_escalation.py
 """
 
-from repro import ProtocolSpec, Simulator, build_switch_group
+from repro import ProtocolSpec, Simulator, build_group_handle
 from repro.core import AdaptiveController, ManualOracle
 from repro.net import EthernetNetwork, EthernetParams
 from repro.protocols import (
@@ -45,7 +45,8 @@ def main() -> None:
             lambda rank: [IntegrityLayer(key), ConfidentialityLayer(key)],
         ),
     ]
-    stacks = build_switch_group(sim, network, group, protocols, initial="plain")
+    handle = build_group_handle(sim, network, group, protocols, initial="plain")
+    stacks = handle.stacks
 
     deliveries = {rank: [] for rank in group}
     for rank, stack in stacks.items():
@@ -67,8 +68,9 @@ def main() -> None:
 
     # The intrusion detector: a manual oracle the operator can fire.
     oracle = ManualOracle()
-    controller = AdaptiveController(stacks[0], oracle, poll_interval=0.02)
-    controller.start()
+    controller = AdaptiveController()
+    controller.watch(handle, oracle)
+    controller.start(sim, 0.02)
     sim.schedule_at(
         INTRUSION_DETECTED_AT, lambda: oracle.escalate("secure")
     )

@@ -5,7 +5,8 @@ WARGC/ICDCS 2001).
 The package provides:
 
 * :mod:`repro.core` — the switching protocol (broadcast and token-ring
-  variants), oracles, and the adaptive hybrid;
+  variants), oracles, and the decision loop that drives them (the
+  adaptive hybrid is one group under it);
 * :mod:`repro.traces` — the paper's trace theory: Table 1 properties,
   the six meta-properties, and mechanical Table 2 verification;
 * :mod:`repro.protocols` — the group-communication protocol suite

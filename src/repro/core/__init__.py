@@ -7,17 +7,19 @@ surroundings.
 * :mod:`repro.core.token_switch` — the token-ring SP variant (three
   rotations: PREPARE, SWITCH, FLUSH).
 * :mod:`repro.core.switchable` — per-process assembly (Figure 1).
-* :mod:`repro.core.oracle` / :mod:`repro.core.hybrid` /
-  :mod:`repro.core.signals` — when-to-switch policies and their inputs.
+* :mod:`repro.core.oracle` / :mod:`repro.core.signals` — when-to-switch
+  policies, their inputs, and the one decision loop
+  (:class:`AdaptiveController`) that turns them into switch requests.
 * :mod:`repro.core.view_switch` — the §8 virtually-synchronous switching
   extension.
 """
 
 from .base import ProtocolSlot, SwitchAborted, SwitchCore, SwitchMode
 from .channel import ChannelEnd, SwitchableChannel
-from .hybrid import AdaptiveController, SwitchDecision
 from .oracle import (
+    AdaptiveController,
     CompositeOracle,
+    DecisionRecord,
     HysteresisOracle,
     ManualOracle,
     Oracle,
@@ -50,7 +52,7 @@ __all__ = [
     "ChannelEnd",
     "SwitchableChannel",
     "AdaptiveController",
-    "SwitchDecision",
+    "DecisionRecord",
     "CompositeOracle",
     "HysteresisOracle",
     "ManualOracle",

@@ -4,9 +4,9 @@ One manager per process.  It owns the per-node :class:`NodePort`\\ s
 (creating each lazily on a group's first use of that node), allocates
 group ids, builds :class:`~repro.core.switchable.GroupHandle`\\ s over
 the shared ports, and walks groups through their lifecycle.  Wired with
-a :class:`~repro.core.oracle.FleetOracle` it also runs the adaptive
-loop: a repeating poll asks the oracle for per-group decisions and
-forwards each one to the group's coordinator as a switch request.
+a :class:`~repro.core.oracle.FleetOracle` — the one decision loop — it
+has the oracle watch every group it creates and start and stop polling
+on the manager's runtime.
 """
 
 from __future__ import annotations
@@ -61,8 +61,6 @@ class GroupManager:
         self._obs.attach("manager", self.stats)
         self._next_group_id = 1
         self._sequencers: Dict[int, int] = {}  # group id -> assigned rank
-        self._polling = False
-        self._poll_timer = None
         self._torn_down: set = set()
         self._teardown_callbacks: list = []
 
@@ -131,7 +129,7 @@ class GroupManager:
         )
         self.handles[group_id] = handle
         if self.oracle is not None:
-            self.oracle.watch(group_id)
+            self.oracle.watch(handle)
         self.stats.incr("groups_created")
         return handle
 
@@ -207,49 +205,24 @@ class GroupManager:
     # The adaptive loop
     # ------------------------------------------------------------------
     def poll_oracle(self) -> Dict[int, str]:
-        """One oracle pass: ask for decisions, forward each as a switch
-        request at the group's coordinator.  Returns the decisions."""
-        if self.oracle is None:
-            raise SwitchError("no fleet oracle wired into this manager")
-        currents = {
-            group_id: handle.stacks[handle.group.coordinator].current_protocol
-            for group_id, handle in self.handles.items()
-            if handle.state == "started"
-        }
-        decisions = self.oracle.decide_all(self.runtime.now, currents)
-        for group_id, target in decisions.items():
-            self.handles[group_id].request_switch(target)
-            self.stats.incr("oracle_switches")
-        return decisions
+        """One oracle pass; returns the switches requested
+        (:meth:`~repro.core.oracle.AdaptiveController.poll`)."""
+        return self._loop().poll()
 
     def start_oracle_polling(self, interval: float) -> None:
-        """Poll the oracle every ``interval`` seconds until stopped.
-
-        Restart-safe: calling again (a shard restart re-arming its
-        control loop) cancels the previous chain's pending timer first,
-        so exactly one poll chain is ever live — repeated start/stop
-        cycles leave no orphaned timers behind.
-        """
-        if interval <= 0:
-            raise SwitchError("poll interval must be positive")
-        self.stop_oracle_polling()
-        self._polling = True
-
-        def tick() -> None:
-            self._poll_timer = None
-            if not self._polling:
-                return
-            self.poll_oracle()
-            self._poll_timer = self.runtime.schedule(interval, tick)
-
-        self._poll_timer = self.runtime.schedule(interval, tick)
+        """Poll the oracle every ``interval`` seconds until stopped
+        (restart-safe: one poll chain is ever live)."""
+        self._loop().start(self.runtime, interval)
 
     def stop_oracle_polling(self) -> None:
         """Stop the poll chain (idempotent) and cancel its armed timer."""
-        self._polling = False
-        if self._poll_timer is not None:
-            self._poll_timer.cancel()
-            self._poll_timer = None
+        if self.oracle is not None:
+            self.oracle.stop()
+
+    def _loop(self) -> FleetOracle:
+        if self.oracle is None:
+            raise SwitchError("no fleet oracle wired into this manager")
+        return self.oracle
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

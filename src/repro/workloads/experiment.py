@@ -21,8 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..core.hybrid import AdaptiveController
-from ..core.oracle import HysteresisOracle, Oracle, ThresholdOracle
+from ..core.oracle import (
+    AdaptiveController,
+    HysteresisOracle,
+    Oracle,
+    ThresholdOracle,
+)
 from ..core.signals import SignalTracker
 from ..core.switchable import ProtocolSpec, SwitchableStack
 from ..errors import ReproError
@@ -123,8 +127,8 @@ def _build_hybrid(
     config: Figure2Config,
     oracle_factory: Optional[Callable[[SignalTracker], Oracle]] = None,
 ) -> Tuple[Dict[int, SwitchableStack], AdaptiveController]:
-    stacks = session.build(group, _specs(config), SLOT_NAMES[0]).stacks
-    manager = stacks[group.coordinator]
+    handle = session.build(group, _specs(config), SLOT_NAMES[0])
+    manager = handle.stacks[group.coordinator]
     runtime = session.runtime
     tracker = SignalTracker(runtime, window=0.5)
 
@@ -144,11 +148,10 @@ def _build_hybrid(
         )
     else:
         oracle = oracle_factory(tracker)
-    controller = AdaptiveController(
-        manager, oracle, poll_interval=config.oracle_poll
-    )
-    controller.start()
-    return stacks, controller
+    controller = AdaptiveController()
+    controller.watch(handle, oracle)
+    controller.start(runtime, config.oracle_poll)
+    return handle.stacks, controller
 
 
 def run_total_order_experiment(
@@ -451,7 +454,7 @@ def run_oscillation_experiment(
     manager = stacks[group.coordinator]
     return OscillationResult(
         policy=policy,
-        switch_requests=controller.switch_request_count,
+        switch_requests=len(controller.decisions),
         switches_completed=manager.core.switches_completed,
         mean_latency_ms=probe.mean_ms if probe.latency.count else float("nan"),
     )

@@ -3,16 +3,17 @@
 import pytest
 
 from helpers import switch_group
-from repro.core.hybrid import AdaptiveController
 from repro.core.oracle import (
+    AdaptiveController,
     CompositeOracle,
     ManualOracle,
     ScheduledOracle,
     ThresholdOracle,
 )
-from repro.core.switchable import ProtocolSpec
+from repro.core.switchable import GroupHandle, ProtocolSpec
 from repro.errors import SwitchError
 from repro.protocols.fifo import FifoLayer
+from repro.stack.membership import Group
 
 
 def test_empty_rejected():
@@ -50,11 +51,12 @@ def test_security_plus_upgrade_end_to_end():
     security = ManualOracle()
     upgrade = ScheduledOracle([(0.05, "v2")])
     oracle = CompositeOracle([security, upgrade])
-    controller = AdaptiveController(stacks[0], oracle, poll_interval=0.01)
-    controller.start()
+    controller = AdaptiveController()
+    controller.watch(GroupHandle(0, Group.of_size(3), stacks), oracle)
+    controller.start(sim, 0.01)
     # The scheduled upgrade fires first; then an intrusion at t=0.5.
     sim.schedule_at(0.5, lambda: security.escalate("secure"))
     sim.run_until(3.0)
     assert all(s.current_protocol == "secure" for s in stacks.values())
-    targets = [d.to_protocol for d in controller.decisions]
+    targets = [d.target for d in controller.decisions]
     assert targets == ["v2", "secure"]

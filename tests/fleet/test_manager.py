@@ -185,7 +185,23 @@ class TestOracleLoop:
         runtime.run_for(2.0)
         assert set(hot.current_protocols.values()) == {"B"}
         assert set(cold.current_protocols.values()) == {"A"}
-        assert manager.stats.get("oracle_switches") == 1
+        assert len(manager.oracle.decisions) == 1
+
+    def test_group_mid_switch_is_not_decided_again(self):
+        rates = {}
+        runtime, manager = make_manager(oracle=self.make_rate_oracle(rates))
+        g = manager.create_group([0, 1, 2], specs(), initial="A")
+        rates[g.group_id] = 500.0
+        assert manager.poll_oracle() == {g.group_id: "B"}
+        coordinator = g.stacks[g.group.coordinator]
+        while not coordinator.switching:
+            runtime.run_for(0.0005)
+        # Still on "A" and still hot, but the one drift is decided once.
+        assert manager.poll_oracle() == {}
+        assert len(manager.oracle.decisions) == 1
+        runtime.run_for(2.0)
+        assert set(g.current_protocols.values()) == {"B"}
+        assert coordinator.core.switches_completed == 1
 
     def test_polling_loop_stops_cleanly(self):
         rates = {}
