@@ -18,7 +18,9 @@ Payload mode checks a telemetry payload (``repro fleet
   verdict, every recorded escalation carries its justifying snapshot;
 * with a fleet artifact (``repro fleet --json``) alongside: the
   telemetry aggregate agrees with the artifact's delivered count to
-  within 1% (the live plane must not drift from ground truth).
+  within 1% (the live plane must not drift from ground truth), and —
+  while the plane's escalation list is under its cap — each switched
+  group was escalated exactly once and no other group was.
 
 Blackbox mode checks a flight-recorder JSONL (``repro chaos
 --blackbox``): at least one capture, every capture header followed by
@@ -33,6 +35,7 @@ Exit code 0 when every check passes, 1 with a report otherwise.
 
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 _SCRIPTS = str(Path(__file__).resolve().parent)
@@ -80,6 +83,7 @@ PROM_SERIES = (
     "repro_counter_total",
 )
 AGREEMENT = 0.01  # telemetry vs. artifact delivered-count drift ceiling
+MAX_ESCALATIONS = 10_000  # the plane's escalation-list cap
 
 
 def check_snapshot(snapshot, problems):
@@ -183,6 +187,29 @@ def check_payload(payload, fleet_artifact, problems):
         problems.append(
             f"telemetry saw {observed} deliveries, the fleet artifact "
             f"recorded {truth} (>{AGREEMENT:.0%} drift)"
+        )
+    check_one_escalation_per_switch(payload, fleet_artifact, problems)
+
+
+def check_one_escalation_per_switch(payload, fleet_artifact, problems):
+    escalations = payload.get("escalations")
+    per_group = fleet_artifact.get("per_group")
+    if not isinstance(escalations, list) or not isinstance(per_group, list):
+        problems.append("cannot match escalations to the fleet's per_group")
+        return
+    escalated = Counter(record.get("group_id") for record in escalations)
+    repeated = [gid for gid, count in escalated.items() if count > 1]
+    if repeated:
+        problems.append(f"groups {repeated} escalated more than once")
+    if len(escalations) >= MAX_ESCALATIONS:
+        return  # capped: the list no longer names every escalation
+    switched = {g.get("group_id") for g in per_group if g.get("switched")}
+    if set(escalated) != switched:
+        problems.append(
+            f"escalated groups {sorted(set(escalated) - switched, key=str)} "
+            f"did not switch; switched groups "
+            f"{sorted(switched - set(escalated), key=str)} were never "
+            f"escalated"
         )
 
 

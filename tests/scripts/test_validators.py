@@ -642,14 +642,50 @@ def test_telemetry_accepts_good_payload(tmp_path, capsys):
     assert "all telemetry checks passed" in capsys.readouterr().out
 
 
+def good_fleet_artifact(delivered=30):
+    """The fleet artifact matching :func:`good_telemetry_payload`:
+    group 1 was escalated and switched, group 0 stayed."""
+    return {
+        "delivered": delivered,
+        "per_group": [
+            {"group_id": 0, "switched": False},
+            {"group_id": 1, "switched": True},
+        ],
+    }
+
+
 def test_telemetry_checks_artifact_agreement(tmp_path, capsys):
     tele = write(tmp_path, "tele.json", good_telemetry_payload())
-    fleet = write(tmp_path, "fleet.json", {"delivered": 30})
+    fleet = write(tmp_path, "fleet.json", good_fleet_artifact())
     assert check_telemetry.main(["prog", tele, fleet]) == 0
     assert "within 1%" in capsys.readouterr().out
-    drifted = write(tmp_path, "drift.json", {"delivered": 60})
+    drifted = write(tmp_path, "drift.json", good_fleet_artifact(60))
     assert check_telemetry.main(["prog", tele, drifted]) == 1
     assert "drift" in capsys.readouterr().out
+
+
+def test_telemetry_rejects_duplicated_escalation(tmp_path, capsys):
+    payload = good_telemetry_payload()
+    payload["escalations"].append(dict(payload["escalations"][0]))
+    tele = write(tmp_path, "tele.json", payload)
+    fleet = write(tmp_path, "fleet.json", good_fleet_artifact())
+    assert check_telemetry.main(["prog", tele, fleet]) == 1
+    assert "groups [1] escalated more than once" in capsys.readouterr().out
+
+
+def test_telemetry_rejects_escalations_unmatched_by_switches(tmp_path, capsys):
+    tele = write(tmp_path, "tele.json", good_telemetry_payload())
+    artifact = good_fleet_artifact()
+    artifact["per_group"][0]["switched"] = True
+    fleet = write(tmp_path, "fleet.json", artifact)
+    assert check_telemetry.main(["prog", tele, fleet]) == 1
+    assert "switched groups [0] were never escalated" in capsys.readouterr().out
+
+
+def test_telemetry_escalation_cap_matches_the_plane():
+    from repro.obs.telemetry import aggregate
+
+    assert check_telemetry.MAX_ESCALATIONS == aggregate.MAX_ESCALATIONS
 
 
 def test_telemetry_rejects_inconsistent_group_totals(tmp_path, capsys):
