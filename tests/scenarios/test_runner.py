@@ -66,6 +66,9 @@ def test_drift_scenario_switches_once_and_quickly(catalog):
     assert payload["scenario"] == "congestion_collapse"
     assert payload["ok"] is True
     assert payload["violations"] == []
+    # Why it switched: the oracle's sampled signal crossed its band.
+    (decision,) = payload["decisions"]
+    assert decision["signal"] > spec.oracle.high
 
 
 def test_verdicts_deterministic_inline_and_pooled(catalog):
