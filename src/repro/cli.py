@@ -13,6 +13,7 @@
     repro fleet          many switching groups multiplexed in one process
     repro top            live terminal dashboard over fleet telemetry
     repro metrics        pretty-print a metrics snapshot JSON
+    repro audit          audit a property against the six meta-properties
 
 Every command prints the paper's claim next to the measured result.
 
@@ -34,12 +35,21 @@ flight recorder on a chaos run and dumps the black box as JSONL.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
-from typing import List, Optional
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ._version import __version__
 
 __all__ = ["main"]
+
+
+def _config(cls, args: argparse.Namespace, **extra: Any):
+    """*cls* built from the flags the user gave; the rest keep the field
+    defaults (a ``from_config`` command's flags are absent unless given)."""
+    fields = {field.name for field in dataclasses.fields(cls)}
+    given = {k: v for k, v in vars(args).items() if k in fields}
+    return cls(**given, **extra)
 
 
 def _make_bus(args: argparse.Namespace):
@@ -68,22 +78,6 @@ def _export_bus(bus, args: argparse.Namespace, **header) -> None:
         print(f"metrics:  {args.metrics}")
 
 
-def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--trace",
-        metavar="FILE",
-        help="write a Chrome trace-event JSON (open in ui.perfetto.dev)",
-    )
-    parser.add_argument(
-        "--events", metavar="FILE", help="write the raw event log as JSONL"
-    )
-    parser.add_argument(
-        "--metrics",
-        metavar="FILE",
-        help="write the metrics snapshot (counters/gauges/histograms) JSON",
-    )
-
-
 def _cmd_figure2(args: argparse.Namespace) -> int:
     from .workloads.experiment import (
         Figure2Config,
@@ -91,7 +85,7 @@ def _cmd_figure2(args: argparse.Namespace) -> int:
         run_figure2_sweep,
     )
 
-    config = Figure2Config(duration=args.duration, seed=args.seed)
+    config = _config(Figure2Config, args)
     protocols = ("sequencer", "token", "hybrid") if args.hybrid else (
         "sequencer",
         "token",
@@ -147,7 +141,7 @@ def _cmd_overhead(args: argparse.Namespace) -> int:
         run_switch_overhead_experiment,
     )
 
-    config = Figure2Config(seed=args.seed)
+    config = _config(Figure2Config, args)
     print("Section 7: switching overhead near the crossover\n")
     for senders, direction in (
         (5, "sequencer->token"),
@@ -172,7 +166,7 @@ def _cmd_overhead(args: argparse.Namespace) -> int:
 def _cmd_oscillation(args: argparse.Namespace) -> int:
     from .workloads.experiment import Figure2Config, run_oscillation_experiment
 
-    config = Figure2Config(seed=args.seed)
+    config = _config(Figure2Config, args)
     print("Section 7: aggressive switching oscillates; hysteresis fixes it\n")
     for policy in ("aggressive", "hysteresis"):
         result = run_oscillation_experiment(policy, config)
@@ -263,31 +257,23 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     crashes = []
     for spec in args.crash or []:
         parts = spec.split(":")
-        if len(parts) not in (2, 3):
+        try:
+            if len(parts) not in (2, 3):
+                raise ValueError(spec)
+            crashes.append(
+                CrashWindow(
+                    int(parts[0]),
+                    float(parts[1]),
+                    float(parts[2]) if len(parts) == 3 else math.inf,
+                )
+            )
+        except ValueError:
             print(f"bad --crash spec {spec!r}; want RANK:AT[:UNTIL]")
             return 2
-        crashes.append(
-            CrashWindow(
-                int(parts[0]),
-                float(parts[1]),
-                float(parts[2]) if len(parts) == 3 else math.inf,
-            )
-        )
     from .errors import NetworkError, SimulationError
 
     try:
-        config = ChaosConfig(
-            members=args.members,
-            seed=args.seed,
-            duration=args.duration,
-            settle=args.settle,
-            cast_rate=args.cast_rate,
-            switch_every=args.switch_every,
-            control_loss=args.control_loss,
-            control_dup=args.control_dup,
-            control_jitter=args.control_jitter,
-            crashes=crashes,
-        )
+        config = _config(ChaosConfig, args, crashes=tuple(crashes))
         print("Chaos run: fault-tolerant token SP under a seeded storm\n")
         bus = _make_bus(args)
         recorder = None
@@ -306,7 +292,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         print(f"bad chaos configuration: {exc}")
         return 2
     print(result.summary())
-    _export_bus(bus, args, command="chaos", seed=args.seed, runtime="sim")
+    _export_bus(bus, args, command="chaos", seed=config.seed, runtime="sim")
     if recorder is not None:
         lines = recorder.write_jsonl(args.blackbox)
         print(
@@ -409,19 +395,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from .workloads.switchrun import SwitchRunConfig, run_switch_demo
 
     try:
-        config = SwitchRunConfig(
-            runtime=args.runtime,
-            members=args.members,
-            duration=args.duration,
-            rate=args.rate,
-            seed=args.seed,
-            switch_at=args.switch_at,
-            base_port=args.base_port,
-            max_batch=args.batch,
-            linger=args.linger,
-        )
+        config = _config(SwitchRunConfig, args)
         print(
-            f"Live sequencer->tokenring switch on the {args.runtime!r} "
+            f"Live sequencer->tokenring switch on the {config.runtime!r} "
             f"runtime\n"
         )
         bus = _make_bus(args)
@@ -431,7 +407,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 2
     print(result.summary())
     _export_bus(
-        bus, args, command="run", seed=args.seed, runtime=args.runtime
+        bus, args, command="run", seed=config.seed, runtime=config.runtime
     )
     return 0 if result.ok else 1
 
@@ -442,36 +418,10 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     from .errors import ReproError
     from .fleet import FleetConfig, run_fleet, run_fleet_sharded
 
+    if args.telemetry_json or args.scrape_out or "expo_port" in args:
+        args.telemetry = True  # each of these implies --telemetry
     try:
-        config = FleetConfig(
-            runtime=args.runtime,
-            shards=args.shards,
-            groups=args.groups,
-            members=args.members,
-            nodes=args.nodes,
-            clients=args.clients,
-            client_rate=args.client_rate,
-            hot_fraction=args.hot_fraction,
-            hot_multiplier=args.hot_multiplier,
-            duration=args.duration,
-            seed=args.seed,
-            high_threshold=args.high_threshold,
-            oracle_poll=args.oracle_poll,
-            settle=args.settle,
-            base_port=args.base_port,
-            telemetry=(
-                args.telemetry
-                or bool(args.telemetry_json)
-                or bool(args.scrape_out)
-                or args.expo_port is not None
-            ),
-            telemetry_window=args.telemetry_window,
-            telemetry_history=args.telemetry_history,
-            expo_port=args.expo_port,
-            slo_p99_ms=args.slo_p99_ms,
-            slo_switch_s=args.slo_switch_s,
-            slo_ratio=args.slo_ratio,
-        )
+        config = _config(FleetConfig, args)
     except ReproError as exc:
         print(f"bad fleet configuration: {exc}")
         return 2
@@ -538,6 +488,9 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"cannot read metrics file {args.file!r}: {exc}")
         return 2
+    if not isinstance(snapshot, dict):
+        print(f"cannot read metrics file {args.file!r}: not a JSON object")
+        return 2
 
     header = {
         k: v
@@ -597,8 +550,205 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
+Flag = Tuple[Tuple[str, ...], Dict[str, Any]]
+
+
+def _flag(*names: str, **kwargs: Any) -> Flag:
+    """One ``add_argument`` call, kept as data for the command table."""
+    return names, kwargs
+
+
+class Command(NamedTuple):
+    """One subcommand.  A ``from_config`` command's handler builds a
+    config dataclass with :func:`_config`, so its field flags declare no
+    default and only its other flags state one."""
+
+    name: str
+    help: str
+    handler: Callable[[argparse.Namespace], int]
+    flags: Tuple[Flag, ...] = ()
+    from_config: bool = False
+    description: Optional[str] = None
+
+
+_RUNTIME = dict(
+    choices=("sim", "asyncio"),
+    help="sim = deterministic virtual time; asyncio = real localhost UDP",
+)
+_SEED = _flag("--seed", type=int)
+_BASE_PORT = _flag("--base-port", type=int,
+                   help="first UDP port (asyncio runtime only)")
+_OBS_FLAGS = (
+    _flag("--trace", metavar="FILE", default=None,
+          help="write a Chrome trace-event JSON (open in ui.perfetto.dev)"),
+    _flag("--events", metavar="FILE", default=None,
+          help="write the raw event log as JSONL"),
+    _flag("--metrics", metavar="FILE", default=None,
+          help="write the metrics snapshot (counters/gauges/histograms) "
+          "JSON"),
+)
+
+COMMANDS: Tuple[Command, ...] = (
+    Command("figure2", "latency vs. active senders", _cmd_figure2, (
+        _flag("--duration", type=float),
+        _SEED,
+        _flag("--workers", type=int, default=1,
+              help="fan sweep points across N processes (0 = one per "
+              "core); results are identical for any worker count"),
+        _flag("--hybrid", action="store_true", default=False,
+              help="include the adaptive hybrid"),
+    ), from_config=True),
+    Command("table2", "meta-property matrix", _cmd_table2, (
+        _flag("--thorough", action="store_true",
+              help="enumerate one event deeper"),
+    )),
+    Command("overhead", "switching overhead", _cmd_overhead, (_SEED,),
+            from_config=True),
+    Command("oscillation", "oracle policy comparison", _cmd_oscillation,
+            (_SEED,), from_config=True),
+    Command("preservation", "live preservation suite", _cmd_preservation),
+    Command("chaos", "seeded fault-injection run with oracle checks",
+            _cmd_chaos, (
+        _flag("--members", type=int),
+        _SEED,
+        _flag("--duration", type=float),
+        _flag("--cast-rate", type=float),
+        _flag("--switch-every", type=float),
+        _flag("--control-loss", type=float),
+        _flag("--control-dup", type=float),
+        _flag("--control-jitter", type=float),
+        _flag("--crash", action="append", default=None,
+              metavar="RANK:AT[:UNTIL]",
+              help="crash RANK at time AT (recovering at UNTIL); "
+              "repeatable"),
+        _flag("--settle", type=int,
+              help="convergence grace windows after the workload stops "
+              "(0 = none: any in-flight switch at the horizon is a "
+              "violation)"),
+        _flag("--blackbox", metavar="FILE", default=None,
+              help="ride the flight recorder on the run and write the "
+              "black box (captures frozen on switch aborts) as JSONL"),
+        *_OBS_FLAGS,
+    ), from_config=True),
+    Command("scenario",
+            "run scored scenarios from the catalog (chaos/oracle testbed)",
+            _cmd_scenario, (
+        _flag("name", nargs="?", help="catalog entry to run"),
+        _flag("--all", action="store_true",
+              help="run every catalog scenario"),
+        _flag("--list", action="store_true",
+              help="list the catalog and exit"),
+        _flag("--runtime", default="sim", **_RUNTIME),
+        _flag("--workers", type=int, default=1,
+              help="fan the sweep across N processes (0 = one per core); "
+              "verdicts are identical for any worker count (sim only)"),
+        _flag("--json", metavar="FILE",
+              help="write all verdicts as one JSON file"),
+        _flag("--catalog", metavar="DIR",
+              help="load scenarios from DIR instead of the built-in "
+              "catalog"),
+    )),
+    Command("run", "one live switch on a chosen runtime (sim or asyncio)",
+            _cmd_run, (
+        _flag("--runtime", **_RUNTIME),
+        _flag("--members", type=int),
+        _flag("--duration", type=float),
+        _flag("--rate", type=float),
+        _SEED,
+        _flag("--switch-at", type=float),
+        _BASE_PORT,
+        _flag("--batch", dest="max_batch", metavar="BATCH", type=int,
+              help="casts coalesced per wire frame (1 disables batching)"),
+        _flag("--linger", type=float,
+              help="seconds an incomplete batch waits before flushing"),
+        *_OBS_FLAGS,
+    ), from_config=True),
+    Command("fleet", "many switching groups multiplexed in one process",
+            _cmd_fleet, (
+        _flag("--runtime", **_RUNTIME),
+        _flag("--groups", type=int),
+        _flag("--members", type=int),
+        _flag("--nodes", type=int),
+        _flag("--clients", type=int,
+              help="simulated clients, folded into compound-rate Poisson "
+              "senders"),
+        _flag("--client-rate", type=float),
+        _flag("--hot-fraction", type=float),
+        _flag("--hot-multiplier", type=float),
+        _flag("--duration", type=float),
+        _SEED,
+        _flag("--high-threshold", type=float,
+              help="per-group delivered-rate above which the oracle "
+              "escalates"),
+        _flag("--oracle-poll", type=float),
+        _flag("--settle", type=float),
+        _flag("--shards", type=int,
+              help="partition the fleet across this many worker processes "
+              "by group-id hash (sim runtime only; 0 = in-process)"),
+        _BASE_PORT,
+        _flag("--json", metavar="FILE", default=None,
+              help="write the full result as JSON"),
+        _flag("--telemetry", action="store_true",
+              help="grow the live telemetry plane (windowed per-group "
+              "aggregation, SLO engine, flight recorder); off by default"),
+        _flag("--telemetry-window", type=float,
+              help="aggregation window seconds"),
+        _flag("--telemetry-history", type=int,
+              help="rolled windows retained per group"),
+        _flag("--telemetry-json", metavar="FILE", default=None,
+              help="write the final telemetry payload (snapshot + "
+              "Prometheus text + escalations) as JSON; implies "
+              "--telemetry"),
+        _flag("--expo-port", type=int, metavar="PORT",
+              help="serve /metrics + /snapshot over localhost HTTP "
+              "(asyncio runtime only; 0 = kernel-picked); implies "
+              "--telemetry"),
+        _flag("--scrape-out", metavar="FILE", default=None,
+              help="self-scrape the live endpoint at the end of the run "
+              "and write the scraped payload as JSON (needs --expo-port)"),
+        _flag("--slo-p99-ms", type=float,
+              help="SLO: delivery-latency p99 ceiling per window (ms)"),
+        _flag("--slo-switch-s", type=float,
+              help="SLO: time-to-switch ceiling (seconds)"),
+        _flag("--slo-ratio", type=float,
+              help="SLO: delivery-ratio floor (delivered / (casts x "
+              "members))"),
+    ), from_config=True,
+       description="Drive a fleet of switching groups over shared "
+       "per-node ports; the FleetOracle escalates hot groups from "
+       "sequencer to token ring mid-run. Defaults reproduce the "
+       "headline 1000-group / 100k-client sim sweep."),
+    Command("top", "live terminal dashboard over fleet telemetry",
+            _cmd_top, (
+        _flag("source", nargs="+",
+              help="http://host:port of a live endpoint, or a telemetry "
+              "JSON file; repeat for per-shard sources to watch the "
+              "merged fleet"),
+        _flag("--interval", type=float, default=2.0),
+        _flag("--limit", type=int, default=15,
+              help="groups shown (hottest first)"),
+        _flag("--once", action="store_true",
+              help="render one frame and exit"),
+        _flag("--json", action="store_true",
+              help="with --once: print the raw payload instead of the "
+              "dashboard"),
+    ), description="Watch a fleet: point at a live exposition endpoint "
+       "(http://host:port from fleet --expo-port) or a telemetry "
+       "payload file (fleet --telemetry-json). Several sources — one "
+       "per shard — merge into a single fleet view. Redraws every "
+       "--interval seconds; --once renders a single frame, --once "
+       "--json prints the raw payload for scripts."),
+    Command("metrics", "pretty-print a metrics snapshot JSON", _cmd_metrics,
+            (_flag("file", help="metrics JSON written by --metrics"),)),
+    Command("audit", "audit a property against the six meta-properties",
+            _cmd_audit, (
+        _flag("--property", help='e.g. "Total Order" (omit to list)'),
+    )),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """Construct the repro argument parser."""
+    """Construct the repro argument parser from :data:`COMMANDS`."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduce 'Protocol Switching: Exploiting "
@@ -606,296 +756,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_fig = sub.add_parser("figure2", help="latency vs. active senders")
-    p_fig.add_argument("--duration", type=float, default=4.0)
-    p_fig.add_argument("--seed", type=int, default=42)
-    p_fig.add_argument(
-        "--workers", type=int, default=1,
-        help="fan sweep points across N processes (0 = one per core); "
-        "results are identical for any worker count",
-    )
-    p_fig.add_argument(
-        "--hybrid", action="store_true", help="include the adaptive hybrid"
-    )
-    p_fig.set_defaults(func=_cmd_figure2)
-
-    p_tab = sub.add_parser("table2", help="meta-property matrix")
-    p_tab.add_argument(
-        "--thorough", action="store_true", help="enumerate one event deeper"
-    )
-    p_tab.set_defaults(func=_cmd_table2)
-
-    p_ovh = sub.add_parser("overhead", help="switching overhead")
-    p_ovh.add_argument("--seed", type=int, default=42)
-    p_ovh.set_defaults(func=_cmd_overhead)
-
-    p_osc = sub.add_parser("oscillation", help="oracle policy comparison")
-    p_osc.add_argument("--seed", type=int, default=42)
-    p_osc.set_defaults(func=_cmd_oscillation)
-
-    p_pre = sub.add_parser("preservation", help="live preservation suite")
-    p_pre.set_defaults(func=_cmd_preservation)
-
-    p_chaos = sub.add_parser(
-        "chaos", help="seeded fault-injection run with oracle checks"
-    )
-    p_chaos.add_argument("--members", type=int, default=4)
-    p_chaos.add_argument("--seed", type=int, default=0)
-    p_chaos.add_argument("--duration", type=float, default=6.0)
-    p_chaos.add_argument("--cast-rate", type=float, default=120.0)
-    p_chaos.add_argument("--switch-every", type=float, default=0.7)
-    p_chaos.add_argument("--control-loss", type=float, default=0.0)
-    p_chaos.add_argument("--control-dup", type=float, default=0.0)
-    p_chaos.add_argument("--control-jitter", type=float, default=0.0)
-    p_chaos.add_argument(
-        "--crash",
-        action="append",
-        metavar="RANK:AT[:UNTIL]",
-        help="crash RANK at time AT (recovering at UNTIL); repeatable",
-    )
-    p_chaos.add_argument(
-        "--settle",
-        type=int,
-        default=20,
-        help="convergence grace windows after the workload stops "
-        "(0 = none: any in-flight switch at the horizon is a violation)",
-    )
-    p_chaos.add_argument(
-        "--blackbox",
-        metavar="FILE",
-        help="ride the flight recorder on the run and write the black "
-        "box (captures frozen on switch aborts) as JSONL",
-    )
-    _add_obs_flags(p_chaos)
-    p_chaos.set_defaults(func=_cmd_chaos)
-
-    p_scn = sub.add_parser(
-        "scenario",
-        help="run scored scenarios from the catalog (chaos/oracle testbed)",
-    )
-    p_scn.add_argument(
-        "name", nargs="?", default=None, help="catalog entry to run"
-    )
-    p_scn.add_argument(
-        "--all", action="store_true", help="run every catalog scenario"
-    )
-    p_scn.add_argument(
-        "--list", action="store_true", help="list the catalog and exit"
-    )
-    p_scn.add_argument(
-        "--runtime",
-        choices=("sim", "asyncio"),
-        default="sim",
-        help="sim = deterministic virtual time; asyncio = real localhost UDP",
-    )
-    p_scn.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="fan the sweep across N processes (0 = one per core); "
-        "verdicts are identical for any worker count (sim only)",
-    )
-    p_scn.add_argument(
-        "--json", metavar="FILE", help="write all verdicts as one JSON file"
-    )
-    p_scn.add_argument(
-        "--catalog",
-        metavar="DIR",
-        default=None,
-        help="load scenarios from DIR instead of the built-in catalog",
-    )
-    p_scn.set_defaults(func=_cmd_scenario)
-
-    p_run = sub.add_parser(
-        "run", help="one live switch on a chosen runtime (sim or asyncio)"
-    )
-    p_run.add_argument(
-        "--runtime",
-        choices=("sim", "asyncio"),
-        default="sim",
-        help="sim = deterministic virtual time; asyncio = real localhost UDP",
-    )
-    p_run.add_argument("--members", type=int, default=4)
-    p_run.add_argument("--duration", type=float, default=3.0)
-    p_run.add_argument("--rate", type=float, default=50.0)
-    p_run.add_argument("--seed", type=int, default=42)
-    p_run.add_argument("--switch-at", type=float, default=1.5)
-    p_run.add_argument(
-        "--base-port",
-        type=int,
-        default=47310,
-        help="first UDP port (asyncio runtime only)",
-    )
-    p_run.add_argument(
-        "--batch",
-        type=int,
-        default=1,
-        help="casts coalesced per wire frame (1 disables batching)",
-    )
-    p_run.add_argument(
-        "--linger",
-        type=float,
-        default=0.0,
-        help="seconds an incomplete batch waits before flushing",
-    )
-    _add_obs_flags(p_run)
-    p_run.set_defaults(func=_cmd_run)
-
-    p_fleet = sub.add_parser(
-        "fleet",
-        help="many switching groups multiplexed in one process",
-        description="Drive a fleet of switching groups over shared "
-        "per-node ports; the FleetOracle escalates hot groups from "
-        "sequencer to token ring mid-run. Defaults reproduce the "
-        "headline 1000-group / 100k-client sim sweep.",
-    )
-    p_fleet.add_argument(
-        "--runtime",
-        choices=("sim", "asyncio"),
-        default="sim",
-        help="sim = deterministic virtual time; asyncio = real localhost UDP",
-    )
-    p_fleet.add_argument("--groups", type=int, default=1000)
-    p_fleet.add_argument("--members", type=int, default=3)
-    p_fleet.add_argument("--nodes", type=int, default=48)
-    p_fleet.add_argument(
-        "--clients",
-        type=int,
-        default=100_000,
-        help="simulated clients, folded into compound-rate Poisson senders",
-    )
-    p_fleet.add_argument("--client-rate", type=float, default=0.02)
-    p_fleet.add_argument("--hot-fraction", type=float, default=0.05)
-    p_fleet.add_argument("--hot-multiplier", type=float, default=50.0)
-    p_fleet.add_argument("--duration", type=float, default=10.0)
-    p_fleet.add_argument("--seed", type=int, default=42)
-    p_fleet.add_argument(
-        "--high-threshold",
-        type=float,
-        default=50.0,
-        help="per-group delivered-rate above which the oracle escalates",
-    )
-    p_fleet.add_argument("--oracle-poll", type=float, default=0.5)
-    p_fleet.add_argument("--settle", type=float, default=2.0)
-    p_fleet.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        help="partition the fleet across this many worker processes by "
-        "group-id hash (sim runtime only; 0 = in-process)",
-    )
-    p_fleet.add_argument(
-        "--base-port",
-        type=int,
-        default=47310,
-        help="first UDP port (asyncio runtime only)",
-    )
-    p_fleet.add_argument(
-        "--json", metavar="FILE", help="write the full result as JSON"
-    )
-    p_fleet.add_argument(
-        "--telemetry",
-        action="store_true",
-        help="grow the live telemetry plane (windowed per-group "
-        "aggregation, SLO engine, flight recorder); off by default",
-    )
-    p_fleet.add_argument(
-        "--telemetry-window",
-        type=float,
-        default=1.0,
-        help="aggregation window seconds",
-    )
-    p_fleet.add_argument(
-        "--telemetry-history",
-        type=int,
-        default=60,
-        help="rolled windows retained per group",
-    )
-    p_fleet.add_argument(
-        "--telemetry-json",
-        metavar="FILE",
-        help="write the final telemetry payload (snapshot + Prometheus "
-        "text + escalations) as JSON; implies --telemetry",
-    )
-    p_fleet.add_argument(
-        "--expo-port",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help="serve /metrics + /snapshot over localhost HTTP "
-        "(asyncio runtime only; 0 = kernel-picked); implies --telemetry",
-    )
-    p_fleet.add_argument(
-        "--scrape-out",
-        metavar="FILE",
-        help="self-scrape the live endpoint at the end of the run and "
-        "write the scraped payload as JSON (needs --expo-port)",
-    )
-    p_fleet.add_argument(
-        "--slo-p99-ms",
-        type=float,
-        default=None,
-        help="SLO: delivery-latency p99 ceiling per window (ms)",
-    )
-    p_fleet.add_argument(
-        "--slo-switch-s",
-        type=float,
-        default=None,
-        help="SLO: time-to-switch ceiling (seconds)",
-    )
-    p_fleet.add_argument(
-        "--slo-ratio",
-        type=float,
-        default=None,
-        help="SLO: delivery-ratio floor (delivered / (casts x members))",
-    )
-    p_fleet.set_defaults(func=_cmd_fleet)
-
-    p_top = sub.add_parser(
-        "top",
-        help="live terminal dashboard over fleet telemetry",
-        description="Watch a fleet: point at a live exposition endpoint "
-        "(http://host:port from fleet --expo-port) or a telemetry "
-        "payload file (fleet --telemetry-json). Several sources — one "
-        "per shard — merge into a single fleet view. Redraws every "
-        "--interval seconds; --once renders a single frame, --once "
-        "--json prints the raw payload for scripts.",
-    )
-    p_top.add_argument(
-        "source",
-        nargs="+",
-        help="http://host:port of a live endpoint, or a telemetry JSON "
-        "file; repeat for per-shard sources to watch the merged fleet",
-    )
-    p_top.add_argument("--interval", type=float, default=2.0)
-    p_top.add_argument(
-        "--limit", type=int, default=15, help="groups shown (hottest first)"
-    )
-    p_top.add_argument(
-        "--once", action="store_true", help="render one frame and exit"
-    )
-    p_top.add_argument(
-        "--json",
-        action="store_true",
-        help="with --once: print the raw payload instead of the dashboard",
-    )
-    p_top.set_defaults(func=_cmd_top)
-
-    p_met = sub.add_parser(
-        "metrics", help="pretty-print a metrics snapshot JSON"
-    )
-    p_met.add_argument("file", help="metrics JSON written by --metrics")
-    p_met.set_defaults(func=_cmd_metrics)
-
-    p_audit = sub.add_parser(
-        "audit", help="audit a property against the six meta-properties"
-    )
-    p_audit.add_argument(
-        "--property", default=None, help='e.g. "Total Order" (omit to list)'
-    )
-    p_audit.set_defaults(func=_cmd_audit)
-
+    for command in COMMANDS:
+        p = sub.add_parser(
+            command.name,
+            help=command.help,
+            description=command.description,
+            argument_default=(
+                argparse.SUPPRESS if command.from_config else None
+            ),
+        )
+        for names, kwargs in command.flags:
+            p.add_argument(*names, **kwargs)
+        p.set_defaults(func=command.handler)
     return parser
 
 

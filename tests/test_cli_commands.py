@@ -1,19 +1,181 @@
-"""CLI command rendering paths, with the heavy experiments stubbed.
+"""CLI tests: the parser, each command's reporting logic and exit codes,
+and the flags that reach each config dataclass.
 
-The real experiments behind each command are exercised by the benchmark
-harness; here we verify each command's reporting logic and exit codes.
+The heavy experiments are stubbed where only the rendering is under
+test; the real ones are exercised by the benchmark harness.
 """
 
+import argparse
+import dataclasses
 import json
 
 import pytest
 
 import repro.cli as cli
+from repro.cli import build_parser, main
+from repro.fleet import FleetConfig
+from repro.testing.chaos import ChaosConfig, CrashWindow
 from repro.workloads.experiment import (
+    Figure2Config,
     LatencyResult,
     OscillationResult,
     SwitchOverheadResult,
 )
+from repro.workloads.switchrun import SwitchRunConfig
+
+
+# ----------------------------------------------------------------------
+# the parser
+# ----------------------------------------------------------------------
+def test_parser_builds():
+    parser = build_parser()
+    assert parser.prog == "repro"
+
+
+def test_version_flag(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--version"])
+    assert exit_info.value.code == 0
+    assert "1.0.0" in capsys.readouterr().out
+
+
+def test_command_required():
+    with pytest.raises(SystemExit):
+        main([])
+
+
+def test_unknown_command_rejected():
+    with pytest.raises(SystemExit):
+        main(["frobnicate"])
+
+
+def test_subcommands_registered():
+    parser = build_parser()
+    text = parser.format_help()
+    for command in ("figure2", "table2", "overhead", "oscillation", "preservation"):
+        assert command in text
+
+
+def test_figure2_accepts_options():
+    parser = build_parser()
+    args = parser.parse_args(["figure2", "--duration", "2.0", "--seed", "7", "--hybrid"])
+    assert args.duration == 2.0
+    assert args.seed == 7
+    assert args.hybrid is True
+
+
+def test_table2_accepts_thorough():
+    parser = build_parser()
+    args = parser.parse_args(["table2", "--thorough"])
+    assert args.thorough is True
+
+
+# ----------------------------------------------------------------------
+# config-backed commands: the dataclass holds every default
+# ----------------------------------------------------------------------
+class Captured(Exception):
+    """Raised by a stub runner to hand the test the config it was given."""
+
+
+# (command, runner module, runner names, config class, flags, fields the
+# flags set).  Each command's rows together set every one of its config
+# flags to a non-default value.
+CONFIG_ROWS = [
+    ("figure2", "repro.workloads.experiment", ["run_figure2_sweep"],
+     Figure2Config, ["--duration", "2.5", "--seed", "7"],
+     dict(duration=2.5, seed=7)),
+    ("overhead", "repro.workloads.experiment",
+     ["run_switch_overhead_experiment"], Figure2Config, ["--seed", "7"],
+     dict(seed=7)),
+    ("oscillation", "repro.workloads.experiment",
+     ["run_oscillation_experiment"], Figure2Config, ["--seed", "7"],
+     dict(seed=7)),
+    ("chaos", "repro.testing.chaos", ["run_chaos"], ChaosConfig,
+     ["--members", "5", "--seed", "7", "--duration", "3",
+      "--cast-rate", "60", "--switch-every", "0.4", "--control-loss", "0.1",
+      "--control-dup", "0.05", "--control-jitter", "0.002",
+      "--crash", "2:1.0:2.5", "--settle", "5"],
+     dict(members=5, seed=7, duration=3.0, cast_rate=60.0,
+          switch_every=0.4, control_loss=0.1, control_dup=0.05,
+          control_jitter=0.002, crashes=(CrashWindow(2, 1.0, 2.5),),
+          settle=5)),
+    ("run", "repro.workloads.switchrun", ["run_switch_demo"],
+     SwitchRunConfig,
+     ["--runtime", "asyncio", "--members", "3", "--duration", "2",
+      "--rate", "80", "--seed", "7", "--switch-at", "1",
+      "--base-port", "48000", "--batch", "4", "--linger", "0.002"],
+     dict(runtime="asyncio", members=3, duration=2.0, rate=80.0, seed=7,
+          switch_at=1.0, base_port=48000, max_batch=4, linger=0.002)),
+    ("fleet", "repro.fleet", ["run_fleet", "run_fleet_sharded"], FleetConfig,
+     ["--groups", "8", "--members", "2", "--nodes", "6", "--clients", "80",
+      "--client-rate", "0.5", "--hot-fraction", "0.25",
+      "--hot-multiplier", "10", "--duration", "2", "--seed", "7",
+      "--high-threshold", "20", "--oracle-poll", "0.25", "--settle", "1",
+      "--shards", "2", "--telemetry", "--telemetry-window", "0.5",
+      "--telemetry-history", "30", "--slo-p99-ms", "5",
+      "--slo-switch-s", "1", "--slo-ratio", "0.9"],
+     dict(groups=8, members=2, nodes=6, clients=80, client_rate=0.5,
+          hot_fraction=0.25, hot_multiplier=10.0, duration=2.0, seed=7,
+          high_threshold=20.0, oracle_poll=0.25, settle=1.0, shards=2,
+          telemetry=True, telemetry_window=0.5, telemetry_history=30,
+          slo_p99_ms=5.0, slo_switch_s=1.0, slo_ratio=0.9)),
+    # --expo-port implies --telemetry.
+    ("fleet", "repro.fleet", ["run_fleet", "run_fleet_sharded"], FleetConfig,
+     ["--runtime", "asyncio", "--base-port", "48000", "--expo-port", "0"],
+     dict(runtime="asyncio", base_port=48000, expo_port=0, telemetry=True)),
+]
+
+
+def config_flag_dests(command, config_cls):
+    parser = build_parser()
+    sub = next(
+        action
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    fields = {field.name for field in dataclasses.fields(config_cls)}
+    return {
+        action.dest
+        for action in sub.choices[command]._actions
+        if action.dest in fields
+    }
+
+
+@pytest.mark.parametrize(
+    "command, module, runners, config_cls, argv, fields",
+    CONFIG_ROWS,
+    ids=["figure2", "overhead", "oscillation", "chaos", "run", "fleet",
+         "fleet-expo"],
+)
+def test_config_command_flags_reach_fields(
+    monkeypatch, capsys, command, module, runners, config_cls, argv, fields
+):
+    import importlib
+
+    target = importlib.import_module(module)
+
+    def fake_runner(*args, **kwargs):
+        raise Captured(next(a for a in args if isinstance(a, config_cls)))
+
+    for runner in runners:
+        monkeypatch.setattr(target, runner, fake_runner)
+
+    # No flags: the runner gets exactly the dataclass defaults.
+    with pytest.raises(Captured) as bare:
+        main([command])
+    assert bare.value.args[0] == config_cls()
+
+    # Every flag lands on its field and nothing else moves.
+    with pytest.raises(Captured) as flagged:
+        main([command, *argv])
+    assert flagged.value.args[0] == config_cls(**fields)
+    capsys.readouterr()
+
+    covered = set()
+    for row in CONFIG_ROWS:
+        if row[0] == command:
+            covered |= set(row[5])
+    assert config_flag_dests(command, config_cls) <= covered
 
 
 def fake_sweep_results(protocols, counts):
@@ -202,8 +364,9 @@ def test_cmd_chaos_whole_trace_order_is_reported_not_judged(
     assert "oracle: all properties hold" in out
 
 
-def test_cmd_chaos_rejects_malformed_crash_spec(capsys):
-    code = cli.main(["chaos", "--crash", "nonsense"])
+@pytest.mark.parametrize("spec", ["nonsense", "a:1", "1:x"])
+def test_cmd_chaos_rejects_malformed_crash_spec(capsys, spec):
+    code = cli.main(["chaos", "--crash", spec])
     out = capsys.readouterr().out
     assert code == 2
     assert "bad --crash spec" in out
@@ -411,8 +574,14 @@ def test_cmd_metrics_pretty_prints(capsys, tmp_path):
     assert "switch.duration_s" in out and "p99" in out
 
 
-def test_cmd_metrics_missing_file_exits_two(capsys, tmp_path):
-    code = cli.main(["metrics", str(tmp_path / "nope.json")])
+@pytest.mark.parametrize(
+    "content", [None, "[]"], ids=["missing", "not-an-object"]
+)
+def test_cmd_metrics_missing_file_exits_two(capsys, tmp_path, content):
+    path = tmp_path / "nope.json"
+    if content is not None:
+        path.write_text(content)
+    code = cli.main(["metrics", str(path)])
     out = capsys.readouterr().out
     assert code == 2
     assert "cannot read metrics file" in out
@@ -543,3 +712,45 @@ def test_cmd_fleet_shards_rejected_on_asyncio(capsys):
     assert code == 2
     assert "bad fleet configuration" in out
     assert "sim runtime" in out
+
+
+def test_preservation_command_runs(capsys):
+    code = main(["preservation"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "9/9 scenarios match" in out
+    assert "Virtual Synchrony" in out
+
+
+# ----------------------------------------------------------------------
+# audit command
+# ----------------------------------------------------------------------
+def test_audit_lists_properties(capsys):
+    code = main(["audit"])
+    out = capsys.readouterr().out
+    assert code == 0
+    for name in ("Total Order", "Amoeba", "No Replay"):
+        assert name in out
+
+
+def test_audit_unknown_property(capsys):
+    code = main(["audit", "--property", "Levitation"])
+    assert code == 1
+    assert "unknown property" in capsys.readouterr().out
+
+
+def test_audit_refuted_property_shows_counterexample(capsys):
+    code = main(["audit", "--property", "Prioritized Delivery"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "Asynchrony     REFUTED" in out
+    assert "below (holds):" in out
+    assert "does not guarantee" in out
+
+
+def test_audit_all_six_property(capsys):
+    code = main(["audit", "--property", "Integrity"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "REFUTED" not in out
+    assert "preserves it" in out
