@@ -15,7 +15,9 @@ Payload mode checks a telemetry payload (``repro fleet
   exposition text carrying the core series;
 * the snapshot's internal consistency: per-group delivered counts sum
   to the fleet total, every group snapshot names a protocol and an SLO
-  verdict, every recorded escalation carries its justifying snapshot;
+  verdict, every recorded escalation carries its justifying snapshot,
+  and the escalations are in decision-time order (a sharded run's
+  merged list too);
 * with a fleet artifact (``repro fleet --json``) alongside: the
   telemetry aggregate agrees with the artifact's delivered count to
   within 1% (the live plane must not drift from ground truth), and —
@@ -44,7 +46,7 @@ if _SCRIPTS not in sys.path:
 
 from _lib import ArtifactError, load_artifact, report_problems, usage
 
-PAYLOAD_SOURCES = {"poll", "scrape", "file"}
+PAYLOAD_SOURCES = {"poll", "scrape", "file", "merge"}
 FLEET_KEYS = {
     "time",
     "uptime_s",
@@ -141,11 +143,22 @@ def check_escalations(payload, problems):
     if not isinstance(escalations, list):
         problems.append("escalations: not a list")
         return
+    previous = None
     for index, record in enumerate(escalations):
         label = f"escalations[{index}]"
         if not isinstance(record, dict):
             problems.append(f"{label}: not an object")
             continue
+        time = record.get("time")
+        if not isinstance(time, (int, float)):
+            problems.append(f"{label}: decision carries no time")
+        elif previous is not None and time < previous:
+            problems.append(
+                f"{label}: decided at {time}, before the record ahead of "
+                f"it ({previous})"
+            )
+        else:
+            previous = time
         snapshot = record.get("snapshot")
         if not isinstance(snapshot, dict):
             problems.append(f"{label}: decision carries no snapshot")

@@ -159,8 +159,8 @@ def merge_payloads(
     """Merge full telemetry *payloads* (the ``repro top`` file/URL shape).
 
     Each payload is ``{"snapshot": ..., ...}``; the result carries the
-    merged snapshot, concatenated escalation records (time-ordered when
-    stamped), and a re-rendered Prometheus text body.
+    merged snapshot, the escalation records of every payload ordered by
+    ``(time, group_id)``, and a re-rendered Prometheus text body.
     """
     if not payloads:
         raise TelemetryError("nothing to merge: no payloads given")
@@ -172,7 +172,9 @@ def merge_payloads(
     escalations: List[Dict[str, Any]] = []
     for payload in payloads:
         escalations.extend(payload.get("escalations", []))
-    escalations.sort(key=lambda rec: (rec.get("t", 0.0), rec.get("group", 0)))
+    escalations.sort(
+        key=lambda rec: (rec.get("time", 0.0), rec.get("group_id", 0))
+    )
     from .expo import render_prometheus
 
     merged: Dict[str, Any] = {

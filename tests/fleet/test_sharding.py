@@ -15,6 +15,8 @@ from repro.fleet import (
 )
 from repro.fleet.sharding import _shard_worker, fnv1a32
 
+from helpers import load_validator
+
 
 def small_config(**overrides):
     base = dict(
@@ -141,6 +143,15 @@ class TestSupervisor:
         assert merged["snapshot"]["fleet"]["delivered"] == result.delivered
         assert len(merged["snapshot"]["groups"]) == config.groups
         assert "repro_fleet_delivered_total" in merged["prometheus"]
+        # The merged payload passes the CI validator against the run's
+        # own artifact, escalations in (time, group_id) order.
+        problems = []
+        load_validator("check_telemetry").check_payload(
+            merged, result.as_dict(), problems
+        )
+        assert problems == []
+        order = [(e["time"], e["group_id"]) for e in merged["escalations"]]
+        assert order and order == sorted(order)
 
     def test_crashed_shard_raises_structured_error(self):
         # An impossible slice makes the worker die after spawn; the

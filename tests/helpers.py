@@ -1,7 +1,11 @@
-"""Shared test utilities: group builders and delivery collectors."""
+"""Shared test utilities: group builders, delivery collectors and the
+artifact validators under ``scripts/``."""
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.switchable import ProtocolSpec, SwitchableStack, build_switch_group
@@ -14,6 +18,18 @@ from repro.sim.rng import RandomStreams
 from repro.stack.membership import Group
 from repro.stack.message import Message
 from repro.stack.stack import ProcessStack, build_group
+
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load_validator(name: str):
+    """Import ``scripts/<name>.py`` as the module *name*."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 class DeliveryLog:

@@ -5,25 +5,15 @@ validator that waves everything through would let a broken benchmark or
 scenario sweep sail past CI.
 """
 
-import importlib.util
 import json
-import sys
 from pathlib import Path
 
 import pytest
 
+from helpers import load_validator
+
 REPO = Path(__file__).resolve().parents[2]
-SCRIPTS = REPO / "scripts"
 RESULTS = REPO / "benchmarks" / "results"
-
-
-def load_validator(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
-
 
 check_obs = load_validator("check_obs")
 check_scale = load_validator("check_scale")
@@ -587,6 +577,7 @@ def good_telemetry_payload():
         "prometheus": prometheus,
         "escalations": [
             {
+                "time": 3.5,
                 "group_id": 1,
                 "signal": 55.0,
                 "snapshot": {"group": 1, "window_partial": {"delivered": 9}},
@@ -702,6 +693,15 @@ def test_telemetry_rejects_unjustified_escalation(tmp_path, capsys):
     path = write(tmp_path, "tele.json", payload)
     assert check_telemetry.main(["prog", path]) == 1
     assert "no snapshot" in capsys.readouterr().out
+
+
+def test_telemetry_rejects_out_of_order_escalations(tmp_path, capsys):
+    payload = good_telemetry_payload()
+    early = dict(payload["escalations"][0], time=1.5, group_id=0)
+    payload["escalations"].append(early)
+    path = write(tmp_path, "tele.json", payload)
+    assert check_telemetry.main(["prog", path]) == 1
+    assert "before the record ahead of it (3.5)" in capsys.readouterr().out
 
 
 def test_telemetry_rejects_missing_prometheus_series(tmp_path, capsys):
