@@ -17,6 +17,8 @@ Two runs feed one artifact (``benchmarks/results/fleet.json``):
 * ``asyncio`` — a 32-group smoke over real localhost UDP, proving the
   group-id wire format against the kernel's network stack.
 
+Each run's record is its :class:`~repro.fleet.FleetResult` plus the
+:class:`BenchRun` fields, read back closed by :func:`load_run`.
 ``scripts/check_fleet.py`` validates the artifact's schema and verdict
 bars in CI.
 
@@ -37,10 +39,12 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, replace
-from typing import Dict, Optional
+from dataclasses import dataclass, fields, replace
+from typing import Any, Dict, Optional, Tuple
 
-from repro.fleet import FleetConfig, run_fleet, run_fleet_sharded
+from repro.errors import RecordError
+from repro.fleet import FleetConfig, FleetResult, run_fleet, run_fleet_sharded
+from repro.records import dump, load
 
 SCHEMA_VERSION = 1
 
@@ -85,7 +89,37 @@ def asyncio_smoke_config(base_port: int) -> FleetConfig:
     )
 
 
-def run_one(label: str, config: FleetConfig) -> Dict[str, object]:
+@dataclass
+class BenchRun:
+    """What a run record adds to its :class:`FleetResult`: the verdict,
+    the wall time and the config.  They vary with the execution, never
+    with the outcome."""
+
+    ok: bool
+    wall_s: float
+    config: FleetConfig
+
+
+def load_run(run: Any, where: str) -> Tuple[FleetResult, BenchRun]:
+    """A run record read closed: each key is a :class:`BenchRun` field
+    or a :class:`FleetResult` field.  Raises ``RecordError``."""
+    if not isinstance(run, dict):
+        raise RecordError(f"{where}: missing or not an object")
+    names = {field.name for field in fields(BenchRun)}
+    bench = {key: value for key, value in run.items() if key in names}
+    rest = {key: value for key, value in run.items() if key not in names}
+    return load(FleetResult, rest, where), load(BenchRun, bench, where)
+
+
+def outcome_projection(result: FleetResult) -> str:
+    """A run's outcome, canonicalised: its result without the shard
+    bookkeeping, the only part that varies with the partition."""
+    return json.dumps(
+        dump(replace(result, shards=0, shard_stats=[])), sort_keys=True
+    )
+
+
+def run_one(label: str, config: FleetConfig) -> Dict[str, Any]:
     """Drive one sweep; returns its artifact record (result + wall time)."""
     sharded = f", {config.shards} shards" if config.shards else ""
     print(
@@ -100,11 +134,10 @@ def run_one(label: str, config: FleetConfig) -> Dict[str, object]:
     wall = time.perf_counter() - start
     print(result.summary())
     print(f"  wall: {wall:.1f}s\n")
-    record = result.as_dict()
-    record["ok"] = result.ok
-    record["wall_s"] = round(wall, 3)
-    record["config"] = asdict(config)
-    return record
+    return {
+        **result.as_dict(),
+        **dump(BenchRun(result.ok, round(wall, 3), config)),
+    }
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -146,7 +179,7 @@ def main(argv: Optional[list] = None) -> int:
         # replace() re-runs validation (shards vs groups, sim-only).
         sim_config = replace(sim_config, shards=args.shards)
 
-    runs: Dict[str, Dict[str, object]] = {}
+    runs: Dict[str, Dict[str, Any]] = {}
     runs["sim"] = run_one("sim", sim_config)
     if not args.no_asyncio:
         runs["asyncio"] = run_one(

@@ -37,14 +37,13 @@ import argparse
 import json
 import os
 import sys
-import time
-from dataclasses import asdict, replace
+from dataclasses import replace
 from typing import Any, Dict, List, Optional
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import bench_fleet  # noqa: E402
-from repro.fleet import run_fleet_sharded  # noqa: E402
+from bench_fleet import load_run, outcome_projection  # noqa: E402
 
 SCHEMA_VERSION = 1
 
@@ -53,33 +52,6 @@ SCHEMA_VERSION = 1
 #: Quick: the 64-group smoke's hot groups hash 2:1 across two shards,
 #: so its ideal speedup is ~1.6x; 1.2x proves scaling without flaking.
 SPEEDUP_FLOORS = {"full": 2.5, "quick": 1.2}
-
-#: Run-record keys that depend on execution, not on outcomes.
-EXECUTION_KEYS = {"ok", "wall_s", "config", "shards", "shard_stats"}
-
-
-def outcome_projection(run: Dict[str, Any]) -> str:
-    """The execution-independent slice of a run record, canonicalised."""
-    outcome = {k: v for k, v in run.items() if k not in EXECUTION_KEYS}
-    return json.dumps(outcome, sort_keys=True)
-
-
-def run_one(shards: int, config) -> Dict[str, Any]:
-    config = replace(config, shards=shards)
-    print(
-        f"[shards={shards}] {config.groups} groups x {config.members} "
-        f"members over {config.nodes} nodes, {config.clients} clients..."
-    )
-    start = time.perf_counter()
-    result = run_fleet_sharded(config)
-    wall = time.perf_counter() - start
-    print(result.summary())
-    print(f"  wall: {wall:.1f}s\n")
-    record = result.as_dict()
-    record["ok"] = result.ok
-    record["wall_s"] = round(wall, 3)
-    record["config"] = asdict(config)
-    return record
 
 
 def critical_path_cpu_s(run: Dict[str, Any]) -> float:
@@ -126,13 +98,17 @@ def main(argv: Optional[list] = None) -> int:
 
     runs: Dict[str, Dict[str, Any]] = {}
     for shards in shard_counts:
-        runs[f"shards{shards}"] = run_one(shards, config)
+        name = f"shards{shards}"
+        runs[name] = bench_fleet.run_one(
+            name, replace(config, shards=shards)
+        )
 
     # ------------------------------------------------------------------
     # Parity: outcomes must not depend on the partition.
     # ------------------------------------------------------------------
     projections = {
-        name: outcome_projection(run) for name, run in runs.items()
+        name: outcome_projection(load_run(run, name)[0])
+        for name, run in runs.items()
     }
     reference = projections[f"shards{shard_counts[0]}"]
     self_parity = all(p == reference for p in projections.values())
@@ -152,9 +128,8 @@ def main(argv: Optional[list] = None) -> int:
                 f"{profile!r}; skipped"
             )
         else:
-            baseline_parity = (
-                outcome_projection(baseline["runs"]["sim"]) == reference
-            )
+            sim, __ = load_run(baseline["runs"]["sim"], "baseline sim")
+            baseline_parity = outcome_projection(sim) == reference
 
     # ------------------------------------------------------------------
     # Scaling: critical-path CPU seconds per shard count.

@@ -171,8 +171,13 @@ def run_scale(args: argparse.Namespace, workers: int) -> Dict[str, Any]:
 
 
 def run_scenarios(args: argparse.Namespace, workers: int) -> Dict[str, Any]:
+    from repro.records import dump
     from repro.scenarios import load_catalog
-    from repro.scenarios.runner import run_scenario_cell, scenario_cells
+    from repro.scenarios.runner import (
+        ScenarioSuite,
+        run_scenario_cell,
+        scenario_cells,
+    )
 
     catalog = load_catalog()
     names = [
@@ -183,10 +188,7 @@ def run_scenarios(args: argparse.Namespace, workers: int) -> Dict[str, Any]:
     verdicts = run_cells(cells, run_scenario_cell, workers)
     for verdict in verdicts:
         print("  " + verdict.summary().splitlines()[0], flush=True)
-    return {
-        "runtime": "sim",
-        "scenarios": {v.scenario: v.to_dict() for v in verdicts},
-    }
+    return dump(ScenarioSuite("sim", {v.scenario: v for v in verdicts}))
 
 
 def run_chaos_sweep(args: argparse.Namespace, workers: int) -> Dict[str, Any]:

@@ -10,6 +10,13 @@ Every validator follows the same contract (asserted by
   per problem, exit 1;
 * success -> validator-specific summary lines, exit 0.
 
+An artifact whose writer declares a record (a fleet run, a scenario
+suite, a telemetry payload) is first read through that record's closed
+:func:`repro.records.load`; a badly shaped artifact is one failed check
+naming where the shape breaks (``sim.per_group[0]: expected an
+object``), never a traceback.  The validator itself states only the
+semantic checks: verdicts, floors, parity, sums.
+
 The helpers here implement the three shared legs; the success summary
 stays in each validator, because that is the part reviewers read in CI
 logs.

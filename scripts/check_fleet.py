@@ -32,13 +32,15 @@ For the plain fleet artifact it checks the acceptance contract for
   clients (the tentpole claim), ``quick`` ones >= 16 groups;
 * an ``asyncio`` run, when present, covers >= 32 groups (the UDP smoke
   floor);
+* every run record reads closed as a ``FleetResult`` plus the bench's
+  ``BenchRun`` fields (``bench_fleet.load_run``);
 * every run's oracle verdicts hold: all hot groups escalated to the
   token ring, zero cold groups switched, zero stray packets, no
   recorded violations;
 * every run reports positive aggregate throughput and one report per
-  group, each with members, its pooled sequencer, delivery counts, a
-  positive per-group p99 latency, and a final protocol consistent with
-  its hot/cold role.
+  group, each with at least two distinct members, its pooled sequencer
+  among them, deliveries, a positive per-group p99 latency, and a final
+  protocol consistent with its hot/cold role.
 
 Exit code 0 when every check passes, 1 with a report otherwise.
 """
@@ -46,41 +48,15 @@ Exit code 0 when every check passes, 1 with a report otherwise.
 import sys
 from pathlib import Path
 
-_SCRIPTS = str(Path(__file__).resolve().parent)
-if _SCRIPTS not in sys.path:
-    sys.path.insert(0, _SCRIPTS)
+_HERE = Path(__file__).resolve().parent
+for _path in (str(_HERE), str(_HERE.parent / "benchmarks")):
+    if _path not in sys.path:
+        sys.path.insert(0, _path)
 
 from _lib import ArtifactError, load_artifact, report_problems, usage
+from bench_fleet import load_run, outcome_projection
+from repro.errors import RecordError
 
-RUN_KEYS = {
-    "runtime",
-    "groups",
-    "clients",
-    "duration",
-    "casts",
-    "delivered",
-    "msgs_per_s",
-    "hot_groups",
-    "hot_switched",
-    "cold_switched",
-    "stray_packets",
-    "per_group",
-    "violations",
-    "ok",
-    "wall_s",
-    "config",
-}
-GROUP_KEYS = {
-    "group_id",
-    "hot",
-    "members",
-    "sequencer",
-    "casts",
-    "delivered",
-    "p99_ms",
-    "final_protocol",
-    "switched",
-}
 PROTOCOLS = {"sequencer", "tokenring"}
 
 #: Scale floors per (profile, run name): the artifact must prove the
@@ -97,112 +73,97 @@ FULL_SIM_CLIENT_FLOOR = 100_000
 SHARDED_SPEEDUP_FLOORS = {"full": 2.5, "quick": 1.2}
 #: Full artifacts must sweep through at least this many shards.
 SHARDED_MAX_SHARDS_FLOOR = {"full": 4, "quick": 2}
-#: Run-record keys that vary with execution, not outcomes.
-EXECUTION_KEYS = {"ok", "wall_s", "config", "shards", "shard_stats"}
 
 
 def check_group(run_name, report, problems):
-    label = f"{run_name}.per_group[{report.get('group_id', '?')}]"
-    missing = GROUP_KEYS - set(report)
-    if missing:
-        problems.append(f"{label}: missing keys {sorted(missing)}")
-        return
-    if report["final_protocol"] not in PROTOCOLS:
+    label = f"{run_name}.per_group[{report.group_id}]"
+    if report.final_protocol not in PROTOCOLS:
         problems.append(
-            f"{label}: unknown final protocol {report['final_protocol']!r}"
+            f"{label}: unknown final protocol {report.final_protocol!r}"
         )
-    if report["switched"] != (report["final_protocol"] == "tokenring"):
+    if report.switched != (report.final_protocol == "tokenring"):
         problems.append(f"{label}: switched flag contradicts final protocol")
-    if report["hot"] != report["switched"]:
-        role = "hot" if report["hot"] else "cold"
+    if report.hot != report.switched:
+        role = "hot" if report.hot else "cold"
         problems.append(
-            f"{label}: {role} group ended on {report['final_protocol']!r}"
+            f"{label}: {role} group ended on {report.final_protocol!r}"
         )
-    if report["delivered"] <= 0:
+    if report.delivered <= 0:
         problems.append(f"{label}: no deliveries recorded")
-    p99 = report["p99_ms"]
-    if not isinstance(p99, (int, float)) or p99 <= 0:
+    p99 = report.p99_ms
+    if p99 is None or p99 <= 0:
         problems.append(f"{label}: p99_ms {p99!r} is not a positive latency")
-    if len(set(report["members"])) < 2:
+    if len(set(report.members)) < 2:
         problems.append(f"{label}: fewer than two distinct members")
-    if report["sequencer"] not in report["members"]:
+    if report.sequencer not in report.members:
         problems.append(
-            f"{label}: sequencer {report['sequencer']} is not a member"
+            f"{label}: sequencer {report.sequencer} is not a member"
         )
 
 
 def check_run(name, run, profile, problems, runtime=None):
+    """Check one run record; returns its ``FleetResult``, or None when
+    the record does not even read."""
     runtime = runtime or name
-    if not isinstance(run, dict):
-        problems.append(f"{name}: missing or not an object")
-        return
-    missing = RUN_KEYS - set(run)
-    if missing:
-        problems.append(f"{name}: missing keys {sorted(missing)}")
-        return
-    if run["runtime"] != runtime:
-        problems.append(f"{name}: run records runtime {run['runtime']!r}")
+    try:
+        result, bench = load_run(run, name)
+    except RecordError as exc:
+        problems.append(str(exc))
+        return None
+    if result.runtime != runtime:
+        problems.append(f"{name}: run records runtime {result.runtime!r}")
     floor = GROUP_FLOORS.get((profile, runtime))
-    if floor is not None and run["groups"] < floor:
+    if floor is not None and result.groups < floor:
         problems.append(
-            f"{name}: {run['groups']} groups below the {profile}-profile "
+            f"{name}: {result.groups} groups below the {profile}-profile "
             f"floor of {floor}"
         )
     if profile == "full" and runtime == "sim":
-        if run["clients"] < FULL_SIM_CLIENT_FLOOR:
+        if result.clients < FULL_SIM_CLIENT_FLOOR:
             problems.append(
-                f"{name}: {run['clients']} clients below the full-profile "
+                f"{name}: {result.clients} clients below the full-profile "
                 f"floor of {FULL_SIM_CLIENT_FLOOR}"
             )
-    if run["ok"] is not True:
+    if not bench.ok:
         problems.append(f"{name}: run verdict did not pass")
-    if run["violations"]:
-        problems.append(f"{name}: violations recorded {run['violations']}")
-    if run["msgs_per_s"] <= 0 or run["delivered"] <= 0:
+    if result.violations:
+        problems.append(f"{name}: violations recorded {result.violations}")
+    if result.msgs_per_s <= 0 or result.delivered <= 0:
         problems.append(f"{name}: no delivered throughput")
-    if run["hot_switched"] != run["hot_groups"]:
+    if result.hot_switched != result.hot_groups:
         problems.append(
-            f"{name}: only {run['hot_switched']}/{run['hot_groups']} hot "
+            f"{name}: only {result.hot_switched}/{result.hot_groups} hot "
             f"groups escalated"
         )
-    if run["cold_switched"] != 0:
-        problems.append(f"{name}: {run['cold_switched']} cold groups switched")
-    if run["stray_packets"] != 0:
-        problems.append(f"{name}: {run['stray_packets']} stray packets")
-    per_group = run["per_group"]
-    if not isinstance(per_group, list) or len(per_group) != run["groups"]:
+    if result.cold_switched != 0:
+        problems.append(f"{name}: {result.cold_switched} cold groups switched")
+    if result.stray_packets != 0:
+        problems.append(f"{name}: {result.stray_packets} stray packets")
+    if len(result.per_group) != result.groups:
         problems.append(
-            f"{name}: per_group has {len(per_group)} reports for "
-            f"{run['groups']} groups"
+            f"{name}: per_group has {len(result.per_group)} reports for "
+            f"{result.groups} groups"
         )
-        return
-    for report in per_group:
+        return result
+    for report in result.per_group:
         check_group(name, report, problems)
+    return result
 
 
-def outcome_projection(run):
-    """The execution-independent slice of a run record, canonicalised."""
-    import json
-
-    outcome = {k: v for k, v in run.items() if k not in EXECUTION_KEYS}
-    return json.dumps(outcome, sort_keys=True)
-
-
-def check_sharded_stats(name, run, problems):
-    shards = run.get("shards")
-    stats = run.get("shard_stats")
-    if not isinstance(shards, int) or shards < 1:
+def check_sharded_stats(name, result, problems):
+    shards, stats = result.shards, result.shard_stats
+    if shards < 1:
         problems.append(f"{name}: shards {shards!r} is not a count")
         return
-    if not isinstance(stats, list) or len(stats) != shards:
+    if len(stats) != shards:
         problems.append(
-            f"{name}: shard_stats has {len(stats) if isinstance(stats, list) else '?'} "
-            f"entries for {shards} shards"
+            f"{name}: shard_stats has {len(stats)} entries for {shards} "
+            f"shards"
         )
         return
-    if sum(s.get("groups", 0) for s in stats) != run["groups"]:
+    if sum(s.get("groups", 0) for s in stats) != result.groups:
         problems.append(f"{name}: shard group counts do not sum to the fleet")
-    if sum(s.get("delivered", 0) for s in stats) != run["delivered"]:
+    if sum(s.get("delivered", 0) for s in stats) != result.delivered:
         problems.append(f"{name}: shard delivered does not sum to the fleet")
     for stat in stats:
         sid = stat.get("shard", "?")
@@ -231,25 +192,25 @@ def check_sharded(artifact, baseline_path, problems):
     if not isinstance(runs, dict):
         problems.append("runs: missing")
         return {}
-    for shards in counts:
-        name = f"shards{shards}"
-        run = runs.get(name)
-        if run is None:
+    names = [f"shards{shards}" for shards in counts]
+    for name in sorted(set(runs) - set(names)):
+        problems.append(f"runs: {name!r} is not in shard_counts")
+    results = {}
+    for shards, name in zip(counts, names):
+        if name not in runs:
             problems.append(f"runs: missing {name!r}")
             continue
-        check_run(name, run, profile, problems, runtime="sim")
-        if isinstance(run, dict) and not (RUN_KEYS - set(run)):
-            check_sharded_stats(name, run, problems)
-            if run.get("shards") != shards:
-                problems.append(
-                    f"{name}: run records shards={run.get('shards')!r}"
-                )
+        result = check_run(name, runs[name], profile, problems, runtime="sim")
+        if result is None:
+            continue
+        results[name] = result
+        check_sharded_stats(name, result, problems)
+        if result.shards != shards:
+            problems.append(f"{name}: run records shards={result.shards!r}")
 
     # Partition parity: recomputed here, never trusted from the file.
     projections = {
-        name: outcome_projection(run)
-        for name, run in runs.items()
-        if isinstance(run, dict)
+        name: outcome_projection(result) for name, result in results.items()
     }
     if len(set(projections.values())) > 1:
         problems.append(
@@ -267,12 +228,21 @@ def check_sharded(artifact, baseline_path, problems):
                     f"baseline profile {baseline.get('profile')!r} does not "
                     f"match {profile!r}"
                 )
-            elif projections and outcome_projection(
-                baseline.get("runs", {}).get("sim", {})
-            ) != next(iter(projections.values())):
-                problems.append(
-                    "shards=1 outcomes differ from the in-process baseline"
-                )
+            elif projections:
+                try:
+                    sim, __ = load_run(
+                        baseline.get("runs", {}).get("sim"), "baseline sim"
+                    )
+                except RecordError as exc:
+                    problems.append(f"baseline: {exc}")
+                else:
+                    if outcome_projection(sim) != next(
+                        iter(projections.values())
+                    ):
+                        problems.append(
+                            "shards=1 outcomes differ from the in-process "
+                            "baseline"
+                        )
 
     scaling = artifact.get("scaling")
     if not isinstance(scaling, dict):
@@ -297,22 +267,22 @@ def check_sharded(artifact, baseline_path, problems):
                 )
     if artifact.get("pass") is not True:
         problems.append("top-level verdict did not pass")
-    return runs
+    return results
 
 
 def main_sharded(artifact, baseline_path):
     problems = []
     if not isinstance(artifact.get("schema_version"), int):
         problems.append("schema_version missing or non-integer")
-    runs = check_sharded(artifact, baseline_path, problems)
+    results = check_sharded(artifact, baseline_path, problems)
     if report_problems(problems):
         return 1
     for shards in artifact["shard_counts"]:
-        run = runs[f"shards{shards}"]
-        cpu = max(s["cpu_s"] for s in run["shard_stats"])
+        result = results[f"shards{shards}"]
+        cpu = max(s["cpu_s"] for s in result.shard_stats)
         print(
             f"sharded: {shards} shards -> critical path {cpu:.2f}s cpu, "
-            f"{run['delivered'] / cpu:.0f} msgs per cpu-s"
+            f"{result.delivered / cpu:.0f} msgs per cpu-s"
         )
     scaling = artifact["scaling"]
     print(
@@ -331,6 +301,8 @@ def main(argv):
     except ArtifactError as exc:
         print(exc)
         return 1
+    if not isinstance(artifact, dict):
+        return report_problems([f"{argv[1]}: not a JSON object"])
     if artifact.get("benchmark") == "bench_fleet_sharded":
         return main_sharded(artifact, argv[2] if len(argv) == 3 else None)
     if len(argv) == 3:
@@ -347,25 +319,25 @@ def main(argv):
     if not isinstance(runs, dict) or "sim" not in runs:
         problems.append("runs: missing the required 'sim' run")
         runs = {}
+    results = {}
     for name in sorted(runs):
         if name not in ("sim", "asyncio"):
             problems.append(f"runs: unknown runtime {name!r}")
             continue
-        check_run(name, runs[name], profile, problems)
+        results[name] = check_run(name, runs[name], profile, problems)
     if artifact.get("pass") is not True:
         problems.append("top-level verdict did not pass")
 
     if report_problems(problems):
         return 1
-    for name in sorted(runs):
-        run = runs[name]
+    for name, result in results.items():
         print(
-            f"fleet:   {name} {run['groups']} groups / {run['clients']} "
-            f"clients -> {run['msgs_per_s']:.0f} msgs/s aggregate"
+            f"fleet:   {name} {result.groups} groups / {result.clients} "
+            f"clients -> {result.msgs_per_s:.0f} msgs/s aggregate"
         )
         print(
-            f"fleet:   {name} oracle {run['hot_switched']}/"
-            f"{run['hot_groups']} hot switched, {run['cold_switched']} cold"
+            f"fleet:   {name} oracle {result.hot_switched}/"
+            f"{result.hot_groups} hot switched, {result.cold_switched} cold"
         )
     print("all fleet-benchmark checks passed")
     return 0

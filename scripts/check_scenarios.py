@@ -9,14 +9,18 @@ Usage::
 
 Checks the catalog sweep's acceptance contract:
 
-* top level carries the scenario-suite schema: ``suite`` name, integer
-  ``schema_version``, the runtime swept, and a ``scenarios`` mapping;
+* the artifact reads closed as a ``ScenarioSuite`` of
+  ``ScenarioVerdict`` records (``repro.scenarios.runner``): the
+  ``suite`` name, an integer ``schema_version``, and for every verdict
+  the full evidence record (final protocols, switch counts, decisions,
+  delivery ratio, throughput and drain-cost figures) with its types;
+* the runtime swept is ``sim`` or ``asyncio``, and a non-empty mapping
+  of verdicts;
 * the sweep covers the full shipped catalog (at least
   :data:`MIN_SCENARIOS` entries, including every name in
   :data:`REQUIRED_SCENARIOS`);
-* every verdict has the full evidence record (final protocols,
-  switch counts, decisions, delivery ratio, throughput and drain-cost
-  figures) with sane value ranges;
+* every verdict names itself, settles on a known expected protocol,
+  recorded casts, and reports sane value ranges;
 * every verdict **passed**: ``ok`` is true and ``violations`` is empty
   — a scenario that regressed fails CI here;
 * drift scenarios completed at least one switch and report a positive
@@ -35,6 +39,9 @@ if _SCRIPTS not in sys.path:
     sys.path.insert(0, _SCRIPTS)
 
 from _lib import ArtifactError, load_artifact, report_problems, usage
+from repro.errors import RecordError
+from repro.records import load
+from repro.scenarios.runner import ScenarioSuite
 
 MIN_SCENARIOS = 8
 
@@ -51,80 +58,49 @@ REQUIRED_SCENARIOS = {
     "mobile_handoff_jitter",
 }
 
-VERDICT_KEYS = {
-    "scenario",
-    "runtime",
-    "seed",
-    "ok",
-    "expected_protocol",
-    "final_protocols",
-    "switches_completed",
-    "decisions",
-    "time_to_switch",
-    "switch_duration_ms",
-    "max_hiccup_ms",
-    "casts",
-    "delivered",
-    "delivery_ratio",
-    "delivered_rate_before",
-    "delivered_rate_after",
-    "mean_latency_ms",
-    "p90_latency_ms",
-    "settle_time",
-    "duration",
-    "violations",
-}
-
 PROTOCOLS = {"sequencer", "tokenring"}
 
 
 def check_verdict(name, verdict, problems):
-    missing = VERDICT_KEYS - set(verdict)
-    if missing:
-        problems.append(f"{name}: missing keys {sorted(missing)}")
-        return
-    if verdict["scenario"] != name:
-        problems.append(
-            f"{name}: verdict names itself {verdict['scenario']!r}"
-        )
-    if verdict["ok"] is not True:
-        problems.append(
-            f"{name}: scenario FAILED: {verdict['violations'] or 'ok=false'}"
-        )
-    if verdict["violations"]:
-        problems.append(f"{name}: violations recorded {verdict['violations']}")
-    if verdict["expected_protocol"] not in PROTOCOLS:
+    if verdict.scenario != name:
+        problems.append(f"{name}: verdict names itself {verdict.scenario!r}")
+    if not verdict.ok:
+        problems.append(f"{name}: scenario FAILED: {verdict.violations}")
+    if verdict.violations:
+        problems.append(f"{name}: violations recorded {verdict.violations}")
+    if verdict.expected_protocol not in PROTOCOLS:
         problems.append(
             f"{name}: unknown expected protocol "
-            f"{verdict['expected_protocol']!r}"
+            f"{verdict.expected_protocol!r}"
         )
-    finals = verdict["final_protocols"]
-    if not isinstance(finals, dict) or not finals:
+    finals = verdict.final_protocols
+    if not finals:
         problems.append(f"{name}: final_protocols missing or empty")
-    elif set(finals.values()) != {verdict["expected_protocol"]}:
+    elif set(finals.values()) != {verdict.expected_protocol}:
         problems.append(
             f"{name}: group did not settle on "
-            f"{verdict['expected_protocol']!r}: {finals}"
+            f"{verdict.expected_protocol!r}: {finals}"
         )
-    if not isinstance(verdict["casts"], int) or verdict["casts"] <= 0:
+    if verdict.casts <= 0:
         problems.append(f"{name}: no workload casts recorded")
-    ratio = verdict["delivery_ratio"]
-    if not isinstance(ratio, (int, float)) or not 0.0 <= ratio <= 1.0:
-        problems.append(f"{name}: delivery_ratio {ratio!r} out of range")
-    if verdict["settle_time"] < verdict["duration"]:
+    if not 0.0 <= verdict.delivery_ratio <= 1.0:
+        problems.append(
+            f"{name}: delivery_ratio {verdict.delivery_ratio!r} out of range"
+        )
+    if verdict.settle_time < verdict.duration:
         problems.append(
             f"{name}: settle_time precedes the scripted duration"
         )
 
-    switches = verdict["switches_completed"]
-    decisions = verdict["decisions"]
+    switches = verdict.switches_completed
+    decisions = verdict.decisions
     if switches > 0:
         if not decisions:
             problems.append(
                 f"{name}: {switches} switches but no oracle decisions"
             )
-        if verdict["switch_duration_ms"] is None or (
-            verdict["switch_duration_ms"] <= 0
+        if verdict.switch_duration_ms is None or (
+            verdict.switch_duration_ms <= 0
         ):
             problems.append(f"{name}: switched but no positive drain cost")
     else:
@@ -133,25 +109,28 @@ def check_verdict(name, verdict, problems):
                 f"{name}: stability scenario recorded oracle decisions "
                 f"{decisions}"
             )
-    if verdict["time_to_switch"] is not None and verdict["time_to_switch"] < 0:
+    if verdict.time_to_switch is not None and verdict.time_to_switch < 0:
         problems.append(f"{name}: negative time_to_switch")
 
 
 def check_artifact(artifact, problems):
-    if artifact.get("suite") != "scenarios":
-        problems.append(f"suite name is {artifact.get('suite')!r}")
-    if not isinstance(artifact.get("schema_version"), int):
-        problems.append("schema_version missing or non-integer")
-    if artifact.get("runtime") not in ("sim", "asyncio"):
-        problems.append(f"unknown runtime {artifact.get('runtime')!r}")
-    scenarios = artifact.get("scenarios")
-    if not isinstance(scenarios, dict) or not scenarios:
+    """Check the sweep; returns its ``ScenarioSuite``, or None when the
+    artifact does not even read."""
+    try:
+        suite = load(ScenarioSuite, artifact, "artifact")
+    except RecordError as exc:
+        problems.append(str(exc))
+        return None
+    if suite.runtime not in ("sim", "asyncio"):
+        problems.append(f"unknown runtime {suite.runtime!r}")
+    scenarios = suite.scenarios
+    if not scenarios:
         problems.append("scenarios: missing or empty")
-        return
+        return suite
     # The asyncio smoke legitimately sweeps a catalog subset (only
     # clean-net scenarios can run there); the coverage bars apply to
     # sim artifacts only.
-    if artifact.get("runtime") == "sim":
+    if suite.runtime == "sim":
         if len(scenarios) < MIN_SCENARIOS:
             problems.append(
                 f"catalog coverage: only {len(scenarios)} scenarios swept, "
@@ -165,6 +144,7 @@ def check_artifact(artifact, problems):
             )
     for name in sorted(scenarios):
         check_verdict(name, scenarios[name], problems)
+    return suite
 
 
 def main(argv):
@@ -176,17 +156,15 @@ def main(argv):
         print(exc)
         return 1
     problems = []
-    check_artifact(artifact, problems)
+    suite = check_artifact(artifact, problems)
 
     if report_problems(problems):
         return 1
-    scenarios = artifact["scenarios"]
-    switched = sum(
-        1 for v in scenarios.values() if v["switches_completed"] > 0
-    )
+    scenarios = suite.scenarios
+    switched = sum(1 for v in scenarios.values() if v.switches_completed > 0)
     print(
         f"scenarios: {len(scenarios)} verdicts on the "
-        f"{artifact['runtime']!r} runtime ({argv[1]})"
+        f"{suite.runtime!r} runtime ({argv[1]})"
     )
     print(
         f"scenarios: {switched} drift scenarios switched, "

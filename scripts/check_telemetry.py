@@ -10,9 +10,11 @@ Usage::
 Payload mode checks a telemetry payload (``repro fleet
 --telemetry-json`` / ``--scrape-out``):
 
-* the standard envelope: integer schema version, ``telemetry`` kind, a
-  known source, a snapshot with fleet + per-group views, Prometheus
-  exposition text carrying the core series;
+* the standard envelope, read closed as a ``TelemetryPayload``
+  (``repro.obs.telemetry.payload``): integer schema version,
+  ``telemetry`` kind, a known source; then a snapshot with fleet +
+  per-group views and Prometheus exposition text carrying the core
+  series;
 * the snapshot's internal consistency: per-group delivered counts sum
   to the fleet total, every group snapshot names a protocol and an SLO
   verdict, every recorded escalation carries its justifying snapshot,
@@ -45,8 +47,10 @@ if _SCRIPTS not in sys.path:
     sys.path.insert(0, _SCRIPTS)
 
 from _lib import ArtifactError, load_artifact, report_problems, usage
+from repro.errors import RecordError
+from repro.obs.telemetry.payload import TelemetryPayload
+from repro.records import load
 
-PAYLOAD_SOURCES = {"poll", "scrape", "file", "merge"}
 FLEET_KEYS = {
     "time",
     "uptime_s",
@@ -89,9 +93,6 @@ MAX_ESCALATIONS = 10_000  # the plane's escalation-list cap
 
 
 def check_snapshot(snapshot, problems):
-    if not isinstance(snapshot, dict):
-        problems.append("snapshot: missing or not an object")
-        return
     fleet = snapshot.get("fleet")
     if not isinstance(fleet, dict):
         problems.append("snapshot.fleet: missing or not an object")
@@ -137,18 +138,12 @@ def check_snapshot(snapshot, problems):
 
 
 def check_escalations(payload, problems):
-    escalations = payload.get("escalations")
+    escalations = payload.escalations
     if escalations is None:
         return  # scrape payloads carry the snapshot only
-    if not isinstance(escalations, list):
-        problems.append("escalations: not a list")
-        return
     previous = None
     for index, record in enumerate(escalations):
         label = f"escalations[{index}]"
-        if not isinstance(record, dict):
-            problems.append(f"{label}: not an object")
-            continue
         time = record.get("time")
         if not isinstance(time, (int, float)):
             problems.append(f"{label}: decision carries no time")
@@ -169,43 +164,43 @@ def check_escalations(payload, problems):
             problems.append(f"{label}: decision carries no signal value")
 
 
-def check_payload(payload, fleet_artifact, problems):
-    if not isinstance(payload.get("schema_version"), int):
-        problems.append("schema_version missing or non-integer")
-    if payload.get("kind") != "telemetry":
-        problems.append(f"kind is {payload.get('kind')!r}, not 'telemetry'")
-    if payload.get("source") not in PAYLOAD_SOURCES:
-        problems.append(f"unknown source {payload.get('source')!r}")
-    check_snapshot(payload.get("snapshot"), problems)
-    prometheus = payload.get("prometheus")
-    if not isinstance(prometheus, str):
+def check_payload(data, fleet_artifact, problems):
+    """Check a payload's JSON; returns its :class:`TelemetryPayload`, or
+    None when it does not even read."""
+    try:
+        payload = load(TelemetryPayload, data, "payload")
+    except RecordError as exc:
+        problems.append(str(exc))
+        return None
+    check_snapshot(payload.snapshot, problems)
+    if payload.prometheus is None:
         problems.append("prometheus exposition text missing")
     else:
         for series in PROM_SERIES:
-            if f"# TYPE {series} " not in prometheus:
+            if f"# TYPE {series} " not in payload.prometheus:
                 problems.append(f"prometheus: series {series} missing")
     check_escalations(payload, problems)
 
     if fleet_artifact is None:
-        return
+        return payload
     truth = fleet_artifact.get("delivered")
-    snapshot = payload.get("snapshot") or {}
-    observed = (snapshot.get("fleet") or {}).get("delivered")
+    observed = (payload.snapshot.get("fleet") or {}).get("delivered")
     if not isinstance(truth, (int, float)) or not isinstance(
         observed, (int, float)
     ):
         problems.append("cannot compare delivered counts across artifacts")
-        return
+        return payload
     if abs(observed - truth) > AGREEMENT * max(1.0, truth):
         problems.append(
             f"telemetry saw {observed} deliveries, the fleet artifact "
             f"recorded {truth} (>{AGREEMENT:.0%} drift)"
         )
     check_one_escalation_per_switch(payload, fleet_artifact, problems)
+    return payload
 
 
 def check_one_escalation_per_switch(payload, fleet_artifact, problems):
-    escalations = payload.get("escalations")
+    escalations = payload.escalations
     per_group = fleet_artifact.get("per_group")
     if not isinstance(escalations, list) or not isinstance(per_group, list):
         problems.append("cannot match escalations to the fleet's per_group")
@@ -338,10 +333,10 @@ def main(argv):
         print(exc)
         return 1
     problems = []
-    check_payload(payload, fleet_artifact, problems)
+    payload = check_payload(payload, fleet_artifact, problems)
     if report_problems(problems):
         return 1
-    fleet = payload["snapshot"]["fleet"]
+    fleet = payload.snapshot["fleet"]
     print(
         f"telemetry: {fleet['groups']} groups, {fleet['delivered']} "
         f"deliveries over {fleet['windows_rolled']} windows"

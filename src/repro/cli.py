@@ -307,7 +307,12 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
     from .errors import ReproError, ScenarioError
     from .scenarios import load_catalog
-    from .scenarios.runner import run_scenario_cell, scenario_cells
+    from .records import dump
+    from .scenarios.runner import (
+        ScenarioSuite,
+        run_scenario_cell,
+        scenario_cells,
+    )
 
     try:
         catalog = load_catalog(args.catalog)
@@ -377,14 +382,9 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         print(f"failing: {failed}")
 
     if args.json:
-        payload = {
-            "schema_version": 1,
-            "suite": "scenarios",
-            "runtime": args.runtime,
-            "scenarios": {v.scenario: v.to_dict() for v in verdicts},
-        }
+        suite = ScenarioSuite(args.runtime, {v.scenario: v for v in verdicts})
         with open(args.json, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
+            json.dump(dump(suite), handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"verdicts: {args.json}")
     return 1 if failed else 0
@@ -470,13 +470,10 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 def _cmd_top(args: argparse.Namespace) -> int:
     from .obs.telemetry.top import run_top
 
-    return run_top(
-        args.source,
-        interval=args.interval,
-        limit=args.limit,
-        once=args.once,
-        as_json=args.json,
-    )
+    # --interval/--limit reach run_top only when given: their defaults
+    # live in its signature.
+    given = {k: v for k, v in vars(args).items() if k in ("interval", "limit")}
+    return run_top(args.source, once=args.once, as_json=args.json, **given)
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
@@ -491,48 +488,63 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     if not isinstance(snapshot, dict):
         print(f"cannot read metrics file {args.file!r}: not a JSON object")
         return 2
+    try:
+        lines = _metrics_lines(snapshot)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        print(
+            f"cannot read metrics file {args.file!r}: malformed entry "
+            f"({type(exc).__name__}: {exc})"
+        )
+        return 2
+    print("\n".join(lines))
+    return 0
 
+
+def _metrics_lines(snapshot: Dict[str, Any]) -> List[str]:
+    """The ``repro metrics`` report; raises on a malformed entry before
+    anything is printed."""
+    lines: List[str] = []
     header = {
         k: v
         for k, v in snapshot.items()
         if k not in ("counters", "gauges", "histograms")
     }
     if header:
-        print("  ".join(f"{k}={v}" for k, v in sorted(header.items())))
-        print()
+        lines.append("  ".join(f"{k}={v}" for k, v in sorted(header.items())))
+        lines.append("")
 
     counters = snapshot.get("counters", {})
     if counters:
-        print("counters:")
+        lines.append("counters:")
         width = max(len(name) for name in counters)
         for name, value in sorted(counters.items()):
-            print(f"  {name:<{width}}  {value}")
-        print()
+            lines.append(f"  {name:<{width}}  {value}")
+        lines.append("")
 
     gauges = snapshot.get("gauges", {})
     if gauges:
-        print("gauges (latest value @ time):")
+        lines.append("gauges (latest value @ time):")
         width = max(len(name) for name in gauges)
         for name, entry in sorted(gauges.items()):
-            print(
+            lines.append(
                 f"  {name:<{width}}  {entry['value']:g} "
                 f"@ t={entry['time']:.6f}"
             )
-        print()
+        lines.append("")
 
     histograms = snapshot.get("histograms", {})
     if histograms:
-        print("histograms:")
+        lines.append("histograms:")
         width = max(len(name) for name in histograms)
         head = (
             f"  {'name':<{width}}  {'count':>7} {'mean':>12} {'p50':>12} "
             f"{'p90':>12} {'p99':>12} {'max':>12}"
         )
-        print(head)
-        print("  " + "-" * (len(head) - 2))
+        lines.append(head)
+        lines.append("  " + "-" * (len(head) - 2))
         for name, h in sorted(histograms.items()):
             if not h.get("count"):
-                print(f"  {name:<{width}}  {0:>7}")
+                lines.append(f"  {name:<{width}}  {0:>7}")
                 continue
 
             def cell(key: str) -> str:
@@ -540,14 +552,14 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
                 value = h.get(key)
                 return f"{value:>12.6g}" if value is not None else f"{'-':>12}"
 
-            print(
+            lines.append(
                 f"  {name:<{width}}  {h['count']:>7} {cell('mean')} "
                 f"{cell('p50')} {cell('p90')} {cell('p99')} {cell('max')}"
             )
 
     if not (counters or gauges or histograms):
-        print("(no metrics recorded)")
-    return 0
+        lines.append("(no metrics recorded)")
+    return lines
 
 
 Flag = Tuple[Tuple[str, ...], Dict[str, Any]]
@@ -724,8 +736,8 @@ COMMANDS: Tuple[Command, ...] = (
               help="http://host:port of a live endpoint, or a telemetry "
               "JSON file; repeat for per-shard sources to watch the "
               "merged fleet"),
-        _flag("--interval", type=float, default=2.0),
-        _flag("--limit", type=int, default=15,
+        _flag("--interval", type=float, default=argparse.SUPPRESS),
+        _flag("--limit", type=int, default=argparse.SUPPRESS,
               help="groups shown (hottest first)"),
         _flag("--once", action="store_true",
               help="render one frame and exit"),

@@ -85,6 +85,11 @@ class TelemetryError(ReproError):
     """A telemetry plane, SLO target, or exposition endpoint is misconfigured."""
 
 
+class RecordError(ReproError):
+    """JSON that is not the record it claims to be (raised by
+    :func:`repro.records.load`, naming where the fault is)."""
+
+
 class ShardError(ReproError):
     """A process-sharded fleet run failed at the supervisor layer.
 

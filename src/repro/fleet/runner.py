@@ -24,12 +24,13 @@ The same engine serves both runtimes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..core.oracle import FleetOracle, RateMeter
 from ..core.switchable import GroupHandle
 from ..errors import ReproError, SwitchError
 from ..obs.bus import Bus
+from ..records import dump, load, omitted
 from ..sim.seeding import fleet_group_streams, fleet_sender_stream
 from ..workloads.latency import LatencyProbe
 from ..workloads.session import Session, total_order_specs
@@ -226,23 +227,14 @@ class GroupReport:
     final_protocol: str
     switched: bool
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "group_id": self.group_id,
-            "hot": self.hot,
-            "members": self.members,
-            "sequencer": self.sequencer,
-            "casts": self.casts,
-            "delivered": self.delivered,
-            "p99_ms": self.p99_ms,
-            "final_protocol": self.final_protocol,
-            "switched": self.switched,
-        }
+    def as_dict(self) -> Dict[str, Any]:
+        return dump(self)
 
 
 @dataclass
 class FleetResult:
-    """Outcome of one fleet sweep, with per-group and aggregate views."""
+    """Outcome of one fleet sweep, with per-group and aggregate views.
+    Its JSON image leaves out unset ``telemetry`` and ``shards``."""
 
     runtime: str
     groups: int
@@ -259,44 +251,16 @@ class FleetResult:
     violations: List[str] = field(default_factory=list)
     stray_by_node: Dict[int, int] = field(default_factory=dict)
     pool_loads: Dict[int, int] = field(default_factory=dict)
-    telemetry: Optional[Dict[str, object]] = None
-    shards: int = 0
-    shard_stats: List[Dict[str, object]] = field(default_factory=list)
+    telemetry: Optional[Dict[str, Any]] = omitted(default=None)
+    shards: int = omitted(default=0)
+    shard_stats: List[Dict[str, float]] = omitted(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
-    def as_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
-            "runtime": self.runtime,
-            "groups": self.groups,
-            "clients": self.clients,
-            "duration": self.duration,
-            "casts": self.casts,
-            "delivered": self.delivered,
-            "msgs_per_s": self.msgs_per_s,
-            "hot_groups": self.hot_groups,
-            "hot_switched": self.hot_switched,
-            "cold_switched": self.cold_switched,
-            "stray_packets": self.stray_packets,
-            "stray_by_node": {
-                str(node): count
-                for node, count in sorted(self.stray_by_node.items())
-            },
-            "pool_loads": {
-                str(node): load
-                for node, load in sorted(self.pool_loads.items())
-            },
-            "violations": list(self.violations),
-            "per_group": [report.as_dict() for report in self.per_group],
-        }
-        if self.telemetry is not None:
-            payload["telemetry"] = self.telemetry
-        if self.shards > 0:
-            payload["shards"] = self.shards
-            payload["shard_stats"] = [dict(s) for s in self.shard_stats]
-        return payload
+    def as_dict(self) -> Dict[str, Any]:
+        return dump(self)
 
     def summary(self) -> str:
         lines = [
@@ -604,28 +568,31 @@ def _drive(
     }
     stray = sum(stray_by_node.values())
 
-    telemetry: Optional[Dict[str, object]] = None
+    telemetry: Optional[Dict[str, Any]] = None
     if plane is not None:
-        scrape_payload = None
+        from ..obs.telemetry import TelemetryPayload
+
+        scraped = None
         if server is not None:
             from ..obs.telemetry.expo import scrape
 
             # Self-scrape the live endpoint over a real HTTP round trip
             # while the loop is still up: CI validates exposition
             # without a second process.
-            scrape_payload = runtime.run_task(
-                scrape(server.host, server.port)
+            scraped = load(
+                TelemetryPayload,
+                runtime.run_task(scrape(server.host, server.port)),
+                "scrape",
             )
-        telemetry = {
-            "schema_version": 1,
-            "kind": "telemetry",
-            "source": "poll",
-            "snapshot": plane.snapshot(),
-            "prometheus": plane.prometheus(),
-            "escalations": list(plane.escalations),
-        }
-        if scrape_payload is not None:
-            telemetry["scrape"] = scrape_payload
+        telemetry = dump(
+            TelemetryPayload(
+                "poll",
+                plane.snapshot(),
+                prometheus=plane.prometheus(),
+                escalations=list(plane.escalations),
+                scrape=scraped,
+            )
+        )
 
     return FleetResult(
         runtime=runtime.name,

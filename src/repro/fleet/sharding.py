@@ -37,10 +37,13 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple
 
-from ..errors import CodecError, ShardCrashed, ShardError
+from ..errors import CodecError, RecordError, ShardCrashed, ShardError
 from ..net.codec import WireCodec
+from ..obs.telemetry.payload import TelemetryPayload
+from ..records import dump, load
 from .runner import FleetConfig, FleetResult, GroupReport, run_fleet
 
 __all__ = [
@@ -98,6 +101,23 @@ def plan_shards(config: FleetConfig) -> List[List[int]]:
     return plan
 
 
+@dataclass
+class ShardSummary(FleetResult):
+    """A worker's last frame (group 0, ``"kind": "shard_summary"``): its
+    slice's result, whose reports went ahead in their own frames, and
+    what the slice cost.  The defaults only let these fields follow
+    :class:`FleetResult`'s; ``load`` still requires their keys."""
+
+    shard: int = 0
+    cpu_s: float = 0.0
+    wall_s: float = 0.0
+
+    def stats(self) -> Dict[str, float]:
+        """This shard's entry in the run's ``shard_stats``."""
+        keys = ("shard", "groups", "casts", "delivered", "cpu_s", "wall_s")
+        return {key: getattr(self, key) for key in keys}
+
+
 def _shard_worker(
     conn, shard_id: int, config: FleetConfig, indices: List[int]
 ) -> None:
@@ -123,23 +143,14 @@ def _shard_worker(
                     shard_id, 0, report.as_dict(), group=report.group_id
                 )
             )
-        summary: Dict[str, Any] = {
-            "kind": "shard_summary",
-            "shard": shard_id,
-            "groups": len(result.per_group),
-            "casts": result.casts,
-            "delivered": result.delivered,
-            "hot_groups": result.hot_groups,
-            "hot_switched": result.hot_switched,
-            "cold_switched": result.cold_switched,
-            "stray_by_node": result.stray_by_node,
-            "pool_loads": result.pool_loads,
-            "violations": result.violations,
-            "cpu_s": cpu_s,
-            "wall_s": wall_s,
-            "telemetry": result.telemetry,
-        }
-        conn.send_bytes(codec.encode(shard_id, 0, summary))
+        summary = ShardSummary(
+            **{**vars(result), "per_group": []},
+            shard=shard_id,
+            cpu_s=cpu_s,
+            wall_s=wall_s,
+        )
+        frame = {"kind": "shard_summary", **dump(summary)}
+        conn.send_bytes(codec.encode(shard_id, 0, frame))
     except BaseException as exc:  # noqa: BLE001 - forwarded, then fatal
         try:
             conn.send_bytes(
@@ -160,6 +171,14 @@ def _shard_worker(
     conn.close()
 
 
+def _decode(cls, data: Any, shard_id: int, where: str):
+    """A frame body read closed as *cls*; a fault is the shard's."""
+    try:
+        return load(cls, data, where)
+    except RecordError as exc:
+        raise ShardError(f"shard {shard_id} sent a malformed {exc}") from exc
+
+
 def _collect_shard(
     conn,
     process,
@@ -167,9 +186,13 @@ def _collect_shard(
     expected: set,
     codec: WireCodec,
     deadline: float,
-) -> Tuple[List[Dict[str, Any]], Dict[str, Any]]:
-    """Drain one worker's pipe until its summary frame (or its death)."""
-    reports: List[Dict[str, Any]] = []
+) -> Tuple[List[GroupReport], ShardSummary]:
+    """Drain one worker's pipe until its summary frame (or its death).
+
+    Frame bodies are hostile until :func:`_decode` reads them, and a
+    report must be about the group its frame is addressed to.
+    """
+    reports: List[GroupReport] = []
     while True:
         while not conn.poll(_POLL_S):
             if time.monotonic() > deadline:
@@ -198,27 +221,42 @@ def _collect_shard(
                 f"frame from worker {src} on shard {shard_id}'s pipe"
             )
         if group == 0:
-            if payload.get("kind") == "shard_error":
-                raise ShardCrashed(shard_id, 1, payload.get("error", "?"))
-            if payload.get("kind") != "shard_summary":
+            body = dict(payload) if isinstance(payload, dict) else {}
+            kind = body.pop("kind", None)
+            if kind == "shard_error":
+                raise ShardCrashed(shard_id, 1, body.get("error", "?"))
+            if kind != "shard_summary":
                 raise ShardError(
-                    f"shard {shard_id} sent unknown control frame "
-                    f"{payload.get('kind')!r}"
+                    f"shard {shard_id} sent unknown control frame {kind!r}"
                 )
-            missing = expected - {r["group_id"] for r in reports}
+            summary = _decode(ShardSummary, body, shard_id, "summary")
+            telemetry = summary.telemetry
+            if telemetry is not None:
+                _decode(TelemetryPayload, telemetry, shard_id, "payload")
+            if summary.shard != shard_id:
+                raise ShardError(
+                    f"shard {shard_id} sent shard {summary.shard}'s summary"
+                )
+            missing = expected - {r.group_id for r in reports}
             if missing:
                 raise ShardError(
                     f"shard {shard_id} summary arrived with "
                     f"{len(missing)} groups unreported "
                     f"(e.g. {min(missing)})"
                 )
-            return reports, payload
+            return reports, summary
         if group not in expected:
             raise ShardError(
                 f"group {group} landed on shard {shard_id}: outside its "
                 f"hash slice"
             )
-        reports.append(payload)
+        report = _decode(GroupReport, payload, shard_id, f"report {group}")
+        if report.group_id != group:
+            raise ShardError(
+                f"shard {shard_id} sent group {report.group_id}'s report "
+                f"in a frame for group {group}"
+            )
+        reports.append(report)
 
 
 def run_fleet_sharded(
@@ -251,9 +289,8 @@ def run_fleet_sharded(
         send.close()  # child's end; keeping it open would mask EOF
         workers.append((process, recv, indices))
 
-    wall_start = time.perf_counter()
-    reports: List[Dict[str, Any]] = []
-    summaries: List[Dict[str, Any]] = []
+    reports: List[GroupReport] = []
+    summaries: List[ShardSummary] = []
     try:
         deadline = time.monotonic() + timeout
         for shard_id, (process, recv, indices) in enumerate(workers):
@@ -273,82 +310,57 @@ def run_fleet_sharded(
                 process.terminate()
                 process.join(timeout=5.0)
             recv.close()
-    wall_s = time.perf_counter() - wall_start
 
-    return _merge(config, reports, summaries, wall_s)
+    return _merge(config, reports, summaries)
 
 
 def _merge(
     config: FleetConfig,
-    reports: List[Dict[str, Any]],
-    summaries: List[Dict[str, Any]],
-    wall_s: float,
+    reports: List[GroupReport],
+    summaries: List[ShardSummary],
 ) -> FleetResult:
     """Fold per-shard slices into the one-process result shape."""
-    per_group = [
-        GroupReport(**report)
-        for report in sorted(reports, key=lambda r: r["group_id"])
-    ]
     violations: List[str] = []
     stray_by_node: Dict[int, int] = {}
     pool_loads: Dict[int, int] = {}
-    shard_stats: List[Dict[str, Any]] = []
     for summary in summaries:
-        sid = summary["shard"]
         violations.extend(
-            f"shard {sid}: {violation}"
-            for violation in summary.get("violations", [])
+            f"shard {summary.shard}: {violation}"
+            for violation in summary.violations
         )
-        for node, count in (summary.get("stray_by_node") or {}).items():
-            node = int(node)
+        for node, count in summary.stray_by_node.items():
             stray_by_node[node] = stray_by_node.get(node, 0) + count
-        for rank, load in (summary.get("pool_loads") or {}).items():
-            rank = int(rank)
-            pool_loads[rank] = pool_loads.get(rank, 0) + load
-        shard_stats.append(
-            {
-                "shard": sid,
-                "groups": summary["groups"],
-                "casts": summary["casts"],
-                "delivered": summary["delivered"],
-                "cpu_s": summary["cpu_s"],
-                "wall_s": summary["wall_s"],
-            }
-        )
+        for rank, count in summary.pool_loads.items():
+            pool_loads[rank] = pool_loads.get(rank, 0) + count
 
     telemetry: Optional[Dict[str, Any]] = None
     if config.telemetry:
         from ..obs.telemetry.merge import merge_payloads
 
-        payloads = [
-            summary["telemetry"]
-            for summary in summaries
-            if summary.get("telemetry") is not None
-        ]
+        payloads = [s.telemetry for s in summaries if s.telemetry is not None]
         if payloads:
             telemetry = merge_payloads(
-                payloads,
-                sources=[f"shard{summary['shard']}" for summary in summaries],
+                payloads, sources=[f"shard{s.shard}" for s in summaries]
             )
 
-    delivered = sum(summary["delivered"] for summary in summaries)
+    delivered = sum(summary.delivered for summary in summaries)
     return FleetResult(
         runtime="sim",
         groups=config.groups,
         clients=config.clients,
         duration=config.duration,
-        casts=sum(summary["casts"] for summary in summaries),
+        casts=sum(summary.casts for summary in summaries),
         delivered=delivered,
         msgs_per_s=delivered / config.duration,
-        hot_groups=sum(summary["hot_groups"] for summary in summaries),
-        hot_switched=sum(summary["hot_switched"] for summary in summaries),
-        cold_switched=sum(summary["cold_switched"] for summary in summaries),
+        hot_groups=sum(summary.hot_groups for summary in summaries),
+        hot_switched=sum(summary.hot_switched for summary in summaries),
+        cold_switched=sum(summary.cold_switched for summary in summaries),
         stray_packets=sum(stray_by_node.values()),
-        per_group=per_group,
+        per_group=sorted(reports, key=lambda report: report.group_id),
         violations=violations,
         stray_by_node=dict(sorted(stray_by_node.items())),
         pool_loads=dict(sorted(pool_loads.items())),
         telemetry=telemetry,
         shards=config.shards,
-        shard_stats=shard_stats,
+        shard_stats=[summary.stats() for summary in summaries],
     )

@@ -26,6 +26,8 @@ package is the layer that makes the drift visible before the run ends:
 * :mod:`repro.obs.telemetry.merge` — fold per-shard plane snapshots
   (``repro.fleet.sharding``) into one fleet view; also powers
   multi-source ``repro top``.
+* :mod:`repro.obs.telemetry.payload` — :class:`TelemetryPayload`, the
+  envelope every telemetry file and endpoint body shares.
 
 Like the rest of ``repro.obs``, all of it is **off by default**: a
 fleet run grows a telemetry plane only when asked
@@ -35,6 +37,7 @@ unasked run is byte-identical to one built before this package existed.
 
 from .aggregate import WINDOW_SAMPLE_CAP, TelemetryConfig, TelemetryPlane
 from .merge import merge_payloads, merge_snapshots
+from .payload import TelemetryPayload
 from .recorder import Capture, FlightRecorder
 from .slo import SLO_SIGNALS, SLOEngine, SLOTarget
 
@@ -46,6 +49,7 @@ __all__ = [
     "SLOTarget",
     "SLO_SIGNALS",
     "TelemetryConfig",
+    "TelemetryPayload",
     "TelemetryPlane",
     "merge_payloads",
     "merge_snapshots",

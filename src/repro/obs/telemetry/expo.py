@@ -31,6 +31,9 @@ import asyncio
 import json
 from typing import Any, Dict, List, Optional, Tuple
 
+from ...records import dump
+from .payload import TelemetryPayload
+
 __all__ = ["TelemetryServer", "render_prometheus", "scrape"]
 
 _CONTENT_PROM = "text/plain; version=0.0.4; charset=utf-8"
@@ -298,11 +301,11 @@ async def scrape(host: str, port: int) -> Dict[str, Any]:
         raise ConnectionError(
             f"scrape failed: /snapshot={snap_status} /metrics={prom_status}"
         )
-    return {
-        "schema_version": 1,
-        "kind": "telemetry",
-        "source": "scrape",
-        "url": f"http://{host}:{port}",
-        "snapshot": json.loads(snap_body.decode()),
-        "prometheus": prom_body.decode(),
-    }
+    return dump(
+        TelemetryPayload(
+            "scrape",
+            json.loads(snap_body.decode()),
+            url=f"http://{host}:{port}",
+            prometheus=prom_body.decode(),
+        )
+    )

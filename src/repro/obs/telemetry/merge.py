@@ -35,6 +35,8 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence
 
 from ...errors import TelemetryError
+from ...records import dump
+from .payload import TelemetryPayload
 
 __all__ = ["merge_payloads", "merge_snapshots"]
 
@@ -177,15 +179,13 @@ def merge_payloads(
     )
     from .expo import render_prometheus
 
-    merged: Dict[str, Any] = {
-        "schema_version": 1,
-        "kind": "telemetry",
-        "source": "merge",
-        "merged_from": len(payloads),
-        "snapshot": snapshot,
-        "escalations": escalations,
-        "prometheus": render_prometheus(snapshot),
-    }
-    if sources is not None:
-        merged["sources"] = list(sources)
-    return merged
+    return dump(
+        TelemetryPayload(
+            "merge",
+            snapshot,
+            merged_from=len(payloads),
+            prometheus=render_prometheus(snapshot),
+            escalations=escalations,
+            sources=None if sources is None else list(sources),
+        )
+    )

@@ -24,38 +24,35 @@ import urllib.error
 import urllib.request
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
+from ...errors import RecordError
+from ...records import dump, load
+from .payload import TelemetryPayload
+
 __all__ = ["load_payload", "load_sources", "render_top", "run_top"]
 
 _CLEAR = "\x1b[2J\x1b[H"
 
 
 def load_payload(source: str, timeout: float = 5.0) -> Dict[str, Any]:
-    """Fetch one telemetry payload from a URL or a snapshot file."""
+    """Fetch one telemetry payload from a URL or a snapshot file, read
+    closed as a :class:`TelemetryPayload` (else ``RecordError``)."""
     if source.startswith(("http://", "https://")):
         url = source.rstrip("/") + "/snapshot"
         with urllib.request.urlopen(url, timeout=timeout) as response:
             snapshot = json.loads(response.read().decode())
-        return {
-            "schema_version": 1,
-            "kind": "telemetry",
-            "source": "scrape",
-            "url": source,
-            "snapshot": snapshot,
-        }
-    with open(source) as handle:
-        payload = json.load(handle)
-    if "snapshot" in payload:
-        return payload
-    if "fleet" in payload:  # a bare snapshot dict
-        return {
-            "schema_version": 1,
-            "kind": "telemetry",
-            "source": "file",
-            "snapshot": payload,
-        }
-    raise ValueError(
-        f"{source!r} is neither a telemetry payload nor a snapshot"
-    )
+        payload = dump(TelemetryPayload("scrape", snapshot, url=source))
+    else:
+        with open(source) as handle:
+            payload = json.load(handle)
+        if not isinstance(payload, dict) or not (
+            "snapshot" in payload or "fleet" in payload
+        ):
+            raise ValueError(
+                f"{source!r} is neither a telemetry payload nor a snapshot"
+            )
+        if "snapshot" not in payload:  # a bare snapshot dict
+            payload = dump(TelemetryPayload("file", payload))
+    return dump(load(TelemetryPayload, payload, source))
 
 
 def load_sources(
@@ -170,7 +167,9 @@ def run_top(
     while frames is None or shown < frames:
         try:
             payload = load_sources(sources)
-        except (OSError, ValueError, urllib.error.URLError) as exc:
+        except (
+            OSError, RecordError, ValueError, urllib.error.URLError
+        ) as exc:
             names = sources[0] if len(sources) == 1 else sources
             write(f"cannot read telemetry from {names!r}: {exc}")
             return 1

@@ -26,14 +26,15 @@ checked into the repo and diffed in CI.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, ClassVar, Dict, List, Optional, Tuple
 
 from ..core.oracle import AdaptiveController, HysteresisOracle
 from ..core.signals import SignalTracker
 from ..core.token_switch import FaultToleranceConfig
-from ..errors import ScenarioError
+from ..errors import RecordError, ScenarioError
 from ..net.faults import FaultPlan
 from ..obs.bus import Bus
+from ..records import dump
 from ..stack.membership import Group
 from ..workloads.generator import Payload
 from ..workloads.latency import LatencyProbe
@@ -41,6 +42,7 @@ from ..workloads.session import Session, total_order_specs
 from .spec import PhaseSpec, ScenarioSpec
 
 __all__ = [
+    "ScenarioSuite",
     "ScenarioVerdict",
     "run_scenario",
     "run_scenario_cell",
@@ -85,44 +87,43 @@ class ScenarioVerdict:
     duration: float
     violations: List[str] = field(default_factory=list)
 
+    #: The keys a decision tuple is written under.
+    DECISION: ClassVar[Tuple[str, ...]] = ("time", "from", "to", "signal")
+
     @property
     def ok(self) -> bool:
         return not self.violations
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-able form (stable key order; int keys stringified)."""
-        return {
-            "scenario": self.scenario,
-            "runtime": self.runtime,
-            "seed": self.seed,
-            "ok": self.ok,
-            "expected_protocol": self.expected_protocol,
-            "final_protocols": {
-                str(rank): name
-                for rank, name in sorted(self.final_protocols.items())
-            },
-            "switches_completed": self.switches_completed,
-            "decisions": [
-                {"time": time, "from": src, "to": dst, "signal": signal}
-                for time, src, dst, signal in self.decisions
-            ],
-            "time_to_switch": self.time_to_switch,
-            "switch_duration_ms": self.switch_duration_ms,
-            "max_hiccup_ms": self.max_hiccup_ms,
-            "casts": self.casts,
-            "delivered": {
-                str(rank): count
-                for rank, count in sorted(self.delivered.items())
-            },
-            "delivery_ratio": self.delivery_ratio,
-            "delivered_rate_before": self.delivered_rate_before,
-            "delivered_rate_after": self.delivered_rate_after,
-            "mean_latency_ms": self.mean_latency_ms,
-            "p90_latency_ms": self.p90_latency_ms,
-            "settle_time": self.settle_time,
-            "duration": self.duration,
-            "violations": list(self.violations),
-        }
+    def to_dict(self) -> Dict[str, Any]:
+        return dump(self)
+
+    def _json_out(self, data: Dict[str, Any]) -> Dict[str, Any]:
+        data["ok"] = self.ok
+        data["decisions"] = [
+            dict(zip(self.DECISION, d)) for d in self.decisions
+        ]
+        return data
+
+    @classmethod
+    def _json_in(cls, data: Dict[str, Any], where: str) -> Dict[str, Any]:
+        data = dict(data)
+        ok = data.pop("ok", None)
+        if ok is not (not data.get("violations")):
+            raise RecordError(f"{where}: ok={ok!r} does not match violations")
+        decisions = data.get("decisions")
+        if isinstance(decisions, list):
+            if not all(
+                isinstance(d, dict) and set(d) == set(cls.DECISION)
+                for d in decisions
+            ):
+                raise RecordError(
+                    f"{where}.decisions: expected {{time, from, to, signal}} "
+                    f"objects"
+                )
+            data["decisions"] = [
+                [d[key] for key in cls.DECISION] for d in decisions
+            ]
+        return data
 
     def summary(self) -> str:
         status = "PASS" if self.ok else "FAIL"
@@ -153,6 +154,24 @@ class ScenarioVerdict:
             lines.extend(f"    - {v}" for v in self.violations)
         return "\n".join(lines)
 
+
+
+@dataclass
+class ScenarioSuite:
+    """The JSON artifact of one scenario sweep: every verdict, by name.
+
+    ``repro scenario --json`` writes it, as does
+    ``benchmarks/sweeprunner.py`` under ``sweeps.scenarios``.
+    """
+
+    runtime: str
+    scenarios: Dict[str, ScenarioVerdict]
+    schema_version: int = 1
+    suite: str = "scenarios"
+
+    def __post_init__(self) -> None:
+        if self.suite != "scenarios":
+            raise ScenarioError(f"suite name is {self.suite!r}")
 
 def _plan(phase: PhaseSpec) -> FaultPlan:
     """The phase's network conditions as a live fault plan (all channels)."""

@@ -43,6 +43,52 @@ def outcomes(result):
     )
 
 
+def report_frame(group_id, **edits):
+    """A group report frame body as a worker sends it."""
+    body = {
+        "group_id": group_id, "hot": False, "members": [0, 1, 2],
+        "sequencer": 0, "casts": 10, "delivered": 30, "p99_ms": 2.5,
+        "final_protocol": "sequencer", "switched": False,
+    }
+    body.update(edits)
+    return body
+
+
+def summary_frame(**edits):
+    """Shard 1's summary frame body after reporting groups 5 and 6."""
+    body = {
+        "kind": "shard_summary", "runtime": "sim", "groups": 2,
+        "clients": 20, "duration": 1.0, "casts": 20, "delivered": 60,
+        "msgs_per_s": 60.0, "hot_groups": 0, "hot_switched": 0,
+        "cold_switched": 0, "stray_packets": 0, "per_group": [],
+        "violations": [], "stray_by_node": {"0": 0}, "pool_loads": {"0": 2},
+        "shard": 1, "cpu_s": 0.5, "wall_s": 0.6,
+    }
+    body.update(edits)
+    return body
+
+
+def collect_frames(frames):
+    """Feed ``(group, body)`` frames from shard 1 through the
+    supervisor's collector, which expects groups 5 and 6."""
+    import multiprocessing
+    import time
+
+    from repro.fleet.sharding import _collect_shard
+    from repro.net.codec import WireCodec
+
+    codec = WireCodec()
+    recv, send = multiprocessing.get_context("fork").Pipe(duplex=False)
+    try:
+        for group, body in frames:
+            send.send_bytes(codec.encode(1, 0, body, group=group))
+        return _collect_shard(
+            recv, None, 1, {5, 6}, codec, time.monotonic() + 5.0
+        )
+    finally:
+        send.close()
+        recv.close()
+
 class TestPlacement:
     def test_fnv1a32_pinned_vectors(self):
         # Independently computed; placement is a wire-visible contract.
@@ -217,3 +263,36 @@ class TestSupervisor:
             )
         send.close()
         recv.close()
+
+    def test_well_formed_frames_decode_to_records(self):
+        reports, summary = collect_frames(
+            [(5, report_frame(5)), (6, report_frame(6)), (0, summary_frame())]
+        )
+        assert [r.group_id for r in reports] == [5, 6]
+        assert summary.pool_loads == {0: 2}
+        assert summary.stats()["cpu_s"] == 0.5
+
+    @pytest.mark.parametrize(
+        "body, reason",
+        [
+            (
+                {k: v for k, v in report_frame(5).items() if k != "group_id"},
+                r"missing keys \['group_id'\]",
+            ),
+            (report_frame(5, extra=1), r"unknown keys \['extra'\]"),
+            (report_frame(6), "group 6's report in a frame for group 5"),
+            ([1, 2, 3], "expected an object"),
+        ],
+        ids=["no-group-id", "unknown-key", "wrong-group", "not-an-object"],
+    )
+    def test_malformed_report_frame_is_a_shard_error(self, body, reason):
+        frames = [(5, body), (6, report_frame(6)), (0, summary_frame())]
+        with pytest.raises(ShardError, match=reason):
+            collect_frames(frames)
+
+    def test_summary_without_delivered_is_a_shard_error(self):
+        summary = summary_frame()
+        del summary["delivered"]
+        frames = [(5, report_frame(5)), (6, report_frame(6)), (0, summary)]
+        with pytest.raises(ShardError, match=r"missing keys \['delivered'\]"):
+            collect_frames(frames)

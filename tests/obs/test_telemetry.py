@@ -407,6 +407,18 @@ class TestTop:
         assert code == 1
         assert "cannot read telemetry" in out[0]
 
+    @pytest.mark.parametrize(
+        "content",
+        ['"snapshot"', '{"snapshot": 3}'],
+        ids=["string", "snapshot-not-an-object"],
+    )
+    def test_run_top_malformed_payload_fails_cleanly(self, tmp_path, content):
+        path = tmp_path / "tele.json"
+        path.write_text(content)
+        out = []
+        assert run_top(str(path), once=True, write=out.append) == 1
+        assert out[0].startswith("cannot read telemetry from")
+
     def test_run_top_frames_are_bounded(self, tmp_path):
         path = tmp_path / "payload.json"
         path.write_text(json.dumps(self.payload()))

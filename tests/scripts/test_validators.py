@@ -317,12 +317,37 @@ def test_scenarios_rejects_phantom_switch(tmp_path, capsys):
     artifact = scenarios_artifact()
     verdict = artifact["scenarios"]["baseline_steady"]
     assert verdict["switches_completed"] == 0
-    verdict["decisions"] = [[1.0, "sequencer", "tokenring"]]
+    verdict["decisions"] = [
+        {"time": 1.0, "from": "sequencer", "to": "tokenring", "signal": 9.0}
+    ]
     path = write(tmp_path, "scenarios.json", artifact)
     assert check_scenarios.main(["prog", path]) == 1
     assert "stability scenario recorded oracle decisions" in (
         capsys.readouterr().out
     )
+
+
+@pytest.mark.parametrize(
+    "key, value, reason",
+    [
+        ("settle_time", "late", "settle_time: expected a number"),
+        ("decisions", [[1.0, "sequencer", "tokenring"]], "decisions: exp"),
+        ("final_protocols", {"zero": "sequencer"}, "is not int"),
+        ("casts", True, "casts: expected int"),
+    ],
+    ids=["settle-time-string", "decision-not-an-object", "rank-not-int",
+         "casts-bool"],
+)
+def test_scenarios_rejects_badly_shaped_verdict(
+    tmp_path, capsys, key, value, reason
+):
+    artifact = scenarios_artifact()
+    artifact["scenarios"]["baseline_steady"][key] = value
+    path = write(tmp_path, "scenarios.json", artifact)
+    assert check_scenarios.main(["prog", path]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("FAILED 1 check(s):")
+    assert reason in out
 
 
 def test_scenarios_rejects_wrong_suite(tmp_path, capsys):
@@ -380,6 +405,34 @@ def test_fleet_rejects_truncated_per_group(tmp_path, capsys):
     path = write(tmp_path, "fleet.json", artifact)
     assert check_fleet.main(["prog", path]) == 1
     assert "reports for" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "edit, reason",
+    [
+        (lambda run: run.update(per_group=[7]), "per_group[0]: expected"),
+        (lambda run: run.update(msgs_per_s=float("nan")), "got NaN"),
+        (lambda run: run.update(extra=1), "unknown keys ['extra']"),
+        (lambda run: run["config"].update(groups="many"), "config.groups"),
+        (lambda run: run.pop("ok"), "missing keys ['ok']"),
+    ],
+    ids=["group-not-an-object", "nan-rate", "unknown-key", "bad-config",
+         "no-verdict"],
+)
+def test_fleet_rejects_badly_shaped_run(tmp_path, capsys, edit, reason):
+    artifact = fleet_artifact()
+    edit(artifact["runs"]["sim"])
+    path = write(tmp_path, "fleet.json", artifact)
+    assert check_fleet.main(["prog", path]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("FAILED 1 check(s):")
+    assert reason in out
+
+
+def test_fleet_rejects_a_non_object_artifact(tmp_path, capsys):
+    path = write(tmp_path, "fleet.json", [fleet_artifact()])
+    assert check_fleet.main(["prog", path]) == 1
+    assert "not a JSON object" in capsys.readouterr().out
 
 
 def test_fleet_rejects_full_profile_below_scale_floor(tmp_path, capsys):
@@ -722,6 +775,30 @@ def test_telemetry_rejects_truncated_fleet_snapshot(tmp_path, capsys):
     assert "missing keys" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "key, value, reason",
+    [
+        ("snapshot", 3, "payload.snapshot: expected an object"),
+        ("kind", "metrics", "kind is 'metrics', not 'telemetry'"),
+        ("source", "guess", "unknown source 'guess'"),
+        ("escalations", [7], "payload.escalations[0]: expected an object"),
+        ("schema_version", "1", "schema_version: expected int"),
+    ],
+    ids=["snapshot-not-an-object", "wrong-kind", "unknown-source",
+         "escalation-not-an-object", "version-string"],
+)
+def test_telemetry_rejects_badly_shaped_envelope(
+    tmp_path, capsys, key, value, reason
+):
+    payload = good_telemetry_payload()
+    payload[key] = value
+    path = write(tmp_path, "tele.json", payload)
+    assert check_telemetry.main(["prog", path]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("FAILED 1 check(s):")
+    assert reason in out
+
+
 def test_telemetry_accepts_good_blackbox(tmp_path, capsys):
     path = write_blackbox(tmp_path, good_blackbox_lines())
     assert check_telemetry.main(["prog", "--blackbox", path]) == 0
@@ -768,6 +845,28 @@ def test_telemetry_rejects_changed_outcome(tmp_path, capsys):
     path = write(tmp_path, "overhead.json", artifact)
     assert check_telemetry.main(["prog", "--overhead", path]) == 1
     assert "must be inert" in capsys.readouterr().out
+
+
+# ----------------------------------------------------------------------
+# The checked-in artifacts are their writers' records, byte for byte
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("name", ["fleet.json", "fleet_sharded.json"])
+def test_fleet_artifacts_round_trip_through_their_records(name):
+    from repro.records import dump
+
+    for run_name, run in json.loads((RESULTS / name).read_text())[
+        "runs"
+    ].items():
+        result, bench = check_fleet.load_run(run, run_name)
+        assert {**dump(result), **dump(bench)} == run
+
+
+def test_scenario_artifact_round_trips_through_its_record():
+    from repro.records import dump, load
+    from repro.scenarios.runner import ScenarioSuite
+
+    artifact = scenarios_artifact()
+    assert dump(load(ScenarioSuite, artifact, "scenarios")) == artifact
 
 
 def test_mutations_do_not_leak_between_tests():

@@ -178,6 +178,27 @@ def test_config_command_flags_reach_fields(
     assert config_flag_dests(command, config_cls) <= covered
 
 
+def test_top_passes_only_the_flags_given(monkeypatch, capsys):
+    """--interval/--limit carry no parser default: run_top's signature
+    holds the only one."""
+    import repro.obs.telemetry.top as top
+
+    calls = []
+    monkeypatch.setattr(
+        top, "run_top", lambda *args, **kwargs: calls.append((args, kwargs))
+    )
+    main(["top", "tele.json"])
+    main(["top", "a.json", "b.json", "--interval", "0.5", "--limit", "3"])
+    assert calls == [
+        ((["tele.json"],), {"once": False, "as_json": False}),
+        (
+            (["a.json", "b.json"],),
+            {"once": False, "as_json": False, "interval": 0.5, "limit": 3},
+        ),
+    ]
+    capsys.readouterr()
+
+
 def fake_sweep_results(protocols, counts):
     out = {}
     for protocol in protocols:
@@ -575,7 +596,15 @@ def test_cmd_metrics_pretty_prints(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "content", [None, "[]"], ids=["missing", "not-an-object"]
+    "content",
+    [
+        None,
+        "[]",
+        '{"gauges": {"x": 1}}',
+        '{"histograms": {"h": [1, 2]}}',
+    ],
+    ids=["missing", "not-an-object", "gauge-not-an-object",
+         "histogram-not-an-object"],
 )
 def test_cmd_metrics_missing_file_exits_two(capsys, tmp_path, content):
     path = tmp_path / "nope.json"
