@@ -4,8 +4,8 @@ Every validator follows the same contract (asserted by
 ``tests/scripts/test_validators.py``):
 
 * wrong argument count -> print the module docstring, exit 2;
-* unreadable or unparsable artifact -> ``cannot load {path!r}: {exc}``,
-  exit 1;
+* unreadable or unparsable artifact, or one whose top level is not the
+  expected JSON type -> ``cannot load {path!r}: {reason}``, exit 1;
 * failed checks -> ``FAILED {n} check(s):`` with one ``  - `` bullet
   per problem, exit 1;
 * success -> validator-specific summary lines, exit 0.
@@ -31,17 +31,25 @@ class ArtifactError(Exception):
     """An artifact that cannot even be loaded (missing file, bad JSON)."""
 
 
-def load_artifact(path):
-    """Parse the JSON artifact at ``path``.
+def load_artifact(path, kind=dict):
+    """Parse the JSON artifact at ``path``, whose top level must be a
+    ``kind`` (``dict``, a JSON object, unless said otherwise).
 
     Raises :class:`ArtifactError` carrying the standard ``cannot load``
-    message on any OS or JSON error.
+    message on any OS or JSON error, or a top level of another type.
     """
     try:
         with open(path) as handle:
-            return json.load(handle)
+            data = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise ArtifactError(f"cannot load {path!r}: {exc}") from exc
+    if not isinstance(data, kind):
+        what = "object" if kind is dict else "array"
+        raise ArtifactError(
+            f"cannot load {path!r}: not a JSON {what} "
+            f"(got {type(data).__name__})"
+        )
+    return data
 
 
 def usage(doc):

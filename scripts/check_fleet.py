@@ -301,8 +301,6 @@ def main(argv):
     except ArtifactError as exc:
         print(exc)
         return 1
-    if not isinstance(artifact, dict):
-        return report_problems([f"{argv[1]}: not a JSON object"])
     if artifact.get("benchmark") == "bench_fleet_sharded":
         return main_sharded(artifact, argv[2] if len(argv) == 3 else None)
     if len(argv) == 3:

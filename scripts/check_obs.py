@@ -56,13 +56,9 @@ REQUIRED_COUNTERS = (
 
 def check_trace(path, problems):
     try:
-        records = load_artifact(path)
+        records = load_artifact(path, list)
     except ArtifactError as exc:
         problems.append(f"trace: {exc}")
-        return
-    if not isinstance(records, list):
-        problems.append(f"trace: top level is {type(records).__name__}, "
-                        "expected a JSON array")
         return
     if not records:
         problems.append("trace: empty record array")

@@ -10,14 +10,16 @@ Usage::
 Payload mode checks a telemetry payload (``repro fleet
 --telemetry-json`` / ``--scrape-out``):
 
-* the standard envelope, read closed as a ``TelemetryPayload``
-  (``repro.obs.telemetry.payload``): integer schema version,
-  ``telemetry`` kind, a known source; then a snapshot with fleet +
-  per-group views and Prometheus exposition text carrying the core
-  series;
-* the snapshot's internal consistency: per-group delivered counts sum
-  to the fleet total, every group snapshot names a protocol and an SLO
-  verdict, every recorded escalation carries its justifying snapshot,
+* the payload, read closed as a ``TelemetryPayload``
+  (``repro.obs.telemetry.payload``) down to every field of its
+  snapshot (``repro.obs.telemetry.aggregate.TelemetrySnapshot``):
+  integer schema version, ``telemetry`` kind, a known source, fleet +
+  per-group views of the declared types; then Prometheus exposition
+  text carrying the core series;
+* the snapshot's internal consistency: one group view per counted
+  group, each filed under its own id, per-group delivered counts sum
+  to the fleet total, every group view names a protocol, fleet windows
+  were rolled, every recorded escalation carries its justifying snapshot,
   and the escalations are in decision-time order (a sharded run's
   merged list too);
 * with a fleet artifact (``repro fleet --json``) alongside: the
@@ -48,38 +50,10 @@ if _SCRIPTS not in sys.path:
 
 from _lib import ArtifactError, load_artifact, report_problems, usage
 from repro.errors import RecordError
+from repro.obs.telemetry.aggregate import MAX_ESCALATIONS
 from repro.obs.telemetry.payload import TelemetryPayload
 from repro.records import load
 
-FLEET_KEYS = {
-    "time",
-    "uptime_s",
-    "window_s",
-    "windows_rolled",
-    "groups",
-    "casts",
-    "delivered",
-    "rate",
-    "rate_cumulative",
-    "switches",
-    "aborts",
-    "strays",
-    "pool",
-    "escalations",
-    "captures",
-    "slo",
-}
-GROUP_KEYS = {
-    "group",
-    "protocol",
-    "members",
-    "casts",
-    "delivered",
-    "rate",
-    "switches",
-    "aborts",
-    "slo",
-}
 PROM_SERIES = (
     "repro_fleet_groups",
     "repro_fleet_delivered_total",
@@ -89,51 +63,33 @@ PROM_SERIES = (
     "repro_counter_total",
 )
 AGREEMENT = 0.01  # telemetry vs. artifact delivered-count drift ceiling
-MAX_ESCALATIONS = 10_000  # the plane's escalation-list cap
 
 
 def check_snapshot(snapshot, problems):
-    fleet = snapshot.get("fleet")
-    if not isinstance(fleet, dict):
-        problems.append("snapshot.fleet: missing or not an object")
+    fleet, groups = snapshot.fleet, snapshot.groups
+    if not groups:
+        problems.append("snapshot.groups: empty")
         return
-    missing = FLEET_KEYS - set(fleet)
-    if missing:
-        problems.append(f"snapshot.fleet: missing keys {sorted(missing)}")
-        return
-    groups = snapshot.get("groups")
-    if not isinstance(groups, dict) or not groups:
-        problems.append("snapshot.groups: missing or empty")
-        return
-    if fleet["groups"] != len(groups):
+    if fleet.groups != len(groups):
         problems.append(
-            f"snapshot.fleet counts {fleet['groups']} groups but "
+            f"snapshot.fleet counts {fleet.groups} groups but "
             f"{len(groups)} group snapshots present"
         )
-    total = 0
     for gid, group in groups.items():
         label = f"snapshot.groups[{gid}]"
-        missing = GROUP_KEYS - set(group)
-        if missing:
-            problems.append(f"{label}: missing keys {sorted(missing)}")
-            continue
-        if str(group["group"]) != str(gid):
-            problems.append(f"{label}: group id mismatch ({group['group']})")
-        if not group["protocol"]:
+        if group.group != gid:
+            problems.append(f"{label}: group id mismatch ({group.group})")
+        if not group.protocol:
             problems.append(f"{label}: no protocol recorded")
-        slo = group["slo"]
-        if not isinstance(slo, dict) or "ok" not in slo:
-            problems.append(f"{label}: slo verdict missing")
-        total += group["delivered"]
-    if total != fleet["delivered"]:
+    total = sum(group.delivered for group in groups.values())
+    if total != fleet.delivered:
         problems.append(
             f"per-group delivered sums to {total}, fleet total says "
-            f"{fleet['delivered']}"
+            f"{fleet.delivered}"
         )
-    windows = snapshot.get("fleet_windows")
-    if not isinstance(windows, list) or not windows:
-        problems.append("snapshot.fleet_windows: missing or empty")
-    if fleet["delivered"] <= 0:
+    if not snapshot.fleet_windows:
+        problems.append("snapshot.fleet_windows: empty")
+    if fleet.delivered <= 0:
         problems.append("snapshot.fleet: no deliveries recorded")
 
 
@@ -184,10 +140,8 @@ def check_payload(data, fleet_artifact, problems):
     if fleet_artifact is None:
         return payload
     truth = fleet_artifact.get("delivered")
-    observed = (payload.snapshot.get("fleet") or {}).get("delivered")
-    if not isinstance(truth, (int, float)) or not isinstance(
-        observed, (int, float)
-    ):
+    observed = payload.snapshot.fleet.delivered
+    if not isinstance(truth, (int, float)):
         problems.append("cannot compare delivered counts across artifacts")
         return payload
     if abs(observed - truth) > AGREEMENT * max(1.0, truth):
@@ -336,10 +290,10 @@ def main(argv):
     payload = check_payload(payload, fleet_artifact, problems)
     if report_problems(problems):
         return 1
-    fleet = payload.snapshot["fleet"]
+    fleet = payload.snapshot.fleet
     print(
-        f"telemetry: {fleet['groups']} groups, {fleet['delivered']} "
-        f"deliveries over {fleet['windows_rolled']} windows"
+        f"telemetry: {fleet.groups} groups, {fleet.delivered} "
+        f"deliveries over {fleet.windows_rolled} windows"
     )
     if fleet_artifact is not None:
         print(
@@ -347,11 +301,10 @@ def main(argv):
             f"({fleet_artifact['delivered']} delivered) within "
             f"{AGREEMENT:.0%}"
         )
-    slo = fleet["slo"]
     print(
-        f"telemetry: {len(slo.get('targets', []))} SLO target(s), "
-        f"{slo.get('burn_minutes', 0.0):.2f} burn minutes, "
-        f"{fleet['captures']} capture(s)"
+        f"telemetry: {len(fleet.slo.targets)} SLO target(s), "
+        f"{fleet.slo.burn_minutes:.2f} burn minutes, "
+        f"{fleet.captures} capture(s)"
     )
     print("all telemetry checks passed")
     return 0

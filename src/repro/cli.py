@@ -417,6 +417,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
     from .errors import ReproError
     from .fleet import FleetConfig, run_fleet, run_fleet_sharded
+    from .records import dump
 
     if args.telemetry_json or args.scrape_out or "expo_port" in args:
         args.telemetry = True  # each of these implies --telemetry
@@ -449,11 +450,11 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             print("no telemetry collected; nothing to write")
             return 2
         with open(args.telemetry_json, "w") as handle:
-            json.dump(result.telemetry, handle, indent=2, sort_keys=True)
+            json.dump(dump(result.telemetry), handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"telemetry: {args.telemetry_json}")
     if args.scrape_out:
-        scraped = (result.telemetry or {}).get("scrape")
+        scraped = result.telemetry and result.telemetry.scrape
         if scraped is None:
             print(
                 "no scrape captured; --scrape-out needs --expo-port "
@@ -461,7 +462,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             )
             return 2
         with open(args.scrape_out, "w") as handle:
-            json.dump(scraped, handle, indent=2, sort_keys=True)
+            json.dump(dump(scraped), handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"scrape:   {args.scrape_out}")
     return 0 if result.ok else 1

@@ -30,7 +30,8 @@ from ..core.oracle import FleetOracle, RateMeter
 from ..core.switchable import GroupHandle
 from ..errors import ReproError, SwitchError
 from ..obs.bus import Bus
-from ..records import dump, load, omitted
+from ..obs.telemetry.payload import TelemetryPayload
+from ..records import dump, omitted
 from ..sim.seeding import fleet_group_streams, fleet_sender_stream
 from ..workloads.latency import LatencyProbe
 from ..workloads.session import Session, total_order_specs
@@ -251,7 +252,7 @@ class FleetResult:
     violations: List[str] = field(default_factory=list)
     stray_by_node: Dict[int, int] = field(default_factory=dict)
     pool_loads: Dict[int, int] = field(default_factory=dict)
-    telemetry: Optional[Dict[str, Any]] = omitted(default=None)
+    telemetry: Optional[TelemetryPayload] = omitted(default=None)
     shards: int = omitted(default=0)
     shard_stats: List[Dict[str, float]] = omitted(default_factory=list)
 
@@ -288,13 +289,12 @@ class FleetResult:
                 f"(load min={min(loads)} max={max(loads)} per node)"
             )
         if self.telemetry is not None:
-            fleet = self.telemetry.get("snapshot", {}).get("fleet", {})
-            slo = fleet.get("slo", {})
+            fleet = self.telemetry.snapshot.fleet
             lines.append(
-                f"  telem:   windows={fleet.get('windows_rolled', 0)} "
-                f"escalations={fleet.get('escalations', 0)} "
-                f"captures={fleet.get('captures', 0)} "
-                f"slo-burn={slo.get('burn_minutes', 0.0):.2f}min"
+                f"  telem:   windows={fleet.windows_rolled} "
+                f"escalations={fleet.escalations} "
+                f"captures={fleet.captures} "
+                f"slo-burn={fleet.slo.burn_minutes:.2f}min"
             )
         if self.shards > 0:
             cpu = max(
@@ -568,10 +568,8 @@ def _drive(
     }
     stray = sum(stray_by_node.values())
 
-    telemetry: Optional[Dict[str, Any]] = None
+    telemetry: Optional[TelemetryPayload] = None
     if plane is not None:
-        from ..obs.telemetry import TelemetryPayload
-
         scraped = None
         if server is not None:
             from ..obs.telemetry.expo import scrape
@@ -579,19 +577,13 @@ def _drive(
             # Self-scrape the live endpoint over a real HTTP round trip
             # while the loop is still up: CI validates exposition
             # without a second process.
-            scraped = load(
-                TelemetryPayload,
-                runtime.run_task(scrape(server.host, server.port)),
-                "scrape",
-            )
-        telemetry = dump(
-            TelemetryPayload(
-                "poll",
-                plane.snapshot(),
-                prometheus=plane.prometheus(),
-                escalations=list(plane.escalations),
-                scrape=scraped,
-            )
+            scraped = runtime.run_task(scrape(server.host, server.port))
+        telemetry = TelemetryPayload(
+            "poll",
+            plane.snapshot(),
+            prometheus=plane.prometheus(),
+            escalations=list(plane.escalations),
+            scrape=scraped,
         )
 
     return FleetResult(

@@ -230,9 +230,6 @@ def _collect_shard(
                     f"shard {shard_id} sent unknown control frame {kind!r}"
                 )
             summary = _decode(ShardSummary, body, shard_id, "summary")
-            telemetry = summary.telemetry
-            if telemetry is not None:
-                _decode(TelemetryPayload, telemetry, shard_id, "payload")
             if summary.shard != shard_id:
                 raise ShardError(
                     f"shard {shard_id} sent shard {summary.shard}'s summary"
@@ -333,7 +330,7 @@ def _merge(
         for rank, count in summary.pool_loads.items():
             pool_loads[rank] = pool_loads.get(rank, 0) + count
 
-    telemetry: Optional[Dict[str, Any]] = None
+    telemetry: Optional[TelemetryPayload] = None
     if config.telemetry:
         from ..obs.telemetry.merge import merge_payloads
 

@@ -18,7 +18,9 @@ constant, never ~messages.
 
 Hook sites (the fleet runner wires these; any harness can):
 
-* ``note_cast(gid)`` / ``note_delivery(gid, latency_s)`` — per message.
+* ``cast_hook(gid)`` / ``delivery_hook(gid)`` — per message: each
+  returns a closure bound to the group's accumulators, called as
+  ``note()`` per cast and ``note(latency_s)`` per delivery.
 * ``attach_oracle(oracle)`` — decisions are annotated with the group's
   snapshot (the "why" of every escalation) and start the time-to-switch
   stopwatch; ``note_switch`` stops it.
@@ -30,29 +32,34 @@ Hook sites (the fleet runner wires these; any harness can):
 
 Under sim, :meth:`snapshot` / :meth:`prometheus` are the poll API; the
 asyncio runtime additionally serves them over HTTP
-(:class:`~repro.obs.telemetry.expo.TelemetryServer`).
+(:class:`~repro.obs.telemetry.expo.TelemetryServer`).  A snapshot is a
+:class:`TelemetrySnapshot`: the records below are the one declaration
+of its JSON, which :func:`repro.records.load` reads back closed.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import (
-    Any,
-    Callable,
-    Deque,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-)
+from dataclasses import dataclass
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
 
 from ...errors import TelemetryError
+from ...records import dump
 from ...sim.monitor import quantile
 from ..bus import Bus
 from .recorder import FlightRecorder
-from .slo import SLOEngine, SLOTarget
+from .slo import SLOEngine, SLORollup, SLOStatus, SLOTarget
 
-__all__ = ["WINDOW_SAMPLE_CAP", "TelemetryConfig", "TelemetryPlane"]
+__all__ = [
+    "WINDOW_SAMPLE_CAP",
+    "FleetView",
+    "FleetWindow",
+    "GroupView",
+    "Pool",
+    "TelemetryConfig",
+    "TelemetryPlane",
+    "TelemetrySnapshot",
+]
 
 #: Latency samples retained per group per open window.  At paper-scale
 #: hot rates (~300 deliveries/s, 1 s windows) a window holds a few
@@ -155,6 +162,98 @@ class _GroupState:
         return reader() if reader is not None else None
 
 
+@dataclass
+class Pool:
+    """Sequencer-pool occupancy: assignments per node rank."""
+
+    nodes: int
+    loads: Dict[int, int]
+    min: int
+    max: int
+
+    @classmethod
+    def of(cls, loads: Dict[int, int]) -> "Pool":
+        values = loads.values()
+        return cls(
+            len(loads),
+            dict(sorted(loads.items())),
+            min(values, default=0),
+            max(values, default=0),
+        )
+
+
+@dataclass
+class FleetWindow:
+    """One rolled fleet-wide window: counts over ``window_s`` ending at
+    ``t``."""
+
+    t: float
+    window_s: float
+    groups: int
+    casts: int
+    delivered: int
+    rate: float
+    switches: int
+    aborts: int
+    strays: int
+
+
+@dataclass
+class GroupView:
+    """One group's totals, its last rolled window's rate and latency,
+    and its SLO verdict."""
+
+    group: int
+    hot: Optional[bool]
+    protocol: Optional[str]
+    sequencer: Optional[int]
+    members: int
+    torn_down: bool
+    casts: int
+    delivered: int
+    rate: float
+    p50_ms: Optional[float]
+    p99_ms: Optional[float]
+    switches: int
+    aborts: int
+    last_switch_s: Optional[float]
+    slo: SLOStatus
+
+
+@dataclass
+class FleetView:
+    """The fleet rollup: totals, clocks, the last window's rate, the
+    sequencer pool, SLOs and the bus's counters."""
+
+    time: float
+    uptime_s: float
+    window_s: float
+    windows_rolled: int
+    groups: int
+    casts: int
+    delivered: int
+    rate: float
+    rate_cumulative: float
+    switches: int
+    aborts: int
+    strays: int
+    pool: Pool
+    escalations: int
+    captures: int
+    slo: SLORollup
+    counters: Dict[str, int]
+
+
+@dataclass
+class TelemetrySnapshot:
+    """The fleet rollup, every watched group by id, and the rolled fleet
+    window history, oldest first."""
+
+    fleet: FleetView
+    groups: Dict[int, GroupView]
+    fleet_windows: List[FleetWindow]
+
+
 class TelemetryPlane:
     """Windowed per-group + fleet-wide aggregation over one runtime clock."""
 
@@ -174,7 +273,7 @@ class TelemetryPlane:
         self.escalations_dropped = 0
         self.started_at = runtime.now
         self._groups: Dict[int, _GroupState] = {}
-        self._fleet_windows: Deque[Dict[str, Any]] = deque(
+        self._fleet_windows: Deque[FleetWindow] = deque(
             maxlen=self.config.history
         )
         self._manager: Any = None
@@ -211,26 +310,10 @@ class TelemetryPlane:
         oracle.on_decision = self._on_decision
 
     # ------------------------------------------------------------------
-    # Note hooks (the hot ones: integer bumps + one histogram fold)
+    # Note hooks (the hot ones: integer bumps + one sample append)
     # ------------------------------------------------------------------
-    def note_cast(self, gid: int) -> None:
-        state = self._groups.get(gid)
-        if state is not None:
-            state.win_casts += 1
-            state.casts += 1
-
-    def note_delivery(self, gid: int, latency_s: Optional[float] = None) -> None:
-        state = self._groups.get(gid)
-        if state is not None:
-            state.win_delivered += 1
-            state.delivered += 1
-            if latency_s is not None and latency_s >= 0.0:
-                samples = state.win_latency
-                if len(samples) < WINDOW_SAMPLE_CAP:
-                    samples.append(latency_s)
-
     def cast_hook(self, gid: int) -> Callable[[], None]:
-        """A bound fast-path equivalent of ``note_cast(gid)``.
+        """A closure counting one cast of watched group ``gid``.
 
         The returned closure captures the group's accumulator directly —
         no per-message dict lookup, no method dispatch — which is what
@@ -245,7 +328,8 @@ class TelemetryPlane:
         return note
 
     def delivery_hook(self, gid: int) -> Callable[[Optional[float]], None]:
-        """A bound fast-path equivalent of ``note_delivery(gid, ...)``."""
+        """A closure counting one delivery of watched group ``gid``, with
+        its latency in seconds when known."""
         state = self._groups[gid]
 
         def note(latency_s: Optional[float] = None) -> None:
@@ -320,7 +404,7 @@ class TelemetryPlane:
     def justification(self, gid: int) -> Dict[str, Any]:
         """The live snapshot an oracle decision is judged against: the
         last rolled window plus the open window's partial counts."""
-        snap = self.group_snapshot(gid)
+        snap = dump(self.group_snapshot(gid))
         state = self._groups.get(gid)
         if state is not None:
             snap["window_partial"] = {
@@ -433,7 +517,7 @@ class TelemetryPlane:
             self.recorder.freeze(state.gid, f"slo:{name}", time=now)
         return window
 
-    def roll(self) -> Dict[str, Any]:
+    def roll(self) -> FleetWindow:
         """Close every group's open window and fold the fleet rollup.
 
         Called by the armed timer every ``window`` seconds; callers may
@@ -450,17 +534,17 @@ class TelemetryPlane:
             switches += window["switches"]
             aborts += window["aborts"]
             rate += window["rate"]
-        fleet_window: Dict[str, Any] = {
-            "t": now,
-            "window_s": self.config.window,
-            "groups": len(self._groups),
-            "casts": casts,
-            "delivered": delivered,
-            "rate": rate,
-            "switches": switches,
-            "aborts": aborts,
-            "strays": self._stray_drops(),
-        }
+        fleet_window = FleetWindow(
+            t=now,
+            window_s=self.config.window,
+            groups=len(self._groups),
+            casts=casts,
+            delivered=delivered,
+            rate=rate,
+            switches=switches,
+            aborts=aborts,
+            strays=self._stray_drops(),
+        )
         self._fleet_windows.append(fleet_window)
         return fleet_window
 
@@ -475,80 +559,70 @@ class TelemetryPlane:
             for port in self._manager.ports.values()
         )
 
-    def _pool_occupancy(self) -> Dict[str, Any]:
-        if self._manager is None:
-            return {"nodes": 0, "loads": {}}
-        loads = self._manager.pool.loads
-        return {
-            "nodes": len(loads),
-            "loads": {str(rank): load for rank, load in sorted(loads.items())},
-            "min": min(loads.values()) if loads else 0,
-            "max": max(loads.values()) if loads else 0,
-        }
-
     def group_windows(self, gid: int) -> List[Dict[str, Any]]:
         """The rolled window history for one group, oldest first."""
         state = self._groups.get(gid)
         return list(state.windows) if state is not None else []
 
-    def group_snapshot(self, gid: int) -> Dict[str, Any]:
-        """One group's live snapshot: totals + the last rolled window."""
+    def group_snapshot(self, gid: int) -> GroupView:
+        """One group's live view: totals + the last rolled window."""
         state = self._groups.get(gid)
         if state is None:
             raise TelemetryError(f"group {gid} is not watched")
         last = state.windows[-1] if state.windows else None
-        return {
-            "group": gid,
-            "hot": state.hot,
-            "protocol": state.protocol(),
-            "sequencer": state.sequencer,
-            "members": state.members,
-            "torn_down": state.torn_down,
-            "casts": state.casts,
-            "delivered": state.delivered,
-            "rate": last["rate"] if last else 0.0,
-            "p50_ms": last["p50_ms"] if last else None,
-            "p99_ms": last["p99_ms"] if last else None,
-            "switches": state.switches,
-            "aborts": state.aborts,
-            "last_switch_s": state.last_switch_s,
-            "slo": self.slo.status(gid),
-        }
+        return GroupView(
+            group=gid,
+            hot=state.hot,
+            protocol=state.protocol(),
+            sequencer=state.sequencer,
+            members=state.members,
+            torn_down=state.torn_down,
+            casts=state.casts,
+            delivered=state.delivered,
+            rate=last["rate"] if last else 0.0,
+            p50_ms=last["p50_ms"] if last else None,
+            p99_ms=last["p99_ms"] if last else None,
+            switches=state.switches,
+            aborts=state.aborts,
+            last_switch_s=state.last_switch_s,
+            slo=self.slo.status(gid),
+        )
 
-    def snapshot(self) -> Dict[str, Any]:
-        """The full JSON-able snapshot: fleet rollup + every group."""
+    def snapshot(self) -> TelemetrySnapshot:
+        """The full snapshot: fleet rollup + every group."""
         now = self.runtime.now
         uptime = max(0.0, now - self.started_at)
-        delivered = sum(s.delivered for s in self._groups.values())
-        casts = sum(s.casts for s in self._groups.values())
+        groups = self._groups.values()
+        delivered = sum(s.delivered for s in groups)
         last = self._fleet_windows[-1] if self._fleet_windows else None
-        fleet: Dict[str, Any] = {
-            "time": now,
-            "uptime_s": uptime,
-            "window_s": self.config.window,
-            "windows_rolled": len(self._fleet_windows),
-            "groups": len(self._groups),
-            "casts": casts,
-            "delivered": delivered,
-            "rate": last["rate"] if last else 0.0,
-            "rate_cumulative": delivered / uptime if uptime > 0 else 0.0,
-            "switches": sum(s.switches for s in self._groups.values()),
-            "aborts": sum(s.aborts for s in self._groups.values()),
-            "strays": self._stray_drops(),
-            "pool": self._pool_occupancy(),
-            "escalations": len(self.escalations),
-            "captures": len(self.recorder.captures),
-            "slo": self.slo.snapshot(),
-            "counters": self.bus.metrics.counters(),
-        }
-        return {
-            "fleet": fleet,
-            "groups": {
-                str(gid): self.group_snapshot(gid)
-                for gid in sorted(self._groups)
+        fleet = FleetView(
+            time=now,
+            uptime_s=uptime,
+            window_s=self.config.window,
+            windows_rolled=len(self._fleet_windows),
+            groups=len(self._groups),
+            casts=sum(s.casts for s in groups),
+            delivered=delivered,
+            rate=last.rate if last else 0.0,
+            rate_cumulative=delivered / uptime if uptime > 0 else 0.0,
+            switches=sum(s.switches for s in groups),
+            aborts=sum(s.aborts for s in groups),
+            strays=self._stray_drops(),
+            pool=Pool.of(
+                {} if self._manager is None else self._manager.pool.loads
+            ),
+            escalations=len(self.escalations),
+            captures=len(self.recorder.captures),
+            slo=self.slo.snapshot(),
+            counters=self.bus.metrics.counters(),
+        )
+        return TelemetrySnapshot(
+            fleet=fleet,
+            groups={
+                gid: self.group_snapshot(gid) for gid in sorted(self._groups)
             },
-            "fleet_windows": list(self._fleet_windows),
-        }
+            fleet_windows=list(self._fleet_windows),
+        )
 
     def prometheus(self) -> str:
         """The snapshot rendered in Prometheus text exposition format."""

@@ -29,9 +29,10 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
-from ...records import dump
+from ...records import dump, load
+from .aggregate import TelemetrySnapshot
 from .payload import TelemetryPayload
 
 __all__ = ["TelemetryServer", "render_prometheus", "scrape"]
@@ -51,10 +52,9 @@ def _fmt(value: Any) -> str:
     return repr(float(value))
 
 
-def render_prometheus(snapshot: Dict[str, Any]) -> str:
+def render_prometheus(snapshot: TelemetrySnapshot) -> str:
     """Flatten one telemetry snapshot into Prometheus exposition text."""
-    fleet = snapshot.get("fleet", {})
-    groups = snapshot.get("groups", {})
+    fleet = snapshot.fleet
     lines: List[str] = []
 
     def metric(name: str, mtype: str, help_text: str) -> None:
@@ -67,65 +67,61 @@ def render_prometheus(snapshot: Dict[str, Any]) -> str:
         lines.append(f"{name}{labels} {_fmt(value)}")
 
     metric("repro_fleet_groups", "gauge", "Groups watched by the plane.")
-    sample("repro_fleet_groups", fleet.get("groups", 0))
+    sample("repro_fleet_groups", fleet.groups)
     metric(
         "repro_fleet_delivered_total",
         "counter",
         "Member deliveries across the fleet.",
     )
-    sample("repro_fleet_delivered_total", fleet.get("delivered", 0))
+    sample("repro_fleet_delivered_total", fleet.delivered)
     metric("repro_fleet_casts_total", "counter", "Casts across the fleet.")
-    sample("repro_fleet_casts_total", fleet.get("casts", 0))
+    sample("repro_fleet_casts_total", fleet.casts)
     metric(
         "repro_fleet_delivered_per_s",
         "gauge",
         "Fleet delivery rate over the last window.",
     )
-    sample("repro_fleet_delivered_per_s", fleet.get("rate", 0.0))
+    sample("repro_fleet_delivered_per_s", fleet.rate)
     metric(
         "repro_fleet_switches_total", "counter", "Completed protocol switches."
     )
-    sample("repro_fleet_switches_total", fleet.get("switches", 0))
+    sample("repro_fleet_switches_total", fleet.switches)
     metric("repro_fleet_aborts_total", "counter", "Aborted protocol switches.")
-    sample("repro_fleet_aborts_total", fleet.get("aborts", 0))
+    sample("repro_fleet_aborts_total", fleet.aborts)
     metric(
         "repro_fleet_stray_group_drops_total",
         "counter",
         "Packets dropped at NodePorts for unregistered groups.",
     )
-    sample("repro_fleet_stray_group_drops_total", fleet.get("strays", 0))
+    sample("repro_fleet_stray_group_drops_total", fleet.strays)
     metric(
         "repro_fleet_escalations_total",
         "counter",
         "Oracle escalation decisions recorded.",
     )
-    sample("repro_fleet_escalations_total", fleet.get("escalations", 0))
+    sample("repro_fleet_escalations_total", fleet.escalations)
     metric(
         "repro_slo_burn_minutes", "gauge", "Fleet-wide SLO burn minutes."
     )
-    slo = fleet.get("slo", {})
-    sample("repro_slo_burn_minutes", slo.get("burn_minutes", 0.0))
+    sample("repro_slo_burn_minutes", fleet.slo.burn_minutes)
     metric(
         "repro_slo_groups_burning", "gauge", "Groups with a burning SLO."
     )
-    sample("repro_slo_groups_burning", slo.get("groups_burning", 0))
+    sample("repro_slo_groups_burning", fleet.slo.groups_burning)
     metric(
         "repro_counter_total",
         "counter",
         "Component counters on the plane's bus, by <prefix>.<key>.",
     )
-    for name, value in fleet.get("counters", {}).items():
+    for name, value in fleet.counters.items():
         sample("repro_counter_total", value, f'{{name="{name}"}}')
 
-    pool = fleet.get("pool", {})
     metric(
         "repro_sequencer_pool_load",
         "gauge",
         "Sequencer assignments per node (pool occupancy).",
     )
-    for rank, load in sorted(
-        pool.get("loads", {}).items(), key=lambda kv: int(kv[0])
-    ):
+    for rank, load in sorted(fleet.pool.loads.items()):
         sample("repro_sequencer_pool_load", load, f'{{node="{rank}"}}')
 
     metric(
@@ -140,11 +136,11 @@ def render_prometheus(snapshot: Dict[str, Any]) -> str:
         ("repro_group_switches_total", "counter", "switches"),
         ("repro_group_aborts_total", "counter", "aborts"),
     ]
-    ordered = sorted(groups.items(), key=lambda kv: int(kv[0]))
+    ordered = sorted(snapshot.groups.items())
     for gid, group in ordered:
         sample(
             "repro_group_delivered_total",
-            group.get("delivered", 0),
+            group.delivered,
             f'{{group="{gid}"}}',
         )
     for name, mtype, key in metric_rows:
@@ -157,14 +153,14 @@ def render_prometheus(snapshot: Dict[str, Any]) -> str:
         }
         metric(name, mtype, help_by_key[key])
         for gid, group in ordered:
-            sample(name, group.get(key), f'{{group="{gid}"}}')
+            sample(name, getattr(group, key), f'{{group="{gid}"}}')
     metric(
         "repro_group_protocol_info",
         "gauge",
         "Current protocol per group (info-style: value is always 1).",
     )
     for gid, group in ordered:
-        protocol = group.get("protocol")
+        protocol = group.protocol
         if protocol:
             sample(
                 "repro_group_protocol_info",
@@ -179,7 +175,7 @@ def render_prometheus(snapshot: Dict[str, Any]) -> str:
     for gid, group in ordered:
         sample(
             "repro_group_slo_ok",
-            bool(group.get("slo", {}).get("ok", True)),
+            group.slo.ok,
             f'{{group="{gid}"}}',
         )
     return "\n".join(lines) + "\n"
@@ -245,7 +241,8 @@ class TelemetryServer:
         if path == "/metrics":
             return "200 OK", _CONTENT_PROM, self.plane.prometheus().encode()
         if path == "/snapshot":
-            body = json.dumps(self.plane.snapshot(), sort_keys=True).encode()
+            snapshot = dump(self.plane.snapshot())
+            body = json.dumps(snapshot, sort_keys=True).encode()
             return "200 OK", _CONTENT_JSON, body
         if path == "/healthz":
             return "200 OK", "text/plain", b"ok\n"
@@ -292,20 +289,19 @@ async def _fetch(host: str, port: int, path: str) -> Tuple[int, bytes]:
     return status, body
 
 
-async def scrape(host: str, port: int) -> Dict[str, Any]:
-    """One full scrape of a live endpoint: snapshot JSON + Prometheus
-    text, wrapped in the standard telemetry payload shape."""
+async def scrape(host: str, port: int) -> TelemetryPayload:
+    """One full scrape of a live endpoint: the snapshot, read closed,
+    and the Prometheus text, in a ``scrape`` payload."""
     snap_status, snap_body = await _fetch(host, port, "/snapshot")
     prom_status, prom_body = await _fetch(host, port, "/metrics")
     if snap_status != 200 or prom_status != 200:
         raise ConnectionError(
             f"scrape failed: /snapshot={snap_status} /metrics={prom_status}"
         )
-    return dump(
-        TelemetryPayload(
-            "scrape",
-            json.loads(snap_body.decode()),
-            url=f"http://{host}:{port}",
-            prometheus=prom_body.decode(),
-        )
+    url = f"http://{host}:{port}"
+    return TelemetryPayload(
+        "scrape",
+        load(TelemetrySnapshot, json.loads(snap_body.decode()), url),
+        url=url,
+        prometheus=prom_body.decode(),
     )

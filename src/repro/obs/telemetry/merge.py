@@ -32,160 +32,126 @@ Merge semantics, per field class:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from dataclasses import fields, replace
+from typing import Dict, List, Optional, Sequence
 
 from ...errors import TelemetryError
-from ...records import dump
+from .aggregate import FleetView, FleetWindow, GroupView, Pool, TelemetrySnapshot
 from .payload import TelemetryPayload
+from .slo import SLORollup, SLOTarget
 
 __all__ = ["merge_payloads", "merge_snapshots"]
 
-#: fleet-level fields summed across sources.
-_FLEET_SUMS = (
-    "groups",
-    "casts",
-    "delivered",
-    "rate",
-    "switches",
-    "aborts",
-    "strays",
-    "escalations",
-    "captures",
-)
-#: fleet-level fields where the furthest-along source wins.
-_FLEET_MAXES = ("time", "uptime_s", "windows_rolled")
-#: per-window fields summed when windows align on ``t``.
-_WINDOW_SUMS = ("groups", "casts", "delivered", "rate", "switches", "aborts", "strays")
 
-
-def _merge_pool(pools: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
-    loads: Dict[str, int] = {}
-    for pool in pools:
-        for rank, load in (pool.get("loads") or {}).items():
-            loads[rank] = loads.get(rank, 0) + load
-    loads = {rank: loads[rank] for rank in sorted(loads, key=int)}
-    return {
-        "nodes": len(loads),
-        "loads": loads,
-        "min": min(loads.values()) if loads else 0,
-        "max": max(loads.values()) if loads else 0,
-    }
-
-
-def _merge_slo(slos: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
-    targets: List[Dict[str, Any]] = []
-    seen = set()
+def _merge_slo(slos: Sequence[SLORollup]) -> SLORollup:
+    targets: Dict[str, SLOTarget] = {}
     for slo in slos:
-        for target in slo.get("targets", []):
-            name = target.get("name")
-            if name not in seen:
-                seen.add(name)
-                targets.append(target)
-    return {
-        "targets": targets,
-        "alerts": sum(slo.get("alerts", 0) for slo in slos),
-        "burn_minutes": sum(slo.get("burn_minutes", 0.0) for slo in slos),
-        "groups_burning": sum(slo.get("groups_burning", 0) for slo in slos),
-    }
+        for target in slo.targets:
+            targets.setdefault(target.name, target)
+    return SLORollup(
+        targets=list(targets.values()),
+        alerts=sum(slo.alerts for slo in slos),
+        burn_minutes=sum(slo.burn_minutes for slo in slos),
+        groups_burning=sum(slo.groups_burning for slo in slos),
+    )
 
 
-def _merge_windows(
-    histories: Sequence[List[Dict[str, Any]]]
-) -> List[Dict[str, Any]]:
-    by_t: Dict[float, Dict[str, Any]] = {}
-    for history in histories:
-        for window in history:
-            t = window.get("t")
-            merged = by_t.get(t)
-            if merged is None:
-                by_t[t] = dict(window)
-            else:
-                for key in _WINDOW_SUMS:
-                    if key in window or key in merged:
-                        merged[key] = merged.get(key, 0) + window.get(key, 0)
+def _merge_windows(windows: Sequence[FleetWindow]) -> List[FleetWindow]:
+    """Sum the windows that share a ``t``; every count sums, the first
+    window's ``window_s`` stands."""
+    by_t: Dict[float, FleetWindow] = {}
+    for window in windows:
+        held = by_t.get(window.t)
+        by_t[window.t] = window if held is None else replace(
+            held,
+            **{
+                f.name: getattr(held, f.name) + getattr(window, f.name)
+                for f in fields(FleetWindow)
+                if f.name not in ("t", "window_s")
+            },
+        )
     return [by_t[t] for t in sorted(by_t)]
 
 
-def merge_snapshots(snapshots: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
-    """Fold shard-plane snapshots into one fleet-shaped snapshot."""
+def merge_snapshots(snapshots: Sequence[TelemetrySnapshot]) -> TelemetrySnapshot:
+    """Fold shard-plane snapshots into one fleet snapshot."""
     if not snapshots:
         raise TelemetryError("nothing to merge: no snapshots given")
     if len(snapshots) == 1:
-        return dict(snapshots[0])
+        return snapshots[0]
 
-    groups: Dict[str, Dict[str, Any]] = {}
+    groups: Dict[int, GroupView] = {}
     for snapshot in snapshots:
-        for gid, group in (snapshot.get("groups") or {}).items():
+        for gid, group in snapshot.groups.items():
             held = groups.get(gid)
-            if held is None or group.get("delivered", 0) >= held.get(
-                "delivered", 0
-            ):
+            if held is None or group.delivered >= held.delivered:
                 groups[gid] = group
-    groups = {gid: groups[gid] for gid in sorted(groups, key=int)}
-
-    fleets = [snapshot.get("fleet", {}) for snapshot in snapshots]
-    fleet: Dict[str, Any] = {}
-    for key in _FLEET_SUMS:
-        fleet[key] = sum(f.get(key, 0) for f in fleets)
-    for key in _FLEET_MAXES:
-        fleet[key] = max(f.get(key, 0) for f in fleets)
-    fleet["window_s"] = fleets[0].get("window_s")
-    # The union is authoritative for the group count: duplicate gids
-    # across divergent sources collapse to one row.
-    fleet["groups"] = len(groups)
-    uptime = fleet.get("uptime_s") or 0.0
-    fleet["rate_cumulative"] = (
-        fleet["delivered"] / uptime if uptime > 0 else 0.0
-    )
-    fleet["pool"] = _merge_pool([f.get("pool", {}) for f in fleets])
-    fleet["slo"] = _merge_slo([f.get("slo", {}) for f in fleets])
+    fleets = [snapshot.fleet for snapshot in snapshots]
+    loads: Dict[int, int] = {}
     counters: Dict[str, int] = {}
     for f in fleets:
-        for name, value in (f.get("counters") or {}).items():
+        for rank, load in f.pool.loads.items():
+            loads[rank] = loads.get(rank, 0) + load
+        for name, value in f.counters.items():
             counters[name] = counters.get(name, 0) + value
-    fleet["counters"] = dict(sorted(counters.items()))
-
-    return {
-        "fleet": fleet,
-        "groups": groups,
-        "fleet_windows": _merge_windows(
-            [snapshot.get("fleet_windows", []) for snapshot in snapshots]
+    delivered = sum(f.delivered for f in fleets)
+    uptime = max(f.uptime_s for f in fleets)
+    fleet = FleetView(
+        time=max(f.time for f in fleets),
+        uptime_s=uptime,
+        window_s=fleets[0].window_s,
+        windows_rolled=max(f.windows_rolled for f in fleets),
+        # The union is authoritative for the group count: duplicate
+        # gids across divergent sources collapse to one row.
+        groups=len(groups),
+        casts=sum(f.casts for f in fleets),
+        delivered=delivered,
+        rate=sum(f.rate for f in fleets),
+        rate_cumulative=delivered / uptime if uptime > 0 else 0.0,
+        switches=sum(f.switches for f in fleets),
+        aborts=sum(f.aborts for f in fleets),
+        strays=sum(f.strays for f in fleets),
+        pool=Pool.of(loads),
+        escalations=sum(f.escalations for f in fleets),
+        captures=sum(f.captures for f in fleets),
+        slo=_merge_slo([f.slo for f in fleets]),
+        counters=dict(sorted(counters.items())),
+    )
+    return TelemetrySnapshot(
+        fleet=fleet,
+        groups={gid: groups[gid] for gid in sorted(groups)},
+        fleet_windows=_merge_windows(
+            [window for snapshot in snapshots for window in snapshot.fleet_windows]
         ),
-    }
+    )
 
 
 def merge_payloads(
-    payloads: Sequence[Dict[str, Any]],
+    payloads: Sequence[TelemetryPayload],
     sources: Optional[Sequence[str]] = None,
-) -> Dict[str, Any]:
-    """Merge full telemetry *payloads* (the ``repro top`` file/URL shape).
+) -> TelemetryPayload:
+    """Merge full telemetry payloads (the ``repro top`` file/URL shape).
 
-    Each payload is ``{"snapshot": ..., ...}``; the result carries the
-    merged snapshot, the escalation records of every payload ordered by
-    ``(time, group_id)``, and a re-rendered Prometheus text body.
+    The result carries the merged snapshot, the escalation records of
+    every payload ordered by ``(time, group_id)``, and a re-rendered
+    Prometheus text body.
     """
     if not payloads:
         raise TelemetryError("nothing to merge: no payloads given")
     if len(payloads) == 1:
-        return dict(payloads[0])
-    snapshot = merge_snapshots(
-        [payload.get("snapshot", payload) for payload in payloads]
-    )
-    escalations: List[Dict[str, Any]] = []
-    for payload in payloads:
-        escalations.extend(payload.get("escalations", []))
-    escalations.sort(
-        key=lambda rec: (rec.get("time", 0.0), rec.get("group_id", 0))
+        return payloads[0]
+    snapshot = merge_snapshots([payload.snapshot for payload in payloads])
+    escalations = sorted(
+        (record for payload in payloads for record in payload.escalations or ()),
+        key=lambda rec: (rec.get("time", 0.0), rec.get("group_id", 0)),
     )
     from .expo import render_prometheus
 
-    return dump(
-        TelemetryPayload(
-            "merge",
-            snapshot,
-            merged_from=len(payloads),
-            prometheus=render_prometheus(snapshot),
-            escalations=escalations,
-            sources=None if sources is None else list(sources),
-        )
+    return TelemetryPayload(
+        "merge",
+        snapshot,
+        merged_from=len(payloads),
+        prometheus=render_prometheus(snapshot),
+        escalations=escalations,
+        sources=None if sources is None else list(sources),
     )

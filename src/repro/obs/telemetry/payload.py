@@ -7,6 +7,7 @@ from typing import Any, ClassVar, Dict, List, Optional, Tuple
 
 from ...errors import TelemetryError
 from ...records import omitted
+from .aggregate import TelemetrySnapshot
 
 __all__ = ["TelemetryPayload"]
 
@@ -26,7 +27,7 @@ class TelemetryPayload:
     SOURCES: ClassVar[Tuple[str, ...]] = ("poll", "scrape", "file", "merge")
 
     source: str
-    snapshot: Dict[str, Any]
+    snapshot: TelemetrySnapshot
     schema_version: int = 1
     kind: str = "telemetry"
     url: Optional[str] = omitted(default=None)

@@ -27,37 +27,39 @@ flight recorder freezes the group's ring on the first burn of each
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ...errors import TelemetryError
 
-__all__ = ["SLO_SIGNALS", "SLOEngine", "SLOTarget"]
+__all__ = ["SLO_SIGNALS", "SLOEngine", "SLORollup", "SLOStatus", "SLOTarget"]
 
 #: Recognised window signals, with the comparison direction baked in:
 #: latency/duration budgets are ceilings, the delivery ratio is a floor.
 SLO_SIGNALS = ("delivery_p99_ms", "switch_duration_s", "delivery_ratio")
 
 
+@dataclass
 class SLOTarget:
     """One named budget over one windowed signal."""
 
-    __slots__ = ("name", "signal", "budget")
+    name: str
+    signal: str
+    budget: float
 
-    def __init__(self, name: str, signal: str, budget: float) -> None:
-        if not name:
+    def __post_init__(self) -> None:
+        if not self.name:
             raise TelemetryError("SLO target needs a non-empty name")
-        if signal not in SLO_SIGNALS:
+        if self.signal not in SLO_SIGNALS:
             raise TelemetryError(
-                f"unknown SLO signal {signal!r}; known: {list(SLO_SIGNALS)}"
+                f"unknown SLO signal {self.signal!r}; known: {list(SLO_SIGNALS)}"
             )
-        budget = float(budget)
-        if budget <= 0.0:
+        self.budget = float(self.budget)
+        if self.budget <= 0.0:
             raise TelemetryError(
-                f"SLO budget must be positive, got {budget} for {name!r}"
+                f"SLO budget must be positive, got {self.budget} for "
+                f"{self.name!r}"
             )
-        self.name = name
-        self.signal = signal
-        self.budget = budget
 
     @property
     def is_floor(self) -> bool:
@@ -67,12 +69,24 @@ class SLOTarget:
         """Does ``value`` burn this target's budget?"""
         return value < self.budget if self.is_floor else value > self.budget
 
-    def as_dict(self) -> Dict[str, object]:
-        return {"name": self.name, "signal": self.signal, "budget": self.budget}
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        op = ">=" if self.is_floor else "<="
-        return f"<SLOTarget {self.name}: {self.signal} {op} {self.budget}>"
+@dataclass
+class SLOStatus:
+    """One group's current SLO verdict (snapshots, ``repro top``)."""
+
+    ok: bool
+    burning: List[str]
+    burn_minutes: float
+
+
+@dataclass
+class SLORollup:
+    """The fleet-wide SLO view in a snapshot."""
+
+    targets: List[SLOTarget]
+    alerts: int
+    burn_minutes: float
+    groups_burning: int
 
 
 class SLOEngine:
@@ -163,26 +177,22 @@ class SLOEngine:
         )
         return burned / 60.0
 
-    def status(self, group_id: int) -> Dict[str, object]:
-        """One group's current SLO verdict (for snapshots / `repro top`)."""
+    def status(self, group_id: int) -> SLOStatus:
+        """One group's current SLO verdict."""
         burning = sorted(
             name
             for (gid, name), lit in self._burning.items()
             if gid == group_id and lit
         )
-        return {
-            "ok": not burning,
-            "burning": burning,
-            "burn_minutes": self.burn_minutes(group_id),
-        }
+        return SLOStatus(not burning, burning, self.burn_minutes(group_id))
 
-    def snapshot(self) -> Dict[str, object]:
+    def snapshot(self) -> SLORollup:
         """Fleet-wide SLO rollup for the exposition payload."""
-        return {
-            "targets": [t.as_dict() for t in self.targets],
-            "alerts": self.alerts,
-            "burn_minutes": self.burn_minutes(),
-            "groups_burning": len(
+        return SLORollup(
+            targets=list(self.targets),
+            alerts=self.alerts,
+            burn_minutes=self.burn_minutes(),
+            groups_burning=len(
                 {gid for (gid, _name), lit in self._burning.items() if lit}
             ),
-        }
+        )

@@ -22,10 +22,11 @@ import json
 import time
 import urllib.error
 import urllib.request
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, List, Optional, Sequence, Union
 
 from ...errors import RecordError
 from ...records import dump, load
+from .aggregate import TelemetrySnapshot
 from .payload import TelemetryPayload
 
 __all__ = ["load_payload", "load_sources", "render_top", "run_top"]
@@ -33,31 +34,30 @@ __all__ = ["load_payload", "load_sources", "render_top", "run_top"]
 _CLEAR = "\x1b[2J\x1b[H"
 
 
-def load_payload(source: str, timeout: float = 5.0) -> Dict[str, Any]:
+def load_payload(source: str, timeout: float = 5.0) -> TelemetryPayload:
     """Fetch one telemetry payload from a URL or a snapshot file, read
-    closed as a :class:`TelemetryPayload` (else ``RecordError``)."""
+    closed (else ``RecordError``)."""
     if source.startswith(("http://", "https://")):
         url = source.rstrip("/") + "/snapshot"
         with urllib.request.urlopen(url, timeout=timeout) as response:
             snapshot = json.loads(response.read().decode())
-        payload = dump(TelemetryPayload("scrape", snapshot, url=source))
-    else:
-        with open(source) as handle:
-            payload = json.load(handle)
-        if not isinstance(payload, dict) or not (
-            "snapshot" in payload or "fleet" in payload
-        ):
-            raise ValueError(
-                f"{source!r} is neither a telemetry payload nor a snapshot"
-            )
-        if "snapshot" not in payload:  # a bare snapshot dict
-            payload = dump(TelemetryPayload("file", payload))
-    return dump(load(TelemetryPayload, payload, source))
+        return TelemetryPayload(
+            "scrape", load(TelemetrySnapshot, snapshot, source), url=source
+        )
+    with open(source) as handle:
+        data = json.load(handle)
+    if not isinstance(data, dict) or not ("snapshot" in data or "fleet" in data):
+        raise ValueError(
+            f"{source!r} is neither a telemetry payload nor a snapshot"
+        )
+    if "snapshot" not in data:  # a bare snapshot
+        return TelemetryPayload("file", load(TelemetrySnapshot, data, source))
+    return load(TelemetryPayload, data, source)
 
 
 def load_sources(
     sources: Sequence[str], timeout: float = 5.0
-) -> Dict[str, Any]:
+) -> TelemetryPayload:
     """Fetch every source and fold them into one payload.
 
     One source passes through untouched (the single-fleet fast path);
@@ -78,36 +78,34 @@ def _num(value: Any, digits: int = 1, missing: str = "-") -> str:
     return f"{value:.{digits}f}"
 
 
-def render_top(payload: Dict[str, Any], limit: int = 15) -> str:
+def render_top(payload: TelemetryPayload, limit: int = 15) -> str:
     """One dashboard frame: fleet header + the hottest groups."""
-    snapshot = payload.get("snapshot", payload)
-    fleet = snapshot.get("fleet", {})
-    groups: Dict[str, Dict[str, Any]] = snapshot.get("groups", {})
-    slo = fleet.get("slo", {})
-    pool = fleet.get("pool", {})
+    fleet = payload.snapshot.fleet
+    groups = payload.snapshot.groups
+    slo = fleet.slo
 
     lines: List[str] = []
     lines.append(
-        f"fleet  t={_num(fleet.get('time'), 2)}s  "
-        f"groups={fleet.get('groups', 0)}  "
-        f"rate={_num(fleet.get('rate'), 0)}/s  "
-        f"delivered={fleet.get('delivered', 0)}  "
-        f"switches={fleet.get('switches', 0)}  "
-        f"aborts={fleet.get('aborts', 0)}  "
-        f"strays={fleet.get('strays', 0)}"
+        f"fleet  t={_num(fleet.time, 2)}s  "
+        f"groups={fleet.groups}  "
+        f"rate={_num(fleet.rate, 0)}/s  "
+        f"delivered={fleet.delivered}  "
+        f"switches={fleet.switches}  "
+        f"aborts={fleet.aborts}  "
+        f"strays={fleet.strays}"
     )
-    burning = slo.get("groups_burning", 0)
+    burning = slo.groups_burning
     verdict = "OK" if not burning else f"BURNING x{burning}"
     lines.append(
-        f"slo    {verdict}  burn={_num(slo.get('burn_minutes'), 2)}min  "
-        f"alerts={slo.get('alerts', 0)}  "
-        f"captures={fleet.get('captures', 0)}  "
-        f"escalations={fleet.get('escalations', 0)}"
+        f"slo    {verdict}  burn={_num(slo.burn_minutes, 2)}min  "
+        f"alerts={slo.alerts}  "
+        f"captures={fleet.captures}  "
+        f"escalations={fleet.escalations}"
     )
-    if pool.get("nodes"):
+    if fleet.pool.nodes:
         lines.append(
-            f"pool   sequencers on {pool['nodes']} nodes  "
-            f"load min={pool.get('min', 0)} max={pool.get('max', 0)}"
+            f"pool   sequencers on {fleet.pool.nodes} nodes  "
+            f"load min={fleet.pool.min} max={fleet.pool.max}"
         )
     lines.append("")
     header = (
@@ -117,26 +115,18 @@ def render_top(payload: Dict[str, Any], limit: int = 15) -> str:
     lines.append(header)
     lines.append("-" * len(header))
 
-    def heat(item) -> float:
-        group = item[1]
-        rate = group.get("rate")
-        return float(rate) if isinstance(rate, (int, float)) else 0.0
-
-    hottest = sorted(groups.items(), key=heat, reverse=True)[: max(0, limit)]
+    hottest = sorted(
+        groups.items(), key=lambda item: item[1].rate, reverse=True
+    )[: max(0, limit)]
     for gid, group in hottest:
-        group_slo = group.get("slo", {})
-        verdict = (
-            "ok"
-            if group_slo.get("ok", True)
-            else ",".join(group_slo.get("burning", [])) or "burn"
-        )
+        verdict = "ok" if group.slo.ok else ",".join(group.slo.burning) or "burn"
         lines.append(
-            f"{gid:>6}  {str(group.get('protocol') or '-'):<10} "
-            f"{_num(group.get('rate'), 1):>8} "
-            f"{_num(group.get('p50_ms'), 2):>8} "
-            f"{_num(group.get('p99_ms'), 2):>8} "
-            f"{group.get('switches', 0):>3} "
-            f"{group.get('aborts', 0):>3}  {verdict}"
+            f"{gid:>6}  {group.protocol or '-':<10} "
+            f"{_num(group.rate, 1):>8} "
+            f"{_num(group.p50_ms, 2):>8} "
+            f"{_num(group.p99_ms, 2):>8} "
+            f"{group.switches:>3} "
+            f"{group.aborts:>3}  {verdict}"
         )
     if len(groups) > limit:
         lines.append(f"... {len(groups) - limit} more groups")
@@ -174,7 +164,7 @@ def run_top(
             write(f"cannot read telemetry from {names!r}: {exc}")
             return 1
         if as_json:
-            write(json.dumps(payload, indent=2, sort_keys=True))
+            write(json.dumps(dump(payload), indent=2, sort_keys=True))
         else:
             prefix = "" if once or shown == 0 else _CLEAR
             write(prefix + render_top(payload, limit=limit))

@@ -3,8 +3,9 @@ it back closed.
 
 A record is a dataclass, and its fields are the only declaration of its
 keys.  ``load`` reads the annotations (``bool``; ``int``, not a bool;
-``float``, not NaN; ``str``; ``Any``; ``Optional``; ``List``; ``Tuple``;
-``Dict`` with ``str`` or decimal ``int`` keys; nested records) and
+``float``, not NaN, an int read as a float; ``str``; ``Any``;
+``Optional``; ``List``; ``Tuple``; ``Dict`` with ``str`` or decimal
+``int`` keys; nested records) and
 raises :class:`~repro.errors.RecordError` naming where (``where.key[i]``)
 a value is not an object, a key is missing or unknown, or a type is
 wrong.  A field made with :func:`omitted` is left out while it holds its
@@ -122,7 +123,7 @@ def _read(hint: Any, value: Any, where: str) -> Any:
     _expect(isinstance(value, kinds) and bool_ok, where, what, value)
     if value != value:
         raise RecordError(f"{where}: expected a number, got NaN")
-    return value
+    return float(value) if hint is float else value
 
 
 def _key(kind: type, key: Any, where: str) -> Any:

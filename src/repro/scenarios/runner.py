@@ -246,7 +246,7 @@ def _drive(session: Session, spec: ScenarioSpec) -> ScenarioVerdict:
         stack.on_send(lambda msg: tracker.record_cast())
     # Built idle: each phase starts, retunes or stops them.
     senders = [
-        session.sender(stacks[rank], spec.phases[0].rate) for rank in group
+        session.sender(stacks[rank], spec.phases[0].workload.rate) for rank in group
     ]
     tracker.senders = senders
 
@@ -286,8 +286,8 @@ def _drive(session: Session, spec: ScenarioSpec) -> ScenarioVerdict:
             network.set_faults(_plan(phase))
             network.latency.set_base(phase.net.latency_ms / 1e3)
         for rank, sender in enumerate(senders):
-            if rank < phase.senders:
-                sender.retune(phase.rate)
+            if rank < phase.workload.senders:
+                sender.retune(phase.workload.rate)
                 sender.start()
             else:
                 sender.stop()

@@ -12,20 +12,28 @@ must land after the drift begins.
 Specs live as JSON files under ``repro/scenarios/catalog/`` (mirroring
 the mosh-lite testbed layout) so adding a scenario is a data change,
 not a code change.  :func:`load_catalog` loads and validates the whole
-directory; :func:`ScenarioSpec.from_dict` is the single validation
-choke point, so a malformed spec fails loudly at load time rather than
-twenty simulated seconds into a run.
+directory; :meth:`ScenarioSpec.load` is the single validation choke
+point, so a malformed spec fails loudly at load time rather than twenty
+simulated seconds into a run.
+
+Each dataclass below is the one declaration of its JSON object: its
+fields are the keys (read closed by :func:`repro.records.load`), a key
+that may be absent is an ``omitted`` field whose default lives only
+there, and ``__post_init__`` holds the range, enum and cross-field
+checks.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Optional, Tuple
 
+from .. import records
 from ..core.signals import SIGNALS
-from ..errors import ScenarioError
+from ..errors import RecordError, ScenarioError
+from ..records import omitted
 
 __all__ = [
     "ExpectSpec",
@@ -35,6 +43,7 @@ __all__ = [
     "PhaseSpec",
     "ScenarioSpec",
     "SettleSpec",
+    "Workload",
     "catalog_dir",
     "load_catalog",
     "load_scenario",
@@ -48,55 +57,31 @@ PROTOCOLS = ("sequencer", "tokenring")
 RUNTIMES = ("sim", "asyncio")
 
 
-def _require(mapping: Mapping[str, Any], key: str, where: str) -> Any:
-    if key not in mapping:
-        raise ScenarioError(f"{where}: missing required field {key!r}")
-    return mapping[key]
+def _check(ok: bool, message: str) -> None:
+    if not ok:
+        raise ScenarioError(message)
 
 
-def _number(value: Any, where: str, minimum: Optional[float] = None) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{where}: expected a number, got {value!r}")
-    value = float(value)
-    if value != value:  # JSON's NaN literal parses to a float
-        raise ScenarioError(f"{where}: expected a number, got NaN")
-    if minimum is not None and value < minimum:
-        raise ScenarioError(f"{where}: must be >= {minimum}, got {value}")
-    return value
+def _at_least(name: str, value: float, minimum: float) -> None:
+    _check(value >= minimum, f"{name} must be >= {minimum}, got {value}")
 
 
-def _unknown_keys(mapping: Mapping[str, Any], known: Sequence[str], where: str) -> None:
-    extra = set(mapping) - set(known)
-    if extra:
-        raise ScenarioError(f"{where}: unknown field(s) {sorted(extra)}")
+def _one_of(name: str, value: str, allowed: Tuple[str, ...]) -> None:
+    _check(value in allowed, f"{name} must be one of {allowed}, got {value!r}")
 
 
 @dataclass(frozen=True)
 class GroupSpec:
     """Group shape: who runs, and on what protocol they start."""
 
-    members: int = 6
-    initial: str = "sequencer"
-    token_interval: float = 0.005
+    members: int = omitted(default=6)
+    initial: str = omitted(default="sequencer")
+    token_interval: float = omitted(default=0.005)
 
-    @staticmethod
-    def from_dict(data: Mapping[str, Any], where: str) -> "GroupSpec":
-        _unknown_keys(data, ("members", "initial", "token_interval"), where)
-        members = data.get("members", 6)
-        if not isinstance(members, int) or members < 2:
-            raise ScenarioError(f"{where}: members must be an int >= 2")
-        initial = data.get("initial", "sequencer")
-        if initial not in PROTOCOLS:
-            raise ScenarioError(
-                f"{where}: initial must be one of {PROTOCOLS}, got {initial!r}"
-            )
-        return GroupSpec(
-            members=members,
-            initial=initial,
-            token_interval=_number(
-                data.get("token_interval", 0.005), f"{where}.token_interval", 1e-6
-            ),
-        )
+    def __post_init__(self) -> None:
+        _check(self.members >= 2, "members must be an int >= 2")
+        _one_of("initial", self.initial, PROTOCOLS)
+        _at_least("token_interval", self.token_interval, 1e-6)
 
 
 @dataclass(frozen=True)
@@ -109,54 +94,31 @@ class OracleSpec:
 
     signal: str
     high: float
-    low: Optional[float]
     low_protocol: str
     high_protocol: str
-    dwell: float = 1.0
-    poll: float = 0.1
-    window: float = 0.5
+    low: Optional[float] = omitted(default=None)
+    dwell: float = omitted(default=1.0)
+    poll: float = omitted(default=0.1)
+    window: float = omitted(default=0.5)
 
-    @staticmethod
-    def from_dict(data: Mapping[str, Any], where: str) -> "OracleSpec":
-        _unknown_keys(
-            data,
-            ("signal", "high", "low", "low_protocol", "high_protocol",
-             "dwell", "poll", "window"),
-            where,
+    def __post_init__(self) -> None:
+        _check(
+            self.signal in SIGNALS,
+            f"unknown signal {self.signal!r}; known: {SIGNALS}",
         )
-        signal = _require(data, "signal", where)
-        if signal not in SIGNALS:
-            raise ScenarioError(
-                f"{where}: unknown signal {signal!r}; known: {SIGNALS}"
-            )
-        low_protocol = _require(data, "low_protocol", where)
-        high_protocol = _require(data, "high_protocol", where)
-        for name, value in (("low_protocol", low_protocol),
-                            ("high_protocol", high_protocol)):
-            if value not in PROTOCOLS:
-                raise ScenarioError(
-                    f"{where}.{name}: must be one of {PROTOCOLS}, got {value!r}"
-                )
-        if low_protocol == high_protocol:
-            raise ScenarioError(f"{where}: low and high protocol are the same")
-        high = _number(_require(data, "high", where), f"{where}.high")
-        low = data.get("low")
-        if low is not None:
-            low = _number(low, f"{where}.low")
-            if low > high:
-                raise ScenarioError(
-                    f"{where}: hysteresis band inverted ({low} > {high})"
-                )
-        return OracleSpec(
-            signal=signal,
-            high=high,
-            low=low,
-            low_protocol=low_protocol,
-            high_protocol=high_protocol,
-            dwell=_number(data.get("dwell", 1.0), f"{where}.dwell", 0.0),
-            poll=_number(data.get("poll", 0.1), f"{where}.poll", 1e-6),
-            window=_number(data.get("window", 0.5), f"{where}.window", 1e-6),
+        _one_of("low_protocol", self.low_protocol, PROTOCOLS)
+        _one_of("high_protocol", self.high_protocol, PROTOCOLS)
+        _check(
+            self.low_protocol != self.high_protocol,
+            "low and high protocol are the same",
         )
+        _check(
+            self.low is None or self.low <= self.high,
+            f"hysteresis band inverted ({self.low} > {self.high})",
+        )
+        _at_least("dwell", self.dwell, 0.0)
+        _at_least("poll", self.poll, 1e-6)
+        _at_least("window", self.window, 1e-6)
 
 
 @dataclass(frozen=True)
@@ -168,37 +130,34 @@ class PhaseNet:
     uniform extra delay (which reorders close-together packets).
     """
 
-    latency_ms: float = 1.0
-    loss: float = 0.0
-    dup: float = 0.0
-    jitter_ms: float = 0.0
+    latency_ms: float = omitted(default=1.0)
+    loss: float = omitted(default=0.0)
+    dup: float = omitted(default=0.0)
+    jitter_ms: float = omitted(default=0.0)
+
+    def __post_init__(self) -> None:
+        _at_least("latency_ms", self.latency_ms, 0.0)
+        for name in ("loss", "dup"):
+            _at_least(name, getattr(self, name), 0.0)
+            _check(getattr(self, name) < 1.0, f"{name} must be < 1.0")
+        _at_least("jitter_ms", self.jitter_ms, 0.0)
 
     @property
     def clean(self) -> bool:
         """True when this phase injects no impairment at all."""
-        return (
-            self.loss == 0.0
-            and self.dup == 0.0
-            and self.jitter_ms == 0.0
-            and self.latency_ms == 1.0
-        )
+        return self == PhaseNet()
 
-    @staticmethod
-    def from_dict(data: Mapping[str, Any], where: str) -> "PhaseNet":
-        _unknown_keys(data, ("latency_ms", "loss", "dup", "jitter_ms"), where)
-        loss = _number(data.get("loss", 0.0), f"{where}.loss", 0.0)
-        dup = _number(data.get("dup", 0.0), f"{where}.dup", 0.0)
-        for name, value in (("loss", loss), ("dup", dup)):
-            if value >= 1.0:
-                raise ScenarioError(f"{where}.{name}: must be < 1.0")
-        return PhaseNet(
-            latency_ms=_number(
-                data.get("latency_ms", 1.0), f"{where}.latency_ms", 0.0
-            ),
-            loss=loss,
-            dup=dup,
-            jitter_ms=_number(data.get("jitter_ms", 0.0), f"{where}.jitter_ms", 0.0),
-        )
+
+@dataclass(frozen=True)
+class Workload:
+    """A phase's offered load: ``senders`` generators at ``rate`` casts/s
+    each (the scenario checks ``senders`` against the group size)."""
+
+    senders: int
+    rate: float
+
+    def __post_init__(self) -> None:
+        _at_least("rate", self.rate, 1e-6)
 
 
 @dataclass(frozen=True)
@@ -207,32 +166,12 @@ class PhaseSpec:
 
     name: str
     duration: float
-    senders: int
-    rate: float
-    net: PhaseNet = field(default_factory=PhaseNet)
+    workload: Workload
+    net: PhaseNet = omitted(default_factory=PhaseNet)
 
-    @staticmethod
-    def from_dict(data: Mapping[str, Any], where: str, members: int) -> "PhaseSpec":
-        _unknown_keys(data, ("name", "duration", "workload", "net"), where)
-        name = _require(data, "name", where)
-        if not isinstance(name, str) or not name:
-            raise ScenarioError(f"{where}: phase name must be a non-empty string")
-        workload = _require(data, "workload", where)
-        _unknown_keys(workload, ("senders", "rate"), f"{where}.workload")
-        senders = _require(workload, "senders", f"{where}.workload")
-        if not isinstance(senders, int) or not 1 <= senders <= members:
-            raise ScenarioError(
-                f"{where}.workload.senders: must be an int in [1, {members}]"
-            )
-        return PhaseSpec(
-            name=name,
-            duration=_number(_require(data, "duration", where),
-                             f"{where}.duration", 1e-6),
-            senders=senders,
-            rate=_number(_require(workload, "rate", f"{where}.workload"),
-                         f"{where}.workload.rate", 1e-6),
-            net=PhaseNet.from_dict(data.get("net", {}), f"{where}.net"),
-        )
+    def __post_init__(self) -> None:
+        _check(bool(self.name), "phase name must be a non-empty string")
+        _at_least("duration", self.duration, 1e-6)
 
 
 @dataclass(frozen=True)
@@ -253,53 +192,24 @@ class ExpectSpec:
     """
 
     protocol: str
-    max_switches: int = 1
-    drift_phase: Optional[str] = None
-    max_time_to_switch: Optional[float] = None
-    min_delivery_ratio: float = 0.9
+    max_switches: int = omitted(default=1)
+    drift_phase: Optional[str] = omitted(default=None)
+    max_time_to_switch: Optional[float] = omitted(default=None)
+    min_delivery_ratio: float = omitted(default=0.9)
 
-    @staticmethod
-    def from_dict(
-        data: Mapping[str, Any], where: str, phase_names: Sequence[str]
-    ) -> "ExpectSpec":
-        _unknown_keys(
-            data,
-            ("protocol", "max_switches", "drift_phase", "max_time_to_switch",
-             "min_delivery_ratio"),
-            where,
-        )
-        protocol = _require(data, "protocol", where)
-        if protocol not in PROTOCOLS:
-            raise ScenarioError(
-                f"{where}.protocol: must be one of {PROTOCOLS}, got {protocol!r}"
+    def __post_init__(self) -> None:
+        _one_of("protocol", self.protocol, PROTOCOLS)
+        _check(self.max_switches >= 0, "max_switches must be an int >= 0")
+        if self.max_time_to_switch is not None:
+            _at_least("max_time_to_switch", self.max_time_to_switch, 1e-6)
+            _check(
+                self.drift_phase is not None,
+                "max_time_to_switch needs a drift_phase anchor",
             )
-        max_switches = data.get("max_switches", 1)
-        if not isinstance(max_switches, int) or max_switches < 0:
-            raise ScenarioError(f"{where}.max_switches: must be an int >= 0")
-        drift_phase = data.get("drift_phase")
-        if drift_phase is not None and drift_phase not in phase_names:
-            raise ScenarioError(
-                f"{where}.drift_phase: {drift_phase!r} names no phase "
-                f"(have {list(phase_names)})"
-            )
-        max_tts = data.get("max_time_to_switch")
-        if max_tts is not None:
-            max_tts = _number(max_tts, f"{where}.max_time_to_switch", 1e-6)
-            if drift_phase is None:
-                raise ScenarioError(
-                    f"{where}: max_time_to_switch needs a drift_phase anchor"
-                )
-        ratio = _number(
-            data.get("min_delivery_ratio", 0.9), f"{where}.min_delivery_ratio", 0.0
-        )
-        if ratio > 1.0:
-            raise ScenarioError(f"{where}.min_delivery_ratio: must be <= 1.0")
-        return ExpectSpec(
-            protocol=protocol,
-            max_switches=max_switches,
-            drift_phase=drift_phase,
-            max_time_to_switch=max_tts,
-            min_delivery_ratio=ratio,
+        _at_least("min_delivery_ratio", self.min_delivery_ratio, 0.0)
+        _check(
+            self.min_delivery_ratio <= 1.0,
+            "min_delivery_ratio must be <= 1.0",
         )
 
 
@@ -307,19 +217,12 @@ class ExpectSpec:
 class SettleSpec:
     """Convergence grace after the last phase (chaos-harness shape)."""
 
-    windows: int = 20
-    window: float = 0.5
+    windows: int = omitted(default=20)
+    window: float = omitted(default=0.5)
 
-    @staticmethod
-    def from_dict(data: Mapping[str, Any], where: str) -> "SettleSpec":
-        _unknown_keys(data, ("windows", "window"), where)
-        windows = data.get("windows", 20)
-        if not isinstance(windows, int) or windows < 1:
-            raise ScenarioError(f"{where}.windows: must be an int >= 1")
-        return SettleSpec(
-            windows=windows,
-            window=_number(data.get("window", 0.5), f"{where}.window", 1e-6),
-        )
+    def __post_init__(self) -> None:
+        _check(self.windows >= 1, "windows must be an int >= 1")
+        _at_least("window", self.window, 1e-6)
 
 
 @dataclass(frozen=True)
@@ -328,13 +231,73 @@ class ScenarioSpec:
 
     name: str
     summary: str
-    runtimes: Tuple[str, ...]
-    seed: int
-    group: GroupSpec
     oracle: OracleSpec
     phases: Tuple[PhaseSpec, ...]
     expect: ExpectSpec
-    settle: SettleSpec
+    runtimes: Tuple[str, ...] = omitted(default=("sim",))
+    seed: int = omitted(default=42)
+    group: GroupSpec = omitted(default_factory=GroupSpec)
+    settle: SettleSpec = omitted(default_factory=SettleSpec)
+
+    def __post_init__(self) -> None:
+        _check(bool(self.name), "name must be a non-empty string")
+        _check(bool(self.summary), "summary must be a non-empty string")
+        _check(
+            bool(self.runtimes) and set(self.runtimes) <= set(RUNTIMES),
+            f"runtimes must be a non-empty subset of {RUNTIMES}",
+        )
+        _check(bool(self.phases), "phases must be a non-empty array")
+        members = self.group.members
+        for index, phase in enumerate(self.phases):
+            _check(
+                1 <= phase.workload.senders <= members,
+                f"phases[{index}].workload.senders: must be an int in "
+                f"[1, {members}]",
+            )
+        names = [phase.name for phase in self.phases]
+        _check(len(set(names)) == len(names), f"duplicate phase names in {names}")
+        drift = self.expect.drift_phase
+        _check(
+            drift is None or drift in names,
+            f"expect.drift_phase {drift!r} names no phase (have {names})",
+        )
+        # The oracle must be able to express the expectation, and the
+        # asyncio runtime cannot inject faults.
+        band = (self.oracle.low_protocol, self.oracle.high_protocol)
+        _check(
+            self.expect.protocol in band,
+            f"expected protocol {self.expect.protocol!r} is not a side of "
+            f"the oracle's band",
+        )
+        _check(
+            self.group.initial in band,
+            f"initial protocol {self.group.initial!r} is not a side of the "
+            f"oracle's band",
+        )
+        if "asyncio" in self.runtimes:
+            dirty = [p.name for p in self.phases if not p.net.clean]
+            _check(
+                not dirty,
+                f"asyncio runtime cannot inject simulated faults, but "
+                f"phases {dirty} set net conditions; restrict runtimes to "
+                f"['sim']",
+            )
+            _check(
+                self.oracle.signal != "loss_ratio",
+                "loss_ratio reads the simulated network's drop counters, "
+                "which real UDP does not expose; restrict runtimes to "
+                "['sim']",
+            )
+
+    @staticmethod
+    def load(data: Any) -> "ScenarioSpec":
+        """Read one catalog entry closed; any fault is a ``ScenarioError``
+        naming where it is (``scenario.phases[1].net: loss must be
+        < 1.0``)."""
+        try:
+            return records.load(ScenarioSpec, data, "scenario")
+        except RecordError as exc:
+            raise ScenarioError(str(exc)) from exc
 
     @property
     def duration(self) -> float:
@@ -349,90 +312,6 @@ class ScenarioSpec:
                 return time
             time += phase.duration
         raise ScenarioError(f"scenario {self.name!r} has no phase {name!r}")
-
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> "ScenarioSpec":
-        if not isinstance(data, Mapping):
-            raise ScenarioError(
-                f"scenario: top level must be an object, got {type(data).__name__}"
-            )
-        _unknown_keys(
-            data,
-            ("name", "summary", "runtimes", "seed", "group", "oracle",
-             "phases", "expect", "settle"),
-            "scenario",
-        )
-        name = _require(data, "name", "scenario")
-        if not isinstance(name, str) or not name:
-            raise ScenarioError("scenario: name must be a non-empty string")
-        where = f"scenario {name!r}"
-        summary = _require(data, "summary", where)
-        if not isinstance(summary, str) or not summary:
-            raise ScenarioError(f"{where}: summary must be a non-empty string")
-        runtimes = tuple(data.get("runtimes", ["sim"]))
-        if not runtimes or any(r not in RUNTIMES for r in runtimes):
-            raise ScenarioError(
-                f"{where}: runtimes must be a non-empty subset of {RUNTIMES}"
-            )
-        seed = data.get("seed", 42)
-        if not isinstance(seed, int):
-            raise ScenarioError(f"{where}: seed must be an int")
-        group = GroupSpec.from_dict(data.get("group", {}), f"{where}.group")
-        oracle = OracleSpec.from_dict(
-            _require(data, "oracle", where), f"{where}.oracle"
-        )
-        raw_phases = _require(data, "phases", where)
-        if not isinstance(raw_phases, Sequence) or not raw_phases:
-            raise ScenarioError(f"{where}: phases must be a non-empty array")
-        phases = tuple(
-            PhaseSpec.from_dict(p, f"{where}.phases[{i}]", group.members)
-            for i, p in enumerate(raw_phases)
-        )
-        names = [phase.name for phase in phases]
-        if len(set(names)) != len(names):
-            raise ScenarioError(f"{where}: duplicate phase names in {names}")
-        expect = ExpectSpec.from_dict(
-            _require(data, "expect", where), f"{where}.expect", names
-        )
-        settle = SettleSpec.from_dict(data.get("settle", {}), f"{where}.settle")
-
-        # Cross-field sanity: the oracle must be able to express the
-        # expectation, and the asyncio runtime cannot inject faults.
-        if expect.protocol not in (oracle.low_protocol, oracle.high_protocol):
-            raise ScenarioError(
-                f"{where}: expected protocol {expect.protocol!r} is not a "
-                f"side of the oracle's band"
-            )
-        if group.initial not in (oracle.low_protocol, oracle.high_protocol):
-            raise ScenarioError(
-                f"{where}: initial protocol {group.initial!r} is not a side "
-                f"of the oracle's band"
-            )
-        if "asyncio" in runtimes:
-            dirty = [p.name for p in phases if not p.net.clean]
-            if dirty:
-                raise ScenarioError(
-                    f"{where}: asyncio runtime cannot inject simulated "
-                    f"faults, but phases {dirty} set net conditions; "
-                    f"restrict runtimes to ['sim']"
-                )
-            if oracle.signal == "loss_ratio":
-                raise ScenarioError(
-                    f"{where}: loss_ratio reads the simulated network's "
-                    f"drop counters, which real UDP does not expose; "
-                    f"restrict runtimes to ['sim']"
-                )
-        return ScenarioSpec(
-            name=name,
-            summary=summary,
-            runtimes=runtimes,
-            seed=seed,
-            group=group,
-            oracle=oracle,
-            phases=phases,
-            expect=expect,
-            settle=settle,
-        )
 
 
 # ----------------------------------------------------------------------
@@ -452,7 +331,7 @@ def load_scenario(path: str) -> ScenarioSpec:
         raise ScenarioError(f"cannot read scenario file {path!r}: {exc}")
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario file {path!r} is not valid JSON: {exc}")
-    spec = ScenarioSpec.from_dict(data)
+    spec = ScenarioSpec.load(data)
     stem = os.path.splitext(os.path.basename(path))[0]
     if spec.name != stem:
         raise ScenarioError(

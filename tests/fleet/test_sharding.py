@@ -14,6 +14,7 @@ from repro.fleet import (
     shard_of,
 )
 from repro.fleet.sharding import _shard_worker, fnv1a32
+from repro.records import dump
 
 from helpers import load_validator
 
@@ -183,20 +184,20 @@ class TestSupervisor:
         result = run_fleet_sharded(config)
         assert result.telemetry is not None
         merged = result.telemetry
-        assert merged["source"] == "merge"
-        assert merged["merged_from"] == 2
-        assert merged["snapshot"]["fleet"]["groups"] == config.groups
-        assert merged["snapshot"]["fleet"]["delivered"] == result.delivered
-        assert len(merged["snapshot"]["groups"]) == config.groups
-        assert "repro_fleet_delivered_total" in merged["prometheus"]
+        assert merged.source == "merge"
+        assert merged.merged_from == 2
+        assert merged.snapshot.fleet.groups == config.groups
+        assert merged.snapshot.fleet.delivered == result.delivered
+        assert len(merged.snapshot.groups) == config.groups
+        assert "repro_fleet_delivered_total" in merged.prometheus
         # The merged payload passes the CI validator against the run's
         # own artifact, escalations in (time, group_id) order.
         problems = []
         load_validator("check_telemetry").check_payload(
-            merged, result.as_dict(), problems
+            dump(merged), result.as_dict(), problems
         )
         assert problems == []
-        order = [(e["time"], e["group_id"]) for e in merged["escalations"]]
+        order = [(e["time"], e["group_id"]) for e in merged.escalations]
         assert order and order == sorted(order)
 
     def test_crashed_shard_raises_structured_error(self):
@@ -288,6 +289,32 @@ class TestSupervisor:
     def test_malformed_report_frame_is_a_shard_error(self, body, reason):
         frames = [(5, body), (6, report_frame(6)), (0, summary_frame())]
         with pytest.raises(ShardError, match=reason):
+            collect_frames(frames)
+
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (lambda snap: snap.update(fleet=3),
+             r"telemetry\.snapshot\.fleet: expected an object, got int"),
+            (lambda snap: snap["groups"].update({"5": 7}),
+             r"telemetry\.snapshot\.groups\[5\]: expected an object, got int"),
+        ],
+        ids=["fleet-not-an-object", "group-not-an-object"],
+    )
+    def test_malformed_telemetry_snapshot_is_a_shard_error(self, edit, reason):
+        from repro.obs.bus import Bus
+        from repro.obs.telemetry import TelemetryPayload, TelemetryPlane
+        from repro.runtime.sim_runtime import SimRuntime
+
+        runtime = SimRuntime()
+        plane = TelemetryPlane(runtime, Bus(clock=runtime, max_events=0))
+        plane.watch_group(5, members=3)
+        plane.roll()
+        telemetry = dump(TelemetryPayload("poll", plane.snapshot()))
+        edit(telemetry["snapshot"])
+        frames = [(5, report_frame(5)), (6, report_frame(6)),
+                  (0, summary_frame(telemetry=telemetry))]
+        with pytest.raises(ShardError, match="shard 1 sent a malformed .*" + reason):
             collect_frames(frames)
 
     def test_summary_without_delivered_is_a_shard_error(self):

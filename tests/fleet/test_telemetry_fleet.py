@@ -48,26 +48,26 @@ class TestFleetTelemetryAcceptance:
     def test_snapshot_agrees_with_artifact_within_one_percent(
         self, telemetry_result
     ):
-        fleet = telemetry_result.telemetry["snapshot"]["fleet"]
-        assert fleet["groups"] == 200
+        fleet = telemetry_result.telemetry.snapshot.fleet
+        assert fleet.groups == 200
         assert telemetry_result.delivered > 0
-        drift = abs(fleet["delivered"] - telemetry_result.delivered)
+        drift = abs(fleet.delivered - telemetry_result.delivered)
         assert drift <= 0.01 * telemetry_result.delivered
-        drift = abs(fleet["casts"] - telemetry_result.casts)
+        drift = abs(fleet.casts - telemetry_result.casts)
         assert drift <= 0.01 * max(1, telemetry_result.casts)
 
     def test_per_group_snapshots_agree_with_reports(self, telemetry_result):
-        groups = telemetry_result.telemetry["snapshot"]["groups"]
+        groups = telemetry_result.telemetry.snapshot.groups
         assert len(groups) == 200
         for report in telemetry_result.per_group:
-            snap = groups[str(report.group_id)]
-            assert snap["delivered"] == report.delivered
-            assert snap["hot"] == report.hot
-            assert snap["protocol"] == report.final_protocol
-            assert snap["sequencer"] == report.sequencer
+            snap = groups[report.group_id]
+            assert snap.delivered == report.delivered
+            assert snap.hot == report.hot
+            assert snap.protocol == report.final_protocol
+            assert snap.sequencer == report.sequencer
 
     def test_every_escalation_carries_its_justification(self, telemetry_result):
-        escalations = telemetry_result.telemetry["escalations"]
+        escalations = telemetry_result.telemetry.escalations
         assert escalations, "hot groups should have escalated"
         for record in escalations:
             snapshot = record["snapshot"]
@@ -76,41 +76,40 @@ class TestFleetTelemetryAcceptance:
             assert "window_partial" in snapshot
             assert record["signal"] is not None
         # Hot switched groups show the switch in their telemetry too.
-        groups = telemetry_result.telemetry["snapshot"]["groups"]
-        switched = [
-            g for g in groups.values() if g["protocol"] == "tokenring"
-        ]
+        groups = telemetry_result.telemetry.snapshot.groups
+        switched = [g for g in groups.values() if g.protocol == "tokenring"]
         assert len(switched) == telemetry_result.hot_switched
-        assert all(g["switches"] >= 1 for g in switched)
+        assert all(g.switches >= 1 for g in switched)
         assert all(
-            g["last_switch_s"] is not None and g["last_switch_s"] >= 0.0
+            g.last_switch_s is not None and g.last_switch_s >= 0.0
             for g in switched
         )
 
     def test_payload_shape_and_serializability(self, telemetry_result):
         payload = telemetry_result.telemetry
-        assert payload["schema_version"] == 1
-        assert payload["kind"] == "telemetry"
-        assert payload["source"] == "poll"
-        assert "repro_fleet_delivered_total" in payload["prometheus"]
+        assert payload.schema_version == 1
+        assert payload.kind == "telemetry"
+        assert payload.source == "poll"
+        assert "repro_fleet_delivered_total" in payload.prometheus
         json.dumps(telemetry_result.as_dict())  # artifact-safe
 
     def test_windows_rolled_on_the_sim_clock(self, telemetry_result):
-        fleet = telemetry_result.telemetry["snapshot"]["fleet"]
+        fleet = telemetry_result.telemetry.snapshot.fleet
         # duration 6s + settle 2s at 1s windows, plus the final flush.
-        assert fleet["windows_rolled"] >= 8
+        assert fleet.windows_rolled >= 8
 
     def test_pool_and_stray_surfaces(self, telemetry_result):
         assert len(telemetry_result.pool_loads) > 0
         assert sum(telemetry_result.pool_loads.values()) == 200
         assert set(telemetry_result.stray_by_node) == set(range(24))
-        pool = telemetry_result.telemetry["snapshot"]["fleet"]["pool"]
-        assert pool["nodes"] == len(telemetry_result.pool_loads)
+        pool = telemetry_result.telemetry.snapshot.fleet.pool
+        assert pool.nodes == len(telemetry_result.pool_loads)
+        assert pool.loads == telemetry_result.pool_loads
 
     def test_network_counters_ride_the_snapshot(self, telemetry_result):
-        counters = telemetry_result.telemetry["snapshot"]["fleet"]["counters"]
+        counters = telemetry_result.telemetry.snapshot.fleet.counters
         assert counters["net.deliveries"] == counters["net.sends"] > 0
-        assert "repro_counter_total" in telemetry_result.telemetry["prometheus"]
+        assert "repro_counter_total" in telemetry_result.telemetry.prometheus
 
     def test_summary_mentions_telemetry_surfaces(self, telemetry_result):
         text = telemetry_result.summary()
@@ -170,19 +169,19 @@ class TestLiveExposition:
             expo_port=0,
         )
         result = run_fleet(config)
-        scrape = result.telemetry["scrape"]
-        assert scrape["source"] == "scrape"
-        assert scrape["url"].startswith("http://127.0.0.1:")
+        scrape = result.telemetry.scrape
+        assert scrape.source == "scrape"
+        assert scrape.url.startswith("http://127.0.0.1:")
         # The HTTP view and the poll view agree on totals.
         assert (
-            scrape["snapshot"]["fleet"]["delivered"]
-            == result.telemetry["snapshot"]["fleet"]["delivered"]
+            scrape.snapshot.fleet.delivered
+            == result.telemetry.snapshot.fleet.delivered
             == result.delivered
         )
-        assert "repro_fleet_delivered_total" in scrape["prometheus"]
+        assert "repro_fleet_delivered_total" in scrape.prometheus
         # The network's own counters are served, and only the network's:
         # the fleet's stacks stay off the plane's bus.
-        counters = scrape["snapshot"]["fleet"]["counters"]
+        counters = scrape.snapshot.fleet.counters
         assert counters["net.sends"] > 0 and counters["net.deliveries"] > 0
         assert {name.split(".")[0] for name in counters} <= {"net", "codec"}
-        assert 'repro_counter_total{name="net.sends"}' in scrape["prometheus"]
+        assert 'repro_counter_total{name="net.sends"}' in scrape.prometheus

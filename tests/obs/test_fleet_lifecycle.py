@@ -124,7 +124,8 @@ class TestFleetLifecycleUnderTelemetry:
         runtime, manager, plane = self.build()
         g1 = manager.create_group([0, 1], specs(), initial="A")
         plane.watch_group(g1.group_id, members=2)
-        g1.on_deliver(lambda rank, msg: plane.note_delivery(g1.group_id))
+        note = plane.delivery_hook(g1.group_id)
+        g1.on_deliver(lambda rank, msg: note())
         g1.cast(0, "hello")
         runtime.run_for(1.0)
 
@@ -133,28 +134,29 @@ class TestFleetLifecycleUnderTelemetry:
         runtime.run_for(1.0)
         manager.teardown_group(g1.group_id)
         snap = plane.group_snapshot(g1.group_id)
-        assert snap["torn_down"] is True
-        assert snap["delivered"] == 2
+        assert snap.torn_down is True
+        assert snap.delivered == 2
         assert plane.recorder.captures == []  # clean teardown: no incident
 
         # Re-attach over the same nodes: a fresh group id, fresh state.
         g2 = manager.create_group([0, 1], specs(), initial="A")
         assert g2.group_id != g1.group_id
         plane.watch_group(g2.group_id, members=2)
-        g2.on_deliver(lambda rank, msg: plane.note_delivery(g2.group_id))
+        note = plane.delivery_hook(g2.group_id)
+        g2.on_deliver(lambda rank, msg: note())
         g2.cast(1, "again")
         runtime.run_for(1.0)
-        assert plane.group_snapshot(g2.group_id)["delivered"] == 2
-        assert plane.group_snapshot(g2.group_id)["torn_down"] is False
+        assert plane.group_snapshot(g2.group_id).delivered == 2
+        assert plane.group_snapshot(g2.group_id).torn_down is False
         # The old group's totals are untouched by the new generation.
-        assert plane.group_snapshot(g1.group_id)["delivered"] == 2
+        assert plane.group_snapshot(g1.group_id).delivered == 2
 
     def test_dirty_teardown_freezes_the_black_box(self):
         runtime, manager, plane = self.build()
         group = manager.create_group([0, 1], specs(), initial="A")
         gid = group.group_id
         plane.watch_group(gid, members=2)
-        plane.note_delivery(gid)  # something in the ring to freeze
+        plane.delivery_hook(gid)()  # something in the ring to freeze
         # Teardown while STARTED (no drain): in-flight traffic dies.
         manager.teardown_group(gid)
         assert [c.trigger for c in plane.recorder.captures] == [
@@ -172,4 +174,4 @@ class TestFleetLifecycleUnderTelemetry:
         manager.teardown_group(group.group_id)
         runtime.run_for(1.0)
         assert plane._stray_drops() > 0
-        assert plane.snapshot()["fleet"]["strays"] > 0
+        assert plane.snapshot().fleet.strays > 0

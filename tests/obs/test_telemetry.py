@@ -11,10 +11,13 @@ from repro.obs.telemetry import (
     SLOEngine,
     SLOTarget,
     TelemetryConfig,
+    TelemetryPayload,
     TelemetryPlane,
 )
+from repro.obs.telemetry.aggregate import TelemetrySnapshot
 from repro.obs.telemetry.expo import render_prometheus
 from repro.obs.telemetry.top import load_payload, render_top, run_top
+from repro.records import dump, load
 from repro.runtime.sim_runtime import SimRuntime
 
 
@@ -76,12 +79,12 @@ class TestSLOEngine:
         engine.evaluate(1, window(p99_ms=9.0))
         # A quiet window (no latency samples) leaves the latch burning.
         assert engine.evaluate(1, window(p99_ms=None)) == []
-        assert engine.status(1)["ok"] is False
+        assert engine.status(1).ok is False
 
     def test_switch_duration_reads_window_max(self):
         engine = SLOEngine([SLOTarget("tts", "switch_duration_s", 0.5)])
         assert engine.evaluate(3, window(max_switch_s=0.9)) == ["tts"]
-        assert engine.status(3) == {
+        assert dump(engine.status(3)) == {
             "ok": False,
             "burning": ["tts"],
             "burn_minutes": pytest.approx(1.0 / 60.0),
@@ -106,9 +109,9 @@ class TestSLOEngine:
         engine.evaluate(1, window(p99_ms=9.0))
         engine.evaluate(2, window(p99_ms=9.0))
         snap = engine.snapshot()
-        assert snap["alerts"] == 2
-        assert snap["groups_burning"] == 2
-        assert snap["targets"] == [
+        assert snap.alerts == 2
+        assert snap.groups_burning == 2
+        assert dump(snap.targets) == [
             {"name": "lat", "signal": "delivery_p99_ms", "budget": 5.0}
         ]
 
@@ -209,10 +212,11 @@ class TestTelemetryPlane:
     def test_windows_roll_counts_and_reset(self):
         runtime, plane = make_plane(window=1.0, history=3)
         plane.watch_group(1, members=3)
+        deliver, cast = plane.delivery_hook(1), plane.cast_hook(1)
         for _ in range(6):
-            plane.note_delivery(1, latency_s=0.002)
-        plane.note_cast(1)
-        plane.note_cast(1)
+            deliver(0.002)
+        cast()
+        cast()
         runtime.run_for(1.0)
         plane.roll()
         windows = plane.group_windows(1)
@@ -226,7 +230,7 @@ class TestTelemetryPlane:
         plane.roll()
         assert plane.group_windows(1)[-1]["delivered"] == 0
         # Totals survive the resets.
-        assert plane.group_snapshot(1)["delivered"] == 6
+        assert plane.group_snapshot(1).delivered == 6
 
     def test_history_is_bounded(self):
         runtime, plane = make_plane(window=1.0, history=2)
@@ -234,7 +238,7 @@ class TestTelemetryPlane:
         for _ in range(5):
             plane.roll()
         assert len(plane.group_windows(1)) == 2
-        assert len(plane.snapshot()["fleet_windows"]) == 2
+        assert len(plane.snapshot().fleet_windows) == 2
 
     def test_started_timer_rolls_on_the_runtime_clock(self):
         runtime, plane = make_plane(window=0.5, history=10)
@@ -250,7 +254,7 @@ class TestTelemetryPlane:
     def test_single_latency_sample_yields_no_quantiles(self):
         runtime, plane = make_plane()
         plane.watch_group(1)
-        plane.note_delivery(1, latency_s=0.001)
+        plane.delivery_hook(1)(0.001)
         plane.roll()
         w = plane.group_windows(1)[0]
         assert w["p50_ms"] is None and w["p99_ms"] is None
@@ -262,17 +266,17 @@ class TestTelemetryPlane:
         runtime.run_for(0.25)
         plane.note_switch(4, "sequencer", "tokenring")
         snap = plane.group_snapshot(4)
-        assert snap["last_switch_s"] == pytest.approx(0.25)
-        assert snap["switches"] == 1
+        assert snap.last_switch_s == pytest.approx(0.25)
+        assert snap.switches == 1
         plane.roll()
         assert plane.group_windows(4)[0]["max_switch_s"] == pytest.approx(0.25)
 
     def test_abort_freezes_the_recorder(self):
         runtime, plane = make_plane()
         plane.watch_group(2)
-        plane.note_delivery(2)
+        plane.delivery_hook(2)()
         plane.note_abort(2, reason="flush stalled", phase="flush")
-        assert plane.group_snapshot(2)["aborts"] == 1
+        assert plane.group_snapshot(2).aborts == 1
         captures = plane.recorder.captures
         assert len(captures) == 1
         assert captures[0].trigger == "switch_abort"
@@ -281,7 +285,7 @@ class TestTelemetryPlane:
     def test_oracle_attach_annotates_decisions(self):
         runtime, plane = make_plane()
         plane.watch_group(9, members=3)
-        plane.note_cast(9)
+        plane.cast_hook(9)()
 
         class FakeOracle:
             snapshot_provider = None
@@ -297,18 +301,18 @@ class TestTelemetryPlane:
         # The stopwatch started: a completing switch now has a duration.
         runtime.run_for(0.1)
         plane.note_switch(9)
-        assert plane.group_snapshot(9)["last_switch_s"] == pytest.approx(0.1)
+        assert plane.group_snapshot(9).last_switch_s == pytest.approx(0.1)
 
     def test_slo_burn_freezes_the_recorder_per_target(self):
         runtime, plane = make_plane(
             window=1.0, slos=(SLOTarget("ratio", "delivery_ratio", 0.9),)
         )
         plane.watch_group(1, members=2)
-        plane.note_cast(1)
-        plane.note_delivery(1)  # 1 of an expected 2: ratio 0.5 < 0.9
+        plane.cast_hook(1)()
+        plane.delivery_hook(1)()  # 1 of an expected 2: ratio 0.5 < 0.9
         plane.roll()
         assert [c.trigger for c in plane.recorder.captures] == ["slo:ratio"]
-        assert plane.slo.status(1)["ok"] is False
+        assert plane.slo.status(1).ok is False
 
     def test_unwatched_group_snapshot_raises(self):
         __, plane = make_plane()
@@ -318,10 +322,31 @@ class TestTelemetryPlane:
     def test_snapshot_is_json_serializable(self):
         runtime, plane = make_plane()
         plane.watch_group(1, members=3, hot=True, sequencer=0)
-        plane.note_delivery(1, latency_s=0.001)
+        plane.delivery_hook(1)(0.001)
         plane.roll()
-        payload = json.dumps(plane.snapshot())
+        payload = json.dumps(dump(plane.snapshot()))
         assert "fleet" in json.loads(payload)
+
+    def test_live_snapshot_round_trips_through_its_records(self):
+        runtime, plane = make_plane(
+            slos=(SLOTarget("lat", "delivery_p99_ms", 1.0),)
+        )
+        plane.watch_group(1, members=3, hot=True, sequencer=0,
+                          protocol=lambda: "sequencer")
+        plane.watch_group(2, members=3)
+        deliver = plane.delivery_hook(1)
+        for latency_s in (0.001, 0.004, 0.002):
+            deliver(latency_s)
+        plane.cast_hook(2)()
+        runtime.run_for(1.0)
+        plane.roll()
+        snapshot = plane.snapshot()
+        wire = json.loads(json.dumps(dump(snapshot)))
+        assert sorted(wire["groups"]) == ["1", "2"]
+        loaded = load(TelemetrySnapshot, wire, "snapshot")
+        assert loaded == snapshot
+        assert dump(loaded) == wire
+        assert loaded.groups[1].slo.burning == ["lat"]
 
     def test_config_validation(self):
         with pytest.raises(TelemetryError, match="window"):
@@ -335,8 +360,9 @@ class TestPrometheusRendering:
         runtime, plane = make_plane()
         plane.watch_group(1, members=3, hot=True, sequencer=0)
         plane.watch_group(2, members=3)
+        deliver = plane.delivery_hook(1)
         for _ in range(4):
-            plane.note_delivery(1, latency_s=0.002)
+            deliver(0.002)
         plane.roll()
         return plane.snapshot()
 
@@ -361,15 +387,11 @@ class TestTop:
         runtime, plane = make_plane()
         plane.watch_group(1, members=3, hot=True)
         plane.watch_group(2, members=3)
+        deliver = plane.delivery_hook(1)
         for _ in range(9):
-            plane.note_delivery(1, latency_s=0.001)
+            deliver(0.001)
         plane.roll()
-        return {
-            "schema_version": 1,
-            "kind": "telemetry",
-            "source": "poll",
-            "snapshot": plane.snapshot(),
-        }
+        return TelemetryPayload("poll", plane.snapshot())
 
     def test_render_sorts_hottest_first_and_truncates(self):
         frame = render_top(self.payload(), limit=1)
@@ -382,13 +404,13 @@ class TestTop:
     def test_load_payload_accepts_payload_and_bare_snapshot(self, tmp_path):
         payload = self.payload()
         wrapped = tmp_path / "payload.json"
-        wrapped.write_text(json.dumps(payload))
-        assert load_payload(str(wrapped))["snapshot"] == payload["snapshot"]
+        wrapped.write_text(json.dumps(dump(payload)))
+        assert load_payload(str(wrapped)).snapshot == payload.snapshot
         bare = tmp_path / "bare.json"
-        bare.write_text(json.dumps(payload["snapshot"]))
+        bare.write_text(json.dumps(dump(payload.snapshot)))
         loaded = load_payload(str(bare))
-        assert loaded["source"] == "file"
-        assert loaded["snapshot"] == payload["snapshot"]
+        assert loaded.source == "file"
+        assert loaded.snapshot == payload.snapshot
         junk = tmp_path / "junk.json"
         junk.write_text("{}")
         with pytest.raises(ValueError, match="neither"):
@@ -396,7 +418,7 @@ class TestTop:
 
     def test_run_top_once_json_prints_payload(self, tmp_path):
         path = tmp_path / "payload.json"
-        path.write_text(json.dumps(self.payload()))
+        path.write_text(json.dumps(dump(self.payload())))
         out = []
         assert run_top(str(path), once=True, as_json=True, write=out.append) == 0
         assert json.loads(out[0])["kind"] == "telemetry"
@@ -409,8 +431,18 @@ class TestTop:
 
     @pytest.mark.parametrize(
         "content",
-        ['"snapshot"', '{"snapshot": 3}'],
-        ids=["string", "snapshot-not-an-object"],
+        [
+            '"snapshot"',
+            '{"snapshot": 3}',
+            '{"fleet": 3}',
+            '{"fleet": {}, "groups": {"1": 7}}',
+        ],
+        ids=[
+            "string",
+            "snapshot-not-an-object",
+            "fleet-not-an-object",
+            "group-not-an-object",
+        ],
     )
     def test_run_top_malformed_payload_fails_cleanly(self, tmp_path, content):
         path = tmp_path / "tele.json"
@@ -421,7 +453,7 @@ class TestTop:
 
     def test_run_top_frames_are_bounded(self, tmp_path):
         path = tmp_path / "payload.json"
-        path.write_text(json.dumps(self.payload()))
+        path.write_text(json.dumps(dump(self.payload())))
         out, naps = [], []
         code = run_top(
             str(path), frames=3, interval=0.5,
@@ -436,27 +468,16 @@ class TestTop:
 class TestTelemetryServerLargeBodies:
     """The scrape client must loop until Content-Length bytes arrive."""
 
-    class _BigPlane:
+    @staticmethod
+    def big_plane(entries=3000):
         """A plane whose snapshot JSON far exceeds one read buffer."""
-
-        def __init__(self, entries=3000):
-            self._groups = {
-                str(gid): {
-                    "delivered": gid * 7,
-                    "protocol": "sequencer-%04d" % gid,
-                    "rate": gid * 0.5,
-                }
-                for gid in range(entries)
-            }
-
-        def snapshot(self):
-            return {"fleet": {"groups": len(self._groups)},
-                    "groups": self._groups}
-
-        def prometheus(self):
-            from repro.obs.telemetry.expo import render_prometheus
-
-            return render_prometheus(self.snapshot())
+        runtime, plane = make_plane()
+        for gid in range(1, entries + 1):
+            name = "sequencer-%04d" % gid
+            plane.watch_group(gid, members=3, protocol=lambda n=name: n)
+            plane.delivery_hook(gid)()
+        plane.roll()
+        return plane
 
     def test_scrape_receives_every_byte_of_a_big_snapshot(self):
         import asyncio
@@ -464,8 +485,8 @@ class TestTelemetryServerLargeBodies:
 
         from repro.obs.telemetry.expo import TelemetryServer, scrape
 
-        plane = self._BigPlane()
-        assert len(json.dumps(plane.snapshot())) > 64 * 1024
+        plane = self.big_plane()
+        assert len(json.dumps(dump(plane.snapshot()))) > 64 * 1024
 
         async def drive():
             server = await TelemetryServer(plane).open()
@@ -477,8 +498,6 @@ class TestTelemetryServerLargeBodies:
         payload = asyncio.run(drive())
         # The whole document arrived and parses; a short read would
         # have truncated the JSON mid-object.
-        assert payload["snapshot"] == json.loads(
-            json.dumps(plane.snapshot())
-        )
-        assert payload["prometheus"].endswith("\n")
-        assert 'group="2999"' in payload["prometheus"]
+        assert payload.snapshot == plane.snapshot()
+        assert payload.prometheus.endswith("\n")
+        assert 'group="2999"' in payload.prometheus

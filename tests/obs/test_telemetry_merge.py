@@ -5,12 +5,14 @@ import json
 import pytest
 
 from repro.errors import TelemetryError
-from repro.obs.telemetry import merge_payloads, merge_snapshots
+from repro.obs.telemetry import TelemetryPayload, merge_payloads, merge_snapshots
+from repro.obs.telemetry.aggregate import TelemetrySnapshot
 from repro.obs.telemetry.top import load_sources, render_top, run_top
+from repro.records import dump, load
 
 
 def shard_snapshot(gids, t, rate_per_group=10.0, burning=0):
-    """A minimal but fully-shaped shard-plane snapshot."""
+    """The JSON image of a small shard-plane snapshot."""
     delivered = {gid: 100 * gid for gid in gids}
     loads = {}
     for gid in gids:
@@ -40,7 +42,11 @@ def shard_snapshot(gids, t, rate_per_group=10.0, burning=0):
             "captures": 0,
             "slo": {
                 "targets": [
-                    {"name": "delivery-p99", "signal": "delivery_p99_ms"}
+                    {
+                        "name": "delivery-p99",
+                        "signal": "delivery_p99_ms",
+                        "budget": 50.0,
+                    }
                 ],
                 "alerts": burning,
                 "burn_minutes": 0.5 * burning,
@@ -50,19 +56,43 @@ def shard_snapshot(gids, t, rate_per_group=10.0, burning=0):
         },
         "groups": {
             str(gid): {
+                "group": gid,
+                "hot": None,
+                "protocol": "sequencer",
+                "sequencer": None,
+                "members": 3,
+                "torn_down": False,
+                "casts": delivered[gid] // 3,
                 "delivered": delivered[gid],
                 "rate": rate_per_group,
-                "protocol": "sequencer",
+                "p50_ms": None,
+                "p99_ms": None,
                 "switches": 0,
                 "aborts": 0,
+                "last_switch_s": None,
+                "slo": {"ok": True, "burning": [], "burn_minutes": 0.0},
             }
             for gid in gids
         },
         "fleet_windows": [
-            {"t": float(w), "delivered": 10 * len(gids), "rate": 10.0}
+            {
+                "t": float(w),
+                "window_s": 1.0,
+                "groups": len(gids),
+                "casts": 0,
+                "delivered": 10 * len(gids),
+                "rate": 10.0,
+                "switches": 0,
+                "aborts": 0,
+                "strays": 0,
+            }
             for w in range(1, int(t) + 1)
         ],
     }
+
+
+def snapshot(gids, t, **kwargs):
+    return load(TelemetrySnapshot, shard_snapshot(gids, t, **kwargs), "shard")
 
 
 class TestMergeSnapshots:
@@ -73,42 +103,48 @@ class TestMergeSnapshots:
             merge_payloads([])
 
     def test_single_source_passes_through(self):
-        snap = shard_snapshot([1, 2], t=4.0)
+        snap = snapshot([1, 2], t=4.0)
         assert merge_snapshots([snap]) == snap
 
     def test_two_divergent_snapshots(self):
         """Two shards, different group sets, taken at different times."""
-        a = shard_snapshot([1, 3], t=4.0, burning=1)
-        b = shard_snapshot([2, 5, 8], t=6.0)
+        a = snapshot([1, 3], t=4.0, burning=1)
+        b = snapshot([2, 5, 8], t=6.0)
         merged = merge_snapshots([a, b])
-        fleet = merged["fleet"]
+        fleet = merged.fleet
         # Counts sum; clocks take the further-along source.
-        assert fleet["delivered"] == (100 + 300) + (200 + 500 + 800)
-        assert fleet["time"] == 6.0
-        assert fleet["windows_rolled"] == 6
-        assert fleet["strays"] == 2
-        assert fleet["counters"] == {"net.misrouted": 2, "net.sends": 50}
-        assert fleet["groups"] == 5
-        assert sorted(merged["groups"]) == ["1", "2", "3", "5", "8"]
+        assert fleet.delivered == (100 + 300) + (200 + 500 + 800)
+        assert fleet.time == 6.0
+        assert fleet.windows_rolled == 6
+        assert fleet.strays == 2
+        assert fleet.counters == {"net.misrouted": 2, "net.sends": 50}
+        assert fleet.groups == 5
+        assert list(merged.groups) == [1, 2, 3, 5, 8]
         # Pool loads sum per rank; SLO targets dedup, burn sums.
-        assert fleet["pool"]["loads"] == {"0": 2, "1": 3}
-        assert len(fleet["slo"]["targets"]) == 1
-        assert fleet["slo"]["groups_burning"] == 1
-        assert fleet["slo"]["burn_minutes"] == 0.5
+        assert fleet.pool.loads == {0: 2, 1: 3}
+        assert (fleet.pool.nodes, fleet.pool.min, fleet.pool.max) == (2, 2, 3)
+        assert len(fleet.slo.targets) == 1
+        assert fleet.slo.groups_burning == 1
+        assert fleet.slo.burn_minutes == 0.5
         # Windows align on t and sum: shard a contributes 4, b all 6.
-        windows = merged["fleet_windows"]
-        assert [w["t"] for w in windows] == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
-        assert windows[0]["delivered"] == 20 + 30
-        assert windows[5]["delivered"] == 30  # only shard b got this far
-        assert fleet["rate_cumulative"] == fleet["delivered"] / 6.0
+        windows = merged.fleet_windows
+        assert [w.t for w in windows] == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        assert windows[0].delivered == 20 + 30
+        assert windows[0].groups == 5
+        assert windows[5].delivered == 30  # only shard b got this far
+        assert fleet.rate_cumulative == fleet.delivered / 6.0
+        # The merge is itself a well-formed snapshot.
+        wire = json.loads(json.dumps(dump(merged)))
+        assert load(TelemetrySnapshot, wire, "merged") == merged
 
     def test_group_collision_keeps_fresher_view(self):
         stale = shard_snapshot([4], t=2.0)
         stale["groups"]["4"]["delivered"] = 5
-        fresh = shard_snapshot([4], t=3.0)
+        stale = load(TelemetrySnapshot, stale, "stale")
+        fresh = snapshot([4], t=3.0)
         merged = merge_snapshots([stale, fresh])
-        assert merged["groups"]["4"]["delivered"] == 400
-        assert merged["fleet"]["groups"] == 1
+        assert merged.groups[4].delivered == 400
+        assert merged.fleet.groups == 1
 
 
 class TestMergePayloads:
@@ -131,14 +167,15 @@ class TestMergePayloads:
         ]
 
     def test_merges_and_rerenders(self):
-        merged = merge_payloads(self.payloads(), sources=["a.json", "b.json"])
-        assert merged["source"] == "merge"
-        assert merged["merged_from"] == 2
-        assert merged["sources"] == ["a.json", "b.json"]
+        payloads = [load(TelemetryPayload, p, "p") for p in self.payloads()]
+        merged = merge_payloads(payloads, sources=["a.json", "b.json"])
+        assert merged.source == "merge"
+        assert merged.merged_from == 2
+        assert merged.sources == ["a.json", "b.json"]
         # Escalations interleave in time order across sources.
-        assert [e["group_id"] for e in merged["escalations"]] == [2, 3]
-        assert "repro_fleet_delivered_total 600" in merged["prometheus"]
-        assert 'repro_counter_total{name="net.sends"} 30' in merged["prometheus"]
+        assert [e["group_id"] for e in merged.escalations] == [2, 3]
+        assert "repro_fleet_delivered_total 600" in merged.prometheus
+        assert 'repro_counter_total{name="net.sends"} 30' in merged.prometheus
 
     def test_top_over_two_files(self, tmp_path, capsys):
         paths = []

@@ -45,7 +45,7 @@ def base_spec():
 
 
 def test_accepts_valid_spec():
-    spec = ScenarioSpec.from_dict(base_spec())
+    spec = ScenarioSpec.load(base_spec())
     assert spec.name == "unit_test"
     assert spec.runtimes == ("sim",)  # the default
     assert spec.duration == pytest.approx(2.0)
@@ -58,11 +58,21 @@ def test_defaults_fill_in():
     data = base_spec()
     del data["group"], data["settle"], data["seed"]
     data["expect"].pop("min_delivery_ratio")
-    spec = ScenarioSpec.from_dict(data)
+    spec = ScenarioSpec.load(data)
     assert spec.group.members == 6
     assert spec.settle.windows == 20
     assert spec.seed == 42
     assert spec.expect.min_delivery_ratio == pytest.approx(0.9)
+
+
+def test_an_int_in_a_float_field_reads_as_a_float():
+    data = base_spec()
+    data["phases"][0]["duration"] = 1
+    data["phases"][0]["workload"]["rate"] = 20
+    spec = ScenarioSpec.load(data)
+    assert type(spec.phases[0].duration) is float
+    assert type(spec.phases[0].workload.rate) is float
+    assert spec.phases[0].workload.senders == 1
 
 
 def mutated(**overrides):
@@ -71,19 +81,29 @@ def mutated(**overrides):
     return data
 
 
+def reworded(mutate, message, old_message):
+    """A row whose message changed wording keeps the id it had."""
+    return pytest.param(mutate, message, id=f"<lambda>-{old_message}")
+
+
 @pytest.mark.parametrize(
     "mutate, message",
     [
-        (lambda d: d.pop("name"), "missing required field 'name'"),
-        (lambda d: d.pop("summary"), "missing required field 'summary'"),
-        (lambda d: d.pop("oracle"), "missing required field 'oracle'"),
-        (lambda d: d.pop("phases"), "missing required field 'phases'"),
-        (lambda d: d.pop("expect"), "missing required field 'expect'"),
+        *(
+            reworded(
+                lambda d, key=key: d.pop(key),
+                rf"scenario: missing keys \['{key}'\]",
+                f"missing required field '{key}'",
+            )
+            for key in ("name", "summary", "oracle", "phases", "expect")
+        ),
         (lambda d: d.update(phases=[]), "non-empty array"),
         (lambda d: d.update(runtimes=["sim", "bare_metal"]),
          "non-empty subset"),
-        (lambda d: d.update(seed="forty-two"), "seed must be an int"),
-        (lambda d: d.update(extra_field=1), "unknown field"),
+        reworded(lambda d: d.update(seed="forty-two"),
+                 "scenario.seed: expected int, got str", "seed must be an int"),
+        reworded(lambda d: d.update(extra_field=1),
+                 r"scenario: unknown keys \['extra_field'\]", "unknown field"),
         (lambda d: d["group"].update(members=1), "members must be an int >= 2"),
         (lambda d: d["group"].update(initial="multicast"),
          "initial must be one of"),
@@ -102,8 +122,9 @@ def mutated(**overrides):
         (lambda d: d["phases"][0].update(duration=float("nan")),
          r"phases\[0\]\.duration: expected a number, got NaN"),
         (lambda d: d["phases"][1]["net"].update(loss=1.0), "must be < 1.0"),
-        (lambda d: d["expect"].update(protocol="udp"),
-         "protocol: must be one of"),
+        reworded(lambda d: d["expect"].update(protocol="udp"),
+                 "scenario.expect: protocol must be one of",
+                 "protocol: must be one of"),
         (lambda d: d["expect"].update(max_switches=-1),
          "must be an int >= 0"),
         (lambda d: d["expect"].update(drift_phase="warmup"),
@@ -113,13 +134,23 @@ def mutated(**overrides):
         (lambda d: d["expect"].update(min_delivery_ratio=1.5),
          "must be <= 1.0"),
         (lambda d: d["settle"].update(windows=0), "must be an int >= 1"),
+        # Wrong shapes and types, each read closed as one ScenarioError.
+        (lambda d: d.update(group=None),
+         "scenario.group: expected an object, got null"),
+        (lambda d: d["phases"][1].update(net=None),
+         r"scenario.phases\[1\].net: expected an object, got null"),
+        (lambda d: d["phases"][0].update(workload=3),
+         r"scenario.phases\[0\].workload: expected an object, got int"),
+        (lambda d: d["phases"].append("calm"),
+         r"scenario.phases\[2\]: expected an object, got str"),
+        (lambda d: d.update(seed=True), "scenario.seed: expected int, got bool"),
     ],
 )
 def test_rejects_malformed_spec(mutate, message):
     data = base_spec()
     mutate(data)
     with pytest.raises(ScenarioError, match=message):
-        ScenarioSpec.from_dict(data)
+        ScenarioSpec.load(data)
 
 
 def test_rejects_expectation_outside_oracle_band():
@@ -130,13 +161,13 @@ def test_rejects_expectation_outside_oracle_band():
     data["oracle"]["low_protocol"] = "tokenring"
     data["oracle"]["high_protocol"] = "sequencer"
     data["expect"]["protocol"] = "sequencer"
-    ScenarioSpec.from_dict(data)  # still a valid band, both sides covered
+    ScenarioSpec.load(data)  # still a valid band, both sides covered
 
 
 def test_rejects_asyncio_with_dirty_net():
     data = mutated(runtimes=["sim", "asyncio"])
     with pytest.raises(ScenarioError, match="cannot inject simulated"):
-        ScenarioSpec.from_dict(data)
+        ScenarioSpec.load(data)
 
 
 def test_rejects_asyncio_with_loss_ratio_signal():
@@ -145,7 +176,7 @@ def test_rejects_asyncio_with_loss_ratio_signal():
         phase.pop("net", None)
     data["oracle"]["signal"] = "loss_ratio"
     with pytest.raises(ScenarioError, match="loss_ratio reads the simulated"):
-        ScenarioSpec.from_dict(data)
+        ScenarioSpec.load(data)
 
 
 def test_load_scenario_rejects_name_stem_mismatch(tmp_path):

@@ -54,6 +54,37 @@ def test_missing_artifact_exits_one(validator, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda bad, tele, trace: check_telemetry.main(
+            ["prog", "--overhead", bad]
+        ),
+        lambda bad, tele, trace: check_telemetry.main(["prog", tele, bad]),
+        lambda bad, tele, trace: check_scale.main(["prog", bad]),
+        lambda bad, tele, trace: check_obs.main(["prog", trace, bad]),
+    ],
+    ids=["telemetry-overhead", "telemetry-fleet-artifact", "scale",
+         "obs-metrics"],
+)
+def test_a_non_object_artifact_exits_one(run, tmp_path, capsys):
+    bad = write(tmp_path, "a.json", [])
+    tele = write(tmp_path, "tele.json", good_telemetry_payload())
+    trace = write(tmp_path, "trace.json", [])
+    assert run(bad, tele, trace) == 1
+    assert f"cannot load {bad!r}: not a JSON object (got list)" in (
+        capsys.readouterr().out
+    )
+
+
+def test_obs_rejects_a_trace_that_is_not_an_array(obs_artifacts, tmp_path,
+                                                 capsys):
+    __, metrics = obs_artifacts
+    trace = write(tmp_path, "trace.json", {"traceEvents": []})
+    assert check_obs.main(["prog", trace, str(metrics)]) == 1
+    assert "not a JSON array (got dict)" in capsys.readouterr().out
+
+
 # ----------------------------------------------------------------------
 # check_obs: trace + metrics from a real traced run
 # ----------------------------------------------------------------------
@@ -582,13 +613,19 @@ def good_telemetry_payload():
     def group(gid, delivered, protocol="sequencer"):
         return {
             "group": gid,
+            "hot": gid == 1,
             "protocol": protocol,
+            "sequencer": gid,
             "members": 3,
+            "torn_down": False,
             "casts": delivered,
             "delivered": delivered,
             "rate": float(delivered),
+            "p50_ms": 1.5,
+            "p99_ms": None,
             "switches": 0,
             "aborts": 0,
+            "last_switch_s": None,
             "slo": {"ok": True, "burning": [], "burn_minutes": 0.0},
         }
 
@@ -614,7 +651,9 @@ def good_telemetry_payload():
                 "switches": 0,
                 "aborts": 0,
                 "strays": 0,
-                "pool": {"nodes": 2, "min": 1, "max": 1},
+                "pool": {
+                    "nodes": 2, "loads": {"0": 1, "1": 1}, "min": 1, "max": 1
+                },
                 "escalations": 1,
                 "captures": 0,
                 "slo": {
@@ -623,9 +662,14 @@ def good_telemetry_payload():
                     "burn_minutes": 0.0,
                     "groups_burning": 0,
                 },
+                "counters": {"net.sends": 12},
             },
             "groups": {"0": group(0, 10), "1": group(1, 20)},
-            "fleet_windows": [{"t": 8.0, "delivered": 4}],
+            "fleet_windows": [
+                {"t": 8.0, "window_s": 1.0, "groups": 2, "casts": 4,
+                 "delivered": 4, "rate": 4.0, "switches": 0, "aborts": 0,
+                 "strays": 0}
+            ],
         },
         "prometheus": prometheus,
         "escalations": [
@@ -765,6 +809,24 @@ def test_telemetry_rejects_missing_prometheus_series(tmp_path, capsys):
     path = write(tmp_path, "tele.json", payload)
     assert check_telemetry.main(["prog", path]) == 1
     assert "repro_slo_burn_minutes missing" in capsys.readouterr().out
+
+
+def test_telemetry_rejects_a_badly_typed_group_view(tmp_path, capsys):
+    payload = good_telemetry_payload()
+    payload["snapshot"]["groups"]["1"]["rate"] = "x"
+    path = write(tmp_path, "tele.json", payload)
+    assert check_telemetry.main(["prog", path]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("FAILED 1 check(s):")
+    assert "payload.snapshot.groups[1].rate: expected a number, got str" in out
+
+
+def test_telemetry_rejects_a_group_filed_under_another_id(tmp_path, capsys):
+    payload = good_telemetry_payload()
+    payload["snapshot"]["groups"]["1"]["group"] = 7
+    path = write(tmp_path, "tele.json", payload)
+    assert check_telemetry.main(["prog", path]) == 1
+    assert "snapshot.groups[1]: group id mismatch (7)" in capsys.readouterr().out
 
 
 def test_telemetry_rejects_truncated_fleet_snapshot(tmp_path, capsys):

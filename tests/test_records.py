@@ -104,6 +104,14 @@ def test_load_is_closed(edit, reason):
         load(Outer, data, "outer")
 
 
+def test_load_reads_an_int_in_a_float_field_as_a_float():
+    data = dump(outer(ratio=3))
+    loaded = load(Outer, data, "outer")
+    assert type(loaded.ratio) is float and loaded.ratio == 3.0
+    assert type(loaded.items[1].weight) is float
+    assert type(loaded.count) is int
+
+
 def test_load_rejects_a_value_that_is_not_an_object():
     with pytest.raises(RecordError, match="outer: expected an object"):
         load(Outer, [1, 2], "outer")
