@@ -66,6 +66,9 @@ def check_trace(path, problems):
 
     spans = {name: 0 for name in PHASE_SPANS}
     for index, record in enumerate(records):
+        if not isinstance(record, dict):
+            problems.append(f"trace: record {index} is not an object")
+            continue
         missing = REQUIRED_KEYS - set(record)
         if missing:
             problems.append(

@@ -22,11 +22,12 @@ Payload mode checks a telemetry payload (``repro fleet
   were rolled, every recorded escalation carries its justifying snapshot,
   and the escalations are in decision-time order (a sharded run's
   merged list too);
-* with a fleet artifact (``repro fleet --json``) alongside: the
-  telemetry aggregate agrees with the artifact's delivered count to
-  within 1% (the live plane must not drift from ground truth), and —
-  while the plane's escalation list is under its cap — each switched
-  group was escalated exactly once and no other group was.
+* with a fleet artifact (``repro fleet --json``, read closed as a
+  ``FleetResult``) alongside: the telemetry aggregate agrees with the
+  artifact's delivered count to within 1% (the live plane must not
+  drift from ground truth), and — while the plane's escalation list
+  is under its cap — each switched group was escalated exactly once
+  and no other group was.
 
 Blackbox mode checks a flight-recorder JSONL (``repro chaos
 --blackbox``): at least one capture, every capture header followed by
@@ -50,6 +51,7 @@ if _SCRIPTS not in sys.path:
 
 from _lib import ArtifactError, load_artifact, report_problems, usage
 from repro.errors import RecordError
+from repro.fleet.runner import FleetResult
 from repro.obs.telemetry.aggregate import MAX_ESCALATIONS
 from repro.obs.telemetry.payload import TelemetryPayload
 from repro.records import load
@@ -120,9 +122,10 @@ def check_escalations(payload, problems):
             problems.append(f"{label}: decision carries no signal value")
 
 
-def check_payload(data, fleet_artifact, problems):
-    """Check a payload's JSON; returns its :class:`TelemetryPayload`, or
-    None when it does not even read."""
+def check_payload(data, fleet_data, problems):
+    """Check a payload's JSON, and the fleet artifact's JSON when given;
+    returns the payload's :class:`TelemetryPayload`, or None when it
+    does not even read."""
     try:
         payload = load(TelemetryPayload, data, "payload")
     except RecordError as exc:
@@ -137,13 +140,15 @@ def check_payload(data, fleet_artifact, problems):
                 problems.append(f"prometheus: series {series} missing")
     check_escalations(payload, problems)
 
-    if fleet_artifact is None:
+    if fleet_data is None:
         return payload
-    truth = fleet_artifact.get("delivered")
+    try:
+        fleet_artifact = load(FleetResult, fleet_data, "fleet")
+    except RecordError as exc:
+        problems.append(str(exc))
+        return payload
+    truth = fleet_artifact.delivered
     observed = payload.snapshot.fleet.delivered
-    if not isinstance(truth, (int, float)):
-        problems.append("cannot compare delivered counts across artifacts")
-        return payload
     if abs(observed - truth) > AGREEMENT * max(1.0, truth):
         problems.append(
             f"telemetry saw {observed} deliveries, the fleet artifact "
@@ -155,8 +160,7 @@ def check_payload(data, fleet_artifact, problems):
 
 def check_one_escalation_per_switch(payload, fleet_artifact, problems):
     escalations = payload.escalations
-    per_group = fleet_artifact.get("per_group")
-    if not isinstance(escalations, list) or not isinstance(per_group, list):
+    if escalations is None:
         problems.append("cannot match escalations to the fleet's per_group")
         return
     escalated = Counter(record.get("group_id") for record in escalations)
@@ -165,7 +169,7 @@ def check_one_escalation_per_switch(payload, fleet_artifact, problems):
         problems.append(f"groups {repeated} escalated more than once")
     if len(escalations) >= MAX_ESCALATIONS:
         return  # capped: the list no longer names every escalation
-    switched = {g.get("group_id") for g in per_group if g.get("switched")}
+    switched = {g.group_id for g in fleet_artifact.per_group if g.switched}
     if set(escalated) != switched:
         problems.append(
             f"escalated groups {sorted(set(escalated) - switched, key=str)} "
@@ -188,7 +192,7 @@ def check_blackbox(path, problems):
     index = 0
     while index < len(lines):
         header = lines[index]
-        if header.get("type") != "capture":
+        if not isinstance(header, dict) or header.get("type") != "capture":
             problems.append(f"line {index + 1}: expected a capture header")
             return captures
         captures += 1
@@ -209,6 +213,9 @@ def check_blackbox(path, problems):
             return captures
         for offset, record in enumerate(records):
             label = f"capture {captures} record {offset + 1}"
+            if not isinstance(record, dict):
+                problems.append(f"{label}: not a record line")
+                continue
             if record.get("type") != "record":
                 problems.append(f"{label}: not a record line")
             if "t" not in record or "name" not in record:

@@ -20,6 +20,10 @@ Mechanism (one *stream* per (origin, destination-set) pair):
 * Receivers periodically acknowledge their delivered prefix; an origin
   garbage-collects a message once every receiver in the stream's
   destination set has acknowledged it (stability).
+
+The maintenance tick runs only while there is work: an unstable send
+stream or an open receive gap re-arms it, and traffic arms it again
+after a quiet spell, so a quiet layer schedules nothing.
 """
 
 from __future__ import annotations
@@ -49,8 +53,9 @@ class ReliableConfig:
     """Timers and limits for the reliable layer.
 
     Attributes:
-        tick_interval: period of the maintenance timer driving NAKs,
-            heartbeats, and ACKs.
+        tick_interval: delay from arming the maintenance tick that
+            drives NAKs, heartbeats, and ACKs to its firing (its period
+            while a stream has work).
         nak_batch: max missing sequence numbers requested per NAK.
         control_size: declared wire size of NAK/ACK/heartbeat bodies.
     """
@@ -110,7 +115,7 @@ class ReliableLayer(Layer):
     # ------------------------------------------------------------------
     def start(self) -> None:
         super().start()
-        self._schedule_tick()
+        self._arm()
 
     def stop(self) -> None:
         super().stop()
@@ -118,8 +123,9 @@ class ReliableLayer(Layer):
         if ticker is not None:
             ticker.cancel()
 
-    def _schedule_tick(self) -> None:
-        self._ticker = self.ctx.after(self.config.tick_interval, self._tick)
+    def _arm(self) -> None:
+        if self._ticker is None and self._started:
+            self._ticker = self.ctx.after(self.config.tick_interval, self._tick)
 
     # ------------------------------------------------------------------
     # Downward: wrap data with stream sequence numbers
@@ -143,6 +149,7 @@ class ReliableLayer(Layer):
         stream.buffer[seq] = wrapped
         stream.dirty = True
         self.stats.incr("data_sent")
+        self._arm()
         self.send_down(wrapped)
 
     def _dest_key(self, msg: Message) -> object:
@@ -183,6 +190,7 @@ class ReliableLayer(Layer):
         seq = header["seq"]
         stream = self._stream(origin, header["dk"])
         stream.known_top = max(stream.known_top, seq)
+        self._arm()
         if seq < stream.expected or seq in stream.holdback:
             self.stats.incr("duplicates")
             return
@@ -239,24 +247,30 @@ class ReliableLayer(Layer):
         dest_key, top = msg.body
         stream = self._stream(msg.sender, dest_key)
         stream.known_top = max(stream.known_top, top)
+        self._arm()
 
     # ------------------------------------------------------------------
     # Maintenance timer
     # ------------------------------------------------------------------
     def _tick(self) -> None:
+        self._ticker = None
         if not self._started:
             return
-        self._nak_gaps()
-        self._heartbeat()
+        gaps = self._nak_gaps()
+        unstable = self._heartbeat()
         self._acknowledge()
-        self._schedule_tick()
+        if gaps or unstable:
+            self._arm()
 
-    def _nak_gaps(self) -> None:
+    def _nak_gaps(self) -> bool:
+        """NAK every open gap; True if any stream has one."""
+        open_gap = False
         for (origin, dest_key), stream in self._recv_streams.items():
             if origin == self.ctx.rank:
                 continue
             if stream.known_top < stream.expected:
                 continue
+            open_gap = True
             # known_top comes off the wire: walk no further than the
             # batch we will actually request.
             gaps = (
@@ -269,11 +283,15 @@ class ReliableLayer(Layer):
                 continue
             self.stats.incr("naks_sent")
             self._control("nak", (dest_key, missing), dest=(origin,))
+        return open_gap
 
-    def _heartbeat(self) -> None:
+    def _heartbeat(self) -> bool:
+        """Heartbeat every quiet unstable stream; True if any is unstable."""
+        unstable = False
         for dest_key, stream in self._send_streams.items():
             if not stream.buffer:
                 continue
+            unstable = True
             if stream.dirty:
                 # Data flowed since the last tick; it advertises top itself.
                 stream.dirty = False
@@ -283,6 +301,7 @@ class ReliableLayer(Layer):
                 continue
             self.stats.incr("heartbeats")
             self._control("hb", (dest_key, stream.next_seq - 1), dest=dest)
+        return unstable
 
     def _acknowledge(self) -> None:
         for (origin, dest_key), stream in self._recv_streams.items():

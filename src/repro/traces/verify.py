@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import VerificationError
-from ..stack.message import Message
+from ..stack.message import Message, MessageId
 from .events import DeliverEvent, Event, SendEvent
 from .meta import Composable, MetaProperty
 from .properties import Property
@@ -161,6 +161,23 @@ def check_composability(
     seconds = other_traces if other_traces is not None else traces
     good_first = [t for t in traces if prop.holds(t)]
     good_second = [t for t in seconds if prop.holds(t)]
+    # Index the pair space: one bit per message id, the second traces
+    # bucketed by their message mask.  A first trace walks only the
+    # buckets disjoint from its own mask, merged back into the original
+    # order, so the pairs (and any counterexample) are those the naive
+    # scan over every pair with Composable.composable_pair would meet.
+    bits: Dict[MessageId, int] = {}
+
+    def mask(trace: Trace) -> int:
+        acc = 0
+        for event in trace.events:
+            acc |= bits.setdefault(event.mid, 1 << len(bits))
+        return acc
+
+    buckets: Dict[int, List[int]] = {}
+    for index, tr2 in enumerate(good_second):
+        buckets.setdefault(mask(tr2), []).append(index)
+    partners: Dict[int, List[int]] = {}
     traces_checked = 0
     variants_checked = 0
     counterexample: Optional[Counterexample] = None
@@ -168,11 +185,20 @@ def check_composability(
         traces_checked += 1
         if variants_checked >= max_pairs:
             break
-        for tr2 in good_second:
+        first_mask = mask(tr1)
+        disjoint = partners.get(first_mask)
+        if disjoint is None:
+            disjoint = partners[first_mask] = sorted(
+                itertools.chain.from_iterable(
+                    bucket
+                    for second_mask, bucket in buckets.items()
+                    if not second_mask & first_mask
+                )
+            )
+        for index in disjoint:
             if variants_checked >= max_pairs:
                 break
-            if not Composable.composable_pair(tr1, tr2):
-                continue
+            tr2 = good_second[index]
             variants_checked += 1
             combined = Composable.compose(tr1, tr2)
             explanation = prop.explain(combined)

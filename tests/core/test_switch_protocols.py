@@ -9,7 +9,7 @@ from repro.errors import SwitchError
 from repro.net.faults import FaultPlan
 from repro.obs.bus import Bus
 from repro.protocols.fifo import FifoLayer
-from repro.protocols.reliable import ReliableConfig, ReliableLayer
+from repro.protocols.reliable import ReliableLayer
 from repro.protocols.sequencer import SequencerLayer
 from repro.protocols.tokenring import TokenRingLayer
 from repro.stack.layer import Layer
@@ -178,17 +178,16 @@ class TestTokenVariantSpecifics:
             stacks[0].request_switch("nope")
 
     def test_quiet_group_sends_nothing(self):
-        """Outside a switch the token rests: ten idle seconds cost the
-        control channel's reliable ticks and not one packet."""
+        """Outside a switch the token rests: ten idle seconds cost one
+        first reliable tick per control channel and not one packet."""
         sim, stacks, log = switch_group(3, specs_fifo(), "A", "token")
-        sim.run_until(10.01)  # clear of the 400th tick's float drift
+        sim.run_until(10.0)
         for stack in stacks.values():
             assert stack.transport.stats.get("unicast") == 0
             assert stack.transport.stats.get("multicast") == 0
             assert stack.protocol.stats.get("normal_tokens") == 0
         assert [s.holds_token for s in stacks.values()] == [True, False, False]
-        ticks = int(10.0 / ReliableConfig().tick_interval)
-        assert sim.events_processed == 3 * ticks
+        assert sim.events_processed == 3
 
     def test_three_rotations_per_switch(self):
         sim, stacks, log = switch_group(3, specs_fifo(), "A", "token")

@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 from helpers import load_validator
+from repro.fleet.runner import FleetResult, GroupReport
+from repro.records import dump
 
 REPO = Path(__file__).resolve().parents[2]
 RESULTS = REPO / "benchmarks" / "results"
@@ -83,6 +85,17 @@ def test_obs_rejects_a_trace_that_is_not_an_array(obs_artifacts, tmp_path,
     trace = write(tmp_path, "trace.json", {"traceEvents": []})
     assert check_obs.main(["prog", trace, str(metrics)]) == 1
     assert "not a JSON array (got dict)" in capsys.readouterr().out
+
+
+def test_obs_rejects_a_trace_record_that_is_not_an_object(obs_artifacts,
+                                                         tmp_path, capsys):
+    __, metrics = obs_artifacts
+    trace = write(tmp_path, "trace.json", [1, 2])
+    assert check_obs.main(["prog", trace, str(metrics)]) == 1
+    out = capsys.readouterr().out
+    assert "FAILED" in out
+    assert "trace: record 0 is not an object" in out
+    assert "trace: record 1 is not an object" in out
 
 
 # ----------------------------------------------------------------------
@@ -733,13 +746,21 @@ def test_telemetry_accepts_good_payload(tmp_path, capsys):
 def good_fleet_artifact(delivered=30):
     """The fleet artifact matching :func:`good_telemetry_payload`:
     group 1 was escalated and switched, group 0 stayed."""
-    return {
-        "delivered": delivered,
-        "per_group": [
-            {"group_id": 0, "switched": False},
-            {"group_id": 1, "switched": True},
-        ],
-    }
+
+    def group(gid, switched):
+        return GroupReport(
+            group_id=gid, hot=switched, members=[0, 1, 2], sequencer=gid,
+            casts=delivered // 2, delivered=delivered // 2, p99_ms=None,
+            final_protocol="tokenring" if switched else "sequencer",
+            switched=switched,
+        )
+
+    return dump(FleetResult(
+        runtime="sim", groups=2, clients=20, duration=8.0, casts=delivered,
+        delivered=delivered, msgs_per_s=delivered / 8.0, hot_groups=1,
+        hot_switched=1, cold_switched=0, stray_packets=0,
+        per_group=[group(0, False), group(1, True)],
+    ))
 
 
 def test_telemetry_checks_artifact_agreement(tmp_path, capsys):
@@ -768,6 +789,19 @@ def test_telemetry_rejects_escalations_unmatched_by_switches(tmp_path, capsys):
     fleet = write(tmp_path, "fleet.json", artifact)
     assert check_telemetry.main(["prog", tele, fleet]) == 1
     assert "switched groups [0] were never escalated" in capsys.readouterr().out
+
+
+def test_telemetry_rejects_a_fleet_artifact_group_that_is_not_an_object(
+    tmp_path, capsys
+):
+    tele = write(tmp_path, "tele.json", good_telemetry_payload())
+    artifact = good_fleet_artifact()
+    artifact["per_group"] = [1]
+    fleet = write(tmp_path, "fleet.json", artifact)
+    assert check_telemetry.main(["prog", tele, fleet]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("FAILED 1 check(s):")
+    assert "fleet.per_group[0]: expected an object" in out
 
 
 def test_telemetry_escalation_cap_matches_the_plane():
@@ -877,6 +911,24 @@ def test_telemetry_rejects_empty_blackbox(tmp_path, capsys):
     path = write_blackbox(tmp_path, [])
     assert check_telemetry.main(["prog", "--blackbox", path]) == 1
     assert "no lines" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "edit, reason",
+    [
+        (lambda lines: [[1]] + lines, "line 1: expected a capture header"),
+        (lambda lines: lines[:2] + [[1]], "capture 1 record 2: not a record"),
+    ],
+    ids=["header", "record"],
+)
+def test_telemetry_rejects_a_blackbox_line_that_is_not_an_object(
+    tmp_path, capsys, edit, reason
+):
+    path = write_blackbox(tmp_path, edit(good_blackbox_lines()))
+    assert check_telemetry.main(["prog", "--blackbox", path]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("FAILED 1 check(s):")
+    assert reason in out
 
 
 def test_telemetry_rejects_blackbox_group_mismatch(tmp_path, capsys):

@@ -130,6 +130,83 @@ class TestCheckComposability:
         assert verdict.variants_checked == 0
 
 
+def naive_composability(prop, traces, other_traces=None, stop_at_first=True,
+                        max_pairs=2_000_000):
+    """The scan ``check_composability`` indexes: every (i, j) pair, in
+    order, tested with ``Composable.composable_pair``."""
+    seconds = other_traces if other_traces is not None else traces
+    good_first = [t for t in traces if prop.holds(t)]
+    good_second = [t for t in seconds if prop.holds(t)]
+    traces_checked = variants_checked = 0
+    counterexample = None
+    for tr1 in good_first:
+        traces_checked += 1
+        if variants_checked >= max_pairs:
+            break
+        for tr2 in good_second:
+            if variants_checked >= max_pairs:
+                break
+            if not Composable.composable_pair(tr1, tr2):
+                continue
+            variants_checked += 1
+            combined = Composable.compose(tr1, tr2)
+            explanation = prop.explain(combined)
+            if explanation is not None:
+                counterexample = (tr1, combined, explanation, tr2)
+                if stop_at_first:
+                    return False, counterexample, traces_checked, variants_checked
+    return counterexample is None, counterexample, traces_checked, variants_checked
+
+
+def as_tuple(verdict):
+    ce = verdict.counterexample
+    if ce is not None:
+        ce = (ce.below, ce.above, ce.explanation, ce.second_below)
+    return verdict.preserved, ce, verdict.traces_checked, verdict.variants_checked
+
+
+class TestIndexedPairScan:
+    """The message-mask index must meet exactly the pairs, in exactly the
+    order, of the naive scan: same verdict, counts and counterexample."""
+
+    SHARED = [
+        Message(sender=0, mid=(0, 0), body="x", body_size=1),
+        Message(sender=1, mid=(1, 1), body="x", body_size=1),
+        Message(sender=0, mid=(0, 2), body="y", body_size=1),
+    ]
+
+    @pytest.mark.parametrize(
+        "prop",
+        [NoReplay(), Amoeba(), Reliability(receivers={0, 1}),
+         PrioritizedDelivery(master=0)],
+        ids=lambda prop: prop.name,
+    )
+    @pytest.mark.parametrize("stop_at_first", [True, False])
+    @pytest.mark.parametrize("max_pairs", [1, 37, 2_000_000])
+    def test_matches_the_naive_scan(self, prop, stop_at_first, max_pairs):
+        universe = list(enumerate_traces(self.SHARED, [0, 1], 3))
+        expected = naive_composability(
+            prop, universe, stop_at_first=stop_at_first, max_pairs=max_pairs
+        )
+        verdict = check_composability(
+            prop, universe, stop_at_first=stop_at_first, max_pairs=max_pairs
+        )
+        assert as_tuple(verdict) == expected
+
+    def test_matches_the_naive_scan_across_two_universes(self):
+        first = list(enumerate_traces(self.SHARED[:2], [0, 1], 3))
+        second = list(enumerate_traces(self.SHARED[1:], [0, 1], 3))
+        for stop_at_first in (True, False):
+            expected = naive_composability(
+                NoReplay(), first, second, stop_at_first=stop_at_first
+            )
+            verdict = check_composability(
+                NoReplay(), first, second, stop_at_first=stop_at_first
+            )
+            assert as_tuple(verdict) == expected
+        assert not expected[0]  # the universes do hold a refutation
+
+
 class TestComputeMatrix:
     def test_small_matrix_shape_and_agreement(self):
         universe = list(enumerate_traces(messages(1), [0, 1], 3))
