@@ -14,6 +14,7 @@ receiver can compute end-to-end latency without a side channel.
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import Any, NamedTuple, Optional
 
 from ..errors import ReproError
@@ -65,23 +66,30 @@ class _SenderBase:
         self.sent = 0
         self.skipped = 0
         self._active = False
+        # Each start() begins a new timer chain; a _fire from an older
+        # chain (stopped and restarted within one gap) finds the epoch
+        # moved on and ends.
+        self._epoch = 0
 
     def start(self) -> None:
         if self._active:
             return
         self._active = True
+        self._epoch += 1
+        self._chain = partial(self._fire, self._epoch)
         delay = max(0.0, self.start_at - self.runtime.now) + self._next_gap()
-        self.runtime.schedule(delay, self._fire)
+        self.runtime.schedule(delay, self._chain)
 
     def stop(self) -> None:
         self._active = False
+        self._epoch += 1
 
     @property
     def active(self) -> bool:
         return self._active
 
-    def _fire(self) -> None:
-        if not self._active:
+    def _fire(self, epoch: int) -> None:
+        if epoch != self._epoch:
             return
         if self.stop_at is not None and self.runtime.now >= self.stop_at:
             self._active = False
@@ -92,7 +100,7 @@ class _SenderBase:
             payload = Payload(self.stack.rank, self.sent, self.runtime.now)
             self.stack.cast(payload, self.body_size)
             self.sent += 1
-        self.runtime.schedule(self._next_gap(), self._fire)
+        self.runtime.schedule(self._next_gap(), self._chain)
 
     def _next_gap(self) -> float:  # pragma: no cover - overridden
         raise NotImplementedError

@@ -84,3 +84,15 @@ def test_double_start_is_idempotent():
     sender.start()
     sim.run_until(0.55)
     assert sender.sent == 5
+
+
+def test_restart_within_one_gap_runs_one_chain():
+    # Stopped and restarted before the armed gap fires: the old chain
+    # must end, leaving one cast per interval from the restart on.
+    sim, stacks, log = ptp_group(2, lambda r: [])
+    sender = UniformSender(sim, stacks[0], interval=0.1)
+    sender.start()
+    sim.schedule_at(0.05, sender.stop)
+    sim.schedule_at(0.05, sender.start)
+    sim.run_until(1.0)
+    assert sender.sent == 9
