@@ -1,16 +1,21 @@
 """Fault-tolerance overhead of the resilient token SP under chaos.
 
 The FT machinery (hop acks, watchdogs, regeneration) must keep switches
-completing under control-channel loss at a bounded cost.  We run the
-seeded chaos harness at increasing loss rates and record how completion
-and recovery effort scale; the oracle properties must hold at every
-point — a chaotic run that converges slowly is fine, one that wedges or
+completing under control-channel loss at a bounded cost.  We compile
+``repro chaos`` configs at increasing loss rates into scenario specs,
+run them through the scenario runner and record how completion and
+recovery effort scale; the oracle properties must hold at every point —
+a chaotic run that converges slowly is fine, one that wedges or
 diverges is a bug.  The "total order" column is Total Order over the
 whole trace of the live members: observed, not judged (see
-``ChaosResult.total_order``).
+``ScenarioVerdict.total_order``).
+
+Run with ``python -m pytest benchmarks/bench_chaos.py --benchmark-disable``.
 """
 
-from repro.testing.chaos import ChaosConfig, CrashWindow, run_chaos
+from repro.scenarios.runner import run_scenario
+from repro.scenarios.spec import CrashSpec
+from repro.testing.chaos import ChaosConfig
 
 LOSS_POINTS = (0.0, 0.1, 0.2)
 
@@ -19,14 +24,10 @@ def test_chaos_under_control_loss(benchmark, report):
     def run():
         results = {}
         for loss in LOSS_POINTS:
-            results[loss] = run_chaos(
-                ChaosConfig(
-                    seed=42,
-                    duration=4.0,
-                    cast_rate=80.0,
-                    control_loss=loss,
-                )
+            config = ChaosConfig(
+                seed=42, duration=4.0, cast_rate=80.0, control_loss=loss
             )
+            results[loss] = run_scenario(config.spec())
         return results
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -58,19 +59,15 @@ def test_chaos_under_control_loss(benchmark, report):
 
 def test_chaos_with_crash_and_recovery(benchmark, report):
     def run():
-        return run_chaos(
-            ChaosConfig(
-                seed=7,
-                members=5,
-                duration=4.0,
-                cast_rate=80.0,
-                control_loss=0.1,
-                crashes=[
-                    CrashWindow(2, at=1.0, until=2.5),
-                    CrashWindow(4, at=3.0),
-                ],
-            )
+        config = ChaosConfig(
+            seed=7,
+            members=5,
+            duration=4.0,
+            cast_rate=80.0,
+            control_loss=0.1,
+            crashes=(CrashSpec(2, at=1.0, until=2.5), CrashSpec(4, at=3.0)),
         )
+        return run_scenario(config.spec())
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
 

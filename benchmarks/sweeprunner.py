@@ -82,17 +82,23 @@ def run_scale_cell(cell: Dict[str, Any]) -> dict:
 # Chaos cells (a seed grid through the fault-tolerant SP)
 # ---------------------------------------------------------------------------
 def chaos_cells(seeds, members: int, duration: float) -> List[Dict[str, Any]]:
+    """One inline-spec scenario cell per seed, named ``chaos_seed{N}``."""
+    from dataclasses import replace
+
     from repro.testing.chaos import ChaosConfig
 
     return [
         {
-            "config": ChaosConfig(
-                members=members,
-                seed=seed,
-                duration=duration,
-                control_loss=0.05,
-                control_dup=0.02,
-                control_jitter=0.004,
+            "spec": replace(
+                ChaosConfig(
+                    members=members,
+                    seed=seed,
+                    duration=duration,
+                    control_loss=0.05,
+                    control_dup=0.02,
+                    control_jitter=0.004,
+                ).spec(),
+                name=f"chaos_seed{seed}",
             )
         }
         for seed in seeds
@@ -191,8 +197,9 @@ def run_scenarios(args: argparse.Namespace, workers: int) -> Dict[str, Any]:
     return dump(ScenarioSuite("sim", {v.scenario: v for v in verdicts}))
 
 
-def run_chaos_sweep(args: argparse.Namespace, workers: int) -> Dict[str, Any]:
-    from repro.testing.chaos import run_chaos_cell
+def chaos_suite(args: argparse.Namespace, workers: int) -> Dict[str, Any]:
+    from repro.records import dump
+    from repro.scenarios.runner import ScenarioSuite, run_scenario_cell
 
     seeds = (
         [int(s) for s in args.chaos_seeds.split(",")]
@@ -201,28 +208,10 @@ def run_chaos_sweep(args: argparse.Namespace, workers: int) -> Dict[str, Any]:
     )
     cells = chaos_cells(seeds, members=4, duration=4.0)
     print(f"chaos: {len(cells)} seeds, workers={workers}", flush=True)
-    results = run_cells(cells, run_chaos_cell, workers)
-    for result in results:
-        status = "ok" if result.ok else "VIOLATIONS"
-        print(
-            f"  seed={result.config.seed} casts={result.casts} "
-            f"switches={result.switches_completed} {status}",
-            flush=True,
-        )
-    return {
-        "seeds": seeds,
-        "runs": [
-            {
-                "seed": r.config.seed,
-                "ok": r.ok,
-                "casts": r.casts,
-                "switches_completed": r.switches_completed,
-                "switches_aborted": r.switches_aborted,
-                "violations": list(r.violations),
-            }
-            for r in results
-        ],
-    }
+    verdicts = run_cells(cells, run_scenario_cell, workers)
+    for verdict in verdicts:
+        print("  " + verdict.summary().splitlines()[0], flush=True)
+    return dump(ScenarioSuite("sim", {v.scenario: v for v in verdicts}))
 
 
 def main(argv=None) -> int:
@@ -282,7 +271,7 @@ def main(argv=None) -> int:
     if args.sweep in ("scenarios", "all"):
         sweeps["scenarios"] = run_scenarios(args, workers)
     if args.sweep == "chaos":
-        sweeps["chaos"] = run_chaos_sweep(args, workers)
+        sweeps["chaos"] = chaos_suite(args, workers)
 
     artifact = {
         "benchmark": "sweeprunner",
@@ -305,24 +294,17 @@ def main(argv=None) -> int:
     if verdict is not None and not verdict["pass"]:
         print("scale acceptance: FAIL")
         return 1
-    failed_scenarios = [
-        name
-        for name, entry in sweeps.get("scenarios", {})
-        .get("scenarios", {})
-        .items()
-        if not entry["ok"]
-    ]
-    if failed_scenarios:
-        print(f"scenario sweep: FAIL ({failed_scenarios})")
-        return 1
-    failed_chaos = [
-        run["seed"]
-        for run in sweeps.get("chaos", {}).get("runs", [])
-        if not run["ok"]
-    ]
-    if failed_chaos:
-        print(f"chaos sweep: FAIL (seeds {failed_chaos})")
-        return 1
+    for sweep in ("scenarios", "chaos"):
+        failed = [
+            name
+            for name, entry in sweeps.get(sweep, {})
+            .get("scenarios", {})
+            .items()
+            if not entry["ok"]
+        ]
+        if failed:
+            print(f"{sweep} sweep: FAIL ({failed})")
+            return 1
     return 0
 
 

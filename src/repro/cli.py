@@ -250,30 +250,25 @@ def _cmd_preservation(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    import math
+    from .errors import ReproError
+    from .scenarios.runner import run_scenario
+    from .scenarios.spec import CrashSpec
+    from .testing.chaos import ChaosConfig
 
-    from .testing.chaos import ChaosConfig, CrashWindow, run_chaos
-
-    crashes = []
-    for spec in args.crash or []:
-        parts = spec.split(":")
+    windows = []
+    for text in args.crash or []:
+        parts = text.split(":")
         try:
             if len(parts) not in (2, 3):
-                raise ValueError(spec)
-            crashes.append(
-                CrashWindow(
-                    int(parts[0]),
-                    float(parts[1]),
-                    float(parts[2]) if len(parts) == 3 else math.inf,
-                )
-            )
+                raise ValueError(text)
+            windows.append((int(parts[0]), *map(float, parts[1:])))
         except ValueError:
-            print(f"bad --crash spec {spec!r}; want RANK:AT[:UNTIL]")
+            print(f"bad --crash spec {text!r}; want RANK:AT[:UNTIL]")
             return 2
-    from .errors import NetworkError, SimulationError
-
     try:
-        config = _config(ChaosConfig, args, crashes=tuple(crashes))
+        crashes = tuple(CrashSpec(*window) for window in windows)
+        config = _config(ChaosConfig, args, crashes=crashes)
+        spec = config.spec()
         print("Chaos run: fault-tolerant token SP under a seeded storm\n")
         bus = _make_bus(args)
         recorder = None
@@ -287,11 +282,11 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                 bus = Bus(enabled=True, max_events=0)
             recorder = FlightRecorder()
             recorder.attach(bus)
-        result = run_chaos(config, bus=bus)
-    except (SimulationError, NetworkError) as exc:
+        verdict = run_scenario(spec, bus=bus)
+    except ReproError as exc:
         print(f"bad chaos configuration: {exc}")
         return 2
-    print(result.summary())
+    print(verdict.summary())
     _export_bus(bus, args, command="chaos", seed=config.seed, runtime="sim")
     if recorder is not None:
         lines = recorder.write_jsonl(args.blackbox)
@@ -299,7 +294,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             f"blackbox: {args.blackbox} ({len(recorder.captures)} captures, "
             f"{lines} lines)"
         )
-    return 0 if result.ok else 1
+    return 0 if verdict.ok else 1
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:

@@ -3,7 +3,7 @@ it back closed.
 
 A record is a dataclass, and its fields are the only declaration of its
 keys.  ``load`` reads the annotations (``bool``; ``int``, not a bool;
-``float``, not NaN, an int read as a float; ``str``; ``Any``;
+``float``, finite, an int read as a float; ``str``; ``Any``;
 ``Optional``; ``List``; ``Tuple``; ``Dict`` with ``str`` or decimal
 ``int`` keys; nested records) and
 raises :class:`~repro.errors.RecordError` naming where (``where.key[i]``)
@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import json
+import math
 import typing
 from typing import Any
 
@@ -121,8 +123,10 @@ def _read(hint: Any, value: Any, where: str) -> Any:
     kinds = (int, float) if hint is float else hint
     bool_ok = hint is bool or not isinstance(value, bool)
     _expect(isinstance(value, kinds) and bool_ok, where, what, value)
-    if value != value:
-        raise RecordError(f"{where}: expected a number, got NaN")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise RecordError(
+            f"{where}: expected a number, got {json.dumps(value)}"
+        )
     return float(value) if hint is float else value
 
 

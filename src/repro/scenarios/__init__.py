@@ -2,7 +2,8 @@
 
 Each catalog entry (``catalog/*.json``) scripts a network or load drift
 — the *reason* a deployment would switch protocols — and declares the
-adaptation a correct oracle must produce.  The runner executes any
+adaptation a correct oracle must produce.  A ``repro chaos`` run is a
+spec too (:mod:`repro.testing.chaos`), run by the same runner.  The runner executes any
 entry on the deterministic sim runtime or (for clean-network entries)
 the real asyncio/UDP runtime, and the scorer turns the outcome into a
 :class:`~repro.scenarios.runner.ScenarioVerdict`.
@@ -13,6 +14,7 @@ sweeps the catalog.  See ``docs/SCENARIOS.md``.
 
 from .runner import ScenarioVerdict, run_scenario
 from .spec import (
+    CrashSpec,
     ExpectSpec,
     GroupSpec,
     OracleSpec,
@@ -26,6 +28,7 @@ from .spec import (
 )
 
 __all__ = [
+    "CrashSpec",
     "ExpectSpec",
     "GroupSpec",
     "OracleSpec",

@@ -1,20 +1,27 @@
 """Execute one scenario spec and score it into a :class:`ScenarioVerdict`.
 
-The runner compiles a :class:`~repro.scenarios.spec.ScenarioSpec` into a
-live run: the fault-tolerant switchable group (sequencer + token ring
-under the token-variant SP) with an :class:`~repro.core.oracle
-.AdaptiveController` polling a :class:`~repro.core.oracle
-.HysteresisOracle` over the spec's named signal, while the scripted
-phases retune the workload and — on the simulated mesh — swap the
-live :class:`~repro.net.faults.FaultPlan` and base latency at each
-phase boundary.
+This is the one fault-injection runner.  It compiles a
+:class:`~repro.scenarios.spec.ScenarioSpec` into a live run: the
+fault-tolerant switchable group (sequencer + token ring under the
+token-variant SP), Poisson senders per member, and one of two switch
+sources — an :class:`~repro.core.oracle.AdaptiveController` polling a
+:class:`~repro.core.oracle.HysteresisOracle` over the spec's named
+signal, or a fixed cadence whose requester is drawn from the
+``switches`` stream.  The scripted phases retune the workload and — on
+the simulated mesh — swap the live :class:`~repro.net.faults.FaultPlan`
+and base latency at each phase boundary; scripted crashes silence a
+member (and its sender) until it recovers.  ``repro chaos`` compiles
+its flags into such a spec (:mod:`repro.testing.chaos`).
 
 After the phases play out and the group settles, the scorer applies the
-session's correctness oracle (convergence, then No Replay and per-slot
-Total Order over the recorded trace) *plus* the scenario's adaptation
+shared correctness oracle — convergence, then No Replay and per-slot
+Total Order over the live members' trace, and on a quiet run (no crash,
+no abort, no suspicion) Reliability — *plus* the spec's adaptation
 contract: did the group end on the expected protocol, with no more
 switches than allowed, fast enough after the drift began, without
-losing workload?
+losing workload?  Total Order over the whole trace is observed, not
+judged: an abort may reorder the two slots' messages, and a false
+suspicion can split the order with no abort at all.
 Switch drain cost comes from the obs bus's ``switch.duration_s``
 histogram and the latency probe's worst inter-delivery hiccup.
 
@@ -32,14 +39,15 @@ from ..core.oracle import AdaptiveController, HysteresisOracle
 from ..core.signals import SignalTracker
 from ..core.token_switch import FaultToleranceConfig
 from ..errors import RecordError, ScenarioError
-from ..net.faults import FaultPlan
+from ..net.faults import FaultPlan, Intercept
 from ..obs.bus import Bus
-from ..records import dump
+from ..records import dump, omitted
 from ..stack.membership import Group
+from ..traces.properties import Reliability, TotalOrder
 from ..workloads.generator import Payload
 from ..workloads.latency import LatencyProbe
 from ..workloads.session import Session, total_order_specs
-from .spec import PhaseSpec, ScenarioSpec
+from .spec import PROTOCOLS, PhaseSpec, ScenarioSpec
 
 __all__ = [
     "ScenarioSuite",
@@ -49,11 +57,24 @@ __all__ = [
     "scenario_cells",
 ]
 
-#: Protocol slot names, in (low-regime, high-regime) catalog order.
-SLOT_NAMES = ("sequencer", "tokenring")
-
 #: Latency samples before this horizon are start-of-run transients.
 WARMUP = 0.25
+
+#: The counters :meth:`ScenarioVerdict.summary` reports when non-zero.
+RECOVERY_COUNTERS = (
+    "regenerated_tokens",
+    "hop_retransmits",
+    "takeovers",
+    "suspected",
+    "stale_tokens",
+    "duplicate_tokens",
+    "late_joins",
+    "node_failures",
+    "node_recoveries",
+    "crash_drops",
+    "drops",
+    "duplicates",
+)
 
 
 @dataclass
@@ -63,15 +84,19 @@ class ScenarioVerdict:
     ``violations`` holds every broken expectation; an empty list means
     the scenario passed.  All other fields are evidence: what the oracle
     decided and the signal value it acted on, how long the switch took,
-    and what the workload saw.
+    what the workload saw, and ``counters`` — the SP, core and network
+    stats summed over the group.  ``total_order`` is the whole-trace
+    Total Order note, omitted while the order holds: an observation,
+    not a violation.
     """
 
     scenario: str
     runtime: str
     seed: int
-    expected_protocol: str
+    expected_protocol: Optional[str]
     final_protocols: Dict[int, str]
     switches_completed: int
+    switches_aborted: int
     decisions: List[Tuple[float, str, str, Optional[float]]]
     time_to_switch: Optional[float]
     switch_duration_ms: Optional[float]
@@ -85,7 +110,9 @@ class ScenarioVerdict:
     p90_latency_ms: Optional[float]
     settle_time: float
     duration: float
+    counters: Dict[str, int]
     violations: List[str] = field(default_factory=list)
+    total_order: Optional[str] = omitted(default=None)
 
     #: The keys a decision tuple is written under.
     DECISION: ClassVar[Tuple[str, ...]] = ("time", "from", "to", "signal")
@@ -137,23 +164,32 @@ class ScenarioVerdict:
             if self.time_to_switch is not None
             else "n/a"
         )
+        recovery = {
+            k: self.counters[k] for k in RECOVERY_COUNTERS if self.counters.get(k)
+        }
         lines = [
-            f"[{status}] {self.scenario} ({self.runtime}, seed={self.seed})",
-            f"  protocol: expected={self.expected_protocol} "
-            f"final={sorted(set(self.final_protocols.values()))} "
-            f"switches={self.switches_completed} "
+            f"[{status}] {self.scenario} ({self.runtime}, seed={self.seed}, "
+            f"{self.duration}s, settled at t={self.settle_time:.2f}s)",
+            f"  protocol: expected={self.expected_protocol or 'any'} "
+            f"final={self.final_protocols}",
+            f"  switches: completed={self.switches_completed} "
+            f"aborted={self.switches_aborted} "
             f"decisions={len(self.decisions)}",
             f"  adaptation: time-to-switch={tts} drain={switch} "
             f"hiccup={self.max_hiccup_ms:.1f}ms",
             f"  workload: casts={self.casts} "
-            f"delivery_ratio={self.delivery_ratio:.3f} "
-            f"(settled at t={self.settle_time:.2f}s)",
+            f"delivered/member={sorted(self.delivered.values())} "
+            f"delivery_ratio={self.delivery_ratio:.3f}",
+            f"  recovery counters: {recovery}",
+            f"  whole-trace total order (observed): "
+            f"{self.total_order or 'holds'}",
         ]
         if self.violations:
             lines.append("  VIOLATIONS:")
             lines.extend(f"    - {v}" for v in self.violations)
+        else:
+            lines.append("  oracle: all properties hold")
         return "\n".join(lines)
-
 
 
 @dataclass
@@ -161,7 +197,8 @@ class ScenarioSuite:
     """The JSON artifact of one scenario sweep: every verdict, by name.
 
     ``repro scenario --json`` writes it, as does
-    ``benchmarks/sweeprunner.py`` under ``sweeps.scenarios``.
+    ``benchmarks/sweeprunner.py`` under ``sweeps.scenarios`` and
+    ``sweeps.chaos``.
     """
 
     runtime: str
@@ -173,12 +210,15 @@ class ScenarioSuite:
         if self.suite != "scenarios":
             raise ScenarioError(f"suite name is {self.suite!r}")
 
-def _plan(phase: PhaseSpec) -> FaultPlan:
-    """The phase's network conditions as a live fault plan (all channels)."""
+
+def _plan(phase: PhaseSpec, intercept: Optional[Intercept]) -> FaultPlan:
+    """The phase's network conditions as a live fault plan."""
     return FaultPlan(
         loss_rate=phase.net.loss,
         duplicate_rate=phase.net.dup,
         reorder_jitter=phase.net.jitter_ms / 1e3,
+        channels=frozenset({0}) if phase.net.scope == "control" else None,
+        intercept=intercept,
     )
 
 
@@ -187,11 +227,12 @@ def run_scenario(
     runtime_name: str = "sim",
     bus: Optional[Bus] = None,
     base_port: int = 47610,
+    intercept: Optional[Intercept] = None,
 ) -> ScenarioVerdict:
     """Run ``spec`` on the named runtime and score the outcome.
 
     Args:
-        spec: a validated catalog entry.
+        spec: a validated catalog entry, or a compiled chaos run.
         runtime_name: "sim" or "asyncio"; must be declared by the spec
             (asyncio runs are wall-clock over real localhost UDP and
             cannot inject faults, which the spec validator enforces).
@@ -199,6 +240,9 @@ def run_scenario(
             enabled one when omitted (the scorer needs the
             ``switch.duration_s`` histogram either way).
         base_port: first UDP port (asyncio runtime only).
+        intercept: a per-copy fault override for every phase (tests
+            only: a callable is not part of a spec); see
+            :data:`repro.net.faults.Intercept`.
     """
     if runtime_name not in spec.runtimes:
         raise ScenarioError(
@@ -212,85 +256,120 @@ def run_scenario(
         spec.seed,
         runtime_name,
         latency=spec.phases[0].net.latency_ms / 1e3,
-        faults=_plan(spec.phases[0]),
+        faults=_plan(spec.phases[0], intercept),
         base_port=base_port,
         bus=bus,
     ) as session:
-        return _drive(session, spec)
+        return _drive(session, spec, intercept)
 
 
-def _drive(session: Session, spec: ScenarioSpec) -> ScenarioVerdict:
+def _drive(
+    session: Session, spec: ScenarioSpec, intercept: Optional[Intercept]
+) -> ScenarioVerdict:
     runtime, network = session.runtime, session.network
     group = Group.of_size(spec.group.members)
     sim_network = runtime.name == "sim"
+    bare = spec.group.control == "bare"
     handle = session.build(
         group,
-        total_order_specs(SLOT_NAMES),
+        total_order_specs(PROTOCOLS),
         spec.group.initial,
         token_interval=spec.group.token_interval,
-        # The resilient token variant: scenario faults hit every channel,
-        # so the SP itself must ride out loss on its control traffic.
+        control_factory=(lambda __: []) if bare else None,
+        # The resilient token variant: the SP itself must ride out loss
+        # on its control traffic.
         fault_tolerance=FaultToleranceConfig(),
     )
     stacks = handle.stacks
     session.record(stacks)
     probe = session.probe(WARMUP)
     probe.attach_all(stacks)
-
-    tracker = SignalTracker(
-        runtime,
-        spec.oracle.window,
-        network=network if sim_network else None,
-    )
+    aborted = set()
     for stack in stacks.values():
-        stack.on_send(lambda msg: tracker.record_cast())
+        stack.on_switch_aborted(lambda outcome: aborted.add(outcome.switch_id))
+
     # Built idle: each phase starts, retunes or stops them.
     senders = [
-        session.sender(stacks[rank], spec.phases[0].workload.rate) for rank in group
+        session.sender(stacks[rank], spec.phases[0].workload.rate)
+        for rank in group
     ]
-    tracker.senders = senders
 
     # The observer rank feeds the latency/throughput signals.
     observer = group.coordinator
     observer_deliveries: List[float] = []
 
-    def observe(msg):
+    def observe(msg) -> None:
         payload = Payload.read(msg.body)
         if payload is not None:
-            now = runtime.now
-            observer_deliveries.append(now)
-            tracker.record_delivery(msg.sender, now - payload.sent_at)
+            observer_deliveries.append(runtime.now)
+            if tracker is not None:
+                tracker.record_delivery(
+                    msg.sender, runtime.now - payload.sent_at
+                )
 
     stacks[observer].on_deliver(observe)
 
-    # --- the adaptation loop under test --------------------------------
-    oracle = HysteresisOracle(
-        tracker.metric(spec.oracle.signal),
-        spec.oracle.low,
-        spec.oracle.high,
-        spec.oracle.low_protocol,
-        spec.oracle.high_protocol,
-        min_dwell=spec.oracle.dwell,
-    )
-    manager = stacks[observer]
+    # --- the switch source: the adaptation loop under test, or a cadence
     controller = AdaptiveController()
-    controller.watch(handle, oracle)
+    tracker: Optional[SignalTracker] = None
+    if spec.oracle is not None:
+        tracker = SignalTracker(
+            runtime,
+            spec.oracle.window,
+            senders,
+            network=network if sim_network else None,
+        )
+        for stack in stacks.values():
+            stack.on_send(lambda msg: tracker.record_cast())
+        controller.watch(
+            handle,
+            HysteresisOracle(
+                tracker.metric(spec.oracle.signal),
+                spec.oracle.low,
+                spec.oracle.high,
+                spec.oracle.low_protocol,
+                spec.oracle.high_protocol,
+                min_dwell=spec.oracle.dwell,
+            ),
+        )
     completions: List[Tuple[float, float]] = []  # (completed_at, duration)
-    manager.protocol.on_global_complete(
+    stacks[observer].protocol.on_global_complete(
         lambda __, duration: completions.append((runtime.now, duration))
     )
 
-    # --- compile the phases --------------------------------------------
+    # --- compile the script ---------------------------------------------
+    current = spec.phases[0]
+
+    def load(rank: int) -> None:
+        """Run ``rank``'s sender iff its phase wants it, its node is up
+        and the horizon is not reached."""
+        sender = senders[rank]
+        if (
+            rank < current.workload.senders
+            and session.alive(rank)
+            and runtime.now < spec.duration
+        ):
+            sender.retune(current.workload.rate)
+            sender.start()
+        else:
+            sender.stop()
+
     def apply_phase(phase: PhaseSpec) -> None:
+        nonlocal current
+        current = phase
         if sim_network:
-            network.set_faults(_plan(phase))
+            network.set_faults(_plan(phase, intercept))
             network.latency.set_base(phase.net.latency_ms / 1e3)
-        for rank, sender in enumerate(senders):
-            if rank < phase.workload.senders:
-                sender.retune(phase.workload.rate)
-                sender.start()
-            else:
-                sender.stop()
+        for rank in group:
+            load(rank)
+
+    def crash(rank: int) -> None:
+        network.fail_node(rank)
+        load(rank)
+
+    def recover(rank: int) -> None:
+        network.recover_node(rank)
+        load(rank)
 
     apply_phase(spec.phases[0])
     start = 0.0
@@ -298,7 +377,24 @@ def _drive(session: Session, spec: ScenarioSpec) -> ScenarioVerdict:
         if start > 0.0:
             runtime.schedule_at(start, lambda p=phase: apply_phase(p))
         start += phase.duration
-    controller.start(runtime, spec.oracle.poll)
+    for window in spec.crashes:
+        runtime.schedule_at(window.at, lambda r=window.rank: crash(r))
+        if window.until is not None:
+            runtime.schedule_at(window.until, lambda r=window.rank: recover(r))
+    if spec.oracle is not None:
+        controller.start(runtime, spec.oracle.poll)
+    elif spec.switch_every:
+        requesters = session.streams.stream("switches")
+        time, flip = spec.switch_every, 1
+        while time < spec.duration:
+            target = PROTOCOLS[flip % len(PROTOCOLS)]
+            requester = requesters.randrange(spec.group.members)
+            runtime.schedule_at(
+                time,
+                lambda r=requester, to=target: stacks[r].request_switch(to),
+            )
+            time += spec.switch_every
+            flip += 1
 
     session.run(spec.duration)
     controller.stop()
@@ -315,6 +411,7 @@ def _drive(session: Session, spec: ScenarioSpec) -> ScenarioVerdict:
         observer_deliveries,
         settle_time,
         violations,
+        len(aborted),
     )
 
 
@@ -328,32 +425,52 @@ def _score(
     observer_deliveries: List[float],
     settle_time: float,
     violations: List[str],
+    switches_aborted: int,
 ) -> ScenarioVerdict:
     """Fold the raw run outcome into a scored verdict."""
     expect = spec.expect
     bus, stacks = session.bus, session.stacks
-    live = list(group)
-    # Correctness oracle (shared with the chaos harness).
+    forever = {crash.rank for crash in spec.crashes if crash.until is None}
+    live = [rank for rank in group if rank not in forever]
+    # The shared correctness oracle.
     finals, broken = session.check_order(live)
     violations.extend(broken)
+    counters: Dict[str, int] = {}
+    for stack in stacks.values():
+        for source in (stack.protocol.stats, stack.core.stats):
+            for key, value in source.as_dict().items():
+                counters[key] = counters.get(key, 0) + value
+    for key, value in session.network.stats.as_dict().items():
+        counters[key] = counters.get(key, 0) + value
+    trace = session.trace(live)
+    # Reliability is eventual delivery: judged only on a quiet run that
+    # had a settle window to drain the casts in flight at the horizon.
+    quiet = not (spec.crashes or switches_aborted or counters.get("suspected"))
+    if quiet and spec.settle.windows:
+        missed = Reliability(live).explain(trace)
+        if missed is not None:
+            violations.append(f"{Reliability.name}: {missed}")
 
     # Adaptation contract.
     wrong = {r: p for r, p in finals.items() if p != expect.protocol}
-    if wrong:
+    if wrong and expect.protocol is not None:
         violations.append(
             f"expected the group on {expect.protocol!r}, but {wrong}"
         )
-    switches_completed = stacks[group.coordinator].core.switches_completed
-    if switches_completed > expect.max_switches:
-        violations.append(
-            f"{switches_completed} switches completed, expected at most "
-            f"{expect.max_switches} (oscillation)"
-        )
-    if len(controller.decisions) > expect.max_switches:
-        violations.append(
-            f"oracle flapped: {len(controller.decisions)} switch requests, "
-            f"expected at most {expect.max_switches}"
-        )
+    # The most switches any live member completed (a takeover can report
+    # one switch's global completion twice, so globally_complete can't).
+    switches_completed = max(stacks[r].core.switches_completed for r in live)
+    if expect.max_switches is not None:
+        if switches_completed > expect.max_switches:
+            violations.append(
+                f"{switches_completed} switches completed, expected at most "
+                f"{expect.max_switches} (oscillation)"
+            )
+        if len(controller.decisions) > expect.max_switches:
+            violations.append(
+                f"oracle flapped: {len(controller.decisions)} switch "
+                f"requests, expected at most {expect.max_switches}"
+            )
 
     time_to_switch: Optional[float] = None
     if expect.drift_phase is not None and completions:
@@ -416,6 +533,7 @@ def _score(
         expected_protocol=expect.protocol,
         final_protocols=finals,
         switches_completed=switches_completed,
+        switches_aborted=switches_aborted,
         decisions=[
             (d.time, d.current, d.target, d.signal)
             for d in controller.decisions
@@ -432,7 +550,9 @@ def _score(
         p90_latency_ms=probe.quantile_ms(0.90) if has_samples else None,
         settle_time=settle_time,
         duration=spec.duration,
+        counters=counters,
         violations=violations,
+        total_order=TotalOrder().explain(trace),
     )
 
 
@@ -454,13 +574,13 @@ def scenario_cells(
 def run_scenario_cell(cell) -> ScenarioVerdict:
     """One scenario run; the executor's (picklable) worker function.
 
-    Each cell re-loads its spec from the catalog inside the worker
-    process, and every run builds its own runtime and seeds its own
-    streams from the spec — so a parallel catalog sweep is
-    value-identical to the serial one (sim runtime only: asyncio runs
-    bind real UDP ports and must stay serial).
+    A cell carries its ``spec`` inline, or a catalog ``name`` that is
+    re-loaded inside the worker process.  Every run builds its own
+    runtime and seeds its own streams from the spec — so a parallel
+    sweep is value-identical to the serial one (sim runtime only:
+    asyncio runs bind real UDP ports and must stay serial).
     """
     from .spec import load_catalog
 
-    spec = load_catalog(cell.get("catalog"))[cell["name"]]
+    spec = cell.get("spec") or load_catalog(cell.get("catalog"))[cell["name"]]
     return run_scenario(spec, cell.get("runtime", "sim"))

@@ -36,6 +36,7 @@ from ..errors import RecordError, ScenarioError
 from ..records import omitted
 
 __all__ = [
+    "CrashSpec",
     "ExpectSpec",
     "GroupSpec",
     "OracleSpec",
@@ -56,6 +57,14 @@ PROTOCOLS = ("sequencer", "tokenring")
 #: Runtimes a scenario may declare.
 RUNTIMES = ("sim", "asyncio")
 
+#: What the SP's private control channel runs over: a reliable layer, or
+#: nothing, so that the fault-tolerant token machinery alone must ride
+#: out loss on it.
+CONTROL = ("reliable", "bare")
+
+#: The channels a phase's probabilistic faults hit.
+SCOPES = ("all", "control")
+
 
 def _check(ok: bool, message: str) -> None:
     if not ok:
@@ -72,16 +81,19 @@ def _one_of(name: str, value: str, allowed: Tuple[str, ...]) -> None:
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """Group shape: who runs, and on what protocol they start."""
+    """Group shape: who runs, on what protocol they start, and what
+    carries the SP's control channel (see :data:`CONTROL`)."""
 
     members: int = omitted(default=6)
     initial: str = omitted(default="sequencer")
     token_interval: float = omitted(default=0.005)
+    control: str = omitted(default="reliable")
 
     def __post_init__(self) -> None:
         _check(self.members >= 2, "members must be an int >= 2")
         _one_of("initial", self.initial, PROTOCOLS)
         _at_least("token_interval", self.token_interval, 1e-6)
+        _one_of("control", self.control, CONTROL)
 
 
 @dataclass(frozen=True)
@@ -128,12 +140,15 @@ class PhaseNet:
     ``latency_ms`` is the uniform one-way latency of the mesh; ``loss``
     and ``dup`` are per-copy probabilities; ``jitter_ms`` is the max
     uniform extra delay (which reorders close-together packets).
+    ``scope`` is the channels those three hit: ``all``, or only the SP's
+    ``control`` channel.
     """
 
     latency_ms: float = omitted(default=1.0)
     loss: float = omitted(default=0.0)
     dup: float = omitted(default=0.0)
     jitter_ms: float = omitted(default=0.0)
+    scope: str = omitted(default="all")
 
     def __post_init__(self) -> None:
         _at_least("latency_ms", self.latency_ms, 0.0)
@@ -141,6 +156,7 @@ class PhaseNet:
             _at_least(name, getattr(self, name), 0.0)
             _check(getattr(self, name) < 1.0, f"{name} must be < 1.0")
         _at_least("jitter_ms", self.jitter_ms, 0.0)
+        _one_of("scope", self.scope, SCOPES)
 
     @property
     def clean(self) -> bool:
@@ -175,13 +191,34 @@ class PhaseSpec:
 
 
 @dataclass(frozen=True)
+class CrashSpec:
+    """Crash member ``rank`` fail-silent at ``at`` seconds; it recovers
+    at ``until``, or never when ``until`` is omitted."""
+
+    rank: int
+    at: float
+    until: Optional[float] = omitted(default=None)
+
+    def __post_init__(self) -> None:
+        _at_least("rank", self.rank, 0)
+        _at_least("at", self.at, 0.0)
+        if self.until is not None:
+            _check(
+                self.until > self.at,
+                f"until {self.until} is not after at {self.at}",
+            )
+
+
+@dataclass(frozen=True)
 class ExpectSpec:
     """The machine-checkable verdict contract.
 
     Attributes:
-        protocol: the protocol every live member must end on.
+        protocol: the protocol every live member must end on (null: any
+            protocol they agree on).
         max_switches: ceiling on completed switches (0 = stability
-            scenario: the oracle must hold its ground through the storm).
+            scenario: the oracle must hold its ground through the storm;
+            null: no ceiling).
         drift_phase: the phase whose *start* is t=0 for the
             time-to-switch clock (None for stability scenarios).
         max_time_to_switch: ceiling, in seconds after the drift phase
@@ -191,15 +228,19 @@ class ExpectSpec:
             layer cleans up behind the faults).
     """
 
-    protocol: str
-    max_switches: int = omitted(default=1)
+    protocol: Optional[str]
+    max_switches: Optional[int] = omitted(default=1)
     drift_phase: Optional[str] = omitted(default=None)
     max_time_to_switch: Optional[float] = omitted(default=None)
     min_delivery_ratio: float = omitted(default=0.9)
 
     def __post_init__(self) -> None:
-        _one_of("protocol", self.protocol, PROTOCOLS)
-        _check(self.max_switches >= 0, "max_switches must be an int >= 0")
+        if self.protocol is not None:
+            _one_of("protocol", self.protocol, PROTOCOLS)
+        _check(
+            self.max_switches is None or self.max_switches >= 0,
+            "max_switches must be an int >= 0",
+        )
         if self.max_time_to_switch is not None:
             _at_least("max_time_to_switch", self.max_time_to_switch, 1e-6)
             _check(
@@ -215,25 +256,36 @@ class ExpectSpec:
 
 @dataclass(frozen=True)
 class SettleSpec:
-    """Convergence grace after the last phase (chaos-harness shape)."""
+    """Convergence grace after the last phase: up to ``windows`` windows
+    of ``window`` seconds (0 windows: convergence is judged once, at
+    the horizon)."""
 
     windows: int = omitted(default=20)
     window: float = omitted(default=0.5)
 
     def __post_init__(self) -> None:
-        _check(self.windows >= 1, "windows must be an int >= 1")
+        _check(self.windows >= 0, "windows must be an int >= 0")
         _at_least("window", self.window, 1e-6)
 
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One fully validated catalog entry."""
+    """One fully validated run: a catalog entry, or a chaos run.
+
+    Switches are requested by exactly one of two sources: ``oracle``, a
+    hysteresis controller that asks the coordinator, or
+    ``switch_every``, a fixed cadence whose requester is a member drawn
+    at random (0: no requests), which exercises concurrent initiators.
+    ``crashes`` are at absolute times (sim runtime only).
+    """
 
     name: str
     summary: str
-    oracle: OracleSpec
     phases: Tuple[PhaseSpec, ...]
     expect: ExpectSpec
+    oracle: Optional[OracleSpec] = omitted(default=None)
+    switch_every: Optional[float] = omitted(default=None)
+    crashes: Tuple[CrashSpec, ...] = omitted(default=())
     runtimes: Tuple[str, ...] = omitted(default=("sim",))
     seed: int = omitted(default=42)
     group: GroupSpec = omitted(default_factory=GroupSpec)
@@ -261,20 +313,41 @@ class ScenarioSpec:
             drift is None or drift in names,
             f"expect.drift_phase {drift!r} names no phase (have {names})",
         )
+        _check(
+            (self.oracle is None) != (self.switch_every is None),
+            "set exactly one of oracle and switch_every",
+        )
+        if self.switch_every is not None:
+            _at_least("switch_every", self.switch_every, 0.0)
+        for crash in self.crashes:
+            _check(
+                crash.rank < members,
+                f"crash rank {crash.rank} is not a member (members={members})",
+            )
+        forever = {c.rank for c in self.crashes if c.until is None}
+        _check(
+            members - len(forever) >= 2,
+            "crashes must leave at least two members alive",
+        )
         # The oracle must be able to express the expectation, and the
-        # asyncio runtime cannot inject faults.
-        band = (self.oracle.low_protocol, self.oracle.high_protocol)
-        _check(
-            self.expect.protocol in band,
-            f"expected protocol {self.expect.protocol!r} is not a side of "
-            f"the oracle's band",
-        )
-        _check(
-            self.group.initial in band,
-            f"initial protocol {self.group.initial!r} is not a side of the "
-            f"oracle's band",
-        )
+        # asyncio runtime can neither inject faults nor crash a member.
+        if self.oracle is not None:
+            band = (self.oracle.low_protocol, self.oracle.high_protocol)
+            _check(
+                self.expect.protocol in band,
+                f"expected protocol {self.expect.protocol!r} is not a side "
+                f"of the oracle's band",
+            )
+            _check(
+                self.group.initial in band,
+                f"initial protocol {self.group.initial!r} is not a side of "
+                f"the oracle's band",
+            )
         if "asyncio" in self.runtimes:
+            _check(
+                not self.crashes,
+                "crashes need the sim runtime; restrict runtimes to ['sim']",
+            )
             dirty = [p.name for p in self.phases if not p.net.clean]
             _check(
                 not dirty,
@@ -283,7 +356,7 @@ class ScenarioSpec:
                 f"['sim']",
             )
             _check(
-                self.oracle.signal != "loss_ratio",
+                self.oracle is None or self.oracle.signal != "loss_ratio",
                 "loss_ratio reads the simulated network's drop counters, "
                 "which real UDP does not expose; restrict runtimes to "
                 "['sim']",

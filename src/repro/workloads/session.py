@@ -34,16 +34,17 @@ is what the fault-tolerant SP guarantees: an aborted switch reverts the
 members to the old protocol, and messages the two slots delivered
 around the abort may interleave differently at different members.  Both
 subordinate protocols stay totally ordered, so each slot's projection
-must still satisfy Total Order.  The weakening is real: CI's blackbox
-run (``repro chaos --seed 0 --duration 4 --control-loss 0.5 --crash
-2:1.0:2.5``, 3 aborted switches) violates Total Order over the whole
-trace.  The projection also hides the order split of a false suspicion
-with no abort at all (seed 42, 4 s, 80 casts/s, control loss 0.2),
-which the chaos harness reports as ``ChaosResult.total_order``.
+must still satisfy Total Order.  The weakening is real: ``repro chaos
+--members 5 --duration 6 --control-loss 0.3 --crash 2:1.0:2.5 --crash
+4:3.0 --seed 0`` (1 aborted switch) violates Total Order over the whole
+trace.  The projection also hides an order split that comes from the FT
+SP's suspicion and reconcile paths with no abort at all (the same run
+at ``--seed 8``), which the scenario runner reports as
+``ScenarioVerdict.total_order``.
 
-What a runner adds is what is genuinely its own: phases and scoring,
-a crash script, a group manager, an oracle policy, the properties it
-judges beyond order and replay.
+What a runner adds is what is genuinely its own: phases, crashes and
+scoring, a group manager, an oracle policy, the properties it judges
+beyond order and replay.
 
 **Byte-identity contract.**  Pinned artifacts (``scenarios.json``, the
 fleet artifacts, the Figure 2 fixture, ``harness_pins.json``) stay
@@ -165,7 +166,9 @@ class Session:
         self.stacks: Dict[int, SwitchableStack] = {}
         self.recorder = TraceRecorder(self.runtime)
         self.cast_slot: Dict[tuple, str] = {}
-        self._alive = lambda rank: True
+        #: Whether a node is up: the mesh's ``node_alive`` on the
+        #: point-to-point mesh, which alone can crash one; else always.
+        self.alive = lambda rank: True
         if bus is not None:
             bus.clock = self.runtime
         try:
@@ -186,7 +189,7 @@ class Session:
                     faults=faults,
                     rng=self.streams,
                 )
-                self._alive = self.network.node_alive
+                self.alive = self.network.node_alive
             if bus is not None:
                 self.network.instrument(bus)
         except BaseException:
@@ -286,20 +289,26 @@ class Session:
     # ------------------------------------------------------------------
     def settle(self, windows: int, window: float) -> Tuple[float, List[str]]:
         """Run settle windows until the members whose node is up are
-        quiescent and agree; returns ``(settled_at, violations)``."""
+        quiescent and agree; returns ``(settled_at, violations)``.  With
+        no window, convergence is judged once, at the horizon."""
         stacks = self.stacks
-        settled_at = self.runtime.now
+
+        def converged() -> bool:
+            up = [s for rank, s in stacks.items() if self.alive(rank)]
+            return not any(s.switching for s in up) and (
+                len({s.current_protocol for s in up}) == 1
+            )
+
         for __ in range(windows):
             # Run the window first: even a converged group still has
             # casts in flight at the horizon that must land before the
             # oracle runs.
             self.runtime.run_for(window)
-            settled_at = self.runtime.now
-            up = [s for rank, s in stacks.items() if self._alive(rank)]
-            if not any(s.switching for s in up) and (
-                len({s.current_protocol for s in up}) == 1
-            ):
-                return settled_at, []
+            if converged():
+                return self.runtime.now, []
+        settled_at = self.runtime.now
+        if not windows and converged():
+            return settled_at, []
         return settled_at, [
             f"group did not converge within {windows} settle windows "
             f"(still switching: "

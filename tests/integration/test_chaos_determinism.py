@@ -1,15 +1,17 @@
 """Determinism regression: chaos runs are replayable bit for bit.
 
-``run_chaos`` seeds every random stream (workload, faults, switch
-schedule) purely from ``ChaosConfig.seed``, so the same config must
-produce an identical :class:`ChaosResult` whether it runs inline, in a
-single worker process, or fanned across a pool.  This is what makes a
-chaos violation reportable as *just a seed* — and what the sweeprunner
+A chaos spec seeds every random stream (workload, faults, switch
+requesters) purely from its seed, so the same spec must produce an
+identical :class:`ScenarioVerdict` whether it runs inline, in a single
+worker process, or fanned across a pool.  This is what makes a chaos
+violation reportable as *just a seed* — and what the sweeprunner
 relies on to keep its merged artifact byte-identical for any
 ``--workers`` value.
 """
 
-from repro.testing.chaos import ChaosConfig, run_chaos, run_chaos_cell
+from repro.records import dump
+from repro.scenarios.runner import run_scenario, run_scenario_cell
+from repro.testing.chaos import ChaosConfig
 from repro.workloads.parallel import run_cells
 
 SEEDS = (3, 11)
@@ -26,40 +28,31 @@ def config(seed):
     )
 
 
-def fingerprint(result):
-    """Every execution-derived field of a ChaosResult."""
-    return (
-        result.violations,
-        result.final_protocols,
-        result.casts,
-        result.delivered,
-        result.switches_completed,
-        result.switches_aborted,
-        result.counters,
-        result.timeline,
-        result.settle_time,
-    )
+def fingerprint(verdict):
+    """Every field of a verdict, as its JSON image."""
+    return dump(verdict)
 
 
 def test_same_seed_same_result_inline():
     for seed in SEEDS:
-        assert fingerprint(run_chaos(config(seed))) == fingerprint(
-            run_chaos(config(seed))
+        spec = config(seed).spec()
+        assert fingerprint(run_scenario(spec)) == fingerprint(
+            run_scenario(spec)
         )
 
 
 def test_chaos_results_identical_across_worker_counts():
-    """Serial vs. pool-of-4: the sweep fans chaos cells across real
+    """Serial vs. pool-of-4: the sweep fans inline-spec cells across real
     subprocesses (run_cells only clamps to the cell count, not the CPU
-    count), so this exercises config pickling + fresh-interpreter runs.
+    count), so this exercises spec pickling + fresh-interpreter runs.
     """
-    cells = [{"config": config(seed)} for seed in SEEDS]
-    serial = [fingerprint(run_chaos(cell["config"])) for cell in cells]
+    cells = [{"spec": config(seed).spec()} for seed in SEEDS]
+    serial = [fingerprint(run_scenario(cell["spec"])) for cell in cells]
     one = [
-        fingerprint(r) for r in run_cells(cells, run_chaos_cell, workers=1)
+        fingerprint(r) for r in run_cells(cells, run_scenario_cell, workers=1)
     ]
     pooled = [
-        fingerprint(r) for r in run_cells(cells, run_chaos_cell, workers=4)
+        fingerprint(r) for r in run_cells(cells, run_scenario_cell, workers=4)
     ]
     assert serial == one
     assert serial == pooled
@@ -67,6 +60,6 @@ def test_chaos_results_identical_across_worker_counts():
 
 def test_different_seeds_diverge():
     """Sanity check that the fingerprint has discriminating power."""
-    a = fingerprint(run_chaos(config(SEEDS[0])))
-    b = fingerprint(run_chaos(config(SEEDS[1])))
+    a = fingerprint(run_scenario(config(SEEDS[0]).spec()))
+    b = fingerprint(run_scenario(config(SEEDS[1]).spec()))
     assert a != b

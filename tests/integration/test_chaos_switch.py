@@ -16,15 +16,21 @@ from repro.protocols.reliable import ReliableLayer
 from repro.protocols.sequencer import SequencerLayer
 from repro.protocols.tokenring import TokenRingLayer
 from repro.core.switchable import ProtocolSpec
-from repro.testing.chaos import ChaosConfig, run_chaos
+from repro.scenarios.runner import run_scenario
+from repro.testing.chaos import ChaosConfig
 from repro.traces import Trace
 from repro.workloads.session import Session
+
+
+def chaos(intercept=None, **flags):
+    """One chaos run, judged by the scenario runner."""
+    return run_scenario(ChaosConfig(**flags).spec(), intercept=intercept)
 
 
 def drop_control(kind, count=1):
     """An intercept dropping the first ``count`` control copies of ``kind``.
 
-    The chaos runner mounts the SP control channel bare (no reliable
+    A chaos spec mounts the SP control channel bare (no reliable
     layer), so a dropped copy is gone for good; only the FT machinery
     can recover it.
     """
@@ -48,31 +54,27 @@ def drop_control(kind, count=1):
 
 def test_dropped_prepare_token_still_completes():
     """Losing the token mid-PREPARE is healed by a hop retransmission."""
-    result = run_chaos(
-        ChaosConfig(
-            seed=11,
-            duration=2.0,
-            cast_rate=40.0,
-            switch_every=0.5,
-            intercept=drop_control("prepare"),
-        )
+    result = chaos(
+        seed=11,
+        duration=2.0,
+        cast_rate=40.0,
+        switch_every=0.5,
+        intercept=drop_control("prepare"),
     )
     assert result.ok, result.violations
     assert result.switches_completed >= 1
     assert result.counters.get("hop_retransmits", 0) >= 1
-    assert result.settle_time < result.config.duration + result.config.settle
+    assert result.settle_time < result.duration + ChaosConfig.settle
 
 
 def test_dropped_flush_token_still_completes():
     """Losing the token mid-FLUSH is healed the same way."""
-    result = run_chaos(
-        ChaosConfig(
-            seed=11,
-            duration=2.0,
-            cast_rate=40.0,
-            switch_every=0.5,
-            intercept=drop_control("flush"),
-        )
+    result = chaos(
+        seed=11,
+        duration=2.0,
+        cast_rate=40.0,
+        switch_every=0.5,
+        intercept=drop_control("flush"),
     )
     assert result.ok, result.violations
     assert result.switches_completed >= 1
@@ -87,14 +89,12 @@ def test_sustained_prepare_loss_reroutes_around_silence():
     must still close by routing around it, and the false suspicion must
     be withdrawn once the member is heard from again.
     """
-    result = run_chaos(
-        ChaosConfig(
-            seed=11,
-            duration=3.0,
-            cast_rate=40.0,
-            switch_every=0.5,
-            intercept=drop_control("prepare", count=4),
-        )
+    result = chaos(
+        seed=11,
+        duration=3.0,
+        cast_rate=40.0,
+        switch_every=0.5,
+        intercept=drop_control("prepare", count=4),
     )
     assert result.ok, result.violations
     assert result.switches_completed + result.switches_aborted >= 1
@@ -113,7 +113,7 @@ def test_quiet_run_reports_a_missed_delivery_as_reliability(monkeypatch):
         return Trace(event for event in trace if event is not lost)
 
     monkeypatch.setattr(Session, "trace", last_delivery_at_1_lost)
-    result = run_chaos(ChaosConfig(seed=1, duration=1.0))
+    result = chaos(seed=1, duration=1.0)
     assert result.switches_aborted == 0
     assert not result.counters.get("suspected")
     [missed] = result.violations
@@ -122,10 +122,8 @@ def test_quiet_run_reports_a_missed_delivery_as_reliability(monkeypatch):
 
 
 def test_no_abort_run_keeps_total_order_across_slots():
-    # bench_chaos.py's loss-0.2 point: 2 suspicions, 0 aborts, ok per slot.
-    result = run_chaos(
-        ChaosConfig(seed=42, duration=4.0, cast_rate=80.0, control_loss=0.2)
-    )
+    # bench_chaos.py's loss-0.2 point: 3 suspicions, 0 aborts, ok per slot.
+    result = chaos(seed=42, duration=4.0, cast_rate=80.0, control_loss=0.2)
     assert result.total_order is None, result.total_order
 
 

@@ -20,7 +20,8 @@ from repro.net.ethernet import EthernetParams
 from repro.net.ptp import PointToPointNetwork
 from repro.obs.bus import Bus
 from repro.runtime import SimRuntime
-from repro.testing import ChaosConfig, run_chaos
+from repro.scenarios.runner import run_scenario
+from repro.testing import ChaosConfig
 from repro.workloads import switchrun
 from repro.workloads.session import Session, total_order_specs
 from repro.workloads.switchrun import SLOT_NAMES, SwitchRunConfig
@@ -131,11 +132,11 @@ def test_fleet_owners_are_reachable_with_group_labels():
 
 
 def test_chaos_counters_are_the_bus_counters():
-    """``ChaosResult.counters`` folds SP, core and network stats by key;
+    """A verdict's ``counters`` fold SP, core and network stats by key;
     the bus keeps them apart by prefix and must add up to the same."""
     bus = Bus(enabled=True)
-    result = run_chaos(
-        ChaosConfig(seed=7, duration=3.0, control_loss=0.15), bus=bus
+    result = run_scenario(
+        ChaosConfig(seed=7, duration=3.0, control_loss=0.15).spec(), bus=bus
     )
     assert result.ok, result.violations
     seen = counters(bus)

@@ -12,7 +12,8 @@ import pytest
 from repro.net.ethernet import EthernetParams
 from repro.obs.bus import Bus, default_bus
 from repro.stack.layer import _instrumented_receive
-from repro.testing import ChaosConfig, run_chaos
+from repro.scenarios.runner import run_scenario
+from repro.testing import ChaosConfig
 from repro.workloads import switchrun
 from repro.workloads.session import Session
 from repro.workloads.switchrun import SwitchRunConfig, run_switch_demo
@@ -119,7 +120,8 @@ class TestDisabledOverhead:
         assert default_bus().metrics.empty
 
     def test_unwired_chaos_attaches_no_counters(self):
-        assert run_chaos(ChaosConfig(seed=7, duration=2.0)).ok
+        # The runner's own enabled bus is private to the run.
+        assert run_scenario(ChaosConfig(seed=7, duration=2.0).spec()).ok
         assert default_bus().metrics.empty
 
     def test_disabled_compose_wires_receive_unwrapped(self):

@@ -95,8 +95,12 @@ def reworded(mutate, message, old_message):
                 rf"scenario: missing keys \['{key}'\]",
                 f"missing required field '{key}'",
             )
-            for key in ("name", "summary", "oracle", "phases", "expect")
+            for key in ("name", "summary", "phases", "expect")
         ),
+        # Without an oracle a spec needs a switch cadence instead.
+        reworded(lambda d: d.pop("oracle"),
+                 "set exactly one of oracle and switch_every",
+                 "missing required field 'oracle'"),
         (lambda d: d.update(phases=[]), "non-empty array"),
         (lambda d: d.update(runtimes=["sim", "bare_metal"]),
          "non-empty subset"),
@@ -121,6 +125,9 @@ def reworded(mutate, message, old_message):
         # NaN passes every ``<`` bound check; JSON's NaN literal parses to it.
         (lambda d: d["phases"][0].update(duration=float("nan")),
          r"phases\[0\]\.duration: expected a number, got NaN"),
+        # So does Infinity, which Python's json parses too.
+        (lambda d: d["phases"][0].update(duration=float("inf")),
+         r"duration: .*Infinity"),
         (lambda d: d["phases"][1]["net"].update(loss=1.0), "must be < 1.0"),
         reworded(lambda d: d["expect"].update(protocol="udp"),
                  "scenario.expect: protocol must be one of",
@@ -133,7 +140,9 @@ def reworded(mutate, message, old_message):
          "needs a drift_phase anchor"),
         (lambda d: d["expect"].update(min_delivery_ratio=1.5),
          "must be <= 1.0"),
-        (lambda d: d["settle"].update(windows=0), "must be an int >= 1"),
+        # 0 windows is valid: convergence is judged once, at the horizon.
+        reworded(lambda d: d["settle"].update(windows=-1),
+                 "windows must be an int >= 0", "must be an int >= 1"),
         # Wrong shapes and types, each read closed as one ScenarioError.
         (lambda d: d.update(group=None),
          "scenario.group: expected an object, got null"),

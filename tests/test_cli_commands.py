@@ -14,7 +14,9 @@ import pytest
 import repro.cli as cli
 from repro.cli import build_parser, main
 from repro.fleet import FleetConfig
-from repro.testing.chaos import ChaosConfig, CrashWindow
+from repro.scenarios.runner import ScenarioVerdict
+from repro.scenarios.spec import CrashSpec, ScenarioSpec
+from repro.testing.chaos import ChaosConfig
 from repro.workloads.experiment import (
     Figure2Config,
     LatencyResult,
@@ -90,14 +92,15 @@ CONFIG_ROWS = [
     ("oscillation", "repro.workloads.experiment",
      ["run_oscillation_experiment"], Figure2Config, ["--seed", "7"],
      dict(seed=7)),
-    ("chaos", "repro.testing.chaos", ["run_chaos"], ChaosConfig,
+    # repro chaos hands the runner its config compiled into a spec.
+    ("chaos", "repro.scenarios.runner", ["run_scenario"], ChaosConfig,
      ["--members", "5", "--seed", "7", "--duration", "3",
       "--cast-rate", "60", "--switch-every", "0.4", "--control-loss", "0.1",
       "--control-dup", "0.05", "--control-jitter", "0.002",
       "--crash", "2:1.0:2.5", "--settle", "5"],
      dict(members=5, seed=7, duration=3.0, cast_rate=60.0,
           switch_every=0.4, control_loss=0.1, control_dup=0.05,
-          control_jitter=0.002, crashes=(CrashWindow(2, 1.0, 2.5),),
+          control_jitter=0.002, crashes=(CrashSpec(2, 1.0, 2.5),),
           settle=5)),
     ("run", "repro.workloads.switchrun", ["run_switch_demo"],
      SwitchRunConfig,
@@ -154,8 +157,13 @@ def test_config_command_flags_reach_fields(
 
     target = importlib.import_module(module)
 
+    handed = (config_cls, ScenarioSpec)
+
     def fake_runner(*args, **kwargs):
-        raise Captured(next(a for a in args if isinstance(a, config_cls)))
+        raise Captured(next(a for a in args if isinstance(a, handed)))
+
+    def compiled(config):
+        return config.spec() if isinstance(config, ChaosConfig) else config
 
     for runner in runners:
         monkeypatch.setattr(target, runner, fake_runner)
@@ -163,12 +171,12 @@ def test_config_command_flags_reach_fields(
     # No flags: the runner gets exactly the dataclass defaults.
     with pytest.raises(Captured) as bare:
         main([command])
-    assert bare.value.args[0] == config_cls()
+    assert bare.value.args[0] == compiled(config_cls())
 
     # Every flag lands on its field and nothing else moves.
     with pytest.raises(Captured) as flagged:
         main([command, *argv])
-    assert flagged.value.args[0] == config_cls(**fields)
+    assert flagged.value.args[0] == compiled(config_cls(**fields))
     capsys.readouterr()
 
     covered = set()
@@ -300,34 +308,50 @@ def test_cmd_table2_exit_code_reflects_agreement(monkeypatch, capsys):
 # ----------------------------------------------------------------------
 # chaos command
 # ----------------------------------------------------------------------
-def fake_chaos_result(config, violations=(), total_order=None):
-    from repro.testing.chaos import ChaosResult
-
-    return ChaosResult(
-        config=config,
-        violations=list(violations),
-        final_protocols={0: "tok", 1: "tok"},
-        casts=10,
-        delivered={0: 10, 1: 10},
+def fake_chaos_verdict(spec, violations=(), total_order=None):
+    return ScenarioVerdict(
+        scenario=spec.name,
+        runtime="sim",
+        seed=spec.seed,
+        expected_protocol=None,
+        final_protocols={0: "tokenring", 1: "tokenring"},
         switches_completed=2,
         switches_aborted=1,
-        counters={"regenerated_tokens": 3},
-        timeline=[(0.1, "cast")],
+        decisions=[],
+        time_to_switch=None,
+        switch_duration_ms=40.0,
+        max_hiccup_ms=50.0,
+        casts=10,
+        delivered={0: 10, 1: 10},
+        delivery_ratio=1.0,
+        delivered_rate_before=None,
+        delivered_rate_after=None,
+        mean_latency_ms=2.0,
+        p90_latency_ms=4.0,
         settle_time=6.5,
+        duration=spec.duration,
+        counters={"regenerated_tokens": 3, "drops": 0},
+        violations=list(violations),
         total_order=total_order,
     )
 
 
+def fake_chaos(monkeypatch, **verdict):
+    """Stub the runner; returns the list the specs it was given land in."""
+    import repro.scenarios.runner as runner
+
+    specs = []
+
+    def fake_run(spec, bus=None):
+        specs.append(spec)
+        return fake_chaos_verdict(spec, **verdict)
+
+    monkeypatch.setattr(runner, "run_scenario", fake_run)
+    return specs
+
+
 def test_cmd_chaos_clean_run_exits_zero(monkeypatch, capsys):
-    import repro.testing.chaos as chaos
-
-    captured = {}
-
-    def fake_run(config, bus=None):
-        captured["config"] = config
-        return fake_chaos_result(config)
-
-    monkeypatch.setattr(chaos, "run_chaos", fake_run)
+    specs = fake_chaos(monkeypatch)
     code = cli.main(
         [
             "chaos",
@@ -341,25 +365,16 @@ def test_cmd_chaos_clean_run_exits_zero(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "oracle: all properties hold" in out
-    config = captured["config"]
-    assert config.seed == 5 and config.members == 6
-    assert config.control_loss == 0.2
-    assert [(c.rank, c.at, c.permanent) for c in config.crashes] == [
-        (2, 1.0, False),
-        (4, 3.0, True),
-    ]
+    assert "recovery counters: {'regenerated_tokens': 3}" in out
+    [spec] = specs
+    assert spec.seed == 5 and spec.group.members == 6
+    assert spec.phases[0].net.loss == 0.2
+    assert spec.phases[0].net.scope == "control"
+    assert spec.crashes == (CrashSpec(2, 1.0, 2.5), CrashSpec(4, 3.0))
 
 
 def test_cmd_chaos_violations_exit_one(monkeypatch, capsys):
-    import repro.testing.chaos as chaos
-
-    monkeypatch.setattr(
-        chaos,
-        "run_chaos",
-        lambda config, bus=None: fake_chaos_result(
-            config, violations=["member 1 delivered 2 duplicates"]
-        ),
-    )
+    fake_chaos(monkeypatch, violations=["member 1 delivered 2 duplicates"])
     code = cli.main(["chaos"])
     out = capsys.readouterr().out
     assert code == 1
@@ -370,14 +385,8 @@ def test_cmd_chaos_violations_exit_one(monkeypatch, capsys):
 def test_cmd_chaos_whole_trace_order_is_reported_not_judged(
     monkeypatch, capsys
 ):
-    import repro.testing.chaos as chaos
-
     split = "processes 0 and 1 disagree: 0 delivered (0, 1) where 1 delivered (1, 2)"
-    monkeypatch.setattr(
-        chaos,
-        "run_chaos",
-        lambda config, bus=None: fake_chaos_result(config, total_order=split),
-    )
+    fake_chaos(monkeypatch, total_order=split)
     code = cli.main(["chaos"])
     out = capsys.readouterr().out
     assert code == 0
@@ -621,32 +630,38 @@ def test_cmd_metrics_missing_file_exits_two(capsys, tmp_path, content):
 # actual convergence check, not from reporting logic)
 # ----------------------------------------------------------------------
 def test_cmd_chaos_settle_forwarded(monkeypatch, capsys):
-    import repro.testing.chaos as chaos
-
-    captured = {}
-
-    def fake_run(config, bus=None):
-        captured["config"] = config
-        return fake_chaos_result(config)
-
-    monkeypatch.setattr(chaos, "run_chaos", fake_run)
+    specs = fake_chaos(monkeypatch)
     assert cli.main(["chaos", "--settle", "3"]) == 0
     capsys.readouterr()
-    assert captured["config"].settle == 3
+    assert specs[0].settle.windows == 3
 
 
 def test_cmd_chaos_settle_zero_fails_for_real(capsys):
     # --settle 0 grants the group no drain windows at all, so a real run
-    # (loss on the control channel, mid-flight switches) must report a
-    # genuine convergence violation and exit nonzero.
+    # still mid-switch at the horizon (the request at t=1.4 s is in
+    # flight at 1.45 s) must report a genuine convergence violation
+    # naming the members caught switching, and exit nonzero.
     code = cli.main(
-        ["chaos", "--settle", "0", "--duration", "1.5",
+        ["chaos", "--settle", "0", "--duration", "1.45",
          "--control-loss", "0.05", "--seed", "3"]
     )
     out = capsys.readouterr().out
     assert code == 1
     assert "VIOLATIONS" in out
     assert "did not converge within 0 settle windows" in out
+    assert "still switching: [0, 1, 2, 3]" in out
+
+
+def test_cmd_chaos_settle_zero_converged_passes(capsys):
+    # With no switch requested the group has converged at the horizon:
+    # judged once there, --settle 0 passes.
+    code = cli.main(
+        ["chaos", "--seed", "1", "--duration", "1", "--switch-every", "0",
+         "--settle", "0"]
+    )
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "oracle: all properties hold" in out
 
 
 def test_cmd_chaos_default_settle_passes_for_real(capsys):
