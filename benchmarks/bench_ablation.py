@@ -15,7 +15,7 @@
    latency of the current protocol").
 """
 
-from repro.core.switchable import ProtocolSpec, build_switch_group
+from repro.core.switchable import ProtocolSpec, build_group_handle
 from repro.net.ptp import LatencyMatrix, PointToPointNetwork
 from repro.protocols.fifo import FifoLayer
 from repro.protocols.sequencer import SequencerLayer
@@ -37,10 +37,10 @@ def _measure_switch(
     group = Group.of_size(10)
     factory = layers or (lambda r: [FifoLayer()])
     specs = [ProtocolSpec("A", factory), ProtocolSpec("B", factory)]
-    stacks = build_switch_group(
+    stacks = build_group_handle(
         sim, net, group, specs, initial="A", variant=variant,
         control_factory=control,
-    )
+    ).stacks
     durations = []
     request_to_done = []
     stacks[requester].protocol.on_global_complete(
@@ -49,7 +49,7 @@ def _measure_switch(
     sim.schedule_at(request_at, lambda: stacks[requester].request_switch("B"))
     sim.run_until(5.0)
     control_packets = sum(
-        s.transport.stats.get("unicast") + s.transport.stats.get("multicast")
+        s.port.stats.get("unicast") + s.port.stats.get("multicast")
         for s in stacks.values()
     )
     return {
@@ -60,7 +60,7 @@ def _measure_switch(
 
 
 def test_ablation_token_at_rest(benchmark, report):
-    # A bare control channel, so every transport send is the SP's own.
+    # A bare control channel, so every port send is the SP's own.
     def bare(rank):
         return []
 
@@ -135,10 +135,10 @@ def test_ablation_blocking_vs_nonblocking_sp(benchmark, report):
             ProtocolSpec("A", lambda r: [TokenRingLayer()]),
             ProtocolSpec("B", lambda r: [TokenRingLayer()]),
         ]
-        stacks = build_switch_group(
+        stacks = build_group_handle(
             sim, net, group, specs, initial="A", variant="broadcast",
             block_sends_during_switch=blocking,
-        )
+        ).stacks
         # Steady senders; measure worst send-to-first-delivery latency
         # for messages submitted around the switch.
         latencies = []

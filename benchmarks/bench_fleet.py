@@ -115,7 +115,8 @@ def outcome_projection(result: FleetResult) -> str:
     """A run's outcome, canonicalised: its result without the shard
     bookkeeping, the only part that varies with the partition."""
     return json.dumps(
-        dump(replace(result, shards=0, shard_stats=[])), sort_keys=True
+        dump(replace(result, shards=0, shard_stats=[])), sort_keys=True,
+        allow_nan=False,
     )
 
 
@@ -195,7 +196,7 @@ def main(argv: Optional[list] = None) -> int:
         "pass": passed,
     }
     with open(args.out, "w") as handle:
-        json.dump(artifact, handle, indent=2, sort_keys=True)
+        json.dump(artifact, handle, indent=2, sort_keys=True, allow_nan=False)
         handle.write("\n")
     print(f"artifact: {args.out}")
 

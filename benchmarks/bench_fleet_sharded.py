@@ -186,7 +186,7 @@ def main(argv: Optional[list] = None) -> int:
     }
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     with open(args.out, "w") as handle:
-        json.dump(artifact, handle, indent=2, sort_keys=True)
+        json.dump(artifact, handle, indent=2, sort_keys=True, allow_nan=False)
         handle.write("\n")
     print(f"artifact: {args.out}")
 

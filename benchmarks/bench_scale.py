@@ -40,7 +40,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.core.switchable import ProtocolSpec, build_switch_group
+from repro.core.switchable import ProtocolSpec, build_group_handle
 from repro.net.ethernet import EthernetNetwork, EthernetParams
 from repro.protocols.sequencer import SequencerLayer
 from repro.protocols.tokenring import TokenRingLayer
@@ -208,7 +208,7 @@ def run_switch_point(max_batch: int, cfg: ScaleConfig) -> dict:
             "tokenring", lambda r: _data_layers("tokenring", max_batch, cfg)
         ),
     ]
-    stacks = build_switch_group(
+    stacks = build_group_handle(
         runtime,
         network,
         group,
@@ -216,7 +216,7 @@ def run_switch_point(max_batch: int, cfg: ScaleConfig) -> dict:
         initial="sequencer",
         variant="token",
         streams=streams,
-    )
+    ).stacks
     delivered: Dict[int, int] = {r: 0 for r in group}
     for rank, stack in stacks.items():
         stack.on_deliver(lambda msg, rank=rank: delivered.__setitem__(
@@ -289,17 +289,16 @@ def evaluate_acceptance(points: List[dict]) -> dict:
             continue
         best = max(batched, key=lambda p: p["delivered_msgs_per_s"])
         unbatched = base[0]["delivered_msgs_per_s"]
-        speedup = (
-            best["delivered_msgs_per_s"] / unbatched if unbatched else float("inf")
-        )
+        # No unbatched throughput leaves the speedup undefined: null.
+        speedup = best["delivered_msgs_per_s"] / unbatched if unbatched else None
         verdict.update(
             group_size=size,
             unbatched_msgs_per_s=unbatched,
             best_batched_msgs_per_s=best["delivered_msgs_per_s"],
             best_max_batch=best["max_batch"],
-            speedup=round(speedup, 3),
+            speedup=None if speedup is None else round(speedup, 3),
         )
-        verdict["pass"] = speedup >= 2.0
+        verdict["pass"] = speedup is not None and speedup >= 2.0
         break
     return verdict
 
@@ -393,7 +392,7 @@ def main(argv=None) -> int:
         "acceptance": verdict,
     }
     with open(out, "w") as handle:
-        json.dump(artifact, handle, indent=2, sort_keys=True)
+        json.dump(artifact, handle, indent=2, sort_keys=True, allow_nan=False)
         handle.write("\n")
 
     print(f"\nartifact: {out}")

@@ -33,7 +33,7 @@ def report_json(results_dir):
 
     def write(name: str, payload) -> None:
         path = results_dir / name
-        text = json.dumps(payload, indent=2, sort_keys=True)
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
         path.write_text(text + "\n")
         sys.stdout.write(f"\n===== {name} =====\n{text}\n")
 

@@ -286,7 +286,7 @@ def main(argv=None) -> int:
         )
     os.makedirs(os.path.dirname(out), exist_ok=True)
     with open(out, "w") as handle:
-        json.dump(artifact, handle, indent=2, sort_keys=True)
+        json.dump(artifact, handle, indent=2, sort_keys=True, allow_nan=False)
         handle.write("\n")
     print(f"\nartifact: {out}")
 

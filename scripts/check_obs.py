@@ -21,9 +21,12 @@ Checks the acceptance contract for ``repro run --trace ... --metrics
   report min/max);
 * it carries the components' counters: ``net.sends``/``net.deliveries``
   (no more deliveries than sends — ``repro run`` injects no
-  duplicates), ``sp.initiated``/``sp.globally_complete`` and
-  ``core.switches_completed``, and exactly one ``switch.duration_s``
-  observation per ``sp.globally_complete``.
+  duplicates), ``port.received``, ``sp.initiated``/``sp.globally_complete``
+  and ``core.switches_completed``, and exactly one ``switch.duration_s``
+  observation per ``sp.globally_complete``;
+* every delivered copy passed a node port: ``port.received`` plus
+  ``port.stray_group`` (absent when nothing strayed) equals
+  ``net.deliveries``.
 
 Exit code 0 when every check passes, 1 with a report otherwise.
 """
@@ -48,6 +51,7 @@ PERCENTILES = ("p50", "p90", "p99")
 REQUIRED_COUNTERS = (
     "net.sends",
     "net.deliveries",
+    "port.received",
     "sp.initiated",
     "sp.globally_complete",
     "core.switches_completed",
@@ -157,6 +161,12 @@ def check_counters(counters, duration, problems):
         problems.append(
             f"metrics: net.deliveries {counters['net.deliveries']} exceeds "
             f"net.sends {counters['net.sends']}"
+        )
+    at_ports = counters["port.received"] + counters.get("port.stray_group", 0)
+    if at_ports != counters["net.deliveries"]:
+        problems.append(
+            f"metrics: port.received + port.stray_group is {at_ports} but "
+            f"net.deliveries is {counters['net.deliveries']}"
         )
     print(f"metrics: net.sends={counters['net.sends']} "
           f"net.deliveries={counters['net.deliveries']} "

@@ -34,7 +34,6 @@ from .core import (
     ThresholdOracle,
     ViewSwitchStack,
     build_group_handle,
-    build_switch_group,
 )
 from .errors import (
     NetworkError,
@@ -65,7 +64,6 @@ __all__ = [
     "ThresholdOracle",
     "ViewSwitchStack",
     "build_group_handle",
-    "build_switch_group",
     "NetworkError",
     "ProtocolError",
     "ReproError",

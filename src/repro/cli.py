@@ -61,6 +61,15 @@ def _make_bus(args: argparse.Namespace):
     return Bus(enabled=True)
 
 
+def _write_json(path: str, payload) -> None:
+    """Write one JSON artifact; a NaN or Infinity in it is refused."""
+    import json
+
+    with open(path, "w") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True, allow_nan=False)
+        handle.write("\n")
+
+
 def _export_bus(bus, args: argparse.Namespace, **header) -> None:
     """Write whichever artifacts the flags requested; prints the paths."""
     if bus is None:
@@ -298,8 +307,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
-    import json
-
     from .errors import ReproError, ScenarioError
     from .scenarios import load_catalog
     from .records import dump
@@ -378,9 +385,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
     if args.json:
         suite = ScenarioSuite(args.runtime, {v.scenario: v for v in verdicts})
-        with open(args.json, "w") as handle:
-            json.dump(dump(suite), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_json(args.json, dump(suite))
         print(f"verdicts: {args.json}")
     return 1 if failed else 0
 
@@ -408,8 +413,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    import json
-
     from .errors import ReproError
     from .fleet import FleetConfig, run_fleet, run_fleet_sharded
     from .records import dump
@@ -436,17 +439,13 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         return 2
     print(result.summary())
     if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(result.as_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_json(args.json, result.as_dict())
         print(f"result: {args.json}")
     if args.telemetry_json:
         if result.telemetry is None:
             print("no telemetry collected; nothing to write")
             return 2
-        with open(args.telemetry_json, "w") as handle:
-            json.dump(dump(result.telemetry), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_json(args.telemetry_json, dump(result.telemetry))
         print(f"telemetry: {args.telemetry_json}")
     if args.scrape_out:
         scraped = result.telemetry and result.telemetry.scrape
@@ -456,9 +455,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
                 "(asyncio runtime)"
             )
             return 2
-        with open(args.scrape_out, "w") as handle:
-            json.dump(dump(scraped), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_json(args.scrape_out, dump(scraped))
         print(f"scrape:   {args.scrape_out}")
     return 0 if result.ok else 1
 

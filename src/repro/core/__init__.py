@@ -33,7 +33,6 @@ from .switchable import (
     ProtocolSpec,
     SwitchableStack,
     build_group_handle,
-    build_switch_group,
 )
 from .token_switch import (
     FaultToleranceConfig,
@@ -65,7 +64,6 @@ __all__ = [
     "ProtocolSpec",
     "SwitchableStack",
     "build_group_handle",
-    "build_switch_group",
     "TokenSwitchProtocol",
     "ViewSwitchStack",
 ]

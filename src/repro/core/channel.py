@@ -18,10 +18,12 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from ..errors import SwitchError
 from ..net.base import Network
+from ..obs.bus import default_bus
 from ..runtime.api import Runtime
 from ..sim.rng import RandomStreams
 from ..stack.membership import Group
 from ..stack.message import Message
+from ..stack.port import NodePort
 from .switchable import ProtocolSpec, SwitchableStack
 
 __all__ = ["ChannelEnd", "SwitchableChannel"]
@@ -101,9 +103,11 @@ class SwitchableChannel:
         master = streams or RandomStreams(0)
         stacks = {}
         for rank in (a, b):
+            port = NodePort(network, rank)
+            default_bus().scoped(None).attach("port", port.stats)
             stacks[rank] = SwitchableStack(
                 runtime,
-                network,
+                port,
                 group,
                 rank,
                 protocols,

@@ -9,8 +9,8 @@ Per process::
    ctrl  proto₁ proto₂ ...     (each on a private MULTIPLEX channel;
      │     │  │                 the control channel is made reliable)
     ───────────────
-      Multiplexer
-       Transport
+      Multiplexer               (the stack's own)
+       NodePort                 (the node's; routes by group id)
         network
 
 :class:`SwitchableStack` mirrors the :class:`~repro.stack.stack.ProcessStack`
@@ -21,11 +21,12 @@ it is running over the SP rather than over one of the protocols directly
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from ..errors import SwitchError
 from ..net.base import Network
-from ..obs.bus import Bus
+from ..obs.bus import Bus, default_bus
 from ..protocols.reliable import ReliableLayer
 from ..runtime.api import Runtime
 from ..sim.rng import RandomStreams
@@ -33,8 +34,8 @@ from ..stack.layer import Layer, LayerContext, compose, start_layers, stop_layer
 from ..stack.membership import Group
 from ..stack.message import Message, MessageId
 from ..stack.multiplex import Multiplexer
+from ..stack.port import NodePort
 from ..stack.stack import DEFAULT_BODY_SIZE
-from ..stack.transport import Transport
 from .base import ProtocolSlot, SwitchAborted, SwitchCore
 from .switch import BroadcastSwitchProtocol
 from .token_switch import (
@@ -48,7 +49,6 @@ __all__ = [
     "SwitchableStack",
     "GroupHandle",
     "build_group_handle",
-    "build_switch_group",
 ]
 
 #: The mux channel reserved for the SP's own control traffic.
@@ -78,7 +78,8 @@ class SwitchableStack:
     """One process of a group running the switching protocol.
 
     Args:
-        runtime, network, group, rank: as for ProcessStack.
+        runtime, port, group, rank: as for ProcessStack; the stack
+            registers ``group_id`` on the (possibly shared) node port.
         protocols: the subordinate protocols (≥ 2).
         initial: name of the protocol that starts as current.
         variant: "token" (the paper's implementation) or "broadcast".
@@ -95,12 +96,8 @@ class SwitchableStack:
         bus: instrumentation bus shared by the run; defaults to the
             process-wide default (disabled unless the harness enabled it).
         group_id: fleet group id.  ``0`` (the default) is the single-group
-            world: wire frames, mux stat keys, and obs metric names are
-            byte-identical to the pre-fleet stack.
-        port: a shared per-node port (``repro.fleet.port.NodePort``) that
-            owns the transport and multiplexer for *many* groups on this
-            rank.  ``None`` means this stack owns its own transport —
-            exactly the pre-fleet wiring.
+            world: wire frames and obs metric names are byte-identical to
+            the pre-fleet stack.
         auto_start: start layers and the SP token at the end of
             construction (the historical behaviour).  ``False`` builds a
             dormant stack; call :meth:`start` explicitly.
@@ -109,7 +106,7 @@ class SwitchableStack:
     def __init__(
         self,
         runtime: Runtime,
-        network: Network,
+        port: NodePort,
         group: Group,
         rank: int,
         protocols: Sequence[ProtocolSpec],
@@ -123,7 +120,6 @@ class SwitchableStack:
         switch_timeout: Optional[float] = None,
         bus: Optional[Bus] = None,
         group_id: int = 0,
-        port: Optional[Any] = None,
         auto_start: bool = True,
     ) -> None:
         if len(protocols) < 2:
@@ -143,7 +139,7 @@ class SwitchableStack:
         self._started = False
         self._torn_down = False
 
-        cpu_work = getattr(network, "cpu_work", None)
+        cpu_work = getattr(port.network, "cpu_work", None)
         bound_cpu = None
         if cpu_work is not None:
             bound_cpu = lambda dur, then: cpu_work(rank, dur, then)  # noqa: E731
@@ -157,16 +153,9 @@ class SwitchableStack:
             group_id=group_id if group_id != 0 else None,
         )
 
-        if port is None:
-            self.transport: Optional[Transport] = Transport(network, group, rank)
-            self.mux = Multiplexer(self.transport.send)
-            self.transport.on_receive(self.mux.receive)
-        else:
-            # Shared per-node port: the transport and multiplexer belong
-            # to the port and are shared with every other group on this
-            # rank; this stack only owns its (group_id, channel) slice.
-            self.transport = None
-            self.mux = port.mux
+        self.port = port
+        self.mux = Multiplexer(partial(port.send, group_id))
+        port.register(group_id, group, self.mux.receive)
 
         # --- subordinate protocol slots -------------------------------
         slots: Dict[str, ProtocolSlot] = {}
@@ -174,7 +163,7 @@ class SwitchableStack:
         self._channel_ids: List[int] = []
         for index, spec in enumerate(protocols):
             channel_id = CONTROL_CHANNEL + 1 + index
-            channel = self.mux.channel(channel_id, group=group_id)
+            channel = self.mux.channel(channel_id)
             self._channel_ids.append(channel_id)
             layers = list(spec.factory(rank))
             top_send, bottom_receive = compose(
@@ -198,7 +187,7 @@ class SwitchableStack:
         # --- private control channel ----------------------------------
         if control_factory is None:
             control_factory = lambda __: [ReliableLayer()]  # noqa: E731
-        control_channel = self.mux.channel(CONTROL_CHANNEL, group=group_id)
+        control_channel = self.mux.channel(CONTROL_CHANNEL)
         self._channel_ids.append(CONTROL_CHANNEL)
         control_layers = list(control_factory(rank))
         control_send, control_receive = compose(
@@ -235,9 +224,7 @@ class SwitchableStack:
         obs = self.ctx.obs
         obs.attach("core", self.core.stats)
         obs.attach("sp", self.protocol.stats)
-        if self.transport is not None:
-            obs.attach("transport", self.transport.stats)
-            obs.attach("mux", self.mux.stats)
+        obs.attach("mux", self.mux.stats)
 
         if auto_start:
             self.start()
@@ -265,9 +252,9 @@ class SwitchableStack:
 
         Stops the switching protocol (tokens arriving afterwards die
         here), stops all layers (repeating timers are cancelled or their
-        callbacks disarmed), removes this stack's mux channels, and — if
-        the stack owns its transport — detaches the network node so it
-        can be re-attached by a rebuilt stack.  Idempotent.
+        callbacks disarmed), removes this stack's mux channels, and
+        unregisters its group from the port: packets still in flight
+        to it become the port's strays.  Idempotent.
         """
         if self._torn_down:
             return
@@ -276,9 +263,8 @@ class SwitchableStack:
         self.protocol.stop()
         stop_layers(self._all_layers)
         for channel_id in self._channel_ids:
-            self.mux.remove_channel(channel_id, group=self.group_id)
-        if self.transport is not None:
-            self.transport.detach()
+            self.mux.remove_channel(channel_id)
+        self.port.unregister(self.group_id)
 
     @property
     def torn_down(self) -> bool:
@@ -376,16 +362,22 @@ class GroupHandle:
         BUILT ──start()──> STARTED ──drain()──> DRAINING ──teardown()──> TORN_DOWN
 
     ``teardown()`` is legal from any earlier state.  A single-group run
-    is simply a fleet of size one: :func:`build_switch_group` builds a
-    handle and returns its stacks.
+    is simply a fleet of size one.  ``owned_ports`` are the node ports
+    the handle made for its members and detaches on teardown; ports it
+    was handed (a fleet's shared ones) stay attached.
     """
 
     def __init__(
-        self, group_id: int, group: Group, stacks: Dict[int, SwitchableStack]
+        self,
+        group_id: int,
+        group: Group,
+        stacks: Dict[int, SwitchableStack],
+        owned_ports: Sequence[NodePort] = (),
     ) -> None:
         self.group_id = group_id
         self.group = group
         self.stacks = stacks
+        self._owned_ports = tuple(owned_ports)
         self.state = "built" if not any(
             s._started for s in stacks.values()
         ) else "started"
@@ -411,11 +403,14 @@ class GroupHandle:
         self.state = "draining"
 
     def teardown(self) -> None:
-        """Tear every member stack down and release shared resources."""
+        """Tear every member stack down and release the ports it made,
+        so a rebuilt group can attach the same nodes."""
         if self.state == "torn_down":
             return
         for stack in self.stacks.values():
             stack.teardown()
+        for port in self._owned_ports:
+            port.detach()
         self.state = "torn_down"
 
     # ------------------------------------------------------------------
@@ -497,24 +492,31 @@ def build_group_handle(
     switch_timeout: Optional[float] = None,
     bus: Optional[Bus] = None,
     group_id: int = 0,
-    ports: Optional[Dict[int, Any]] = None,
+    ports: Optional[Dict[int, NodePort]] = None,
     auto_start: bool = True,
 ) -> GroupHandle:
     """Build a :class:`GroupHandle` with one stack per group member.
 
-    ``ports`` maps rank to a shared per-node port (see
-    ``repro.fleet.port.NodePort``); omitted ranks own their transports.
-    With ``auto_start=True`` (the default, matching the historical
-    :func:`build_switch_group` behaviour) each stack starts as it is
-    built, preserving per-stack timer-arming order; ``auto_start=False``
-    builds a dormant fleet member started later via ``handle.start()``.
+    ``ports`` maps rank to a shared :class:`NodePort`; for every rank it
+    omits, the handle makes a port on ``network``, attaches its counters
+    to ``bus`` and releases it on teardown.  With ``auto_start=True``
+    (the default) each stack starts as it is built, preserving
+    per-stack timer-arming order; ``auto_start=False`` builds a dormant
+    fleet member started later via ``handle.start()``.
     """
     master = streams or RandomStreams(0)
+    obs = (bus if bus is not None else default_bus()).scoped(None)
     stacks: Dict[int, SwitchableStack] = {}
+    owned: List[NodePort] = []
     for rank in group:
+        port = None if ports is None else ports.get(rank)
+        if port is None:
+            port = NodePort(network, rank)
+            obs.attach("port", port.stats)
+            owned.append(port)
         stacks[rank] = SwitchableStack(
             runtime,
-            network,
+            port,
             group,
             rank,
             protocols,
@@ -528,46 +530,6 @@ def build_group_handle(
             switch_timeout=switch_timeout,
             bus=bus,
             group_id=group_id,
-            port=None if ports is None else ports.get(rank),
             auto_start=auto_start,
         )
-    return GroupHandle(group_id, group, stacks)
-
-
-def build_switch_group(
-    runtime: Runtime,
-    network: Network,
-    group: Group,
-    protocols: Sequence[ProtocolSpec],
-    initial: str,
-    variant: str = "token",
-    token_interval: float = 0.010,
-    control_factory: Optional[Callable[[int], Sequence[Layer]]] = None,
-    streams: Optional[RandomStreams] = None,
-    block_sends_during_switch: bool = False,
-    fault_tolerance: Optional[FaultToleranceConfig] = None,
-    switch_timeout: Optional[float] = None,
-    bus: Optional[Bus] = None,
-) -> Dict[int, SwitchableStack]:
-    """Build one :class:`SwitchableStack` per group member.
-
-    Kept as the historical single-group entry point; it now builds a
-    :class:`GroupHandle` (a fleet of size one) and returns its stacks —
-    construction order, RNG forks, and timer arming are unchanged.
-    """
-    handle = build_group_handle(
-        runtime,
-        network,
-        group,
-        protocols,
-        initial,
-        variant=variant,
-        token_interval=token_interval,
-        control_factory=control_factory,
-        streams=streams,
-        block_sends_during_switch=block_sends_during_switch,
-        fault_tolerance=fault_tolerance,
-        switch_timeout=switch_timeout,
-        bus=bus,
-    )
-    return handle.stacks
+    return GroupHandle(group_id, group, stacks, owned)

@@ -1,12 +1,13 @@
 """The fleet runtime: thousands of switching groups in one process.
 
-A single-group run owns one transport, one multiplexer, and one stack
-per member.  The fleet runtime multiplexes *groups*: every node runs one
-:class:`~repro.fleet.port.NodePort` (one network attach, one
-group-keyed multiplexer), and a :class:`~repro.fleet.manager.GroupManager`
-builds/starts/tears down :class:`~repro.core.switchable.GroupHandle`\\ s
-over those shared ports.  Wire frames carry a varint group id (see
-``net/codec.py``), so thousands of groups share one set of sockets.
+A single-group run gives every member a node port of its own.  The
+fleet runtime multiplexes *groups*: every node runs one shared
+:class:`~repro.stack.port.NodePort` (one network attach, routing by
+group id to each member stack's own multiplexer), and a
+:class:`~repro.fleet.manager.GroupManager` builds/starts/tears down
+:class:`~repro.core.switchable.GroupHandle`\\ s over those ports.
+Wire frames carry a varint group id (see ``net/codec.py``), so
+thousands of groups share one set of sockets.
 
 The :class:`~repro.core.oracle.FleetOracle` closes the loop: it reads
 per-group delivery rates off the runner's per-group delivery counts and
@@ -21,7 +22,6 @@ hashing and merges their slices back into one
 
 from .manager import GroupManager
 from .pool import SequencerPool
-from .port import NodePort
 from .runner import (
     FleetConfig,
     FleetResult,
@@ -36,7 +36,6 @@ __all__ = [
     "FleetResult",
     "GroupManager",
     "GroupReport",
-    "NodePort",
     "SequencerPool",
     "plan_sequencers",
     "plan_shards",

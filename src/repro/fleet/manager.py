@@ -1,9 +1,10 @@
 """GroupManager: the fleet's control plane.
 
-One manager per process.  It owns the per-node :class:`NodePort`\\ s
-(creating each lazily on a group's first use of that node), allocates
-group ids, builds :class:`~repro.core.switchable.GroupHandle`\\ s over
-the shared ports, and walks groups through their lifecycle.  Wired with
+One manager per process.  It owns the per-node
+:class:`~repro.stack.port.NodePort`\\ s (creating each lazily on a
+group's first use of that node), allocates group ids, builds
+:class:`~repro.core.switchable.GroupHandle`\\ s over the shared ports,
+and walks groups through their lifecycle.  Wired with
 a :class:`~repro.core.oracle.FleetOracle` — the one decision loop — it
 has the oracle watch every group it creates and start and stop polling
 on the manager's runtime.
@@ -23,8 +24,8 @@ from ..runtime.api import Runtime
 from ..sim.rng import RandomStreams
 from ..stack.layer import Layer
 from ..stack.membership import Group
+from ..stack.port import NodePort
 from .pool import SequencerPool
-from .port import NodePort
 
 __all__ = ["GroupManager"]
 
@@ -74,7 +75,6 @@ class GroupManager:
             port = NodePort(self.network, node)
             self.ports[node] = port
             self._obs.attach("port", port.stats)
-            self._obs.attach("mux", port.mux.stats)
         return port
 
     # ------------------------------------------------------------------
@@ -96,9 +96,9 @@ class GroupManager:
 
         Allocates the next group id (or takes an explicit ``group_id`` —
         a shard owns a slice of the fleet's global id space and must
-        keep the ids the single-process layout would have used),
-        registers the membership on every member node's port, and builds
-        the handle over those ports.  The oracle, if any, begins
+        keep the ids the single-process layout would have used) and
+        builds the handle over the member nodes' ports, where each
+        member stack registers the group.  The oracle, if any, begins
         watching the group immediately.
         """
         if group_id is None:
@@ -110,8 +110,6 @@ class GroupManager:
         self._next_group_id = max(self._next_group_id, group_id + 1)
         group = Group(members)
         ports = {rank: self.port(rank) for rank in group}
-        for port in ports.values():
-            port.register(group_id, group)
         handle = build_group_handle(
             self.runtime,
             self.network,
@@ -186,10 +184,8 @@ class GroupManager:
             raise SwitchError(f"no group {group_id} to tear down")
         self._torn_down.add(group_id)
         dirty = handle.state == "started"
-        # Unregister first: packets in flight during the teardown then
-        # drop as strays at the port instead of hitting dead channels.
-        for rank in handle.group:
-            self.ports[rank].unregister(group_id)
+        # Each member stack unregisters the group from its port: packets
+        # still in flight drop there as strays.
         handle.teardown()
         if self.oracle is not None:
             self.oracle.unwatch(group_id)

@@ -123,7 +123,7 @@ def write_chrome_trace(
     """Write a Perfetto-loadable trace file; returns records written."""
     records = chrome_trace_events(events, label=label)
     with open(path, "w") as handle:
-        json.dump(records, handle)
+        json.dump(records, handle, allow_nan=False)
     return len(records)
 
 
@@ -140,7 +140,7 @@ def events_to_jsonl(events: Iterable[Event]) -> List[str]:
         }
         if event.kind == COMPLETE:
             record["dur"] = event.dur
-        lines.append(json.dumps(record))
+        lines.append(json.dumps(record, allow_nan=False))
     return lines
 
 
@@ -163,6 +163,6 @@ def write_metrics(
     snapshot = dict(header)
     snapshot.update(metrics.snapshot())
     with open(path, "w") as handle:
-        json.dump(snapshot, handle, indent=2, sort_keys=True)
+        json.dump(snapshot, handle, indent=2, sort_keys=True, allow_nan=False)
         handle.write("\n")
     return snapshot

@@ -242,7 +242,7 @@ class TelemetryServer:
             return "200 OK", _CONTENT_PROM, self.plane.prometheus().encode()
         if path == "/snapshot":
             snapshot = dump(self.plane.snapshot())
-            body = json.dumps(snapshot, sort_keys=True).encode()
+            body = json.dumps(snapshot, sort_keys=True, allow_nan=False).encode()
             return "200 OK", _CONTENT_JSON, body
         if path == "/healthz":
             return "200 OK", "text/plain", b"ok\n"

@@ -173,11 +173,11 @@ class FlightRecorder:
         """The JSONL black box: header + record lines per capture."""
         out: List[str] = []
         for capture in self.captures:
-            out.append(json.dumps(capture.header(), sort_keys=True))
+            out.append(json.dumps(capture.header(), sort_keys=True, allow_nan=False))
             for record in capture.records:
                 line = {"type": "record", "group": capture.group}
                 line.update(record)
-                out.append(json.dumps(line, sort_keys=True, default=str))
+                out.append(json.dumps(line, sort_keys=True, default=str, allow_nan=False))
         return out
 
     def write_jsonl(self, path: str) -> int:

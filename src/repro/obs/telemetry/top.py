@@ -164,7 +164,7 @@ def run_top(
             write(f"cannot read telemetry from {names!r}: {exc}")
             return 1
         if as_json:
-            write(json.dumps(dump(payload), indent=2, sort_keys=True))
+            write(json.dumps(dump(payload), indent=2, sort_keys=True, allow_nan=False))
         else:
             prefix = "" if once or shown == 0 else _CLEAR
             write(prefix + render_top(payload, limit=limit))

@@ -9,13 +9,13 @@ against a concrete engine.  Two runtimes ship:
   (see :mod:`repro.net.udp`).
 
 This package is also the sanctioned home of the engine re-exports
-(:class:`Simulator`, :class:`Timeline`): modules outside
+(:class:`Simulator`, :class:`EventHandle`): modules outside
 ``repro/runtime/`` and ``repro/sim/`` must not import the engine
 directly (enforced by ``tests/test_runtime_boundary.py``).
 """
 
 from ..errors import SimulationError
-from ..sim.engine import EventHandle, Simulator, Timeline
+from ..sim.engine import EventHandle, Simulator
 from .aio import AsyncioRuntime, AsyncioTimerHandle
 from .api import Clock, Runtime, Scheduler, TimerHandle
 from .sim_runtime import SimRuntime
@@ -29,7 +29,6 @@ __all__ = [
     "Scheduler",
     "SimRuntime",
     "Simulator",
-    "Timeline",
     "TimerHandle",
     "make_runtime",
 ]

@@ -10,14 +10,13 @@ This package replaces the paper's physical testbed (SparcStation-20s on a
 * :mod:`repro.sim.monitor` — exact-quantile sample summaries.
 """
 
-from .engine import EventHandle, Simulator, Timeline
+from .engine import EventHandle, Simulator
 from .monitor import Summary
 from .rng import RandomStreams
 
 __all__ = [
     "EventHandle",
     "Simulator",
-    "Timeline",
     "Summary",
     "RandomStreams",
 ]

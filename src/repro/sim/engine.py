@@ -35,7 +35,7 @@ from typing import Callable, List, Optional, Tuple
 
 from ..errors import SimulationError
 
-__all__ = ["EventHandle", "Simulator", "Timeline"]
+__all__ = ["EventHandle", "Simulator"]
 
 
 class EventHandle:
@@ -325,61 +325,3 @@ class Simulator:
             f"fired={self._events_processed}>"
         )
 
-
-class Timeline:
-    """A deterministic, labelled script of events.
-
-    Chaos and fault-injection runs need their perturbations — crashes,
-    recoveries, switch requests, bursts of traffic — expressed as *data*
-    so a run is reproducible from its plan alone.  A :class:`Timeline`
-    collects ``(time, label, callback)`` entries, installs them onto a
-    :class:`Simulator` in one shot, and records which entries actually
-    fired (an entry scheduled past the horizon of ``run_until`` simply
-    never fires).
-
-    Entries may be added in any order; installation sorts by time, with
-    insertion order breaking ties.  ``install`` may be called once.
-    """
-
-    def __init__(self) -> None:
-        self._entries: List[Tuple[float, int, str, Callable[[], None]]] = []
-        self._installed = False
-        #: (time, label) of every entry that has fired, in firing order.
-        self.fired: List[Tuple[float, str]] = []
-
-    def at(
-        self, time: float, callback: Callable[[], None], label: str = ""
-    ) -> "Timeline":
-        """Add an event at absolute simulated ``time``; returns self."""
-        if not time >= 0:  # written so that NaN fails too
-            raise SimulationError(f"timeline entry at t={time!r} is not a time >= 0")
-        if self._installed:
-            raise SimulationError("timeline is already installed")
-        self._entries.append((time, len(self._entries), label, callback))
-        return self
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def entries(self) -> List[Tuple[float, str]]:
-        """The scripted (time, label) pairs in execution order."""
-        return [(t, label) for t, __, label, __cb in sorted(self._entries)]
-
-    def install(self, sim: Simulator) -> List[EventHandle]:
-        """Schedule every entry onto ``sim``; returns the event handles."""
-        if self._installed:
-            raise SimulationError("timeline is already installed")
-        self._installed = True
-        handles = []
-        for time, __, label, callback in sorted(self._entries):
-
-            def fire(time=time, label=label, callback=callback) -> None:
-                self.fired.append((time, label))
-                callback()
-
-            handles.append(sim.schedule_at(time, fire))
-        return handles
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Timeline entries={len(self._entries)} fired={len(self.fired)}>"

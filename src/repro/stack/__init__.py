@@ -3,9 +3,10 @@
 * :mod:`repro.stack.message` — immutable messages with per-layer headers.
 * :mod:`repro.stack.layer` — the Layer abstraction and composition.
 * :mod:`repro.stack.batching` — cast coalescing: one wire frame per batch.
-* :mod:`repro.stack.multiplex` — logical channels over one endpoint
+* :mod:`repro.stack.multiplex` — a stack's private logical channels
   (the MULTIPLEX component of Figure 1).
-* :mod:`repro.stack.transport` — binding to a simulated network.
+* :mod:`repro.stack.port` — a node's one attach to a network, shared by
+  every group with a member there.
 * :mod:`repro.stack.stack` — per-process assembly and group builders.
 * :mod:`repro.stack.membership` — groups, rings, and views.
 """
@@ -15,8 +16,8 @@ from .layer import Layer, LayerContext, compose, start_layers
 from .membership import Group, View
 from .message import BASE_WIRE_OVERHEAD, Message, MessageId
 from .multiplex import Multiplexer, MuxChannel
+from .port import NodePort
 from .stack import DEFAULT_BODY_SIZE, ProcessStack, build_group
-from .transport import Transport
 
 __all__ = [
     "BatchingLayer",
@@ -31,8 +32,8 @@ __all__ = [
     "MessageId",
     "Multiplexer",
     "MuxChannel",
+    "NodePort",
     "DEFAULT_BODY_SIZE",
     "ProcessStack",
     "build_group",
-    "Transport",
 ]

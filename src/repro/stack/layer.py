@@ -218,7 +218,7 @@ class Layer:
     # Emission helpers
     # ------------------------------------------------------------------
     def send_down(self, msg: Message) -> None:
-        """Emit a message to the layer (or transport) below."""
+        """Emit a message to the layer (or node port) below."""
         if self._down is None:
             raise StackError(f"layer {self.name} has no downward connection")
         self._down(msg)

@@ -7,18 +7,15 @@ while each underlying protocol also needs a private channel").
 
 :class:`Multiplexer` simulates multiple connections over one underlying
 channel: each :class:`MuxChannel` tags downward messages with its channel
-id; upward traffic is dispatched to the owning channel by that tag.
-
-Channels are keyed ``(group_id, channel_id)``: one multiplexer can host
-the private channels of *many* switching groups over a single transport
-(the fleet runtime's sharing point).  Group 0 is the default single-group
-world — its channels tag and dispatch exactly as before the fleet
-refactor, so single-group wire traffic is unchanged.
+id; upward traffic is dispatched to the owning channel by that tag.  Each
+switchable stack owns one multiplexer; the stack's
+:class:`~repro.stack.port.NodePort` keeps groups apart below it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+import sys
+from typing import Dict, Optional
 
 from ..errors import StackError
 from ..obs.metrics import Counter
@@ -39,27 +36,23 @@ class MuxChannel:
     callback installed with :meth:`on_deliver`.
     """
 
-    def __init__(
-        self, mux: "Multiplexer", channel_id: int, group: int = 0
-    ) -> None:
+    __slots__ = ("_mux", "channel_id", "_deliver", "_tx_key", "_rx_key")
+
+    def __init__(self, mux: "Multiplexer", channel_id: int) -> None:
         self._mux = mux
         self.channel_id = channel_id
-        self.group = group
         self._deliver: Optional[DeliverFn] = None
-        # Counter keys, formatted once per channel, not once per message.
-        label = str(channel_id) if group == 0 else f"g{group}:{channel_id}"
-        self._tx_key = f"tx[{label}]"
-        self._rx_key = f"rx[{label}]"
+        # Counter keys, formatted once per channel and shared between
+        # the stacks' channels of one id, not built once per message.
+        self._tx_key = sys.intern(f"tx[{channel_id}]")
+        self._rx_key = sys.intern(f"rx[{channel_id}]")
 
     def send(self, msg: Message) -> None:
         """Tag and forward a downward message."""
         mux = self._mux
         tagged = msg.with_header(_HEADER, self.channel_id, _HEADER_SIZE)
         mux.stats.incr(self._tx_key)
-        if self.group == 0:
-            mux._bottom_send(tagged)
-        else:
-            mux._bottom_send(tagged, self.group)
+        mux._bottom_send(tagged)
 
     def on_deliver(self, deliver: DeliverFn) -> None:
         """Install the upward callback for this channel (once)."""
@@ -85,57 +78,40 @@ class MuxChannel:
 
 
 class Multiplexer:
-    """Simulates multiple connections over a single communication channel.
+    """Simulates multiple connections over a single communication channel."""
 
-    ``bottom_send`` is called as ``bottom_send(msg)`` for group-0 traffic
-    (the pre-fleet signature, so existing transports plug in unchanged)
-    and ``bottom_send(msg, group)`` for fleet groups.
-    """
+    __slots__ = ("_bottom_send", "_channels", "stats")
 
     def __init__(self, bottom_send: SendFn) -> None:
         self._bottom_send = bottom_send
-        self._channels: Dict[Tuple[int, int], MuxChannel] = {}
+        self._channels: Dict[int, MuxChannel] = {}
         self.stats = Counter()
 
-    def channel(self, channel_id: int, group: int = 0) -> MuxChannel:
+    def channel(self, channel_id: int) -> MuxChannel:
         """Create (or fetch) the logical channel with this id."""
         if channel_id < 0:
             raise StackError(f"channel id must be non-negative, got {channel_id}")
-        if group < 0:
-            raise StackError(f"group id must be non-negative, got {group}")
-        key = (group, channel_id)
-        chan = self._channels.get(key)
+        chan = self._channels.get(channel_id)
         if chan is None:
-            chan = MuxChannel(self, channel_id, group)
-            self._channels[key] = chan
+            chan = MuxChannel(self, channel_id)
+            self._channels[channel_id] = chan
         return chan
 
-    def remove_channel(self, channel_id: int, group: int = 0) -> None:
+    def remove_channel(self, channel_id: int) -> None:
         """Drop a channel entirely (teardown); unknown ids raise."""
-        chan = self._channels.pop((group, channel_id), None)
+        chan = self._channels.pop(channel_id, None)
         if chan is None:
-            raise StackError(
-                f"no mux channel {channel_id} in group {group} to remove"
-            )
+            raise StackError(f"no mux channel {channel_id} to remove")
         chan.detach()
 
-    def group_channels(self, group: int) -> Tuple[MuxChannel, ...]:
-        """All live channels belonging to ``group``."""
-        return tuple(
-            chan for (gid, __), chan in self._channels.items() if gid == group
-        )
-
-    def receive(self, msg: Message, group: int = 0) -> None:
-        """Upward dispatch: route by (group, channel tag)."""
+    def receive(self, msg: Message) -> None:
+        """Upward dispatch: route by channel tag."""
         channel_id = msg.header(_HEADER)
         if channel_id is None:
             raise StackError(f"untagged message reached multiplexer: {msg!r}")
-        chan = self._channels.get((group, channel_id))
+        chan = self._channels.get(channel_id)
         if chan is None:
-            raise StackError(
-                f"message for unknown mux channel {channel_id} "
-                f"(group {group}): {msg!r}"
-            )
+            raise StackError(f"message for unknown mux channel {channel_id}: {msg!r}")
         self.stats.incr(chan._rx_key)
         deliver = chan._deliver
         if deliver is None:

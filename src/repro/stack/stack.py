@@ -1,4 +1,4 @@
-"""Process stacks: application + layers + transport, per process.
+"""Process stacks: application + layers over a node port, per process.
 
 :class:`ProcessStack` assembles one process's protocol stack over a
 network model and exposes the application-facing API the paper's model
@@ -11,17 +11,18 @@ process is required to have the same stack of layers", §3).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..errors import StackError
 from ..net.base import Network
-from ..obs.bus import Bus
+from ..obs.bus import Bus, default_bus
 from ..runtime.api import Runtime
 from ..sim.rng import RandomStreams
 from .layer import Layer, LayerContext, compose, start_layers
 from .membership import Group
 from .message import Message, MessageId
-from .transport import Transport
+from .port import NodePort
 
 __all__ = ["ProcessStack", "build_group"]
 
@@ -37,7 +38,7 @@ class ProcessStack:
 
     Args:
         runtime: the clock/timer runtime (simulated or real).
-        network: network model shared by the group.
+        port: this process's node port; the stack registers group 0 on it.
         group: the process group.
         rank: this process's rank.
         layers: top-to-bottom layer list (may be empty).
@@ -49,7 +50,7 @@ class ProcessStack:
     def __init__(
         self,
         runtime: Runtime,
-        network: Network,
+        port: NodePort,
         group: Group,
         rank: int,
         layers: Sequence[Layer],
@@ -63,7 +64,7 @@ class ProcessStack:
         self._deliver_callbacks: List[DeliverCallback] = []
         self._send_callbacks: List[SendCallback] = []
 
-        cpu_work = getattr(network, "cpu_work", None)
+        cpu_work = getattr(port.network, "cpu_work", None)
         bound_cpu = None
         if cpu_work is not None:
             bound_cpu = lambda dur, then: cpu_work(rank, dur, then)  # noqa: E731
@@ -71,12 +72,11 @@ class ProcessStack:
             runtime, group, rank, streams, cpu_work=bound_cpu, bus=bus
         )
 
-        self.transport = Transport(network, group, rank)
-        self.ctx.obs.attach("transport", self.transport.stats)
+        self.port = port
         self._top_send, bottom_receive = compose(
-            self.layers, self.ctx, self.transport.send, self._app_deliver
+            self.layers, self.ctx, partial(port.send, 0), self._app_deliver
         )
-        self.transport.on_receive(bottom_receive)
+        port.register(0, group, bottom_receive)
         start_layers(self.layers)
 
     # ------------------------------------------------------------------
@@ -129,17 +129,21 @@ def build_group(
     streams: Optional[RandomStreams] = None,
     bus: Optional[Bus] = None,
 ) -> Dict[int, ProcessStack]:
-    """Build one :class:`ProcessStack` per group member.
+    """Build one :class:`ProcessStack` per group member, each on a
+    :class:`NodePort` of its own whose counters attach to ``bus``.
 
     ``layer_factory(rank)`` must return a *fresh* top-to-bottom layer list
     for each member — layers hold per-process state and cannot be shared.
     """
     master = streams or RandomStreams(0)
+    obs = (bus if bus is not None else default_bus()).scoped(None)
     stacks: Dict[int, ProcessStack] = {}
     for rank in group:
+        port = NodePort(network, rank)
+        obs.attach("port", port.stats)
         stacks[rank] = ProcessStack(
             runtime,
-            network,
+            port,
             group,
             rank,
             layer_factory(rank),

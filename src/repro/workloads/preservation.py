@@ -45,6 +45,7 @@ from ..protocols.virtual_synchrony import VirtualSynchronyLayer
 from ..runtime.api import Runtime
 from ..stack.membership import Group
 from ..stack.message import Message
+from ..stack.port import NodePort
 from ..traces.properties import (
     Amoeba,
     Confidentiality,
@@ -506,7 +507,7 @@ def scenario_view_switch_preserves_vs() -> ScenarioOutcome:
     ]
     stacks = {
         rank: ViewSwitchStack(
-            sim, net, group, rank, specs, initial="fifoA",
+            sim, NodePort(net, rank), group, rank, specs, initial="fifoA",
             variant="broadcast", streams=streams.fork(f"rank{rank}"),
         )
         for rank in group

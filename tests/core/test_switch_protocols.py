@@ -183,8 +183,8 @@ class TestTokenVariantSpecifics:
         sim, stacks, log = switch_group(3, specs_fifo(), "A", "token")
         sim.run_until(10.0)
         for stack in stacks.values():
-            assert stack.transport.stats.get("unicast") == 0
-            assert stack.transport.stats.get("multicast") == 0
+            assert stack.port.stats.get("unicast") == 0
+            assert stack.port.stats.get("multicast") == 0
             assert stack.protocol.stats.get("normal_tokens") == 0
         assert [s.holds_token for s in stacks.values()] == [True, False, False]
         assert sim.events_processed == 3

@@ -10,6 +10,7 @@ from repro.protocols.fifo import FifoLayer
 from repro.protocols.sequencer import SequencerLayer
 from repro.sim.engine import Simulator
 from repro.stack.membership import Group
+from repro.stack.port import NodePort
 
 
 def specs():
@@ -25,7 +26,7 @@ class TestValidation:
         net = PointToPointNetwork(sim, 2)
         with pytest.raises(SwitchError):
             SwitchableStack(
-                sim, net, Group.of_size(2), 0,
+                sim, NodePort(net, 0), Group.of_size(2), 0,
                 [ProtocolSpec("only", lambda r: [])], "only",
             )
 
@@ -34,14 +35,15 @@ class TestValidation:
         net = PointToPointNetwork(sim, 2)
         dup = [ProtocolSpec("X", lambda r: []), ProtocolSpec("X", lambda r: [])]
         with pytest.raises(SwitchError):
-            SwitchableStack(sim, net, Group.of_size(2), 0, dup, "X")
+            SwitchableStack(sim, NodePort(net, 0), Group.of_size(2), 0, dup, "X")
 
     def test_unknown_variant_rejected(self):
         sim = Simulator()
         net = PointToPointNetwork(sim, 2)
         with pytest.raises(SwitchError):
             SwitchableStack(
-                sim, net, Group.of_size(2), 0, specs(), "A", variant="carrier-pigeon"
+                sim, NodePort(net, 0), Group.of_size(2), 0, specs(), "A",
+                variant="carrier-pigeon",
             )
 
     def test_empty_spec_name_rejected(self):

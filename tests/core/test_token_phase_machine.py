@@ -17,7 +17,7 @@ crash/recovery, checking the machine's safety properties as it goes:
 import hypothesis.strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, rule
 
-from repro.core.switchable import ProtocolSpec, build_switch_group
+from repro.core.switchable import ProtocolSpec, build_group_handle
 from repro.core.token_switch import _PHASE, FaultToleranceConfig
 from repro.net.faults import FaultDecision, FaultPlan
 from repro.net.ptp import LatencyMatrix, PointToPointNetwork
@@ -64,7 +64,7 @@ class TokenPhaseMachine(RuleBasedStateMachine):
             ProtocolSpec("seq", lambda r: [SequencerLayer(), ReliableLayer()]),
             ProtocolSpec("tok", lambda r: [TokenRingLayer(), ReliableLayer()]),
         ]
-        self.stacks = build_switch_group(
+        self.stacks = build_group_handle(
             self.sim,
             self.network,
             group,
@@ -76,7 +76,7 @@ class TokenPhaseMachine(RuleBasedStateMachine):
             control_factory=lambda __: [],
             streams=streams,
             fault_tolerance=FT,
-        )
+        ).stacks
         self.delivered = {r: [] for r in group}
         self.gen_seen = {}
         self.crashed = set()

@@ -7,6 +7,7 @@ from repro.protocols.fifo import FifoLayer
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.stack.membership import Group, View
+from repro.stack.port import NodePort
 from repro.traces.properties import VirtualSynchrony
 from repro.traces.recorder import TraceRecorder
 
@@ -21,7 +22,7 @@ def build(n=3, variant="broadcast"):
     ]
     stacks = {
         rank: ViewSwitchStack(
-            sim, net, group, rank, specs, initial="A", variant=variant,
+            sim, NodePort(net, rank), group, rank, specs, initial="A", variant=variant,
             streams=RandomStreams(19).fork(f"r{rank}"),
         )
         for rank in group
@@ -76,8 +77,8 @@ def test_vs_property_holds_on_recorded_trace():
         ProtocolSpec("B", lambda r: [FifoLayer()]),
     ]
     stacks = {
-        rank: ViewSwitchStack(sim, net, group, rank, specs, initial="A",
-                              variant="broadcast")
+        rank: ViewSwitchStack(sim, NodePort(net, rank), group, rank, specs,
+                              initial="A", variant="broadcast")
         for rank in group
     }
     recorder = TraceRecorder(sim)

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.switchable import ProtocolSpec, SwitchableStack, build_switch_group
+from repro.core.switchable import ProtocolSpec, SwitchableStack, build_group_handle
 from repro.core.token_switch import FaultToleranceConfig
 from repro.stack.layer import Layer
 from repro.net.faults import FaultPlan
@@ -102,12 +102,12 @@ def switch_group(
     streams = RandomStreams(seed)
     net = PointToPointNetwork(sim, num, latency=latency, faults=faults, rng=streams)
     group = Group.of_size(num)
-    stacks = build_switch_group(
+    stacks = build_group_handle(
         sim, net, group, specs, initial=initial, variant=variant,
         token_interval=token_interval, streams=streams,
         fault_tolerance=fault_tolerance, switch_timeout=switch_timeout,
         control_factory=control_factory,
-    )
+    ).stacks
     log = DeliveryLog(group)
     log.attach_all(stacks)
     return sim, stacks, log

@@ -41,7 +41,7 @@ def _build(victim, phase, initiator):
     sim, stacks, log = switch_group(
         MEMBERS, _specs(), "seq", token_interval=0.002, fault_tolerance=FT
     )
-    network = stacks[0].transport.endpoint.network
+    network = stacks[0].port.network
     fired = {"crashed": False}
 
     def crash_on_phase(kind, gen, switch_id):

@@ -4,7 +4,7 @@ substrate, exercised at test scale."""
 import pytest
 
 from repro.core.signals import SignalTracker
-from repro.core.switchable import ProtocolSpec, build_switch_group
+from repro.core.switchable import ProtocolSpec, build_group_handle
 from repro.net.ethernet import EthernetNetwork, EthernetParams
 from repro.protocols.reliable import ReliableLayer
 from repro.protocols.sequencer import SequencerLayer
@@ -72,9 +72,9 @@ def test_switch_over_ethernet_with_cpu_contention():
         ProtocolSpec("seq", lambda r: [SequencerLayer(order_cost=1e-3)]),
         ProtocolSpec("tok", lambda r: [TokenRingLayer()]),
     ]
-    stacks = build_switch_group(
+    stacks = build_group_handle(
         sim, net, group, specs, initial="seq", streams=streams
-    )
+    ).stacks
     bodies = {r: [] for r in group}
     for rank, stack in stacks.items():
         stack.on_deliver(lambda m, rank=rank: bodies[rank].append(m.body))

@@ -32,10 +32,11 @@ DOC = Path(__file__).resolve().parents[2] / "docs" / "OBSERVABILITY.md"
 
 def stack_owners(stack, suffix=""):
     """``(prefix, suffix, stats)`` for every counting part of a stack."""
-    owners = [("core", suffix, stack.core.stats), ("sp", suffix, stack.protocol.stats)]
-    if stack.transport is not None:
-        owners.append(("transport", suffix, stack.transport.stats))
-        owners.append(("mux", suffix, stack.mux.stats))
+    owners = [
+        ("core", suffix, stack.core.stats),
+        ("sp", suffix, stack.protocol.stats),
+        ("mux", suffix, stack.mux.stats),
+    ]
     for layer in stack._all_layers:  # every slot and control layer
         stats = getattr(layer, "stats", None)
         if stats is not None:
@@ -73,6 +74,7 @@ def switch_run(runtime, **session_args):
         if hasattr(network, "codec"):
             owners.append(("codec", "", network.codec.stats))
         for stack in session.stacks.values():
+            owners.append(("port", "", stack.port.stats))
             owners.extend(stack_owners(stack))
         # Read both sides at one instant: closing the sockets still
         # counts stragglers.
@@ -119,7 +121,6 @@ def test_fleet_owners_are_reachable_with_group_labels():
     owners = [("net", "", network.stats), ("manager", "", manager.stats)]
     for port in manager.ports.values():
         owners.append(("port", "", port.stats))
-        owners.append(("mux", "", port.mux.stats))
     for handle in handles:
         for stack in handle.stacks.values():
             owners.extend(stack_owners(stack, f"[g{handle.group_id}]"))

@@ -143,3 +143,21 @@ class TestMetricsJson:
         assert hist["count"] == 2
         for key in ("mean", "p50", "p90", "p99", "min", "max"):
             assert key in hist
+
+
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda bus, path: write_metrics(str(path), bus.metrics),
+        lambda bus, path: write_chrome_trace(str(path), bus.events),
+        lambda bus, path: write_jsonl(str(path), bus.events),
+    ],
+    ids=["metrics", "chrome_trace", "jsonl"],
+)
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_writers_refuse_non_finite_floats(bus, tmp_path, write, value):
+    # A non-finite float is not JSON; a reader would reject the file.
+    bus.gauge("core.buffer_depth", value)
+    bus.emit("switch/complete", rank=0, duration=value)
+    with pytest.raises(ValueError):
+        write(bus, tmp_path / "out.json")

@@ -76,6 +76,6 @@ def test_size_overhead_accounted():
 def test_passthrough_without_header():
     sim, stacks, log = ptp_group(2, lambda r: [ConfidentialityLayer(KEY)])
     msg = stacks[0].ctx.make_message("bare", 10, dest=(1,))
-    stacks[0].transport.send(msg)
+    stacks[0].port.send(0, msg)
     sim.run()
     assert log.bodies(1) == ["bare"]

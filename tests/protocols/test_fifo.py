@@ -69,6 +69,6 @@ def test_foreign_traffic_passes_through():
     bypassed us) are delivered untouched."""
     sim, stacks, log = ptp_group(2, lambda r: [FifoLayer()])
     msg = stacks[0].ctx.make_message("alien", 10, dest=(1,))
-    stacks[0].transport.send(msg)
+    stacks[0].port.send(0, msg)
     sim.run()
     assert log.bodies(1) == ["alien"]

@@ -34,7 +34,7 @@ def test_forged_tag_rejected():
         .ctx.make_message("forged", 10, dest=(1,))
         .with_header("mac", "bogus-tag", 32)
     )
-    stacks[0].transport.send(forged)
+    stacks[0].port.send(0, forged)
     sim.run()
     assert log.bodies(1) == []
 
@@ -59,7 +59,7 @@ def test_tag_covers_body():
     layer._down = captured.append
     layer.send(msg)
     tampered = captured[0].with_body("tampered")
-    stacks[0].transport.send(tampered)
+    stacks[0].port.send(0, tampered)
     sim.run()
     assert log.bodies(1) == []
 
@@ -77,6 +77,6 @@ def test_wrong_group_key_rejected():
 def test_passthrough_without_header():
     sim, stacks, log = ptp_group(2, lambda r: [IntegrityLayer(KEY)])
     msg = stacks[0].ctx.make_message("bare", 10, dest=(1,))
-    stacks[0].transport.send(msg)
+    stacks[0].port.send(0, msg)
     sim.run()
     assert log.bodies(1) == ["bare"]

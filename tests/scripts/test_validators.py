@@ -212,6 +212,22 @@ def test_obs_rejects_more_deliveries_than_sends(
     assert "exceeds net.sends" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda c: c.__setitem__("port.received", c["port.received"] - 1),
+        lambda c: c.__setitem__("port.stray_group", 1),
+    ],
+    ids=["a-copy-bypassed-the-ports", "a-stray-too-many"],
+)
+def test_obs_rejects_port_counts_that_disagree_with_deliveries(
+    edit, obs_artifacts, tmp_path, capsys
+):
+    args = broken_counters(obs_artifacts, tmp_path, edit)
+    assert check_obs.main(["prog", *args]) == 1
+    assert "port.received + port.stray_group is" in capsys.readouterr().out
+
+
 # ----------------------------------------------------------------------
 # check_scale: synthetic artifact that meets the documented contract
 # ----------------------------------------------------------------------

@@ -66,9 +66,8 @@ def test_schedule_at_in_past_rejected():
     [
         lambda sim, t: sim.schedule(t, lambda: None),
         lambda sim, t: sim.schedule_at(t, lambda: None),
-        lambda sim, t: Timeline().at(t, lambda: None).install(sim),
     ],
-    ids=["schedule", "schedule_at", "timeline_at"],
+    ids=["schedule", "schedule_at"],
 )
 def test_nan_time_rejected_and_inf_accepted(arm):
     # NaN compares False both ways, so a ``< 0`` guard lets it through
@@ -298,96 +297,6 @@ def test_pending_is_constant_time_counter():
         if i % 5 == 0:
             sim.step()
     assert sim.pending() == _scan_live(sim)
-
-
-# ----------------------------------------------------------------------
-# Timeline: labelled, reproducible event scripts
-# ----------------------------------------------------------------------
-from repro.sim.engine import Timeline  # noqa: E402
-
-
-def test_timeline_fires_in_time_order_and_records_labels():
-    sim = Simulator()
-    hits = []
-    timeline = (
-        Timeline()
-        .at(0.3, lambda: hits.append("late"), label="late")
-        .at(0.1, lambda: hits.append("early"), label="early")
-    )
-    timeline.install(sim)
-    sim.run()
-    assert hits == ["early", "late"]
-    assert timeline.fired == [(0.1, "early"), (0.3, "late")]
-
-
-def test_timeline_entries_property_is_sorted():
-    timeline = (
-        Timeline()
-        .at(2.0, lambda: None, label="b")
-        .at(1.0, lambda: None, label="a")
-        .at(2.0, lambda: None, label="c")
-    )
-    assert timeline.entries == [(1.0, "a"), (2.0, "b"), (2.0, "c")]
-    assert len(timeline) == 3
-
-
-def test_timeline_same_instant_keeps_insertion_order():
-    sim = Simulator()
-    hits = []
-    timeline = Timeline()
-    for name in "abc":
-        timeline.at(0.5, lambda name=name: hits.append(name), label=name)
-    timeline.install(sim)
-    sim.run()
-    assert hits == ["a", "b", "c"]
-
-
-def test_timeline_entry_past_horizon_never_fires():
-    sim = Simulator()
-    hits = []
-    timeline = (
-        Timeline()
-        .at(0.1, lambda: hits.append("in"), label="in")
-        .at(9.0, lambda: hits.append("out"), label="out")
-    )
-    timeline.install(sim)
-    sim.run_until(1.0)
-    assert hits == ["in"]
-    assert timeline.fired == [(0.1, "in")]
-
-
-def test_timeline_negative_time_rejected():
-    with pytest.raises(SimulationError):
-        Timeline().at(-0.5, lambda: None)
-
-
-def test_timeline_install_is_once_only():
-    timeline = Timeline().at(0.1, lambda: None)
-    timeline.install(Simulator())
-    with pytest.raises(SimulationError):
-        timeline.install(Simulator())
-
-
-def test_timeline_frozen_after_install():
-    timeline = Timeline().at(0.1, lambda: None)
-    timeline.install(Simulator())
-    with pytest.raises(SimulationError):
-        timeline.at(0.2, lambda: None)
-
-
-def test_timeline_handles_are_cancellable():
-    sim = Simulator()
-    hits = []
-    timeline = (
-        Timeline()
-        .at(0.1, lambda: hits.append("keep"), label="keep")
-        .at(0.2, lambda: hits.append("drop"), label="drop")
-    )
-    handles = timeline.install(sim)
-    handles[1].cancel()
-    sim.run()
-    assert hits == ["keep"]
-    assert timeline.fired == [(0.1, "keep")]
 
 
 # ----------------------------------------------------------------------

@@ -139,50 +139,3 @@ def test_removed_channel_can_be_recreated_fresh():
     fresh = mux.channel(1)
     assert fresh is not old
     assert not fresh.wired
-
-
-# ---------------------------------------------------------------------------
-# Group-keyed channels: the fleet's sharing point
-# ---------------------------------------------------------------------------
-def test_same_channel_id_distinct_per_group():
-    mux = Multiplexer(lambda m, g=0: None)
-    assert mux.channel(1) is not mux.channel(1, group=7)
-    assert mux.channel(1, group=7) is mux.channel(1, group=7)
-
-
-def test_group_traffic_routed_by_group_key():
-    mux = Multiplexer(lambda m, g=0: None)
-    got_zero, got_seven = [], []
-    mux.channel(1).on_deliver(got_zero.append)
-    mux.channel(1, group=7).on_deliver(got_seven.append)
-    mux.receive(make_msg().with_header("mux", 1, 2), group=7)
-    assert got_zero == []
-    assert len(got_seven) == 1
-
-
-def test_group_send_passes_group_to_bottom():
-    wire = []
-    mux = Multiplexer(lambda m, g=0: wire.append((m, g)))
-    mux.channel(2, group=9).send(make_msg())
-    assert wire[0][1] == 9
-    assert mux.stats.get("tx[g9:2]") == 1
-
-
-def test_remove_channel_is_group_scoped():
-    mux = Multiplexer(lambda m, g=0: None)
-    mux.channel(1).on_deliver(lambda m: None)
-    mux.channel(1, group=7).on_deliver(lambda m: None)
-    mux.remove_channel(1, group=7)
-    # Group 0's channel 1 is untouched.
-    mux.receive(make_msg().with_header("mux", 1, 2))
-    with pytest.raises(StackError, match="unknown mux channel"):
-        mux.receive(make_msg().with_header("mux", 1, 2), group=7)
-
-
-def test_group_channels_lists_only_that_group():
-    mux = Multiplexer(lambda m, g=0: None)
-    mux.channel(1)
-    a = mux.channel(1, group=7)
-    b = mux.channel(2, group=7)
-    assert set(mux.group_channels(7)) == {a, b}
-    assert len(mux.group_channels(0)) == 1

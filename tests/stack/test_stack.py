@@ -1,4 +1,5 @@
-"""Unit tests for process stacks, transport, and group building."""
+"""Unit tests for process stacks and group building (the port they
+send through is tested in ``test_port.py``)."""
 
 import pytest
 
@@ -8,60 +9,8 @@ from repro.net.ptp import PointToPointNetwork
 from repro.protocols.fifo import FifoLayer
 from repro.sim.engine import Simulator
 from repro.stack.membership import Group
+from repro.stack.port import NodePort
 from repro.stack.stack import ProcessStack, build_group
-from repro.stack.transport import Transport
-
-
-class TestTransport:
-    def test_dest_none_multicasts_to_whole_group_including_self(self):
-        sim, stacks, log = ptp_group(3, lambda r: [])
-        stacks[0].cast("m", 10)
-        sim.run()
-        for rank in range(3):
-            assert log.bodies(rank) == ["m"]
-
-    def test_unicast_dest(self):
-        sim, stacks, log = ptp_group(3, lambda r: [])
-        msg = stacks[0].ctx.make_message("u", 10, dest=(2,))
-        stacks[0].transport.send(msg)
-        sim.run()
-        assert log.bodies(0) == []
-        assert log.bodies(1) == []
-        assert log.bodies(2) == ["u"]
-
-    def test_subset_multicast(self):
-        sim, stacks, log = ptp_group(3, lambda r: [])
-        msg = stacks[1].ctx.make_message("s", 10, dest=(0, 2))
-        stacks[1].transport.send(msg)
-        sim.run()
-        assert log.bodies(0) == ["s"]
-        assert log.bodies(1) == []
-        assert log.bodies(2) == ["s"]
-
-    def test_empty_dest_is_noop(self):
-        sim, stacks, log = ptp_group(2, lambda r: [])
-        msg = stacks[0].ctx.make_message("n", 10, dest=())
-        stacks[0].transport.send(msg)
-        sim.run()
-        assert log.bodies(0) == [] and log.bodies(1) == []
-        assert stacks[0].transport.stats.get("empty_dest") == 1
-
-    def test_non_message_payload_rejected(self):
-        sim = Simulator()
-        net = PointToPointNetwork(sim, 2)
-        group = Group.of_size(2)
-        transport = Transport(net, group, 0)
-        transport.on_receive(lambda m: None)
-        other = net.attach(1, lambda p: None)
-        other.unicast(0, "raw-not-a-message", 10)
-        with pytest.raises(StackError):
-            sim.run()
-
-    def test_rank_must_be_in_group(self):
-        sim = Simulator()
-        net = PointToPointNetwork(sim, 3)
-        with pytest.raises(StackError):
-            Transport(net, Group([0, 1]), 2)
 
 
 class TestProcessStack:
@@ -90,7 +39,7 @@ class TestProcessStack:
         sim, stacks, log = ptp_group(2, lambda r: [FifoLayer()])
         assert isinstance(stacks[0].find_layer(FifoLayer), FifoLayer)
         with pytest.raises(StackError):
-            stacks[0].find_layer(Transport)
+            stacks[0].find_layer(NodePort)
 
     def test_can_send_default(self):
         sim, stacks, log = ptp_group(2, lambda r: [FifoLayer()])
