@@ -7,12 +7,12 @@ and the oracle's trace properties on evidence planted through the
 recorder.
 """
 
-import asyncio
 import socket
 
 import pytest
 
 from repro.net.faults import FaultDecision, FaultPlan
+from repro.runtime import AsyncioRuntime
 from repro.stack.membership import Group
 from repro.workloads.session import Session, total_order_specs
 from repro.workloads.switchrun import SwitchRunConfig, run_switch_demo
@@ -23,15 +23,15 @@ SLOTS = ("seq", "tok")
 
 @pytest.fixture
 def loops(monkeypatch):
-    """Every event loop created during the test."""
+    """The event loop of every AsyncioRuntime created during the test."""
     created = []
-    new_event_loop = asyncio.new_event_loop
+    init = AsyncioRuntime.__init__
 
-    def recording():
-        created.append(new_event_loop())
-        return created[-1]
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        created.append(self.loop)
 
-    monkeypatch.setattr(asyncio, "new_event_loop", recording)
+    monkeypatch.setattr(AsyncioRuntime, "__init__", recording)
     return created
 
 
