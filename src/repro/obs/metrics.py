@@ -28,6 +28,8 @@ __all__ = ["DEFAULT_BUCKETS", "Counter", "Histogram", "MetricsRegistry"]
 class Counter:
     """A bag of named monotonic counters: one owner's ``stats``."""
 
+    __slots__ = ("_counts",)
+
     def __init__(self) -> None:
         self._counts: Dict[str, int] = {}
 

@@ -29,8 +29,7 @@ is never told anything and the token free-runs as described above.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import ProtocolError
 from ..obs.metrics import Counter
@@ -74,7 +73,9 @@ class TokenRingLayer(Layer):
         self.max_burst = max_burst
         self.hold_cost = hold_cost
         self.watchdog_timeout = watchdog_timeout
-        self._pending: Deque[Message] = deque()
+        # A list, not a deque: an empty deque costs ~770 B and a fleet
+        # holds thousands of rings, nearly all with nothing pending.
+        self._pending: List[Message] = []
         self._expected = 0
         self._holdback: Dict[int, Message] = {}
         self._last_token_seen = 0.0
@@ -173,8 +174,9 @@ class TokenRingLayer(Layer):
         burst = len(self._pending)
         if self.max_burst is not None:
             burst = min(burst, self.max_burst)
-        for __ in range(burst):
-            msg = self._pending.popleft()
+        batch = self._pending[:burst]
+        del self._pending[:burst]
+        for msg in batch:
             self.stats.incr("multicasts")
             self.send_down(
                 msg.with_header(

@@ -65,9 +65,7 @@ class ProcessStack:
         self._send_callbacks: List[SendCallback] = []
 
         cpu_work = getattr(port.network, "cpu_work", None)
-        bound_cpu = None
-        if cpu_work is not None:
-            bound_cpu = lambda dur, then: cpu_work(rank, dur, then)  # noqa: E731
+        bound_cpu = None if cpu_work is None else partial(cpu_work, rank)
         self.ctx = LayerContext(
             runtime, group, rank, streams, cpu_work=bound_cpu, bus=bus
         )
