@@ -20,7 +20,8 @@ Checks the acceptance contract for ``repro run --trace ... --metrics
   quantiles — one sample carries no distribution — but must still
   report min/max);
 * it carries the components' counters: ``net.sends``/``net.deliveries``
-  (no more deliveries than sends — ``repro run`` injects no
+  (no more deliveries than sends plus ``net.loopback``, the copies a UDP
+  node hands to itself without a datagram — ``repro run`` injects no
   duplicates), ``port.received``, ``sp.initiated``/``sp.globally_complete``
   and ``core.switches_completed``, and exactly one ``switch.duration_s``
   observation per ``sp.globally_complete``;
@@ -157,10 +158,11 @@ def check_counters(counters, duration, problems):
             f"metrics: switch.duration_s has {duration.get('count', 0)} "
             f"observations but sp.globally_complete is {completed}"
         )
-    if counters["net.deliveries"] > counters["net.sends"]:
+    loopback = counters.get("net.loopback", 0)
+    if counters["net.deliveries"] > counters["net.sends"] + loopback:
         problems.append(
             f"metrics: net.deliveries {counters['net.deliveries']} exceeds "
-            f"net.sends {counters['net.sends']}"
+            f"net.sends {counters['net.sends']} + net.loopback {loopback}"
         )
     at_ports = counters["port.received"] + counters.get("port.stray_group", 0)
     if at_ports != counters["net.deliveries"]:

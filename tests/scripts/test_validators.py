@@ -212,6 +212,22 @@ def test_obs_rejects_more_deliveries_than_sends(
     assert "exceeds net.sends" in capsys.readouterr().out
 
 
+def test_obs_accepts_in_process_copies_beyond_sends(
+    obs_artifacts, tmp_path, capsys
+):
+    # A UDP node's copy to itself is a delivery without a datagram.
+    def loop_back_three(counters):
+        counters["net.loopback"] = 3
+        counters["net.deliveries"] = counters["net.sends"] + 3
+        counters["port.received"] = counters["net.deliveries"] - counters.get(
+            "port.stray_group", 0
+        )
+
+    args = broken_counters(obs_artifacts, tmp_path, loop_back_three)
+    assert check_obs.main(["prog", *args]) == 0
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize(
     "edit",
     [
