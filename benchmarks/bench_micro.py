@@ -17,7 +17,6 @@ from repro.protocols.fifo import FifoLayer
 from repro.protocols.reliable import ReliableLayer
 from repro.protocols.sequencer import SequencerLayer
 from repro.protocols.tokenring import TokenRingLayer
-from repro.runtime import SimRuntime
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.stack.membership import Group
@@ -39,29 +38,6 @@ def test_engine_event_throughput(benchmark):
         chain(10_000)
         sim.run()
         return sim.events_processed
-
-    assert benchmark(run) == 10_000
-
-
-def test_runtime_boundary_event_throughput(benchmark):
-    """The same 10k-event chain through the SimRuntime adapter.
-
-    Compare against ``test_engine_event_throughput``: the difference is
-    the whole cost of the runtime boundary (one extra delegating call
-    per schedule), which must stay in the noise.
-    """
-    benchmark.extra_info["runtime"] = SimRuntime.name
-
-    def run():
-        runtime = SimRuntime()
-
-        def chain(n):
-            if n:
-                runtime.schedule(1e-6, lambda: chain(n - 1))
-
-        chain(10_000)
-        runtime.run()
-        return runtime.events_processed
 
     assert benchmark(run) == 10_000
 

@@ -44,7 +44,7 @@ from repro.core.switchable import ProtocolSpec, build_group_handle
 from repro.net.ethernet import EthernetNetwork, EthernetParams
 from repro.protocols.sequencer import SequencerLayer
 from repro.protocols.tokenring import TokenRingLayer
-from repro.runtime.sim_runtime import SimRuntime
+from repro.runtime import Simulator
 from repro.sim.rng import RandomStreams
 from repro.sim.seeding import scale_point_seed, scale_switch_seed
 from repro.stack.batching import BatchingLayer
@@ -141,7 +141,7 @@ def _batching_totals(layers) -> Dict[str, float]:
 def run_point(protocol: str, group_size: int, max_batch: int,
               cfg: ScaleConfig) -> dict:
     """One sweep point: fixed offered load, measure delivered throughput."""
-    runtime = SimRuntime()
+    runtime = Simulator()
     streams = RandomStreams(scale_point_seed(cfg.seed, group_size, max_batch))
     network = EthernetNetwork(runtime, group_size, EthernetParams(), rng=streams)
     group = Group.of_size(group_size)
@@ -195,7 +195,7 @@ def run_point(protocol: str, group_size: int, max_batch: int,
 
 def run_switch_point(max_batch: int, cfg: ScaleConfig) -> dict:
     """A mid-run sequencer->tokenring switch at scale, batched or not."""
-    runtime = SimRuntime()
+    runtime = Simulator()
     streams = RandomStreams(scale_switch_seed(cfg.seed, max_batch))
     group_size = cfg.switch_group_size
     network = EthernetNetwork(runtime, group_size, EthernetParams(), rng=streams)

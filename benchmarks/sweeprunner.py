@@ -2,7 +2,7 @@
 """Parallel sweep runner: fan sweep cells across worker processes.
 
 Both the Figure 2 sweep and the scaling benchmark are grids of
-independent simulated runs — every cell builds its own ``SimRuntime``
+independent simulated runs — every cell builds its own ``Simulator``
 and seeds its RNG purely from the cell parameters.  This runner fans
 those cells across a process pool (``repro.workloads.parallel``) and
 merges the results back in cell-definition order, so the merged JSON

@@ -14,7 +14,7 @@ The package provides:
   virtual synchrony, ...);
 * :mod:`repro.stack` — the Horus-style layered composition framework;
 * :mod:`repro.runtime` — the runtime boundary: simulated virtual time
-  (:class:`SimRuntime`) or a real asyncio/UDP runtime
+  (the :class:`Simulator` itself) or a real asyncio/UDP runtime
   (:class:`AsyncioRuntime`);
 * :mod:`repro.net` / :mod:`repro.sim` — the network models and the
   discrete-event engine;
@@ -46,7 +46,7 @@ from .errors import (
     VerificationError,
 )
 from .net import EthernetNetwork, EthernetParams, FaultPlan, PointToPointNetwork
-from .runtime import AsyncioRuntime, Runtime, SimRuntime, Simulator
+from .runtime import AsyncioRuntime, Runtime, Simulator
 from .sim import RandomStreams
 from .stack import Group, Message, ProcessStack, View, build_group
 from .traces import Trace, TraceRecorder
@@ -78,7 +78,6 @@ __all__ = [
     "PointToPointNetwork",
     "RandomStreams",
     "Runtime",
-    "SimRuntime",
     "AsyncioRuntime",
     "Simulator",
     "Group",

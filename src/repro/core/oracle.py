@@ -211,8 +211,8 @@ class RateMeter:
 
     Args:
         clock: zero-argument callable returning the current time (use the
-            runtime clock, so the meter works identically under SimRuntime
-            and wall time).
+            runtime clock, so the meter works identically on the
+            simulator and on wall time).
         read: zero-argument callable returning the cumulative count.
     """
 
@@ -229,7 +229,7 @@ class RateMeter:
         value = self.read()
         elapsed = now - self._last_time
         if elapsed <= 0:
-            # Same-instant poll (routine under SimRuntime, where many
+            # Same-instant poll (routine on the simulator, where many
             # timers share one tick): no window to rate over.  Keep the
             # baselines — advancing them here would swallow every count
             # accrued since the last real poll, under-reporting the

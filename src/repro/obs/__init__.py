@@ -7,7 +7,7 @@ This package is the measurement layer that backs them up on live runs:
 * :mod:`repro.obs.bus` — a cheap structured-event bus with clock-stamped
   spans.  Timestamps come from the :class:`~repro.runtime.api.Clock`
   interface, so the same instrumentation yields virtual-time traces on
-  :class:`~repro.runtime.sim_runtime.SimRuntime` and wall-clock traces on
+  :class:`~repro.sim.engine.Simulator` and wall-clock traces on
   :class:`~repro.runtime.aio.AsyncioRuntime`.
 * :mod:`repro.obs.metrics` — the :class:`Counter` components count in,
   gauges, and fixed-bucket histograms (p50/p90/p99 summaries),

@@ -7,7 +7,7 @@ or export the recorded event list afterwards (:mod:`repro.obs.export`).
 
 Timestamps come from the :class:`~repro.runtime.api.Clock` interface, so
 the same instrumentation yields deterministic virtual-time traces on
-:class:`~repro.runtime.sim_runtime.SimRuntime` and wall-clock traces on
+:class:`~repro.sim.engine.Simulator` and wall-clock traces on
 :class:`~repro.runtime.aio.AsyncioRuntime` without a single call-site
 changing.
 

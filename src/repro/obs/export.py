@@ -13,7 +13,7 @@ The Chrome trace-event JSON array format is understood by Perfetto
   attempts never visually merge.  Everything else rides track 0.
 
 Timestamps are exported in microseconds (``ts``/``dur``), as the format
-requires: simulated seconds × 1e6 on ``SimRuntime``, wall seconds × 1e6
+requires: simulated seconds × 1e6 on the ``Simulator``, wall seconds × 1e6
 on ``AsyncioRuntime`` — the schema is identical either way.
 """
 

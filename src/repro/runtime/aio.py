@@ -1,6 +1,6 @@
 """The real-time runtime: a :class:`Runtime` over an asyncio event loop.
 
-Where :class:`~repro.runtime.sim_runtime.SimRuntime` advances a virtual
+Where the :class:`~repro.sim.engine.Simulator` advances a virtual
 clock event by event, :class:`AsyncioRuntime` reads the loop's monotonic
 clock (re-based so a fresh runtime starts near ``t=0``, matching the
 simulated convention) and arms timers with ``loop.call_later``.  The
@@ -16,8 +16,11 @@ observability over every stack.
 
 The runtime owns its loop.  Drive it with :meth:`run_for` /
 :meth:`run_until` (synchronous, from outside the loop) or hand a
-coroutine to :meth:`run_task`; :meth:`close` releases the loop and any
-transports registered via :meth:`on_close`.
+coroutine to :meth:`run_task`; :meth:`stop`, called from a callback,
+cancels the run in progress, and :meth:`close` releases the loop and
+any transports registered via :meth:`on_close`.  A timer is asyncio's
+own ``TimerHandle``, and a run arms no timer of its own: an idle loop
+sleeps until the next timer or datagram.
 
 Timer precision: a callback fires at its deadline plus the OS wake-up
 (about 0.1 ms on an idle host), never early.  asyncio's default
@@ -27,7 +30,6 @@ millisecond and a timer armed 0.3 ms ahead fired about 0.9 ms late.
 The runtime's own loop therefore waits on a :class:`_PreciseEpollSelector`:
 the timed wait goes through ``select()`` (microsecond timeout) on the
 epoll fd itself, then the ready events are collected without blocking.
-A loop passed in by the caller keeps whatever selector it was built on.
 """
 
 from __future__ import annotations
@@ -38,9 +40,9 @@ import selectors
 from typing import Any, Awaitable, Callable, List, Optional
 
 from ..errors import SimulationError
-from .api import Runtime, TimerHandle
+from .api import Runtime
 
-__all__ = ["AsyncioTimerHandle", "AsyncioRuntime"]
+__all__ = ["AsyncioRuntime"]
 
 
 if hasattr(selectors, "EpollSelector"):
@@ -65,37 +67,15 @@ else:  # kqueue's (and the proactor's) timed waits are already precise
     _new_loop = asyncio.new_event_loop
 
 
-class AsyncioTimerHandle(TimerHandle):
-    """Wraps an ``asyncio.TimerHandle`` behind the runtime interface."""
-
-    __slots__ = ("_handle", "_cancelled")
-
-    def __init__(self, handle: asyncio.TimerHandle) -> None:
-        self._handle = handle
-        self._cancelled = False
-
-    def cancel(self) -> None:
-        self._cancelled = True
-        self._handle.cancel()
-
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self._cancelled else "pending"
-        return f"<AsyncioTimerHandle {state}>"
-
-
 class AsyncioRuntime(Runtime):
     """Wall-clock runtime on a private asyncio event loop."""
 
     name = "asyncio"
 
-    def __init__(self, loop: Optional[asyncio.AbstractEventLoop] = None) -> None:
-        self._loop = loop if loop is not None else _new_loop()
+    def __init__(self) -> None:
+        self._loop = _new_loop()
         self._epoch = self._loop.time()
-        self._stopped = False
+        self._main: Optional[asyncio.Task] = None  # the run in progress
         self._closed = False
         self._closers: List[Callable[[], None]] = []
 
@@ -114,33 +94,19 @@ class AsyncioRuntime(Runtime):
 
     def schedule(
         self, delay: float, callback: Callable[[], None]
-    ) -> AsyncioTimerHandle:
-        if delay < 0:
-            raise SimulationError(f"cannot schedule {delay:.6f}s in the past")
-        return AsyncioTimerHandle(self._loop.call_later(delay, callback))
+    ) -> asyncio.TimerHandle:
+        if not delay >= 0:  # written so that NaN fails too
+            raise SimulationError(f"cannot schedule {delay!r}s from now (past or NaN)")
+        return self._loop.call_later(delay, callback)
 
     def schedule_at(
         self, time: float, callback: Callable[[], None]
-    ) -> AsyncioTimerHandle:
+    ) -> asyncio.TimerHandle:
+        if time != time:
+            raise SimulationError(f"cannot schedule at t={time!r}")
         # Unlike virtual time, the wall clock moved while the caller
         # computed `time`; clamp instead of raising so "at now" works.
-        return AsyncioTimerHandle(
-            self._loop.call_later(max(0.0, time - self.now), callback)
-        )
-
-    # ------------------------------------------------------------------
-    # Tasks
-    # ------------------------------------------------------------------
-    def spawn(self, task: Any) -> Any:
-        """Schedule a callable soon, or a coroutine as an asyncio task."""
-        if asyncio.iscoroutine(task):
-            return self._loop.create_task(task)
-        if callable(task):
-            return self._loop.call_soon(task)
-        raise SimulationError(
-            f"AsyncioRuntime.spawn needs a callable or coroutine, got "
-            f"{type(task).__name__}"
-        )
+        return self._loop.call_later(max(0.0, time - self.now), callback)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -148,15 +114,7 @@ class AsyncioRuntime(Runtime):
     def run_for(self, duration: float) -> None:
         """Run the loop for ``duration`` wall seconds (synchronous)."""
         self._check_open()
-        self._stopped = False
-
-        async def _sleep() -> None:
-            try:
-                await asyncio.sleep(duration)
-            except asyncio.CancelledError:
-                pass
-
-        self._run(_sleep())
+        self._run(asyncio.sleep(duration))
 
     def run_until(self, time: float) -> None:
         """Run the loop until the runtime clock reaches ``time``."""
@@ -168,31 +126,22 @@ class AsyncioRuntime(Runtime):
         return self._run(coro)
 
     def _run(self, coro: Awaitable[Any]) -> Any:
-        main = self._loop.create_task(
+        self._main = self._loop.create_task(
             coro if asyncio.iscoroutine(coro) else _wrap(coro)
         )
-        # A stop() from inside a callback cancels the driver task.
-        def watch() -> None:
-            nonlocal stopper
-            if self._stopped and not main.done():
-                main.cancel()
-            elif not main.done():
-                stopper = self._loop.call_later(0.01, watch)
-
-        stopper: Optional[asyncio.TimerHandle] = self._loop.call_later(
-            0.01, watch
-        )
         try:
-            return self._loop.run_until_complete(main)
+            return self._loop.run_until_complete(self._main)
         except asyncio.CancelledError:
             return None
         finally:
-            if stopper is not None:
-                stopper.cancel()
+            self._main = None
 
     def stop(self) -> None:
-        """Make the current ``run_*`` return shortly.  Idempotent."""
-        self._stopped = True
+        """End the run in progress now: :meth:`run_for` / :meth:`run_until`
+        return and :meth:`run_task` returns None.  Idempotent, and a no-op
+        while nothing runs."""
+        if self._main is not None:
+            self._main.cancel()
 
     def on_close(self, closer: Callable[[], None]) -> None:
         """Register a resource to tear down in :meth:`close`."""

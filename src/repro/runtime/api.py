@@ -9,14 +9,14 @@ that contract down as an interface:
   number of seconds with an arbitrary epoch.
 * :class:`Scheduler` — arm one-shot timers (``schedule`` /
   ``schedule_at``) returning cancellable :class:`TimerHandle`\\ s.
-* :class:`Runtime` — the full runtime: clock + scheduler + task spawning
-  (``spawn``) + lifecycle (``run_for`` / ``run_until`` / ``stop``).
+* :class:`Runtime` — the full runtime: clock + scheduler + driving
+  (``run_for`` / ``run_until``).
 
 Two implementations ship with the library:
 
-* :class:`~repro.runtime.sim_runtime.SimRuntime` wraps the discrete-event
-  :class:`~repro.sim.engine.Simulator`; time is virtual and runs are
-  bit-for-bit deterministic.
+* the discrete-event :class:`~repro.sim.engine.Simulator` itself is the
+  simulated runtime; time is virtual and runs are bit-for-bit
+  deterministic.
 * :class:`~repro.runtime.aio.AsyncioRuntime` wraps an asyncio event
   loop; time is wall-clock and networks send real UDP datagrams
   (:mod:`repro.net.udp`).
@@ -27,7 +27,7 @@ Two implementations ship with the library:
    They may **not** assume a particular epoch, nor that time only
    advances when an event fires.
 2. Timers are *one-shot* and fire **at or after** their deadline — with
-   equality and FIFO tie-breaking guaranteed only on :class:`SimRuntime`.
+   equality and FIFO tie-breaking guaranteed only on the simulator.
    Repeating behaviour is built by re-arming from the callback.
 3. Callbacks must be non-blocking and must not recurse into ``run_*``.
 4. Two timers armed for the same instant fire in arming order on the
@@ -36,18 +36,17 @@ Two implementations ship with the library:
 5. Everything else — sockets, processes, determinism — belongs to the
    concrete runtime, not to the interface.
 
-The interface is structural on purpose: a bare
-:class:`~repro.sim.engine.Simulator` already satisfies ``Clock`` +
-``Scheduler`` (same ``now`` / ``schedule`` / ``schedule_at`` surface), so
-unit tests can hand an engine straight to a layer or a network model.
-Nothing in ``src/`` does: every run gets its runtime from
-:class:`repro.workloads.session.Session`.
+Both implementations are registered as virtual subclasses (in
+:mod:`repro.runtime`), so neither the engine nor asyncio's handles
+carry an adapter: ``Simulator`` is a ``Runtime``, and ``EventHandle``
+and ``asyncio.TimerHandle`` are both ``TimerHandle``.  Every run in
+``src/`` gets its runtime from :class:`repro.workloads.session.Session`.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Callable
+from typing import Callable
 
 __all__ = ["TimerHandle", "Clock", "Scheduler", "Runtime"]
 
@@ -55,18 +54,13 @@ __all__ = ["TimerHandle", "Clock", "Scheduler", "Runtime"]
 class TimerHandle(ABC):
     """A cancellable reference to a scheduled timer.
 
-    Mirrors :class:`~repro.sim.engine.EventHandle` (which is the
-    simulated implementation of this interface).
+    The simulator's :class:`~repro.sim.engine.EventHandle` and asyncio's
+    own ``TimerHandle`` are the two implementations.
     """
 
     @abstractmethod
     def cancel(self) -> None:
         """Prevent the timer from firing.  Idempotent."""
-
-    @property
-    @abstractmethod
-    def cancelled(self) -> bool:
-        """True once :meth:`cancel` has been called."""
 
 
 class Clock(ABC):
@@ -95,25 +89,15 @@ class Scheduler(Clock):
 
 
 class Runtime(Scheduler):
-    """Clock + scheduler + task spawning + lifecycle.
+    """Clock + scheduler + driving.
 
-    This is the only time/concurrency surface the layered system is
-    allowed to touch; see the module docstring for the contract.
+    This is the only time surface the layered system is allowed to
+    touch; see the module docstring for the contract.
     """
 
     #: Short stable name ("sim", "asyncio") recorded in benchmark and
     #: experiment artifacts so result trajectories stay comparable.
     name = "abstract"
-
-    @abstractmethod
-    def spawn(self, task: Any) -> Any:
-        """Run ``task`` concurrently.
-
-        ``task`` is a zero-argument callable (any runtime) or a
-        coroutine (asyncio runtime only; the simulated runtime rejects
-        coroutines — simulated code is callback-shaped by construction).
-        Returns a runtime-specific handle.
-        """
 
     @abstractmethod
     def run_for(self, duration: float) -> None:
@@ -122,7 +106,3 @@ class Runtime(Scheduler):
     @abstractmethod
     def run_until(self, time: float) -> None:
         """Drive the runtime until ``now`` reaches absolute ``time``."""
-
-    @abstractmethod
-    def stop(self) -> None:
-        """Stop driving events; idempotent.  ``run_*`` returns early."""

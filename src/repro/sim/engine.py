@@ -26,6 +26,12 @@ Usage::
 Handles returned by :meth:`Simulator.schedule` can be cancelled, which is
 how protocol retransmission timers are implemented; a deadline refresh
 is ``handle.cancel()`` followed by a fresh ``schedule``.
+
+The engine is also the simulated runtime: :mod:`repro.runtime` registers
+:class:`Simulator` as a :class:`~repro.runtime.api.Runtime` and
+:class:`EventHandle` as a :class:`~repro.runtime.api.TimerHandle`, and
+``make_runtime("sim")`` returns a fresh engine.  No adapter sits between
+a layer and this queue.
 """
 
 from __future__ import annotations
@@ -89,6 +95,9 @@ class Simulator:
     which the tie-breaking sequence number guarantees.  Callbacks take no
     arguments; bind state with closures or ``functools.partial``.
     """
+
+    #: The runtime registry name (see :func:`repro.runtime.make_runtime`).
+    name = "sim"
 
     #: Compaction triggers once at least this many cancelled entries sit
     #: in the heap AND they outnumber the live ones.  Small enough to

@@ -3,7 +3,7 @@
 A *sweep* (Figure 2, the scaling benchmark) is a grid of independent
 cells — one simulated run per ``(protocol, senders)`` or ``(protocol,
 group_size, max_batch)`` combination.  Each cell builds its own
-:class:`~repro.runtime.sim_runtime.SimRuntime` and seeds its own
+:class:`~repro.sim.engine.Simulator` and seeds its own
 :class:`~repro.sim.rng.RandomStreams` purely from the cell parameters,
 so cells share no state and their results do not depend on execution
 order.  That makes them embarrassingly parallel: this module fans cells

@@ -135,14 +135,14 @@ class TestRateMeter:
         assert meter() == pytest.approx(5.0)
 
     def test_same_instant_poll_does_not_swallow_counts(self):
-        """Regression: two polls at the same instant (routine under
-        SimRuntime, where many timers share one tick) must not advance
+        """Regression: two polls at the same instant (routine on the
+        simulator, where many timers share one tick) must not advance
         the baselines — the zero-width poll returns 0.0 and the next
         real window still sees every count since the last real poll."""
         from repro.core.oracle import RateMeter
-        from repro.runtime import SimRuntime
+        from repro.runtime import Simulator
 
-        runtime = SimRuntime()
+        runtime = Simulator()
         counter = [0.0]
         meter = RateMeter(lambda: runtime.now, lambda: counter[0])
         rates = []
@@ -171,9 +171,9 @@ class TestRateMeter:
         lands after traffic within one tick; advancing the baseline
         there made the next window under-report."""
         from repro.core.oracle import RateMeter
-        from repro.runtime import SimRuntime
+        from repro.runtime import Simulator
 
-        runtime = SimRuntime()
+        runtime = Simulator()
         counter = [0.0]
         meter = RateMeter(lambda: runtime.now, lambda: counter[0])
         rates = []

@@ -12,7 +12,7 @@ from repro.errors import SwitchError
 from repro.net.ptp import PointToPointNetwork
 from repro.protocols.fifo import FifoLayer
 from repro.protocols.sequencer import SequencerLayer
-from repro.runtime.sim_runtime import SimRuntime
+from repro.runtime import Simulator
 from repro.sim.rng import RandomStreams
 from repro.stack.membership import Group
 
@@ -25,7 +25,7 @@ def specs():
 
 
 def make_handle(members=3, auto_start=True, seed=1):
-    runtime = SimRuntime()
+    runtime = Simulator()
     net = PointToPointNetwork(runtime, members)
     handle = build_group_handle(
         runtime,

@@ -9,7 +9,7 @@ from repro.net.ptp import PointToPointNetwork
 from repro.protocols.fifo import FifoLayer
 from repro.protocols.sequencer import SequencerLayer
 from repro.core.switchable import ProtocolSpec
-from repro.runtime.sim_runtime import SimRuntime
+from repro.runtime import Simulator
 
 
 def specs():
@@ -20,7 +20,7 @@ def specs():
 
 
 def make_manager(nodes=3, oracle=None):
-    runtime = SimRuntime()
+    runtime = Simulator()
     net = PointToPointNetwork(runtime, nodes)
     return runtime, GroupManager(runtime, net, oracle=oracle)
 

@@ -304,9 +304,9 @@ class TestSupervisor:
     def test_malformed_telemetry_snapshot_is_a_shard_error(self, edit, reason):
         from repro.obs.bus import Bus
         from repro.obs.telemetry import TelemetryPayload, TelemetryPlane
-        from repro.runtime.sim_runtime import SimRuntime
+        from repro.runtime import Simulator
 
-        runtime = SimRuntime()
+        runtime = Simulator()
         plane = TelemetryPlane(runtime, Bus(clock=runtime, max_events=0))
         plane.watch_group(5, members=3)
         plane.roll()

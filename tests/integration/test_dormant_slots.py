@@ -209,8 +209,7 @@ ORDER_SPLIT = {
 @pytest.mark.xfail(
     strict=True,
     reason="switching under loss can leave members on different "
-    "protocols (ROADMAP: 'A switch with a bound: make switching under "
-    "loss correct, then predictable')",
+    "protocols (ROADMAP item 1(b): 'Suspicion never expires')",
 )
 def test_order_split_schedule():
     check_conservation(ORDER_SPLIT)

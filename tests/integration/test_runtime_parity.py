@@ -2,7 +2,7 @@
 
 Three pins:
 
-1. Two SimRuntime runs at the same seed produce *identical* delivery
+1. Two simulated runs at the same seed produce *identical* delivery
    traces — the boundary preserves the engine's determinism.
 2. The Figure 2 pipeline at a pinned seed reproduces the exact numbers
    captured against the pre-boundary code (bit-for-bit regression
@@ -42,8 +42,8 @@ def test_different_seeds_differ():
 
 # Captured by running this exact configuration against the pre-boundary
 # code (raw Simulator everywhere).  Floats are compared *exactly*: the
-# SimRuntime adapter must be a zero-cost pass-through, so the refactor
-# may not perturb a single event ordering or arithmetic step.
+# runtime boundary may not perturb a single event ordering or
+# arithmetic step.
 PINNED_CONFIG = dict(duration=2.0, warmup=0.5, seed=42)
 PINNED_FIGURE2 = [
     ("sequencer", 2, 5.342429044517706, 5.59599999999949, 8.274818782109339, 1571),

@@ -19,12 +19,12 @@ from repro.obs.bus import (
     set_default_bus,
 )
 from repro.obs.metrics import Counter
-from repro.runtime import SimRuntime
+from repro.runtime import Simulator
 
 
 @pytest.fixture
 def sim_bus():
-    runtime = SimRuntime()
+    runtime = Simulator()
     return runtime, Bus(clock=runtime, enabled=True)
 
 

@@ -19,7 +19,7 @@ from repro.fleet import GroupManager
 from repro.net.ethernet import EthernetParams
 from repro.net.ptp import PointToPointNetwork
 from repro.obs.bus import Bus
-from repro.runtime import SimRuntime
+from repro.runtime import Simulator
 from repro.scenarios.runner import run_scenario
 from repro.testing import ChaosConfig
 from repro.workloads import switchrun
@@ -103,7 +103,7 @@ def test_every_owner_of_a_switch_run_is_reachable(runtime, session_args):
 
 
 def test_fleet_owners_are_reachable_with_group_labels():
-    runtime = SimRuntime()
+    runtime = Simulator()
     network = PointToPointNetwork(runtime, 4)
     bus = Bus(clock=runtime, enabled=True)
     network.instrument(bus)

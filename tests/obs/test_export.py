@@ -21,12 +21,12 @@ from repro.obs.export import (
     write_metrics,
 )
 from repro.obs.metrics import Counter
-from repro.runtime import SimRuntime
+from repro.runtime import Simulator
 
 
 @pytest.fixture
 def bus():
-    runtime = SimRuntime()
+    runtime = Simulator()
     bus = Bus(clock=runtime, enabled=True)
     span = bus.span("switch/prepare", rank=0, switch=[1, 0])
     runtime.run_until(0.004)

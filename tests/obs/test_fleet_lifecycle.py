@@ -14,7 +14,7 @@ from repro.obs.metrics import Counter
 from repro.obs.telemetry import TelemetryConfig, TelemetryPlane
 from repro.protocols.fifo import FifoLayer
 from repro.protocols.sequencer import SequencerLayer
-from repro.runtime.sim_runtime import SimRuntime
+from repro.runtime import Simulator
 
 
 class TestBusScopeNesting:
@@ -57,7 +57,7 @@ class TestBusScopeNesting:
 
 class TestPhaseTrackerReuse:
     def test_generations_accumulate_without_leaking_spans(self):
-        runtime = SimRuntime()
+        runtime = Simulator()
         bus = Bus(clock=runtime, enabled=True)
         tracker = PhaseTracker(bus.scoped(0, 9))
 
@@ -112,7 +112,7 @@ def specs():
 
 class TestFleetLifecycleUnderTelemetry:
     def build(self):
-        runtime = SimRuntime()
+        runtime = Simulator()
         network = PointToPointNetwork(runtime, 3)
         manager = GroupManager(runtime, network)
         bus = Bus(clock=runtime, enabled=True, max_events=0)

@@ -1,15 +1,15 @@
 """The same instrumentation on both runtimes.
 
 The bus stamps from the :class:`Clock` interface, so one set of call
-sites must yield deterministic virtual-time traces on ``SimRuntime`` and
-monotonic wall-clock traces on ``AsyncioRuntime``.  Wall-clock bounds
+sites must yield deterministic virtual-time traces on the ``Simulator``
+and monotonic wall-clock traces on ``AsyncioRuntime``.  Wall-clock bounds
 are generous (CI machines stall) and the runs stay under ~100 ms.
 """
 
 import pytest
 
 from repro.obs.bus import COMPLETE, Bus
-from repro.runtime import AsyncioRuntime, SimRuntime
+from repro.runtime import AsyncioRuntime, Simulator
 
 
 def nested_spans(runtime, bus, dwell):
@@ -31,7 +31,7 @@ def nested_spans(runtime, bus, dwell):
 
 class TestSimRuntime:
     def test_span_durations_are_exact_virtual_time(self):
-        runtime = SimRuntime()
+        runtime = Simulator()
         bus = Bus(clock=runtime, enabled=True)
         nested_spans(runtime, bus, dwell=0.5)
         by_name = {e.name: e for e in bus.events}
@@ -41,7 +41,7 @@ class TestSimRuntime:
 
     def test_trace_is_deterministic_across_runs(self):
         def run():
-            runtime = SimRuntime()
+            runtime = Simulator()
             bus = Bus(clock=runtime, enabled=True)
             nested_spans(runtime, bus, dwell=0.25)
             return [(e.name, e.time, e.dur) for e in bus.events]
@@ -68,7 +68,7 @@ class TestAsyncioRuntime:
 
     def test_schema_matches_sim_runtime(self):
         """Same call sites, same event shape — only the clock differs."""
-        sim = SimRuntime()
+        sim = Simulator()
         sim_bus = Bus(clock=sim, enabled=True)
         nested_spans(sim, sim_bus, dwell=0.01)
 

@@ -18,7 +18,7 @@ from repro.obs.telemetry.aggregate import TelemetrySnapshot
 from repro.obs.telemetry.expo import render_prometheus
 from repro.obs.telemetry.top import load_payload, render_top, run_top
 from repro.records import dump, load
-from repro.runtime.sim_runtime import SimRuntime
+from repro.runtime import Simulator
 
 
 def window(**overrides):
@@ -202,7 +202,7 @@ class FakeOracleRecord:
 
 
 def make_plane(runtime=None, **config):
-    runtime = runtime or SimRuntime()
+    runtime = runtime or Simulator()
     bus = Bus(clock=runtime, enabled=True, max_events=0)
     plane = TelemetryPlane(runtime, bus, TelemetryConfig(**config))
     return runtime, plane

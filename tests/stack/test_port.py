@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import StackError
 from repro.net.ptp import PointToPointNetwork
-from repro.runtime.sim_runtime import SimRuntime
+from repro.runtime import Simulator
 from repro.stack.membership import Group
 from repro.stack.message import Message
 from repro.stack.multiplex import Multiplexer
@@ -13,7 +13,7 @@ from repro.stack.stack import ProcessStack
 
 
 def make_net(nodes=3):
-    runtime = SimRuntime()
+    runtime = Simulator()
     return runtime, PointToPointNetwork(runtime, nodes)
 
 
