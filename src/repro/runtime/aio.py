@@ -96,7 +96,9 @@ class AsyncioRuntime(Runtime):
         self, delay: float, callback: Callable[[], None]
     ) -> asyncio.TimerHandle:
         if not delay >= 0:  # written so that NaN fails too
-            raise SimulationError(f"cannot schedule {delay!r}s from now (past or NaN)")
+            raise SimulationError(
+                f"cannot schedule {delay!r}s from now (past or NaN)"
+            )
         return self._loop.call_later(delay, callback)
 
     def schedule_at(
@@ -137,9 +139,9 @@ class AsyncioRuntime(Runtime):
             self._main = None
 
     def stop(self) -> None:
-        """End the run in progress now: :meth:`run_for` / :meth:`run_until`
-        return and :meth:`run_task` returns None.  Idempotent, and a no-op
-        while nothing runs."""
+        """Cancel the run in progress: :meth:`run_for` / :meth:`run_until`
+        return within two loop turns, and :meth:`run_task` returns None.
+        Idempotent, and a no-op while nothing runs."""
         if self._main is not None:
             self._main.cancel()
 

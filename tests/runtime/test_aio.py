@@ -103,10 +103,9 @@ def test_run_until_advances_to_deadline(runtime):
 
 def test_stop_from_a_callback_interrupts_run_for(runtime):
     # A callback that re-queues itself with call_soon runs once per loop
-    # turn, so it counts the turns the run takes to end after stop().
-    # Cancelling the run's task takes two.  A stop flag polled every
-    # 10 ms let the loop spin for hundreds when, as here, stop() fell
-    # half-way between two polls.
+    # turn, so it counts the turns the run takes to end after stop():
+    # two, to deliver the cancellation and finish the driver task.  A
+    # stop() that waited for a 10 ms poll would spin for hundreds.
     turns = []
 
     def tick():

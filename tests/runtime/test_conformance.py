@@ -10,13 +10,10 @@ and ``tests/runtime/test_aio.py``.
 import pytest
 
 from repro.errors import SimulationError
-from repro.runtime import AsyncioRuntime, Simulator, make_runtime
+from repro.runtime import RUNTIME_NAMES, AsyncioRuntime, Simulator, make_runtime
 from repro.runtime.api import Clock, Runtime, Scheduler, TimerHandle
 
-NAMES = ("sim", "asyncio")
-
-
-@pytest.fixture(params=NAMES)
+@pytest.fixture(params=RUNTIME_NAMES)
 def runtime(request):
     rt = make_runtime(request.param)
     yield rt
