@@ -13,6 +13,7 @@ from repro.errors import SimulationError
 from repro.runtime import RUNTIME_NAMES, AsyncioRuntime, Simulator, make_runtime
 from repro.runtime.api import Clock, Runtime, Scheduler, TimerHandle
 
+
 @pytest.fixture(params=RUNTIME_NAMES)
 def runtime(request):
     rt = make_runtime(request.param)
