@@ -89,6 +89,34 @@ def asyncio_smoke_config(base_port: int) -> FleetConfig:
     )
 
 
+class PassKey:
+    """A record whose verdict field ``passed`` is written under the JSON
+    key ``pass``, a Python keyword."""
+
+    def _json_out(self, data: Dict[str, Any]) -> Dict[str, Any]:
+        data["pass"] = data.pop("passed")
+        return data
+
+    @classmethod
+    def _json_in(cls, data: Dict[str, Any], where: str) -> Dict[str, Any]:
+        if "passed" in data:
+            raise RecordError(f"{where}: unknown keys ['passed']")
+        return {("passed" if k == "pass" else k): v for k, v in data.items()}
+
+
+@dataclass
+class FleetArtifact(PassKey):
+    """``fleet.json``: the run records by runtime name (``sim``, and
+    ``asyncio`` unless skipped), each read by :func:`load_run`, and the
+    verdict over all of them."""
+
+    benchmark: str
+    schema_version: int
+    profile: str
+    runs: Dict[str, Dict[str, Any]]
+    passed: bool
+
+
 @dataclass
 class BenchRun:
     """What a run record adds to its :class:`FleetResult`: the verdict,
@@ -188,15 +216,13 @@ def main(argv: Optional[list] = None) -> int:
         )
 
     passed = all(run["ok"] for run in runs.values())
-    artifact = {
-        "benchmark": "bench_fleet",
-        "schema_version": SCHEMA_VERSION,
-        "profile": profile,
-        "runs": runs,
-        "pass": passed,
-    }
+    artifact = FleetArtifact(
+        "bench_fleet", SCHEMA_VERSION, profile, runs, passed
+    )
     with open(args.out, "w") as handle:
-        json.dump(artifact, handle, indent=2, sort_keys=True, allow_nan=False)
+        json.dump(
+            dump(artifact), handle, indent=2, sort_keys=True, allow_nan=False
+        )
         handle.write("\n")
     print(f"artifact: {args.out}")
 

@@ -37,13 +37,20 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import bench_fleet  # noqa: E402
-from bench_fleet import load_run, outcome_projection  # noqa: E402
+from bench_fleet import (  # noqa: E402
+    FleetArtifact,
+    PassKey,
+    load_run,
+    outcome_projection,
+)
+from repro.errors import RecordError  # noqa: E402
+from repro.records import dump, load  # noqa: E402
 
 SCHEMA_VERSION = 1
 
@@ -52,6 +59,49 @@ SCHEMA_VERSION = 1
 #: Quick: the 64-group smoke's hot groups hash 2:1 across two shards,
 #: so its ideal speedup is ~1.6x; 1.2x proves scaling without flaking.
 SPEEDUP_FLOORS = {"full": 2.5, "quick": 1.2}
+
+
+@dataclass
+class ScalingPoint:
+    """One shard count's cost: the critical path (the busiest shard's
+    CPU seconds), the total, and the speedup over the first count."""
+
+    shards: int
+    critical_path_cpu_s: float
+    total_cpu_s: float
+    wall_s: float
+    delivered: int
+    msgs_per_cpu_s: float
+    speedup: float
+
+
+@dataclass
+class Scaling(PassKey):
+    """The scaling verdict: the speedup at the top shard count against
+    the profile's floor."""
+
+    metric: str
+    points: List[ScalingPoint]
+    speedup_at_max: float
+    floor: float
+    passed: bool
+
+
+@dataclass
+class ShardedArtifact(PassKey):
+    """``fleet_sharded.json``: one run record per shard count (named
+    ``shards{N}``, read by :func:`load_run`), the parity notes, the
+    scaling verdict and the verdict over all of them."""
+
+    benchmark: str
+    schema_version: int
+    profile: str
+    cores: Optional[int]
+    shard_counts: List[int]
+    runs: Dict[str, Dict[str, Any]]
+    parity: Dict[str, Any]
+    scaling: Scaling
+    passed: bool
 
 
 def critical_path_cpu_s(run: Dict[str, Any]) -> float:
@@ -117,43 +167,43 @@ def main(argv: Optional[list] = None) -> int:
     baseline_note = None
     try:
         with open(args.baseline) as handle:
-            baseline = json.load(handle)
-    except (OSError, json.JSONDecodeError):
+            baseline = load(FleetArtifact, json.load(handle), "baseline")
+        sim, __ = load_run(baseline.runs.get("sim"), "baseline sim")
+    except (OSError, ValueError, RecordError):
         baseline = None
         baseline_note = f"baseline {args.baseline!r} not readable; skipped"
     if baseline is not None:
-        if baseline.get("profile") != profile:
+        if baseline.profile != profile:
             baseline_note = (
-                f"baseline profile {baseline.get('profile')!r} != "
-                f"{profile!r}; skipped"
+                f"baseline profile {baseline.profile!r} != {profile!r}; "
+                f"skipped"
             )
         else:
-            sim, __ = load_run(baseline["runs"]["sim"], "baseline sim")
             baseline_parity = outcome_projection(sim) == reference
 
     # ------------------------------------------------------------------
     # Scaling: critical-path CPU seconds per shard count.
     # ------------------------------------------------------------------
     base_cpu = critical_path_cpu_s(runs[f"shards{shard_counts[0]}"])
-    points: List[Dict[str, Any]] = []
+    points: List[ScalingPoint] = []
     for shards in shard_counts:
         run = runs[f"shards{shards}"]
         cpu = critical_path_cpu_s(run)
         points.append(
-            {
-                "shards": shards,
-                "critical_path_cpu_s": round(cpu, 3),
-                "total_cpu_s": round(
+            ScalingPoint(
+                shards=shards,
+                critical_path_cpu_s=round(cpu, 3),
+                total_cpu_s=round(
                     sum(s["cpu_s"] for s in run["shard_stats"]), 3
                 ),
-                "wall_s": run["wall_s"],
-                "delivered": run["delivered"],
-                "msgs_per_cpu_s": round(run["delivered"] / cpu, 1),
-                "speedup": round(base_cpu / cpu, 3),
-            }
+                wall_s=run["wall_s"],
+                delivered=run["delivered"],
+                msgs_per_cpu_s=round(run["delivered"] / cpu, 1),
+                speedup=round(base_cpu / cpu, 3),
+            )
         )
     floor = SPEEDUP_FLOORS[profile]
-    speedup_at_max = points[-1]["speedup"]
+    speedup_at_max = points[-1].speedup
     scaling_ok = speedup_at_max >= floor
 
     verdicts_ok = all(run["ok"] for run in runs.values())
@@ -163,39 +213,38 @@ def main(argv: Optional[list] = None) -> int:
         and baseline_parity is not False
         and scaling_ok
     )
-    artifact = {
-        "benchmark": "bench_fleet_sharded",
-        "schema_version": SCHEMA_VERSION,
-        "profile": profile,
-        "cores": os.cpu_count(),
-        "shard_counts": shard_counts,
-        "runs": runs,
-        "parity": {
+    artifact = ShardedArtifact(
+        benchmark="bench_fleet_sharded",
+        schema_version=SCHEMA_VERSION,
+        profile=profile,
+        cores=os.cpu_count(),
+        shard_counts=shard_counts,
+        runs=runs,
+        parity={
             "self": self_parity,
             "baseline": baseline_parity,
             "baseline_note": baseline_note,
         },
-        "scaling": {
-            "metric": "delivered / max(shard cpu_s)",
-            "points": points,
-            "speedup_at_max": speedup_at_max,
-            "floor": floor,
-            "pass": scaling_ok,
-        },
-        "pass": passed,
-    }
+        scaling=Scaling(
+            "delivered / max(shard cpu_s)", points, speedup_at_max, floor,
+            scaling_ok,
+        ),
+        passed=passed,
+    )
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     with open(args.out, "w") as handle:
-        json.dump(artifact, handle, indent=2, sort_keys=True, allow_nan=False)
+        json.dump(
+            dump(artifact), handle, indent=2, sort_keys=True, allow_nan=False
+        )
         handle.write("\n")
     print(f"artifact: {args.out}")
 
     for point in points:
         print(
-            f"  shards={point['shards']}: critical path "
-            f"{point['critical_path_cpu_s']}s cpu -> "
-            f"{point['msgs_per_cpu_s']:.0f} msgs per cpu-s "
-            f"(speedup {point['speedup']:.2f}x, wall {point['wall_s']}s)"
+            f"  shards={point.shards}: critical path "
+            f"{point.critical_path_cpu_s}s cpu -> "
+            f"{point.msgs_per_cpu_s:.0f} msgs per cpu-s "
+            f"(speedup {point.speedup:.2f}x, wall {point.wall_s}s)"
         )
     print(
         f"parity: self={'ok' if self_parity else 'MISMATCH'} "

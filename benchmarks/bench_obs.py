@@ -16,14 +16,53 @@ that justifies "telemetry is cheap enough to leave on in experiments".
 """
 
 import time
+from dataclasses import dataclass
+from typing import List
 
 from repro.fleet.runner import FleetConfig, run_fleet
 from repro.obs.bus import Bus
+from repro.records import dump
 from repro.workloads.switchrun import SwitchRunConfig, run_switch_demo
 
 PHASES = ("prepare", "switch", "flush")
 OVERHEAD_BUDGET_PCT = 5.0
 OVERHEAD_ROUNDS = 5
+
+
+@dataclass
+class OverheadSettings:
+    """The overhead workload's shape, as the artifact records it."""
+
+    groups: int
+    clients: int
+    duration_s: float
+    rounds: int
+    seed: int
+
+
+@dataclass
+class OverheadLeg:
+    """One leg's timings (best of ``times_s``) and its sim outcome."""
+
+    best_s: float
+    times_s: List[float]
+    delivered: int
+    casts: int
+
+
+@dataclass
+class OverheadArtifact:
+    """``telemetry_overhead.json``: the plane off vs on, and the budget
+    the slowdown is held to."""
+
+    benchmark: str
+    schema_version: int
+    config: OverheadSettings
+    off: OverheadLeg
+    on: OverheadLeg
+    overhead_pct: float
+    threshold_pct: float
+    identical_outcome: bool
 
 
 def test_switch_phase_breakdown(benchmark, report_json):
@@ -49,7 +88,7 @@ def test_switch_phase_breakdown(benchmark, report_json):
     for phase, found in spans.items():
         assert found, f"no complete switch/{phase} span recorded"
 
-    snapshot = bus.metrics.snapshot()
+    snapshot = dump(bus.metrics.snapshot())
     payload = {
         "runtime": result.runtime,
         "seed": result.config.seed,
@@ -136,40 +175,29 @@ def test_telemetry_overhead(benchmark, report_json):
         iterations=1,
     )
 
-    best_off = min(timings["off"])
-    best_on = min(timings["on"])
+    legs = {
+        leg: OverheadLeg(
+            min(timings[leg]), timings[leg], outcomes[leg][0], outcomes[leg][1]
+        )
+        for leg in ("off", "on")
+    }
+    best_off, best_on = legs["off"].best_s, legs["on"].best_s
     overhead_pct = (best_on - best_off) / best_off * 100.0
     identical = (
         outcomes["off"][:3] == outcomes["on"][:3]
         and outcomes["off"][3] == outcomes["on"][3]
     )
-    payload = {
-        "benchmark": "telemetry_overhead",
-        "schema_version": 1,
-        "config": {
-            "groups": 20,
-            "clients": 2_000,
-            "duration_s": 10.0,
-            "rounds": OVERHEAD_ROUNDS,
-            "seed": 9,
-        },
-        "off": {
-            "best_s": best_off,
-            "times_s": timings["off"],
-            "delivered": outcomes["off"][0],
-            "casts": outcomes["off"][1],
-        },
-        "on": {
-            "best_s": best_on,
-            "times_s": timings["on"],
-            "delivered": outcomes["on"][0],
-            "casts": outcomes["on"][1],
-        },
-        "overhead_pct": overhead_pct,
-        "threshold_pct": OVERHEAD_BUDGET_PCT,
-        "identical_outcome": identical,
-    }
-    report_json("telemetry_overhead.json", payload)
+    artifact = OverheadArtifact(
+        benchmark="telemetry_overhead",
+        schema_version=1,
+        config=OverheadSettings(20, 2_000, 10.0, OVERHEAD_ROUNDS, 9),
+        off=legs["off"],
+        on=legs["on"],
+        overhead_pct=overhead_pct,
+        threshold_pct=OVERHEAD_BUDGET_PCT,
+        identical_outcome=identical,
+    )
+    report_json("telemetry_overhead.json", dump(artifact))
 
     assert identical, "telemetry changed the sim outcome"
     assert overhead_pct <= OVERHEAD_BUDGET_PCT, (

@@ -38,12 +38,14 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional
 
+from bench_fleet import PassKey
 from repro.core.switchable import ProtocolSpec, build_group_handle
 from repro.net.ethernet import EthernetNetwork, EthernetParams
 from repro.protocols.sequencer import SequencerLayer
 from repro.protocols.tokenring import TokenRingLayer
+from repro.records import dump
 from repro.runtime import Simulator
 from repro.sim.rng import RandomStreams
 from repro.sim.seeding import scale_point_seed, scale_switch_seed
@@ -97,6 +99,92 @@ class ScaleConfig:
         )
 
 
+@dataclass
+class BatchingTotals:
+    """What a point's batching layers did, summed over the members."""
+
+    batches: int
+    batched_msgs: int
+    mean_batch_size: float
+
+
+@dataclass
+class ScalePoint:
+    """One sweep point: a protocol at a group size and batch setting."""
+
+    protocol: str
+    group_size: int
+    max_batch: int
+    offered_msgs_per_s: float
+    delivered_msgs_per_s: float
+    mean_latency_ms: Optional[float]
+    p90_latency_ms: Optional[float]
+    latency_samples: int
+    wire_frames: int
+    medium_utilization: float
+    rank0_cpu_utilization: float
+    batching: BatchingTotals
+
+
+@dataclass
+class SwitchRun:
+    """One mid-run sequencer->tokenring switch at scale."""
+
+    group_size: int
+    max_batch: int
+    offered_msgs_per_s: float
+    switch_completed: bool
+    switch_duration_ms: Optional[float]
+    settled_at_s: float
+    final_protocols: List[str]
+    all_on_target: bool
+    members_agree_on_delivery_count: bool
+    delivered_per_member: int
+
+
+@dataclass
+class Acceptance(PassKey):
+    """The batching verdict at the largest eligible group (``group_size``
+    None when the sweep had none)."""
+
+    criterion: str
+    group_size: Optional[int] = None
+    unbatched_msgs_per_s: Optional[float] = None
+    best_batched_msgs_per_s: Optional[float] = None
+    best_max_batch: Optional[int] = None
+    speedup: Optional[float] = None
+    passed: bool = False
+
+
+@dataclass
+class ScaleSettings:
+    """The sweep parameters the artifact records."""
+
+    group_sizes: List[int]
+    batch_sizes: List[int]
+    offered_msgs_per_s: float
+    active_senders: int
+    body_size: int
+    duration_s: float
+    warmup_s: float
+    linger_s: float
+    order_cost_s: float
+    seed: int
+
+
+@dataclass
+class ScaleArtifact:
+    """``scale.json``: the sweep, its switch runs and the verdict."""
+
+    benchmark: str
+    schema_version: int
+    quick: bool
+    config: ScaleSettings
+    points: List[ScalePoint]
+    switch_runs: List[SwitchRun]
+    acceptance: Acceptance
+
+
 def _data_layers(protocol: str, max_batch: int, cfg: ScaleConfig) -> List[Layer]:
     """One member's top-to-bottom data stack for a sweep point."""
     layers: List[Layer] = []
@@ -128,18 +216,14 @@ def _start_senders(runtime, stacks, group, cfg: ScaleConfig, offered: float):
     return senders
 
 
-def _batching_totals(layers) -> Dict[str, float]:
+def _batching_totals(layers) -> BatchingTotals:
     batches = sum(l.stats.get("batches") for l in layers)
     msgs = sum(l.stats.get("batched_msgs") for l in layers)
-    return {
-        "batches": batches,
-        "batched_msgs": msgs,
-        "mean_batch_size": (msgs / batches) if batches else 0.0,
-    }
+    return BatchingTotals(batches, msgs, (msgs / batches) if batches else 0.0)
 
 
 def run_point(protocol: str, group_size: int, max_batch: int,
-              cfg: ScaleConfig) -> dict:
+              cfg: ScaleConfig) -> ScalePoint:
     """One sweep point: fixed offered load, measure delivered throughput."""
     runtime = Simulator()
     streams = RandomStreams(scale_point_seed(cfg.seed, group_size, max_batch))
@@ -177,23 +261,27 @@ def run_point(protocol: str, group_size: int, max_batch: int,
         if s.layers and isinstance(s.layers[0], BatchingLayer)
     ]
     has_samples = probe.latency.count > 0
-    return {
-        "protocol": protocol,
-        "group_size": group_size,
-        "max_batch": max_batch,
-        "offered_msgs_per_s": cfg.offered,
-        "delivered_msgs_per_s": round(throughput, 2),
-        "mean_latency_ms": round(probe.mean_ms, 3) if has_samples else None,
-        "p90_latency_ms": round(probe.quantile_ms(0.90), 3) if has_samples else None,
-        "latency_samples": probe.latency.count,
-        "wire_frames": network.medium.transmissions,
-        "medium_utilization": round(network.medium.utilization(cfg.duration), 4),
-        "rank0_cpu_utilization": round(network.cpus[0].utilization(cfg.duration), 4),
-        "batching": _batching_totals(batchers),
-    }
+    return ScalePoint(
+        protocol=protocol,
+        group_size=group_size,
+        max_batch=max_batch,
+        offered_msgs_per_s=cfg.offered,
+        delivered_msgs_per_s=round(throughput, 2),
+        mean_latency_ms=round(probe.mean_ms, 3) if has_samples else None,
+        p90_latency_ms=(
+            round(probe.quantile_ms(0.90), 3) if has_samples else None
+        ),
+        latency_samples=probe.latency.count,
+        wire_frames=network.medium.transmissions,
+        medium_utilization=round(network.medium.utilization(cfg.duration), 4),
+        rank0_cpu_utilization=round(
+            network.cpus[0].utilization(cfg.duration), 4
+        ),
+        batching=_batching_totals(batchers),
+    )
 
 
-def run_switch_point(max_batch: int, cfg: ScaleConfig) -> dict:
+def run_switch_point(max_batch: int, cfg: ScaleConfig) -> SwitchRun:
     """A mid-run sequencer->tokenring switch at scale, batched or not."""
     runtime = Simulator()
     streams = RandomStreams(scale_switch_seed(cfg.seed, max_batch))
@@ -249,70 +337,61 @@ def run_switch_point(max_batch: int, cfg: ScaleConfig) -> dict:
 
     finals = {stacks[r].current_protocol for r in group}
     counts = set(delivered.values())
-    return {
-        "group_size": group_size,
-        "max_batch": max_batch,
-        "offered_msgs_per_s": cfg.switch_offered,
-        "switch_completed": manager.core.switches_completed >= 1,
-        "switch_duration_ms": round(durations[0] * 1e3, 3) if durations else None,
-        "settled_at_s": round(runtime.now, 3),
-        "final_protocols": sorted(finals),
-        "all_on_target": finals == {"tokenring"},
-        "members_agree_on_delivery_count": len(counts) == 1,
-        "delivered_per_member": min(counts),
-    }
+    return SwitchRun(
+        group_size=group_size,
+        max_batch=max_batch,
+        offered_msgs_per_s=cfg.switch_offered,
+        switch_completed=manager.core.switches_completed >= 1,
+        switch_duration_ms=(
+            round(durations[0] * 1e3, 3) if durations else None
+        ),
+        settled_at_s=round(runtime.now, 3),
+        final_protocols=sorted(finals),
+        all_on_target=finals == {"tokenring"},
+        members_agree_on_delivery_count=len(counts) == 1,
+        delivered_per_member=min(counts),
+    )
 
 
-def evaluate_acceptance(points: List[dict]) -> dict:
+def evaluate_acceptance(points: List[ScalePoint]) -> Acceptance:
     """Batched vs. unbatched sequencer at the largest group >= 50."""
     eligible = [
-        p for p in points
-        if p["protocol"] == "sequencer" and p["group_size"] >= 50
+        p for p in points if p.protocol == "sequencer" and p.group_size >= 50
     ]
-    verdict = {
-        "criterion": (
-            "batched sequencer delivers >= 2x the unbatched throughput "
-            "at a group of >= 50 on the sim runtime"
-        ),
-        "group_size": None,
-        "unbatched_msgs_per_s": None,
-        "best_batched_msgs_per_s": None,
-        "best_max_batch": None,
-        "speedup": None,
-        "pass": False,
-    }
-    for size in sorted({p["group_size"] for p in eligible}, reverse=True):
-        at_size = [p for p in eligible if p["group_size"] == size]
-        base = [p for p in at_size if p["max_batch"] == 1]
-        batched = [p for p in at_size if p["max_batch"] > 1]
+    verdict = Acceptance(
+        "batched sequencer delivers >= 2x the unbatched throughput "
+        "at a group of >= 50 on the sim runtime"
+    )
+    for size in sorted({p.group_size for p in eligible}, reverse=True):
+        at_size = [p for p in eligible if p.group_size == size]
+        base = [p for p in at_size if p.max_batch == 1]
+        batched = [p for p in at_size if p.max_batch > 1]
         if not base or not batched:
             continue
-        best = max(batched, key=lambda p: p["delivered_msgs_per_s"])
-        unbatched = base[0]["delivered_msgs_per_s"]
+        best = max(batched, key=lambda p: p.delivered_msgs_per_s)
+        unbatched = base[0].delivered_msgs_per_s
         # No unbatched throughput leaves the speedup undefined: null.
-        speedup = best["delivered_msgs_per_s"] / unbatched if unbatched else None
-        verdict.update(
-            group_size=size,
-            unbatched_msgs_per_s=unbatched,
-            best_batched_msgs_per_s=best["delivered_msgs_per_s"],
-            best_max_batch=best["max_batch"],
-            speedup=None if speedup is None else round(speedup, 3),
-        )
-        verdict["pass"] = speedup is not None and speedup >= 2.0
+        speedup = best.delivered_msgs_per_s / unbatched if unbatched else None
+        verdict.group_size = size
+        verdict.unbatched_msgs_per_s = unbatched
+        verdict.best_batched_msgs_per_s = best.delivered_msgs_per_s
+        verdict.best_max_batch = best.max_batch
+        verdict.speedup = None if speedup is None else round(speedup, 3)
+        verdict.passed = speedup is not None and speedup >= 2.0
         break
     return verdict
 
 
-def _row(p: dict) -> str:
+def _row(p: ScalePoint) -> str:
     lat = (
-        f"mean={p['mean_latency_ms']:8.2f}ms p90={p['p90_latency_ms']:8.2f}ms"
-        if p["mean_latency_ms"] is not None
+        f"mean={p.mean_latency_ms:8.2f}ms p90={p.p90_latency_ms:8.2f}ms"
+        if p.mean_latency_ms is not None
         else "no latency samples"
     )
     return (
-        f"{p['protocol']:<10} n={p['group_size']:<4} B={p['max_batch']:<3} "
-        f"delivered={p['delivered_msgs_per_s']:8.1f}/s {lat} "
-        f"frames={p['wire_frames']:<6} medium={p['medium_utilization']:.0%}"
+        f"{p.protocol:<10} n={p.group_size:<4} B={p.max_batch:<3} "
+        f"delivered={p.delivered_msgs_per_s:8.1f}/s {lat} "
+        f"frames={p.wire_frames:<6} medium={p.medium_utilization:.0%}"
     )
 
 
@@ -363,50 +442,48 @@ def main(argv=None) -> int:
         run = run_switch_point(batch, cfg)
         switch_runs.append(run)
         print(
-            f"switch     n={run['group_size']:<4} B={run['max_batch']:<3} "
-            f"completed={run['switch_completed']} "
-            f"duration={run['switch_duration_ms']}ms "
-            f"settled_at={run['settled_at_s']}s",
+            f"switch     n={run.group_size:<4} B={run.max_batch:<3} "
+            f"completed={run.switch_completed} "
+            f"duration={run.switch_duration_ms}ms "
+            f"settled_at={run.settled_at_s}s",
             flush=True,
         )
 
     verdict = evaluate_acceptance(points)
-    artifact = {
-        "benchmark": "bench_scale",
-        "schema_version": SCHEMA_VERSION,
-        "quick": bool(args.quick),
-        "config": {
-            "group_sizes": cfg.group_sizes,
-            "batch_sizes": cfg.batch_sizes,
-            "offered_msgs_per_s": cfg.offered,
-            "active_senders": cfg.active_senders,
-            "body_size": cfg.body_size,
-            "duration_s": cfg.duration,
-            "warmup_s": cfg.warmup,
-            "linger_s": cfg.linger,
-            "order_cost_s": cfg.order_cost,
-            "seed": cfg.seed,
-        },
-        "points": points,
-        "switch_runs": switch_runs,
-        "acceptance": verdict,
-    }
+    config = ScaleSettings(
+        group_sizes=cfg.group_sizes,
+        batch_sizes=cfg.batch_sizes,
+        offered_msgs_per_s=cfg.offered,
+        active_senders=cfg.active_senders,
+        body_size=cfg.body_size,
+        duration_s=cfg.duration,
+        warmup_s=cfg.warmup,
+        linger_s=cfg.linger,
+        order_cost_s=cfg.order_cost,
+        seed=cfg.seed,
+    )
+    artifact = ScaleArtifact(
+        "bench_scale", SCHEMA_VERSION, bool(args.quick), config, points,
+        switch_runs, verdict,
+    )
     with open(out, "w") as handle:
-        json.dump(artifact, handle, indent=2, sort_keys=True, allow_nan=False)
+        json.dump(
+            dump(artifact), handle, indent=2, sort_keys=True, allow_nan=False
+        )
         handle.write("\n")
 
     print(f"\nartifact: {out}")
-    if verdict["group_size"] is None:
+    if verdict.group_size is None:
         print("acceptance: sweep had no >=50 group with both batch settings")
         return 1
     print(
-        f"acceptance: n={verdict['group_size']} sequencer "
-        f"{verdict['unbatched_msgs_per_s']}/s unbatched vs "
-        f"{verdict['best_batched_msgs_per_s']}/s at B="
-        f"{verdict['best_max_batch']} -> {verdict['speedup']}x "
-        f"({'PASS' if verdict['pass'] else 'FAIL'})"
+        f"acceptance: n={verdict.group_size} sequencer "
+        f"{verdict.unbatched_msgs_per_s}/s unbatched vs "
+        f"{verdict.best_batched_msgs_per_s}/s at B="
+        f"{verdict.best_max_batch} -> {verdict.speedup}x "
+        f"({'PASS' if verdict.passed else 'FAIL'})"
     )
-    return 0 if verdict["pass"] else 1
+    return 0 if verdict.passed else 1
 
 
 if __name__ == "__main__":

@@ -34,6 +34,7 @@ from typing import Any, Dict, List
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import bench_scale  # noqa: E402
+from repro.records import dump  # noqa: E402
 from repro.workloads.experiment import Figure2Config  # noqa: E402
 from repro.workloads.parallel import (  # noqa: E402
     default_workers,
@@ -68,7 +69,7 @@ def scale_cells(cfg: bench_scale.ScaleConfig) -> List[Dict[str, Any]]:
     return cells
 
 
-def run_scale_cell(cell: Dict[str, Any]) -> dict:
+def run_scale_cell(cell: Dict[str, Any]) -> Any:
     """One scale cell; the executor's (picklable) worker function."""
     cfg = cell["cfg"]
     if cell["kind"] == "point":
@@ -170,14 +171,13 @@ def run_scale(args: argparse.Namespace, workers: int) -> Dict[str, Any]:
             "warmup_s": cfg.warmup,
             "seed": cfg.seed,
         },
-        "points": points,
-        "switch_runs": switch_runs,
-        "acceptance": bench_scale.evaluate_acceptance(points),
+        "points": dump(points),
+        "switch_runs": dump(switch_runs),
+        "acceptance": dump(bench_scale.evaluate_acceptance(points)),
     }
 
 
 def run_scenarios(args: argparse.Namespace, workers: int) -> Dict[str, Any]:
-    from repro.records import dump
     from repro.scenarios import load_catalog
     from repro.scenarios.runner import (
         ScenarioSuite,
@@ -198,7 +198,6 @@ def run_scenarios(args: argparse.Namespace, workers: int) -> Dict[str, Any]:
 
 
 def chaos_suite(args: argparse.Namespace, workers: int) -> Dict[str, Any]:
-    from repro.records import dump
     from repro.scenarios.runner import ScenarioSuite, run_scenario_cell
 
     seeds = (

@@ -7,8 +7,10 @@ Usage::
     python scripts/check_fleet.py benchmarks/results/fleet_sharded.json \\
         [benchmarks/results/fleet.json]
 
-Dispatches on the artifact's ``benchmark`` name.  For the shard-scaling
-artifact (``benchmarks/bench_fleet_sharded.py``) it additionally checks:
+Dispatches on the artifact's ``benchmark`` name and reads the artifact
+closed as that bench's record (``ShardedArtifact`` or
+``FleetArtifact``).  For the shard-scaling artifact
+(``benchmarks/bench_fleet_sharded.py``) it additionally checks:
 
 * every ``shardsN`` run meets the same contract as the in-process sim
   run, plus per-shard stats (positive cpu/wall per worker, worker count
@@ -24,9 +26,8 @@ artifact (``benchmarks/bench_fleet_sharded.py``) it additionally checks:
 For the plain fleet artifact it checks the acceptance contract for
 ``benchmarks/bench_fleet.py``:
 
-* top level carries the ``bench_fleet`` schema: benchmark name, integer
-  schema version, a ``full``/``quick`` profile, per-run records, and a
-  passing top-level verdict;
+* the benchmark is ``bench_fleet``, the profile ``full`` or ``quick``,
+  the runs are named by runtime, and the top-level verdict passes;
 * the ``sim`` run is present and meets the profile's scale floor —
   ``full`` artifacts must cover >= 1000 groups and >= 100000 simulated
   clients (the tentpole claim), ``quick`` ones >= 16 groups;
@@ -53,9 +54,13 @@ for _path in (str(_HERE), str(_HERE.parent / "benchmarks")):
     if _path not in sys.path:
         sys.path.insert(0, _path)
 
-from _lib import ArtifactError, load_artifact, report_problems, usage
-from bench_fleet import load_run, outcome_projection
+from typing import Any, Dict
+
+from _lib import ArtifactError, read_record, report_problems, usage
+from bench_fleet import FleetArtifact, load_run, outcome_projection
+from bench_fleet_sharded import ShardedArtifact
 from repro.errors import RecordError
+from repro.records import load
 
 PROTOCOLS = {"sequencer", "tokenring"}
 
@@ -161,26 +166,53 @@ def check_sharded_stats(name, result, problems):
             f"shards"
         )
         return
-    if sum(s.get("groups", 0) for s in stats) != result.groups:
+    if sum(s.groups for s in stats) != result.groups:
         problems.append(f"{name}: shard group counts do not sum to the fleet")
-    if sum(s.get("delivered", 0) for s in stats) != result.delivered:
+    if sum(s.delivered for s in stats) != result.delivered:
         problems.append(f"{name}: shard delivered does not sum to the fleet")
     for stat in stats:
-        sid = stat.get("shard", "?")
-        if not stat.get("cpu_s", 0) > 0 or not stat.get("wall_s", 0) > 0:
+        if not (stat.cpu_s > 0 and stat.wall_s > 0):
             problems.append(
-                f"{name}: shard {sid} reports non-positive cpu/wall"
+                f"{name}: shard {stat.shard} reports non-positive cpu/wall"
             )
 
 
+def check_baseline(baseline_path, profile, projection, problems):
+    """The in-process artifact's ``sim`` outcome must be the sharded
+    runs' common outcome."""
+    try:
+        baseline = read_record(
+            baseline_path, FleetArtifact, "baseline", problems
+        )
+    except ArtifactError as exc:
+        problems.append(f"baseline: {exc}")
+        return
+    if baseline is None:
+        return
+    if baseline.profile != profile:
+        problems.append(
+            f"baseline profile {baseline.profile!r} does not match "
+            f"{profile!r}"
+        )
+        return
+    try:
+        sim, __ = load_run(baseline.runs.get("sim"), "baseline sim")
+    except RecordError as exc:
+        problems.append(f"baseline: {exc}")
+        return
+    if outcome_projection(sim) != projection:
+        problems.append(
+            "shards=1 outcomes differ from the in-process baseline"
+        )
+
+
 def check_sharded(artifact, baseline_path, problems):
-    profile = artifact.get("profile")
+    profile, counts, runs = artifact.profile, artifact.shard_counts, artifact.runs
     if profile not in ("full", "quick"):
         problems.append(f"unknown profile {profile!r}")
         return {}
-    counts = artifact.get("shard_counts")
-    if not isinstance(counts, list) or not counts:
-        problems.append("shard_counts missing or empty")
+    if not counts:
+        problems.append("shard_counts empty")
         return {}
     floor = SHARDED_MAX_SHARDS_FLOOR[profile]
     if max(counts) < floor:
@@ -188,10 +220,6 @@ def check_sharded(artifact, baseline_path, problems):
             f"sweep tops out at {max(counts)} shards; the {profile} "
             f"profile must reach {floor}"
         )
-    runs = artifact.get("runs")
-    if not isinstance(runs, dict):
-        problems.append("runs: missing")
-        return {}
     names = [f"shards{shards}" for shards in counts]
     for name in sorted(set(runs) - set(names)):
         problems.append(f"runs: {name!r} is not in shard_counts")
@@ -216,78 +244,46 @@ def check_sharded(artifact, baseline_path, problems):
         problems.append(
             "outcomes differ across shard counts (partition parity broken)"
         )
-    if baseline_path is not None:
-        try:
-            baseline = load_artifact(baseline_path)
-        except ArtifactError as exc:
-            problems.append(f"baseline: {exc}")
-            baseline = None
-        if baseline is not None:
-            if baseline.get("profile") != profile:
-                problems.append(
-                    f"baseline profile {baseline.get('profile')!r} does not "
-                    f"match {profile!r}"
-                )
-            elif projections:
-                try:
-                    sim, __ = load_run(
-                        baseline.get("runs", {}).get("sim"), "baseline sim"
-                    )
-                except RecordError as exc:
-                    problems.append(f"baseline: {exc}")
-                else:
-                    if outcome_projection(sim) != next(
-                        iter(projections.values())
-                    ):
-                        problems.append(
-                            "shards=1 outcomes differ from the in-process "
-                            "baseline"
-                        )
+    if baseline_path is not None and projections:
+        check_baseline(
+            baseline_path, profile, next(iter(projections.values())), problems
+        )
 
-    scaling = artifact.get("scaling")
-    if not isinstance(scaling, dict):
-        problems.append("scaling: missing")
+    by_shards = {point.shards: point for point in artifact.scaling.points}
+    base = by_shards.get(min(counts))
+    top = by_shards.get(max(counts))
+    if base is None or top is None:
+        problems.append("scaling: points missing the sweep endpoints")
     else:
+        # Recompute the speedup from the recorded critical paths.
+        speedup = base.critical_path_cpu_s / top.critical_path_cpu_s
         speedup_floor = SHARDED_SPEEDUP_FLOORS[profile]
-        points = scaling.get("points", [])
-        by_shards = {p.get("shards"): p for p in points}
-        base = by_shards.get(min(counts))
-        top = by_shards.get(max(counts))
-        if base is None or top is None:
-            problems.append("scaling: points missing the sweep endpoints")
-        else:
-            # Recompute the speedup from the recorded critical paths.
-            speedup = (
-                base["critical_path_cpu_s"] / top["critical_path_cpu_s"]
+        if speedup < speedup_floor:
+            problems.append(
+                f"scaling: {speedup:.2f}x at {max(counts)} shards is "
+                f"below the {profile}-profile floor of {speedup_floor}x"
             )
-            if speedup < speedup_floor:
-                problems.append(
-                    f"scaling: {speedup:.2f}x at {max(counts)} shards is "
-                    f"below the {profile}-profile floor of {speedup_floor}x"
-                )
-    if artifact.get("pass") is not True:
+    if not artifact.passed:
         problems.append("top-level verdict did not pass")
     return results
 
 
 def main_sharded(artifact, baseline_path):
     problems = []
-    if not isinstance(artifact.get("schema_version"), int):
-        problems.append("schema_version missing or non-integer")
     results = check_sharded(artifact, baseline_path, problems)
     if report_problems(problems):
         return 1
-    for shards in artifact["shard_counts"]:
+    for shards in artifact.shard_counts:
         result = results[f"shards{shards}"]
-        cpu = max(s["cpu_s"] for s in result.shard_stats)
+        cpu = max(s.cpu_s for s in result.shard_stats)
         print(
             f"sharded: {shards} shards -> critical path {cpu:.2f}s cpu, "
             f"{result.delivered / cpu:.0f} msgs per cpu-s"
         )
-    scaling = artifact["scaling"]
+    scaling = artifact.scaling
     print(
-        f"sharded: speedup {scaling['speedup_at_max']:.2f}x at "
-        f"{max(artifact['shard_counts'])} shards (floor {scaling['floor']}x)"
+        f"sharded: speedup {scaling.speedup_at_max:.2f}x at "
+        f"{max(artifact.shard_counts)} shards (floor {scaling.floor}x)"
     )
     print("all sharded-fleet checks passed")
     return 0
@@ -296,34 +292,39 @@ def main_sharded(artifact, baseline_path):
 def main(argv):
     if len(argv) not in (2, 3):
         return usage(__doc__)
+    problems = []
     try:
-        artifact = load_artifact(argv[1])
+        image = read_record(argv[1], Dict[str, Any], "artifact", problems)
     except ArtifactError as exc:
         print(exc)
         return 1
-    if artifact.get("benchmark") == "bench_fleet_sharded":
+    if image is None:
+        return report_problems(problems)
+    sharded = image.get("benchmark") == "bench_fleet_sharded"
+    try:
+        artifact = load(
+            ShardedArtifact if sharded else FleetArtifact, image, "artifact"
+        )
+    except RecordError as exc:
+        return report_problems([str(exc)])
+    if sharded:
         return main_sharded(artifact, argv[2] if len(argv) == 3 else None)
     if len(argv) == 3:
         return usage(__doc__)
-    problems = []
-    if artifact.get("benchmark") != "bench_fleet":
-        problems.append(f"benchmark name is {artifact.get('benchmark')!r}")
-    if not isinstance(artifact.get("schema_version"), int):
-        problems.append("schema_version missing or non-integer")
-    profile = artifact.get("profile")
-    if profile not in ("full", "quick"):
-        problems.append(f"unknown profile {profile!r}")
-    runs = artifact.get("runs")
-    if not isinstance(runs, dict) or "sim" not in runs:
+    if artifact.benchmark != "bench_fleet":
+        problems.append(f"benchmark name is {artifact.benchmark!r}")
+    if artifact.profile not in ("full", "quick"):
+        problems.append(f"unknown profile {artifact.profile!r}")
+    runs = artifact.runs
+    if "sim" not in runs:
         problems.append("runs: missing the required 'sim' run")
-        runs = {}
     results = {}
     for name in sorted(runs):
         if name not in ("sim", "asyncio"):
             problems.append(f"runs: unknown runtime {name!r}")
             continue
-        results[name] = check_run(name, runs[name], profile, problems)
-    if artifact.get("pass") is not True:
+        results[name] = check_run(name, runs[name], artifact.profile, problems)
+    if not artifact.passed:
         problems.append("top-level verdict did not pass")
 
     if report_problems(problems):

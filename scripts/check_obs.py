@@ -8,17 +8,19 @@ Usage::
 Checks the acceptance contract for ``repro run --trace ... --metrics
 ...`` (either runtime):
 
-* the trace file is a Chrome trace-event JSON **array** whose records
-  all carry ``name``/``ph``/``pid``/``tid``/``ts``, with ``dur`` on
-  complete spans — the shape Perfetto actually loads;
+* the trace file is a Chrome trace-event JSON **array** read closed as
+  ``TraceEvent`` records (``repro.obs.export``): ``name``/``ph``/``ts``/
+  ``pid``/``tid``/``args``, with ``dur`` on every complete span — the
+  shape Perfetto actually loads;
 * it contains at least one complete span for each switch phase
   (``switch/prepare``, ``switch/switch``, ``switch/flush``) and for
   ``switch/total``;
-* the metrics file carries the switch-duration histogram plus the
-  per-phase histograms, each with p50/p90/p99 percentiles once it has
-  two or more observations (single-sample histograms legitimately omit
-  quantiles — one sample carries no distribution — but must still
-  report min/max);
+* the metrics file reads closed as a ``MetricsSnapshot``
+  (``repro.obs.metrics``) and carries the switch-duration histogram
+  plus the per-phase histograms, each with p50/p90/p99 percentiles
+  once it has two or more observations (single-sample histograms
+  legitimately omit quantiles — one sample carries no distribution —
+  but must still report min/max);
 * it carries the components' counters: ``net.sends``/``net.deliveries``
   (no more deliveries than sends plus ``net.loopback``, the copies a UDP
   node hands to itself without a datagram — ``repro run`` injects no
@@ -34,12 +36,15 @@ Exit code 0 when every check passes, 1 with a report otherwise.
 
 import sys
 from pathlib import Path
+from typing import List
 
 _SCRIPTS = str(Path(__file__).resolve().parent)
 if _SCRIPTS not in sys.path:
     sys.path.insert(0, _SCRIPTS)
 
-from _lib import ArtifactError, load_artifact, report_problems, usage
+from _lib import ArtifactError, read_record, report_problems, usage
+from repro.obs.export import TraceEvent
+from repro.obs.metrics import MetricsSnapshot
 
 PHASE_SPANS = (
     "switch/prepare",
@@ -47,7 +52,6 @@ PHASE_SPANS = (
     "switch/flush",
     "switch/total",
 )
-REQUIRED_KEYS = {"name", "ph", "pid", "tid", "ts"}
 PERCENTILES = ("p50", "p90", "p99")
 REQUIRED_COUNTERS = (
     "net.sends",
@@ -61,34 +65,25 @@ REQUIRED_COUNTERS = (
 
 def check_trace(path, problems):
     try:
-        records = load_artifact(path, list)
+        records = read_record(path, List[TraceEvent], "trace", problems)
     except ArtifactError as exc:
         problems.append(f"trace: {exc}")
+        return
+    if records is None:
         return
     if not records:
         problems.append("trace: empty record array")
         return
 
     spans = {name: 0 for name in PHASE_SPANS}
-    for index, record in enumerate(records):
-        if not isinstance(record, dict):
-            problems.append(f"trace: record {index} is not an object")
-            continue
-        missing = REQUIRED_KEYS - set(record)
-        if missing:
-            problems.append(
-                f"trace: record {index} missing keys {sorted(missing)}"
-            )
-            continue
-        if not isinstance(record["ts"], (int, float)):
-            problems.append(f"trace: record {index} has non-numeric ts")
-        if record["ph"] == "X":
-            if "dur" not in record:
+    for record in records:
+        if record.ph == "X":
+            if record.dur is None:
                 problems.append(
-                    f"trace: complete span {record['name']!r} has no dur"
+                    f"trace: complete span {record.name!r} has no dur"
                 )
-            elif record["name"] in spans:
-                spans[record["name"]] += 1
+            elif record.name in spans:
+                spans[record.name] += 1
 
     for name, count in spans.items():
         if count < 1:
@@ -100,62 +95,58 @@ def check_trace(path, problems):
 
 def check_metrics(path, problems):
     try:
-        snapshot = load_artifact(path)
+        snapshot = read_record(path, MetricsSnapshot, "metrics", problems)
     except ArtifactError as exc:
         problems.append(f"metrics: {exc}")
         return
-    histograms = snapshot.get("histograms")
-    if not isinstance(histograms, dict):
-        problems.append("metrics: no histograms section")
+    if snapshot is None:
         return
+    histograms = snapshot.histograms
 
     names = ["switch.duration_s"] + [
         f"switch.phase.{phase}_s" for phase in ("prepare", "switch", "flush")
     ]
     for name in names:
         hist = histograms.get(name)
-        if not hist:
+        if hist is None:
             problems.append(f"metrics: histogram {name!r} missing")
             continue
-        count = hist.get("count")
-        if not count:
+        if not hist.count:
             problems.append(f"metrics: histogram {name!r} is empty")
             continue
-        if count >= 2:
+        if hist.count >= 2:
             for pct in PERCENTILES:
-                if hist.get(pct) is None:
+                if getattr(hist, pct) is None:
                     problems.append(
                         f"metrics: histogram {name!r} lacks {pct}"
                     )
-        elif "min" not in hist or "max" not in hist:
+        elif hist.min is None or hist.max is None:
             problems.append(
                 f"metrics: single-sample histogram {name!r} lacks min/max"
             )
-    duration = histograms.get("switch.duration_s", {})
-    if duration.get("count"):
-        if all(duration.get(p) is not None for p in PERCENTILES):
-            print(f"metrics: switch.duration_s count={duration['count']} "
-                  f"p50={duration['p50']:.6g}s p99={duration['p99']:.6g}s "
+    duration = histograms.get("switch.duration_s")
+    count = duration.count if duration is not None else 0
+    if count:
+        if all(getattr(duration, p) is not None for p in PERCENTILES):
+            print(f"metrics: switch.duration_s count={count} "
+                  f"p50={duration.p50:.6g}s p99={duration.p99:.6g}s "
                   f"({path})")
         else:
-            print(f"metrics: switch.duration_s count={duration['count']} "
-                  f"single sample {duration.get('max', 0.0):.6g}s "
+            print(f"metrics: switch.duration_s count={count} "
+                  f"single sample {duration.max or 0.0:.6g}s "
                   f"(quantiles need >= 2) ({path})")
-    check_counters(snapshot.get("counters"), duration, problems)
+    check_counters(snapshot.counters, count, problems)
 
 
-def check_counters(counters, duration, problems):
-    if not isinstance(counters, dict):
-        problems.append("metrics: no counters section")
-        return
+def check_counters(counters, observed, problems):
     missing = [name for name in REQUIRED_COUNTERS if name not in counters]
     if missing:
         problems.append(f"metrics: counters {missing} missing")
         return
     completed = counters["sp.globally_complete"]
-    if duration.get("count", 0) != completed:
+    if observed != completed:
         problems.append(
-            f"metrics: switch.duration_s has {duration.get('count', 0)} "
+            f"metrics: switch.duration_s has {observed} "
             f"observations but sp.globally_complete is {completed}"
         )
     loopback = counters.get("net.loopback", 0)

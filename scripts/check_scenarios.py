@@ -38,9 +38,7 @@ _SCRIPTS = str(Path(__file__).resolve().parent)
 if _SCRIPTS not in sys.path:
     sys.path.insert(0, _SCRIPTS)
 
-from _lib import ArtifactError, load_artifact, report_problems, usage
-from repro.errors import RecordError
-from repro.records import load
+from _lib import ArtifactError, read_record, report_problems, usage
 from repro.scenarios.runner import ScenarioSuite
 
 MIN_SCENARIOS = 8
@@ -113,20 +111,13 @@ def check_verdict(name, verdict, problems):
         problems.append(f"{name}: negative time_to_switch")
 
 
-def check_artifact(artifact, problems):
-    """Check the sweep; returns its ``ScenarioSuite``, or None when the
-    artifact does not even read."""
-    try:
-        suite = load(ScenarioSuite, artifact, "artifact")
-    except RecordError as exc:
-        problems.append(str(exc))
-        return None
+def check_suite(suite, problems):
     if suite.runtime not in ("sim", "asyncio"):
         problems.append(f"unknown runtime {suite.runtime!r}")
     scenarios = suite.scenarios
     if not scenarios:
         problems.append("scenarios: missing or empty")
-        return suite
+        return
     # The asyncio smoke legitimately sweeps a catalog subset (only
     # clean-net scenarios can run there); the coverage bars apply to
     # sim artifacts only.
@@ -144,19 +135,19 @@ def check_artifact(artifact, problems):
             )
     for name in sorted(scenarios):
         check_verdict(name, scenarios[name], problems)
-    return suite
 
 
 def main(argv):
     if len(argv) != 2:
         return usage(__doc__)
+    problems = []
     try:
-        artifact = load_artifact(argv[1])
+        suite = read_record(argv[1], ScenarioSuite, "artifact", problems)
     except ArtifactError as exc:
         print(exc)
         return 1
-    problems = []
-    suite = check_artifact(artifact, problems)
+    if suite is not None:
+        check_suite(suite, problems)
 
     if report_problems(problems):
         return 1

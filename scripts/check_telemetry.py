@@ -14,8 +14,8 @@ Payload mode checks a telemetry payload (``repro fleet
   (``repro.obs.telemetry.payload``) down to every field of its
   snapshot (``repro.obs.telemetry.aggregate.TelemetrySnapshot``):
   integer schema version, ``telemetry`` kind, a known source, fleet +
-  per-group views of the declared types; then Prometheus exposition
-  text carrying the core series;
+  per-group views and ``DecisionRecord`` escalations of the declared
+  types; then Prometheus exposition text carrying the core series;
 * the snapshot's internal consistency: one group view per counted
   group, each filed under its own id, per-group delivered counts sum
   to the fleet total, every group view names a protocol, fleet windows
@@ -30,31 +30,34 @@ Payload mode checks a telemetry payload (``repro fleet
   and no other group was.
 
 Blackbox mode checks a flight-recorder JSONL (``repro chaos
---blackbox``): at least one capture, every capture header followed by
-exactly its declared record lines, records carry timestamps and names.
+--blackbox``): every line reads closed as a ``Capture`` of
+``RingEntry`` records (``repro.obs.telemetry.recorder``), there is at
+least one, and each names its trigger and holds a non-empty ring.
 
 Overhead mode checks the telemetry-overhead benchmark artifact
-(``benchmarks/bench_obs.py``): identical sim outcomes with the plane
-off and on, and median overhead within the pinned threshold.
+(``benchmarks/bench_obs.py``), read closed as its ``OverheadArtifact``:
+identical sim outcomes with the plane off and on, and best-of overhead
+within the pinned threshold.
 
 Exit code 0 when every check passes, 1 with a report otherwise.
 """
 
-import json
 import sys
 from collections import Counter
 from pathlib import Path
+from typing import List
 
-_SCRIPTS = str(Path(__file__).resolve().parent)
-if _SCRIPTS not in sys.path:
-    sys.path.insert(0, _SCRIPTS)
+_HERE = Path(__file__).resolve().parent
+for _path in (str(_HERE), str(_HERE.parent / "benchmarks")):
+    if _path not in sys.path:
+        sys.path.insert(0, _path)
 
-from _lib import ArtifactError, load_artifact, report_problems, usage
-from repro.errors import RecordError
+from _lib import ArtifactError, read_record, report_problems, usage
+from bench_obs import OverheadArtifact
 from repro.fleet.runner import FleetResult
+from repro.obs.telemetry import Capture
 from repro.obs.telemetry.aggregate import MAX_ESCALATIONS
 from repro.obs.telemetry.payload import TelemetryPayload
-from repro.records import load
 
 PROM_SERIES = (
     "repro_fleet_groups",
@@ -102,35 +105,24 @@ def check_escalations(payload, problems):
     previous = None
     for index, record in enumerate(escalations):
         label = f"escalations[{index}]"
-        time = record.get("time")
-        if not isinstance(time, (int, float)):
-            problems.append(f"{label}: decision carries no time")
-        elif previous is not None and time < previous:
+        if previous is not None and record.time < previous:
             problems.append(
-                f"{label}: decided at {time}, before the record ahead of "
-                f"it ({previous})"
+                f"{label}: decided at {record.time}, before the record "
+                f"ahead of it ({previous})"
             )
         else:
-            previous = time
-        snapshot = record.get("snapshot")
-        if not isinstance(snapshot, dict):
+            previous = record.time
+        if record.snapshot is None:
             problems.append(f"{label}: decision carries no snapshot")
             continue
-        if "window_partial" not in snapshot:
+        if "window_partial" not in record.snapshot:
             problems.append(f"{label}: snapshot lacks the partial window")
-        if record.get("signal") is None:
+        if record.signal is None:
             problems.append(f"{label}: decision carries no signal value")
 
 
-def check_payload(data, fleet_data, problems):
-    """Check a payload's JSON, and the fleet artifact's JSON when given;
-    returns the payload's :class:`TelemetryPayload`, or None when it
-    does not even read."""
-    try:
-        payload = load(TelemetryPayload, data, "payload")
-    except RecordError as exc:
-        problems.append(str(exc))
-        return None
+def check_payload(payload, fleet_artifact, problems):
+    """Check a payload, and the fleet artifact when given."""
     check_snapshot(payload.snapshot, problems)
     if payload.prometheus is None:
         problems.append("prometheus exposition text missing")
@@ -140,13 +132,8 @@ def check_payload(data, fleet_data, problems):
                 problems.append(f"prometheus: series {series} missing")
     check_escalations(payload, problems)
 
-    if fleet_data is None:
-        return payload
-    try:
-        fleet_artifact = load(FleetResult, fleet_data, "fleet")
-    except RecordError as exc:
-        problems.append(str(exc))
-        return payload
+    if fleet_artifact is None:
+        return
     truth = fleet_artifact.delivered
     observed = payload.snapshot.fleet.delivered
     if abs(observed - truth) > AGREEMENT * max(1.0, truth):
@@ -155,7 +142,6 @@ def check_payload(data, fleet_data, problems):
             f"recorded {truth} (>{AGREEMENT:.0%} drift)"
         )
     check_one_escalation_per_switch(payload, fleet_artifact, problems)
-    return payload
 
 
 def check_one_escalation_per_switch(payload, fleet_artifact, problems):
@@ -163,7 +149,7 @@ def check_one_escalation_per_switch(payload, fleet_artifact, problems):
     if escalations is None:
         problems.append("cannot match escalations to the fleet's per_group")
         return
-    escalated = Counter(record.get("group_id") for record in escalations)
+    escalated = Counter(record.group_id for record in escalations)
     repeated = [gid for gid, count in escalated.items() if count > 1]
     if repeated:
         problems.append(f"groups {repeated} escalated more than once")
@@ -179,122 +165,72 @@ def check_one_escalation_per_switch(payload, fleet_artifact, problems):
         )
 
 
-def check_blackbox(path, problems):
-    try:
-        with open(path) as handle:
-            lines = [json.loads(line) for line in handle if line.strip()]
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ArtifactError(f"cannot load {path!r}: {exc}") from exc
-    if not lines:
-        problems.append("blackbox: no lines at all")
-        return 0
-    captures = 0
-    index = 0
-    while index < len(lines):
-        header = lines[index]
-        if not isinstance(header, dict) or header.get("type") != "capture":
-            problems.append(f"line {index + 1}: expected a capture header")
-            return captures
-        captures += 1
-        declared = header.get("records")
-        if not isinstance(declared, int) or declared < 1:
-            problems.append(
-                f"capture {captures}: declares {declared!r} records"
-            )
-            return captures
-        if not header.get("trigger"):
-            problems.append(f"capture {captures}: no trigger named")
-        records = lines[index + 1 : index + 1 + declared]
-        if len(records) != declared:
-            problems.append(
-                f"capture {captures}: {len(records)} record lines for "
-                f"{declared} declared"
-            )
-            return captures
-        for offset, record in enumerate(records):
-            label = f"capture {captures} record {offset + 1}"
-            if not isinstance(record, dict):
-                problems.append(f"{label}: not a record line")
-                continue
-            if record.get("type") != "record":
-                problems.append(f"{label}: not a record line")
-            if "t" not in record or "name" not in record:
-                problems.append(f"{label}: missing timestamp or name")
-            if record.get("group") != header.get("group"):
-                problems.append(f"{label}: group differs from its header")
-        index += 1 + declared
-    if captures == 0:
+def check_blackbox(captures, problems):
+    if not captures:
         problems.append("blackbox: no captures frozen")
-    return captures
+    for index, capture in enumerate(captures):
+        if not capture.trigger:
+            problems.append(f"blackbox[{index}]: no trigger named")
+        if not capture.records:
+            problems.append(f"blackbox[{index}]: an empty ring")
 
 
 def check_overhead(artifact, problems):
-    if artifact.get("benchmark") != "telemetry_overhead":
-        problems.append(f"benchmark name is {artifact.get('benchmark')!r}")
-    if not isinstance(artifact.get("schema_version"), int):
-        problems.append("schema_version missing or non-integer")
-    threshold = artifact.get("threshold_pct")
-    overhead = artifact.get("overhead_pct")
-    if not isinstance(threshold, (int, float)) or threshold <= 0:
+    if artifact.benchmark != "telemetry_overhead":
+        problems.append(f"benchmark name is {artifact.benchmark!r}")
+    threshold, overhead = artifact.threshold_pct, artifact.overhead_pct
+    if threshold <= 0:
         problems.append(f"threshold_pct {threshold!r} is not positive")
-        return
-    if not isinstance(overhead, (int, float)):
-        problems.append(f"overhead_pct {overhead!r} is not a number")
         return
     if overhead > threshold:
         problems.append(
             f"telemetry overhead {overhead:.2f}% exceeds the pinned "
             f"{threshold:.2f}% budget"
         )
-    if artifact.get("identical_outcome") is not True:
+    if not artifact.identical_outcome:
         problems.append("telemetry changed the sim outcome (must be inert)")
     for leg in ("off", "on"):
-        run = artifact.get(leg)
-        if not isinstance(run, dict) or run.get("best_s", 0) <= 0:
-            problems.append(f"{leg}: missing timing leg")
+        if getattr(artifact, leg).best_s <= 0:
+            problems.append(f"{leg}: no positive best time")
 
 
-def main(argv):
-    if len(argv) == 3 and argv[1] == "--blackbox":
-        problems = []
-        try:
-            captures = check_blackbox(argv[2], problems)
-        except ArtifactError as exc:
-            print(exc)
-            return 1
-        if report_problems(problems):
-            return 1
-        print(f"blackbox: {captures} capture(s) with intact record runs")
-        print("all telemetry checks passed")
-        return 0
-
-    if len(argv) == 3 and argv[1] == "--overhead":
-        try:
-            artifact = load_artifact(argv[2])
-        except ArtifactError as exc:
-            print(exc)
-            return 1
-        problems = []
-        check_overhead(artifact, problems)
-        if report_problems(problems):
-            return 1
-        print(
-            f"overhead: telemetry costs {artifact['overhead_pct']:.2f}% "
-            f"(budget {artifact['threshold_pct']:.2f}%)"
-        )
-        print("all telemetry checks passed")
-        return 0
-
-    if len(argv) not in (2, 3):
-        return usage(__doc__)
-    try:
-        payload = load_artifact(argv[1])
-        fleet_artifact = load_artifact(argv[2]) if len(argv) == 3 else None
-    except ArtifactError as exc:
-        print(exc)
-        return 1
+def main_blackbox(path):
     problems = []
-    payload = check_payload(payload, fleet_artifact, problems)
+    captures = read_record(
+        path, List[Capture], "blackbox", problems, lines=True
+    )
+    if captures is not None:
+        check_blackbox(captures, problems)
+    if report_problems(problems):
+        return 1
+    print(f"blackbox: {len(captures)} capture(s) with intact rings")
+    print("all telemetry checks passed")
+    return 0
+
+
+def main_overhead(path):
+    problems = []
+    artifact = read_record(path, OverheadArtifact, "overhead", problems)
+    if artifact is not None:
+        check_overhead(artifact, problems)
+    if report_problems(problems):
+        return 1
+    print(
+        f"overhead: telemetry costs {artifact.overhead_pct:.2f}% "
+        f"(budget {artifact.threshold_pct:.2f}%)"
+    )
+    print("all telemetry checks passed")
+    return 0
+
+
+def main_payload(path, fleet_path):
+    problems = []
+    payload = read_record(path, TelemetryPayload, "payload", problems)
+    fleet_artifact = None
+    if fleet_path is not None:
+        fleet_artifact = read_record(fleet_path, FleetResult, "fleet", problems)
+    if payload is not None:
+        check_payload(payload, fleet_artifact, problems)
     if report_problems(problems):
         return 1
     fleet = payload.snapshot.fleet
@@ -305,7 +241,7 @@ def main(argv):
     if fleet_artifact is not None:
         print(
             f"telemetry: aggregate agrees with the fleet artifact "
-            f"({fleet_artifact['delivered']} delivered) within "
+            f"({fleet_artifact.delivered} delivered) within "
             f"{AGREEMENT:.0%}"
         )
     print(
@@ -315,6 +251,20 @@ def main(argv):
     )
     print("all telemetry checks passed")
     return 0
+
+
+def main(argv):
+    try:
+        if len(argv) == 3 and argv[1] == "--blackbox":
+            return main_blackbox(argv[2])
+        if len(argv) == 3 and argv[1] == "--overhead":
+            return main_overhead(argv[2])
+        if len(argv) not in (2, 3):
+            return usage(__doc__)
+        return main_payload(argv[1], argv[2] if len(argv) == 3 else None)
+    except ArtifactError as exc:
+        print(exc)
+        return 1
 
 
 if __name__ == "__main__":

@@ -472,41 +472,37 @@ def _cmd_top(args: argparse.Namespace) -> int:
 def _cmd_metrics(args: argparse.Namespace) -> int:
     import json
 
+    from .errors import RecordError
+    from .obs.metrics import MetricsSnapshot
+    from .records import load
+
     try:
         with open(args.file) as handle:
-            snapshot = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+            snapshot = load(MetricsSnapshot, json.load(handle), "metrics")
+    except (OSError, ValueError, RecordError) as exc:
         print(f"cannot read metrics file {args.file!r}: {exc}")
         return 2
-    if not isinstance(snapshot, dict):
-        print(f"cannot read metrics file {args.file!r}: not a JSON object")
-        return 2
-    try:
-        lines = _metrics_lines(snapshot)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        print(
-            f"cannot read metrics file {args.file!r}: malformed entry "
-            f"({type(exc).__name__}: {exc})"
-        )
-        return 2
-    print("\n".join(lines))
+    print("\n".join(_metrics_lines(snapshot)))
     return 0
 
 
-def _metrics_lines(snapshot: Dict[str, Any]) -> List[str]:
-    """The ``repro metrics`` report; raises on a malformed entry before
-    anything is printed."""
+def _metrics_lines(snapshot) -> List[str]:
+    """The ``repro metrics`` report of a :class:`MetricsSnapshot`."""
     lines: List[str] = []
     header = {
-        k: v
-        for k, v in snapshot.items()
-        if k not in ("counters", "gauges", "histograms")
+        name: value
+        for name, value in (
+            ("command", snapshot.command),
+            ("runtime", snapshot.runtime),
+            ("seed", snapshot.seed),
+        )
+        if value is not None
     }
     if header:
-        lines.append("  ".join(f"{k}={v}" for k, v in sorted(header.items())))
+        lines.append("  ".join(f"{k}={v}" for k, v in header.items()))
         lines.append("")
 
-    counters = snapshot.get("counters", {})
+    counters = snapshot.counters
     if counters:
         lines.append("counters:")
         width = max(len(name) for name in counters)
@@ -514,18 +510,17 @@ def _metrics_lines(snapshot: Dict[str, Any]) -> List[str]:
             lines.append(f"  {name:<{width}}  {value}")
         lines.append("")
 
-    gauges = snapshot.get("gauges", {})
+    gauges = snapshot.gauges
     if gauges:
         lines.append("gauges (latest value @ time):")
         width = max(len(name) for name in gauges)
         for name, entry in sorted(gauges.items()):
             lines.append(
-                f"  {name:<{width}}  {entry['value']:g} "
-                f"@ t={entry['time']:.6f}"
+                f"  {name:<{width}}  {entry.value:g} @ t={entry.time:.6f}"
             )
         lines.append("")
 
-    histograms = snapshot.get("histograms", {})
+    histograms = snapshot.histograms
     if histograms:
         lines.append("histograms:")
         width = max(len(name) for name in histograms)
@@ -536,19 +531,15 @@ def _metrics_lines(snapshot: Dict[str, Any]) -> List[str]:
         lines.append(head)
         lines.append("  " + "-" * (len(head) - 2))
         for name, h in sorted(histograms.items()):
-            if not h.get("count"):
+            if not h.count:
                 lines.append(f"  {name:<{width}}  {0:>7}")
                 continue
-
-            def cell(key: str) -> str:
-                # Single-observation histograms carry no quantiles.
-                value = h.get(key)
-                return f"{value:>12.6g}" if value is not None else f"{'-':>12}"
-
-            lines.append(
-                f"  {name:<{width}}  {h['count']:>7} {cell('mean')} "
-                f"{cell('p50')} {cell('p90')} {cell('p99')} {cell('max')}"
-            )
+            # Single-observation histograms carry no quantiles.
+            cells = [
+                f"{'-':>12}" if value is None else f"{value:>12.6g}"
+                for value in (h.mean, h.p50, h.p90, h.p99, h.max)
+            ]
+            lines.append(f"  {name:<{width}}  {h.count:>7} {' '.join(cells)}")
 
     if not (counters or gauges or histograms):
         lines.append("(no metrics recorded)")

@@ -25,9 +25,12 @@ each group's decisions into switch requests and records every one as a
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
+    Any,
     Callable,
+    ClassVar,
     Dict,
     List,
     Optional,
@@ -35,7 +38,7 @@ from typing import (
     Tuple,
 )
 
-from ..errors import SwitchError
+from ..errors import RecordError, SwitchError
 from ..runtime.api import Runtime, TimerHandle
 
 if TYPE_CHECKING:
@@ -241,6 +244,7 @@ class RateMeter:
         return rate
 
 
+@dataclass
 class DecisionRecord:
     """One oracle decision, annotated with its justification.
 
@@ -248,42 +252,30 @@ class DecisionRecord:
     (None for policies that sample none: scheduled, manual);
     ``snapshot`` is whatever the wired telemetry plane reported for the
     group at decision time (None when no plane is attached) — together
-    they make every switch request explainable from live data.
+    they make every switch request explainable from live data.  Its
+    JSON image names ``current``/``target`` ``from``/``to``.
     """
 
-    __slots__ = ("time", "group_id", "current", "target", "signal", "snapshot")
+    time: float
+    group_id: int
+    current: str
+    target: str
+    signal: Optional[float]
+    snapshot: Optional[Dict[str, Any]]
 
-    def __init__(
-        self,
-        time: float,
-        group_id: int,
-        current: str,
-        target: str,
-        signal: Optional[float],
-        snapshot: Optional[Dict[str, object]],
-    ) -> None:
-        self.time = time
-        self.group_id = group_id
-        self.current = current
-        self.target = target
-        self.signal = signal
-        self.snapshot = snapshot
+    #: Field name -> JSON key, where they differ.
+    JSON_KEYS: ClassVar[Dict[str, str]] = {"current": "from", "target": "to"}
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "time": self.time,
-            "group_id": self.group_id,
-            "from": self.current,
-            "to": self.target,
-            "signal": self.signal,
-            "snapshot": self.snapshot,
-        }
+    def _json_out(self, data: Dict[str, Any]) -> Dict[str, Any]:
+        return {self.JSON_KEYS.get(key, key): v for key, v in data.items()}
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<DecisionRecord g{self.group_id} {self.current}->{self.target} "
-            f"t={self.time:.3f} signal={self.signal}>"
-        )
+    @classmethod
+    def _json_in(cls, data: Dict[str, Any], where: str) -> Dict[str, Any]:
+        unknown = sorted(set(data) & set(cls.JSON_KEYS))
+        if unknown:
+            raise RecordError(f"{where}: unknown keys {unknown}")
+        names = {key: name for name, key in cls.JSON_KEYS.items()}
+        return {names.get(key, key): v for key, v in data.items()}
 
 
 class AdaptiveController:

@@ -41,6 +41,7 @@ __all__ = [
     "FleetConfig",
     "FleetResult",
     "GroupReport",
+    "ShardStat",
     "group_members",
     "plan_sequencers",
     "run_fleet",
@@ -233,6 +234,19 @@ class GroupReport:
 
 
 @dataclass
+class ShardStat:
+    """One worker's slice of a sharded run: its groups and traffic, and
+    the CPU and wall seconds it took."""
+
+    shard: int
+    groups: int
+    casts: int
+    delivered: int
+    cpu_s: float
+    wall_s: float
+
+
+@dataclass
 class FleetResult:
     """Outcome of one fleet sweep, with per-group and aggregate views.
     Its JSON image leaves out unset ``telemetry`` and ``shards``."""
@@ -254,7 +268,7 @@ class FleetResult:
     pool_loads: Dict[int, int] = field(default_factory=dict)
     telemetry: Optional[TelemetryPayload] = omitted(default=None)
     shards: int = omitted(default=0)
-    shard_stats: List[Dict[str, float]] = omitted(default_factory=list)
+    shard_stats: List[ShardStat] = omitted(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -298,7 +312,7 @@ class FleetResult:
             )
         if self.shards > 0:
             cpu = max(
-                (s.get("cpu_s", 0.0) for s in self.shard_stats), default=0.0
+                (s.cpu_s for s in self.shard_stats), default=0.0
             )
             lines.append(
                 f"  shards:  {self.shards} worker processes, "

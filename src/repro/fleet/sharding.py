@@ -44,7 +44,7 @@ from ..errors import CodecError, RecordError, ShardCrashed, ShardError
 from ..net.codec import WireCodec
 from ..obs.telemetry.payload import TelemetryPayload
 from ..records import dump, load
-from .runner import FleetConfig, FleetResult, GroupReport, run_fleet
+from .runner import FleetConfig, FleetResult, GroupReport, ShardStat, run_fleet
 
 __all__ = [
     "fnv1a32",
@@ -112,10 +112,12 @@ class ShardSummary(FleetResult):
     cpu_s: float = 0.0
     wall_s: float = 0.0
 
-    def stats(self) -> Dict[str, float]:
+    def stats(self) -> ShardStat:
         """This shard's entry in the run's ``shard_stats``."""
-        keys = ("shard", "groups", "casts", "delivered", "cpu_s", "wall_s")
-        return {key: getattr(self, key) for key in keys}
+        return ShardStat(
+            self.shard, self.groups, self.casts, self.delivered, self.cpu_s,
+            self.wall_s,
+        )
 
 
 def _shard_worker(

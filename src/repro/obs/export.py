@@ -19,13 +19,17 @@ on ``AsyncioRuntime`` — the schema is identical either way.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional
 
+from ..records import dump, omitted
 from .bus import COMPLETE, Event
-from .metrics import MetricsRegistry
+from .metrics import MetricsRegistry, MetricsSnapshot
 
 __all__ = [
+    "TraceEvent",
     "chrome_trace_events",
     "events_to_jsonl",
     "write_chrome_trace",
@@ -48,14 +52,30 @@ def _jsonable(value: Any) -> Any:
     return repr(value)
 
 
+@dataclass
+class TraceEvent:
+    """One element of a Chrome trace-event array: a metadata record
+    (``ph`` ``M``), an instant (``i``, scoped by ``s``) or a complete
+    span (``X``, lasting ``dur``).  Times are in microseconds."""
+
+    name: str
+    ph: str
+    ts: float
+    pid: int
+    tid: int
+    args: Dict[str, Any]
+    dur: Optional[float] = omitted(default=None)
+    s: Optional[str] = omitted(default=None)
+
+
 def chrome_trace_events(
     events: Iterable[Event], label: str = "repro"
-) -> List[Dict[str, Any]]:
-    """Convert bus events to a Chrome trace-event array (list of dicts)."""
-    out: List[Dict[str, Any]] = []
+) -> List[TraceEvent]:
+    """Convert bus events to a Chrome trace-event array."""
+    out: List[TraceEvent] = []
     seen_pids: Dict[int, str] = {}
     gen_tracks: Dict[int, Dict[Any, int]] = {}  # pid -> gen key -> tid
-    track_meta: List[Dict[str, Any]] = []
+    track_meta: List[TraceEvent] = []
 
     def pid_of(rank: Optional[int]) -> int:
         pid = GLOBAL_PID if rank is None else rank + 1
@@ -76,42 +96,31 @@ def chrome_trace_events(
             tid = len(tracks) + 1
             tracks[key] = tid
             track_meta.append(
-                {
-                    "name": "thread_name",
-                    "ph": "M",
-                    "pid": pid,
-                    "tid": tid,
-                    "ts": 0,
-                    "args": {"name": f"switch gen {key}"},
-                }
+                TraceEvent(
+                    "thread_name", "M", 0, pid, tid,
+                    {"name": f"switch gen {key}"},
+                )
             )
         return tid
 
     for event in events:
         pid = pid_of(event.rank)
-        record: Dict[str, Any] = {
-            "name": event.name,
-            "ph": COMPLETE if event.kind == COMPLETE else "i",
-            "ts": event.time * 1e6,
-            "pid": pid,
-            "tid": tid_of(pid, event.args),
-            "args": _jsonable(event.args),
-        }
-        if event.kind == COMPLETE:
-            record["dur"] = event.dur * 1e6
-        else:
-            record["s"] = "t"  # instant scope: thread
-        out.append(record)
+        complete = event.kind == COMPLETE
+        out.append(
+            TraceEvent(
+                event.name,
+                COMPLETE if complete else "i",
+                event.time * 1e6,
+                pid,
+                tid_of(pid, event.args),
+                _jsonable(event.args),
+                dur=event.dur * 1e6 if complete else None,
+                s=None if complete else "t",  # instant scope: thread
+            )
+        )
 
-    meta: List[Dict[str, Any]] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": pid,
-            "tid": 0,
-            "ts": 0,
-            "args": {"name": name},
-        }
+    meta = [
+        TraceEvent("process_name", "M", 0, pid, 0, {"name": name})
         for pid, name in sorted(seen_pids.items())
     ]
     return meta + track_meta + out
@@ -123,7 +132,7 @@ def write_chrome_trace(
     """Write a Perfetto-loadable trace file; returns records written."""
     records = chrome_trace_events(events, label=label)
     with open(path, "w") as handle:
-        json.dump(records, handle, allow_nan=False)
+        json.dump(dump(records), handle, allow_nan=False)
     return len(records)
 
 
@@ -158,11 +167,13 @@ def write_metrics(
     path: str,
     metrics: MetricsRegistry,
     **header: Any,
-) -> Dict[str, Any]:
-    """Write a metrics snapshot JSON (plus header fields); returns it."""
-    snapshot = dict(header)
-    snapshot.update(metrics.snapshot())
+) -> MetricsSnapshot:
+    """Write the registry's snapshot under a ``command``/``seed``/
+    ``runtime`` header as JSON; returns it."""
+    snapshot = dataclasses.replace(metrics.snapshot(), **header)
     with open(path, "w") as handle:
-        json.dump(snapshot, handle, indent=2, sort_keys=True, allow_nan=False)
+        json.dump(
+            dump(snapshot), handle, indent=2, sort_keys=True, allow_nan=False
+        )
         handle.write("\n")
     return snapshot

@@ -11,18 +11,30 @@ constant, and percentiles are estimated by linear interpolation inside
 the covering bucket — the right trade for an always-on instrumentation
 layer that may see millions of observations.
 
-Everything in the registry snapshots to plain JSON-able dicts
-(:meth:`MetricsRegistry.snapshot`), which is the schema the CLI's
-``repro metrics`` pretty-printer and the CI checker script consume.
+Everything in the registry snapshots to one :class:`MetricsSnapshot`
+record (:meth:`MetricsRegistry.snapshot`): ``write_metrics`` dumps it,
+and the CLI's ``repro metrics`` pretty-printer and the CI checker
+script load it back closed.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["DEFAULT_BUCKETS", "Counter", "Histogram", "MetricsRegistry"]
+from ..records import omitted
+
+__all__ = [
+    "DEFAULT_BUCKETS",
+    "Counter",
+    "GaugeReading",
+    "Histogram",
+    "HistogramSummary",
+    "MetricsRegistry",
+    "MetricsSnapshot",
+]
 
 
 class Counter:
@@ -61,6 +73,45 @@ def _default_buckets() -> Tuple[float, ...]:
 
 #: Default histogram bucket upper bounds (seconds-flavoured, but unitless).
 DEFAULT_BUCKETS = _default_buckets()
+
+
+@dataclass
+class HistogramSummary:
+    """A histogram's snapshot: just ``count`` while empty; the sum,
+    mean, exact min/max and occupied ``[upper bound, count]`` buckets
+    (None bounds the overflow bucket) once it has an observation; and
+    p50/p90/p99 once it has two."""
+
+    count: int
+    sum: Optional[float] = omitted(default=None)
+    mean: Optional[float] = omitted(default=None)
+    min: Optional[float] = omitted(default=None)
+    max: Optional[float] = omitted(default=None)
+    p50: Optional[float] = omitted(default=None)
+    p90: Optional[float] = omitted(default=None)
+    p99: Optional[float] = omitted(default=None)
+    buckets: Optional[List[Tuple[Optional[float], int]]] = omitted(default=None)
+
+
+@dataclass
+class GaugeReading:
+    """A gauge's latest value and the time it was observed."""
+
+    value: float
+    time: float
+
+
+@dataclass
+class MetricsSnapshot:
+    """Everything a registry recorded, plus the header a run writes it
+    under (``command``/``seed``/``runtime``, absent while unset)."""
+
+    counters: Dict[str, int]
+    gauges: Dict[str, GaugeReading]
+    histograms: Dict[str, HistogramSummary]
+    command: Optional[str] = omitted(default=None)
+    seed: Optional[int] = omitted(default=None)
+    runtime: Optional[str] = omitted(default=None)
 
 
 class Histogram:
@@ -132,28 +183,26 @@ class Histogram:
             cumulative += bucket_count
         return self.maximum
 
-    def snapshot(self) -> Dict[str, object]:
-        """JSON-able summary (percentiles included when count >= 2)."""
+    def snapshot(self) -> HistogramSummary:
+        """The summary (percentiles included when count >= 2)."""
         if not self.count:
-            return {"count": 0}
-        occupied = [
-            [self.bounds[i] if i < len(self.bounds) else None, c]
+            return HistogramSummary(0)
+        occupied: List[Tuple[Optional[float], int]] = [
+            (self.bounds[i] if i < len(self.bounds) else None, c)
             for i, c in enumerate(self.counts)
             if c
         ]
-        summary: Dict[str, object] = {
-            "count": self.count,
-            "sum": self.total,
-            "mean": self.mean,
-            "min": self.minimum,
-            "max": self.maximum,
-        }
-        if self.count >= 2:
-            summary["p50"] = self.quantile(0.50)
-            summary["p90"] = self.quantile(0.90)
-            summary["p99"] = self.quantile(0.99)
-        summary["buckets"] = occupied
-        return summary
+        return HistogramSummary(
+            self.count,
+            self.total,
+            self.mean,
+            self.minimum,
+            self.maximum,
+            self.quantile(0.50),
+            self.quantile(0.90),
+            self.quantile(0.99),
+            occupied,
+        )
 
 
 class MetricsRegistry:
@@ -221,19 +270,19 @@ class MetricsRegistry:
             self._counters or self._owners or self._gauges or self._histograms
         )
 
-    def snapshot(self) -> Dict[str, object]:
-        """One JSON-able dict of everything recorded so far."""
-        return {
-            "counters": self.counters(),
-            "gauges": {
-                name: {"value": value, "time": time}
+    def snapshot(self) -> MetricsSnapshot:
+        """One record of everything recorded so far."""
+        return MetricsSnapshot(
+            self.counters(),
+            {
+                name: GaugeReading(value, time)
                 for name, (value, time) in sorted(self._gauges.items())
             },
-            "histograms": {
+            {
                 name: histogram.snapshot()
                 for name, histogram in sorted(self._histograms.items())
             },
-        }
+        )
 
     def clear(self) -> None:
         """Forget everything recorded so far, attached owners included."""

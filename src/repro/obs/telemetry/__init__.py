@@ -38,12 +38,13 @@ unasked run is byte-identical to one built before this package existed.
 from .aggregate import WINDOW_SAMPLE_CAP, TelemetryConfig, TelemetryPlane
 from .merge import merge_payloads, merge_snapshots
 from .payload import TelemetryPayload
-from .recorder import Capture, FlightRecorder
+from .recorder import Capture, FlightRecorder, RingEntry
 from .slo import SLO_SIGNALS, SLOEngine, SLOTarget
 
 __all__ = [
     "Capture",
     "FlightRecorder",
+    "RingEntry",
     "WINDOW_SAMPLE_CAP",
     "SLOEngine",
     "SLOTarget",

@@ -43,11 +43,12 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
 
+from ...core.oracle import DecisionRecord
 from ...errors import TelemetryError
 from ...records import dump
 from ...sim.monitor import quantile
 from ..bus import Bus
-from .recorder import FlightRecorder
+from .recorder import FlightRecorder, RingEntry
 from .slo import SLOEngine, SLORollup, SLOStatus, SLOTarget
 
 __all__ = [
@@ -269,7 +270,7 @@ class TelemetryPlane:
         self.slo = SLOEngine(self.config.slos, bus=bus)
         self.recorder = FlightRecorder(capacity=self.config.recorder_capacity)
         self.recorder.attach(bus)
-        self.escalations: List[Dict[str, Any]] = []
+        self.escalations: List[DecisionRecord] = []
         self.escalations_dropped = 0
         self.started_at = runtime.now
         self._groups: Dict[int, _GroupState] = {}
@@ -367,14 +368,12 @@ class TelemetryPlane:
                 state.win_max_switch = duration
         self.recorder.record(
             gid,
-            {
-                "t": now,
-                "name": "switch/complete",
-                "kind": "i",
-                "old": old,
-                "new": new,
-                "duration_s": duration,
-            },
+            RingEntry(
+                now,
+                "switch/complete",
+                "i",
+                args={"old": old, "new": new, "duration_s": duration},
+            ),
         )
 
     def note_abort(self, gid: int, reason: str = "", phase: str = "") -> None:
@@ -388,13 +387,9 @@ class TelemetryPlane:
         state.switch_requested_at = None
         self.recorder.record(
             gid,
-            {
-                "t": now,
-                "name": "switch/abort",
-                "kind": "i",
-                "reason": reason,
-                "phase": phase,
-            },
+            RingEntry(
+                now, "switch/abort", "i", args={"reason": reason, "phase": phase}
+            ),
         )
         self.recorder.freeze(gid, "switch_abort", time=now, detail=reason or None)
 
@@ -413,22 +408,24 @@ class TelemetryPlane:
             }
         return snap
 
-    def _on_decision(self, record: Any) -> None:
+    def _on_decision(self, record: DecisionRecord) -> None:
         gid = record.group_id
         self.note_escalation(gid)
         self.recorder.record(
             gid,
-            {
-                "t": record.time,
-                "name": "oracle/decision",
-                "kind": "i",
-                "from": record.current,
-                "to": record.target,
-                "signal": record.signal,
-            },
+            RingEntry(
+                record.time,
+                "oracle/decision",
+                "i",
+                args={
+                    "from": record.current,
+                    "to": record.target,
+                    "signal": record.signal,
+                },
+            ),
         )
         if len(self.escalations) < MAX_ESCALATIONS:
-            self.escalations.append(record.as_dict())
+            self.escalations.append(record)
         else:
             self.escalations_dropped += 1
 
@@ -439,12 +436,9 @@ class TelemetryPlane:
         state.torn_down = True
         self.recorder.record(
             gid,
-            {
-                "t": self.runtime.now,
-                "name": "group/teardown",
-                "kind": "i",
-                "dirty": dirty,
-            },
+            RingEntry(
+                self.runtime.now, "group/teardown", "i", args={"dirty": dirty}
+            ),
         )
         if dirty:
             self.recorder.freeze(
@@ -504,9 +498,9 @@ class TelemetryPlane:
             ),
         }
         state.windows.append(window)
-        record = {"name": "telemetry/window", "kind": "w"}
-        record.update(window)
-        self.recorder.record(state.gid, record)
+        self.recorder.record(
+            state.gid, RingEntry(now, "telemetry/window", "w", args=window)
+        )
         state.win_casts = 0
         state.win_delivered = 0
         state.win_latency = []

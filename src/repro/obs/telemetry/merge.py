@@ -143,7 +143,7 @@ def merge_payloads(
     snapshot = merge_snapshots([payload.snapshot for payload in payloads])
     escalations = sorted(
         (record for payload in payloads for record in payload.escalations or ()),
-        key=lambda rec: (rec.get("time", 0.0), rec.get("group_id", 0)),
+        key=lambda record: (record.time, record.group_id),
     )
     from .expo import render_prometheus
 

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, List, Optional, Tuple
+from typing import ClassVar, List, Optional, Tuple
 
+from ...core.oracle import DecisionRecord
 from ...errors import TelemetryError
 from ...records import omitted
 from .aggregate import TelemetrySnapshot
@@ -33,7 +34,7 @@ class TelemetryPayload:
     url: Optional[str] = omitted(default=None)
     merged_from: Optional[int] = omitted(default=None)
     prometheus: Optional[str] = omitted(default=None)
-    escalations: Optional[List[Dict[str, Any]]] = omitted(default=None)
+    escalations: Optional[List[DecisionRecord]] = omitted(default=None)
     sources: Optional[List[str]] = omitted(default=None)
     scrape: Optional[TelemetryPayload] = omitted(default=None)
 

@@ -6,8 +6,7 @@ aviation treatment instead: every group keeps a fixed-size ring of its
 most recent instrumentation records, and an incident — a switch abort,
 an SLO starting to burn, a dirty teardown — **freezes** a copy of that
 ring into a :class:`Capture`.  Captures export as a JSONL "black box":
-one ``{"type": "capture", ...}`` header line per incident followed by
-its ``{"type": "record", ...}`` lines, oldest first.
+one line per incident, the capture with its ring entries oldest first.
 
 Records arrive two ways:
 
@@ -16,10 +15,11 @@ Records arrive two ways:
   the single-group chaos harness — land in ring 0).  Because the bus
   streams past its retention cap, this works on the fleet's
   ``max_events=0`` metrics-only bus too.
-* :meth:`record` takes synthetic records directly — the telemetry
+* :meth:`record` takes synthetic entries directly — the telemetry
   plane rings its own window summaries, oracle decisions, and switch
-  lifecycle notes this way, so a fleet black box is useful even though
-  fleet member stacks run uninstrumented.
+  lifecycle notes this way (their figures in ``args``), so a fleet
+  black box is useful even though fleet member stacks run
+  uninstrumented.
 
 Memory is bounded everywhere: rings are ``deque(maxlen=capacity)``,
 captures are capped (``max_captures``; overflow counted, not stored),
@@ -30,48 +30,38 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 from ...errors import TelemetryError
+from ...records import dump, omitted
 from ..bus import Bus, Event
 
-__all__ = ["Capture", "FlightRecorder"]
+__all__ = ["Capture", "FlightRecorder", "RingEntry"]
 
 
+@dataclass
+class RingEntry:
+    """One ring entry: a bus event's time, name, kind, rank, span
+    duration and args, or one of the plane's own notes."""
+
+    t: float
+    name: str
+    kind: str
+    rank: Optional[int] = omitted(default=None)
+    dur: Optional[float] = omitted(default=None)
+    args: Optional[Dict[str, Any]] = omitted(default=None)
+
+
+@dataclass
 class Capture:
     """One frozen ring: the black-box contents for one incident."""
 
-    __slots__ = ("group", "trigger", "time", "detail", "records")
-
-    def __init__(
-        self,
-        group: int,
-        trigger: str,
-        time: float,
-        detail: Optional[str],
-        records: List[Dict[str, Any]],
-    ) -> None:
-        self.group = group
-        self.trigger = trigger
-        self.time = time
-        self.detail = detail
-        self.records = records
-
-    def header(self) -> Dict[str, Any]:
-        return {
-            "type": "capture",
-            "group": self.group,
-            "trigger": self.trigger,
-            "time": self.time,
-            "detail": self.detail,
-            "records": len(self.records),
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<Capture g{self.group} {self.trigger!r} "
-            f"records={len(self.records)}>"
-        )
+    group: int
+    trigger: str
+    time: float
+    detail: Optional[str]
+    records: List[RingEntry]
 
 
 class FlightRecorder:
@@ -87,39 +77,36 @@ class FlightRecorder:
         self.captures: List[Capture] = []
         self.captures_dropped = 0
         self.records_seen = 0
-        self._rings: Dict[int, Deque[Dict[str, Any]]] = {}
+        self._rings: Dict[int, Deque[RingEntry]] = {}
         self._frozen: Set[Tuple[int, str]] = set()
 
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def _ring(self, group: int) -> Deque[Dict[str, Any]]:
+    def _ring(self, group: int) -> Deque[RingEntry]:
         ring = self._rings.get(group)
         if ring is None:
             ring = deque(maxlen=self.capacity)
             self._rings[group] = ring
         return ring
 
-    def record(self, group: int, record: Dict[str, Any]) -> None:
-        """Append one record to ``group``'s ring (evicting the oldest)."""
-        self._ring(group).append(record)
+    def record(self, group: int, entry: RingEntry) -> None:
+        """Append one entry to ``group``'s ring (evicting the oldest)."""
+        self._ring(group).append(entry)
         self.records_seen += 1
 
     def record_event(self, event: Event) -> None:
         """Ring one bus event, routed by its ``group`` arg (default 0)."""
         group = event.args.get("group")
-        record: Dict[str, Any] = {
-            "t": event.time,
-            "name": event.name,
-            "kind": event.kind,
-        }
-        if event.rank is not None:
-            record["rank"] = event.rank
-        if event.dur:
-            record["dur"] = event.dur
-        if event.args:
-            record["args"] = dict(event.args)
-        self.record(group if isinstance(group, int) else 0, record)
+        entry = RingEntry(
+            event.time,
+            event.name,
+            event.kind,
+            event.rank,
+            event.dur or None,
+            dict(event.args) or None,
+        )
+        self.record(group if isinstance(group, int) else 0, entry)
 
     def attach(self, bus: Bus, freeze_on_abort: bool = True) -> None:
         """Subscribe to ``bus``: ring every event, freeze on switch aborts."""
@@ -161,24 +148,17 @@ class FlightRecorder:
             self.captures_dropped += 1
             return None
         records = list(ring)
-        if not time and records:
-            last_t = records[-1].get("t")
-            if isinstance(last_t, (int, float)):
-                time = float(last_t)
-        capture = Capture(group, trigger, time, detail, records)
+        capture = Capture(group, trigger, time or records[-1].t, detail, records)
         self.captures.append(capture)
         return capture
 
     def lines(self) -> List[str]:
-        """The JSONL black box: header + record lines per capture."""
-        out: List[str] = []
-        for capture in self.captures:
-            out.append(json.dumps(capture.header(), sort_keys=True, allow_nan=False))
-            for record in capture.records:
-                line = {"type": "record", "group": capture.group}
-                line.update(record)
-                out.append(json.dumps(line, sort_keys=True, default=str, allow_nan=False))
-        return out
+        """The JSONL black box: one capture per line.  An event arg JSON
+        cannot hold is written as its ``str``."""
+        return [
+            json.dumps(dump(capture), sort_keys=True, default=str, allow_nan=False)
+            for capture in self.captures
+        ]
 
     def write_jsonl(self, path: str) -> int:
         """Write the black box to ``path``; returns the line count."""

@@ -64,9 +64,12 @@ def _hints(cls: type) -> typing.Dict[str, Any]:
     return typing.get_type_hints(cls)
 
 
-def load(cls: type, data: Any, where: str) -> Any:
-    """Build record *cls* from its JSON image *data*; a ``ReproError``
+def load(cls: Any, data: Any, where: str) -> Any:
+    """Build record *cls* (or any annotation ``load`` reads, such as a
+    ``List`` of records) from its JSON image *data*; a ``ReproError``
     from the record's own checks comes out as a ``RecordError``."""
+    if not dataclasses.is_dataclass(cls):
+        return _read(cls, data, where)
     _expect(isinstance(data, dict), where, "an object", data)
     if hasattr(cls, "_json_in"):
         data = cls._json_in(data, where)

@@ -14,7 +14,8 @@ from repro.fleet import (
     shard_of,
 )
 from repro.fleet.sharding import _shard_worker, fnv1a32
-from repro.records import dump
+from repro.obs.telemetry import TelemetryPayload
+from repro.records import dump, load
 
 from helpers import load_validator
 
@@ -169,7 +170,7 @@ class TestSupervisor:
             r.delivered for r in sharded.per_group
         )
         assert sharded.pool_loads  # merged back from per-shard slices
-        assert all(s["cpu_s"] > 0 for s in sharded.shard_stats)
+        assert all(s.cpu_s > 0 for s in sharded.shard_stats)
         assert sharded.ok, sharded.violations
 
     def test_single_shard_as_dict_round_trips(self):
@@ -194,10 +195,10 @@ class TestSupervisor:
         # own artifact, escalations in (time, group_id) order.
         problems = []
         load_validator("check_telemetry").check_payload(
-            dump(merged), result.as_dict(), problems
+            load(TelemetryPayload, dump(merged), "payload"), result, problems
         )
         assert problems == []
-        order = [(e["time"], e["group_id"]) for e in merged.escalations]
+        order = [(e.time, e.group_id) for e in merged.escalations]
         assert order and order == sorted(order)
 
     def test_crashed_shard_raises_structured_error(self):
@@ -271,7 +272,7 @@ class TestSupervisor:
         )
         assert [r.group_id for r in reports] == [5, 6]
         assert summary.pool_loads == {0: 2}
-        assert summary.stats()["cpu_s"] == 0.5
+        assert summary.stats().cpu_s == 0.5
 
     @pytest.mark.parametrize(
         "body, reason",

@@ -70,11 +70,11 @@ class TestFleetTelemetryAcceptance:
         escalations = telemetry_result.telemetry.escalations
         assert escalations, "hot groups should have escalated"
         for record in escalations:
-            snapshot = record["snapshot"]
+            snapshot = record.snapshot
             assert snapshot is not None
-            assert snapshot["group"] == record["group_id"]
+            assert snapshot["group"] == record.group_id
             assert "window_partial" in snapshot
-            assert record["signal"] is not None
+            assert record.signal is not None
         # Hot switched groups show the switch in their telemetry too.
         groups = telemetry_result.telemetry.snapshot.groups
         switched = [g for g in groups.values() if g.protocol == "tokenring"]

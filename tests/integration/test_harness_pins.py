@@ -36,6 +36,7 @@ from pathlib import Path
 import pytest
 
 from repro.fleet import FleetConfig, run_fleet
+from repro.records import dump
 from repro.scenarios.runner import run_scenario
 from repro.workloads.experiment import (
     run_oscillation_experiment,
@@ -47,17 +48,6 @@ from repro.workloads.switchrun import SwitchRunConfig, run_switch_demo
 from .test_chaos_determinism import SEEDS, config as chaos_config, fingerprint
 
 FIXTURE = Path(__file__).parent / "fixtures" / "harness_pins.json"
-
-
-def canon(value):
-    """The JSON image of a result: tuples → lists, keys → strings."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        value = dataclasses.asdict(value)
-    if isinstance(value, dict):
-        return {str(key): canon(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [canon(item) for item in value]
-    return value
 
 
 def _switch_demo(**overrides):
@@ -118,7 +108,7 @@ def pinned():
 
 @pytest.mark.parametrize("name", sorted(PINS))
 def test_result_matches_the_parent_capture(name, pinned):
-    assert canon(PINS[name]()) == pinned[name]
+    assert dump(PINS[name]()) == pinned[name]
 
 
 def test_fleet_halves_merge_to_the_whole(pinned):

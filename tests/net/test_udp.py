@@ -293,7 +293,7 @@ def test_hostile_datagrams_only_move_counters(runtime):
     assert stats["misrouted"] == 1
     assert stats["deliveries"] == 1
     assert net.codec.stats.get("undecodable.version") == 1
-    counters = bus.metrics.snapshot()["counters"]
+    counters = bus.metrics.snapshot().counters
     assert counters["net.undecodable.version"] == 1
     assert counters["net.misrouted"] == 1
     assert counters["codec.undecodable.version"] == 1

@@ -89,7 +89,7 @@ class TestEnabledBus:
         for i in range(5):
             bus.emit(f"e{i}")
         assert len(bus.events) == 2
-        assert bus.metrics.snapshot()["counters"]["obs.events_dropped"] == 3
+        assert bus.metrics.snapshot().counters["obs.events_dropped"] == 3
 
     def test_clear_keeps_subscribers(self, sim_bus):
         __, bus = sim_bus
@@ -115,7 +115,7 @@ class TestEnabledBus:
         fresh = Counter()
         bus.scoped(None).attach("net", fresh)
         fresh.incr("sends", 2)
-        assert bus.metrics.snapshot()["counters"] == {"net.sends": 2}
+        assert bus.metrics.snapshot().counters == {"net.sends": 2}
 
 
 class TestDisabledBus:
@@ -178,9 +178,9 @@ class TestBusScope:
         __, bus = sim_bus
         bus.scoped(1).gauge("core.buffer_depth", 3)
         bus.scoped(2).gauge("core.buffer_depth", 7)
-        gauges = bus.metrics.snapshot()["gauges"]
-        assert gauges["core.buffer_depth[r1]"]["value"] == 3
-        assert gauges["core.buffer_depth[r2]"]["value"] == 7
+        gauges = bus.metrics.snapshot().gauges
+        assert gauges["core.buffer_depth[r1]"].value == 3
+        assert gauges["core.buffer_depth[r2]"].value == 7
 
     def test_counters_aggregate_across_ranks(self, sim_bus):
         __, bus = sim_bus
@@ -189,7 +189,7 @@ class TestBusScope:
         bus.scoped(1).attach("sp", r1)
         r0.incr("hop_retransmits")
         r1.incr("hop_retransmits", 2)
-        assert bus.metrics.snapshot()["counters"]["sp.hop_retransmits"] == 3
+        assert bus.metrics.snapshot().counters["sp.hop_retransmits"] == 3
 
     def test_global_scope_has_no_rank(self, sim_bus):
         __, bus = sim_bus
@@ -197,7 +197,7 @@ class TestBusScope:
         scope.emit("net/e")
         scope.gauge("net.inflight", 1.0)
         assert bus.events[0].rank is None
-        assert "net.inflight" in bus.metrics.snapshot()["gauges"]
+        assert "net.inflight" in bus.metrics.snapshot().gauges
 
 
 class TestPhaseTracker:
@@ -230,10 +230,10 @@ class TestPhaseTracker:
 
         snapshot = bus.metrics.snapshot()
         # Counting initiations and completions is the SP's stats' job.
-        assert snapshot["counters"] == {}
+        assert snapshot.counters == {}
         for phase in ("prepare", "switch", "flush"):
-            assert snapshot["histograms"][f"switch.phase.{phase}_s"]["count"] == 1
-        assert snapshot["histograms"]["switch.duration_s"]["count"] == 1
+            assert snapshot.histograms[f"switch.phase.{phase}_s"].count == 1
+        assert snapshot.histograms["switch.duration_s"].count == 1
 
     def test_abort_closes_spans_with_verdict(self, sim_bus):
         runtime, bus = sim_bus
@@ -248,7 +248,7 @@ class TestPhaseTracker:
         assert [e.args["reason"] for e in bus.events if e.name == "switch/abort"] == [
             "watchdog"
         ]
-        assert "switch.duration_s" not in bus.metrics.snapshot()["histograms"]
+        assert "switch.duration_s" not in bus.metrics.snapshot().histograms
 
     def test_noop_on_disabled_bus(self):
         tracker = PhaseTracker(null_scope())

@@ -54,7 +54,7 @@ def expected(owners):
 
 
 def counters(bus):
-    return dict(bus.metrics.snapshot()["counters"])
+    return dict(bus.metrics.snapshot().counters)
 
 
 def switch_run(runtime, **session_args):

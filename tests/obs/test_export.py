@@ -8,12 +8,14 @@ module promises.
 """
 
 import json
+from typing import List
 
 import pytest
 
 from repro.obs.bus import Bus
 from repro.obs.export import (
     GLOBAL_PID,
+    TraceEvent,
     chrome_trace_events,
     events_to_jsonl,
     write_chrome_trace,
@@ -21,6 +23,7 @@ from repro.obs.export import (
     write_metrics,
 )
 from repro.obs.metrics import Counter
+from repro.records import dump, load
 from repro.runtime import Simulator
 
 
@@ -39,32 +42,34 @@ def bus():
 class TestChromeTrace:
     def test_every_record_has_required_keys(self, bus):
         records = chrome_trace_events(bus.events)
-        for record in records:
-            assert {"name", "ph", "pid", "tid", "ts"} <= set(record)
+        images = dump(records)
+        for image in images:
+            assert {"name", "ph", "pid", "tid", "ts"} <= set(image)
+        assert load(List[TraceEvent], images, "trace") == records
 
     def test_span_and_instant_phases(self, bus):
         records = chrome_trace_events(bus.events)
-        span = next(r for r in records if r["name"] == "switch/prepare")
-        assert span["ph"] == "X"
-        assert span["ts"] == pytest.approx(0.0)
-        assert span["dur"] == pytest.approx(4000.0)  # seconds -> micros
-        hop = next(r for r in records if r["name"] == "token/hop")
-        assert hop["ph"] == "i"
-        assert hop["s"] == "t"
-        assert "dur" not in hop
+        span = next(r for r in records if r.name == "switch/prepare")
+        assert span.ph == "X"
+        assert span.ts == pytest.approx(0.0)
+        assert span.dur == pytest.approx(4000.0)  # seconds -> micros
+        hop = next(r for r in records if r.name == "token/hop")
+        assert hop.ph == "i"
+        assert hop.s == "t"
+        assert hop.dur is None
 
     def test_rank_routing_one_process_per_rank(self, bus):
         records = chrome_trace_events(bus.events, label="test")
-        span = next(r for r in records if r["name"] == "switch/prepare")
-        hop = next(r for r in records if r["name"] == "token/hop")
-        drop = next(r for r in records if r["name"] == "net/drop")
-        assert span["pid"] == 1  # rank 0
-        assert hop["pid"] == 2  # rank 1
-        assert drop["pid"] == GLOBAL_PID
+        span = next(r for r in records if r.name == "switch/prepare")
+        hop = next(r for r in records if r.name == "token/hop")
+        drop = next(r for r in records if r.name == "net/drop")
+        assert span.pid == 1  # rank 0
+        assert hop.pid == 2  # rank 1
+        assert drop.pid == GLOBAL_PID
         names = {
-            (r["pid"], r["args"]["name"])
+            (r.pid, r.args["name"])
             for r in records
-            if r["ph"] == "M" and r["name"] == "process_name"
+            if r.ph == "M" and r.name == "process_name"
         }
         assert (GLOBAL_PID, "test global") in names
         assert (1, "test rank 0") in names
@@ -72,18 +77,18 @@ class TestChromeTrace:
 
     def test_generation_events_get_their_own_track(self, bus):
         records = chrome_trace_events(bus.events)
-        hop = next(r for r in records if r["name"] == "token/hop")
-        assert hop["tid"] == 1  # first gen track on that pid
+        hop = next(r for r in records if r.name == "token/hop")
+        assert hop.tid == 1  # first gen track on that pid
         track = next(
             r
             for r in records
-            if r["ph"] == "M"
-            and r["name"] == "thread_name"
-            and r["pid"] == hop["pid"]
+            if r.ph == "M"
+            and r.name == "thread_name"
+            and r.pid == hop.pid
         )
-        assert "switch gen" in track["args"]["name"]
-        ungenned = next(r for r in records if r["name"] == "switch/prepare")
-        assert ungenned["tid"] == 0
+        assert "switch gen" in track.args["name"]
+        ungenned = next(r for r in records if r.name == "switch/prepare")
+        assert ungenned.tid == 0
 
     def test_written_file_is_a_valid_json_array(self, bus, tmp_path):
         path = tmp_path / "out.trace.json"
@@ -98,10 +103,10 @@ class TestChromeTrace:
         bus = Bus(enabled=True)
         bus.emit("weird", payload=object(), nested={"k": (1, 2)})
         (record,) = (
-            r for r in chrome_trace_events(bus.events) if r["name"] == "weird"
+            r for r in chrome_trace_events(bus.events) if r.name == "weird"
         )
-        json.dumps(record)  # must not raise
-        assert record["args"]["nested"]["k"] == [1, 2]
+        json.dumps(dump(record))  # must not raise
+        assert record.args["nested"]["k"] == [1, 2]
 
 
 class TestJsonl:
@@ -136,7 +141,7 @@ class TestMetricsJson:
             str(path), bus.metrics, command="run", seed=42
         )
         loaded = json.loads(path.read_text())
-        assert loaded == json.loads(json.dumps(snapshot))
+        assert loaded == dump(snapshot)
         assert loaded["command"] == "run" and loaded["seed"] == 42
         assert loaded["counters"]["net.sends"] == 7
         hist = loaded["histograms"]["switch.duration_s"]

@@ -29,7 +29,7 @@ class TestBusScopeNesting:
         assert bus.metrics.counters()["sp.initiated[g7]"] == 1
         assert bus.metrics.histogram("latency_s[g7]").count == 1
         # Gauges are per-producer: rank first, then the group label.
-        assert "queue_depth[r2][g7]" in bus.metrics.snapshot()["gauges"]
+        assert "queue_depth[r2][g7]" in bus.metrics.snapshot().gauges
 
     def test_group_scope_stamps_events(self):
         bus = Bus(enabled=True)

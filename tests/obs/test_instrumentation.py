@@ -52,29 +52,29 @@ class TestInstrumentedRun:
         # quantile keys are legitimately absent (one sample is not a
         # distribution).  Multi-switch runs get p50/p90/p99.
         bus, __ = traced_run
-        hists = bus.metrics.snapshot()["histograms"]
+        hists = bus.metrics.snapshot().histograms
         duration = hists["switch.duration_s"]
-        assert duration["count"] >= 1
-        assert duration["min"] > 0.0 and duration["max"] > 0.0
-        if duration["count"] >= 2:
+        assert duration.count >= 1
+        assert duration.min > 0.0 and duration.max > 0.0
+        if duration.count >= 2:
             for key in ("p50", "p90", "p99"):
-                assert key in duration
+                assert getattr(duration, key) is not None
         else:
-            assert "p50" not in duration
+            assert duration.p50 is None
         for phase in PHASES:
-            assert hists[f"switch.phase.{phase}_s"]["count"] >= 1
+            assert hists[f"switch.phase.{phase}_s"].count >= 1
 
     def test_hot_seams_all_reported(self, traced_run):
         bus, __ = traced_run
         snapshot = bus.metrics.snapshot()
-        counters = snapshot["counters"]
+        counters = snapshot.counters
         assert any(e.name == "token/hop" for e in bus.events)
         assert counters["net.sends"] > 0
         assert counters["net.deliveries"] > 0
         assert counters["sp.globally_complete"] == 1
         layer_hists = [
             name
-            for name in snapshot["histograms"]
+            for name in snapshot.histograms
             if name.startswith("layer.") and name.endswith(".deliver_cpu_s")
         ]
         assert layer_hists, "no per-layer deliver latency recorded"
@@ -156,4 +156,4 @@ class TestDisabledOverhead:
         ctx_bus = FakeCtx.obs.bus
         wrapped("msg")
         snapshot = ctx_bus.metrics.snapshot()
-        assert snapshot["histograms"]["layer.fake.deliver_cpu_s"]["count"] == 1
+        assert snapshot.histograms["layer.fake.deliver_cpu_s"].count == 1

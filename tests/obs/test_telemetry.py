@@ -6,8 +6,11 @@ import pytest
 
 from repro.errors import TelemetryError
 from repro.obs.bus import Bus
+from repro.core.oracle import DecisionRecord
 from repro.obs.telemetry import (
+    Capture,
     FlightRecorder,
+    RingEntry,
     SLOEngine,
     SLOTarget,
     TelemetryConfig,
@@ -120,15 +123,15 @@ class TestFlightRecorder:
     def test_ring_is_bounded_and_freeze_keeps_last_n(self):
         recorder = FlightRecorder(capacity=4)
         for i in range(10):
-            recorder.record(1, {"t": float(i), "name": f"e{i}", "kind": "i"})
+            recorder.record(1, RingEntry(float(i), f"e{i}", "i"))
         capture = recorder.freeze(1, "switch_abort")
-        assert [r["name"] for r in capture.records] == ["e6", "e7", "e8", "e9"]
+        assert [r.name for r in capture.records] == ["e6", "e7", "e8", "e9"]
         assert capture.time == 9.0  # inferred from the last record
 
     def test_empty_ring_and_repeat_trigger_do_not_capture(self):
         recorder = FlightRecorder()
         assert recorder.freeze(1, "switch_abort") is None
-        recorder.record(1, {"t": 0.0, "name": "e", "kind": "i"})
+        recorder.record(1, RingEntry(0.0, "e", "i"))
         assert recorder.freeze(1, "switch_abort") is not None
         # Same (group, trigger) pair: the first incident already froze.
         assert recorder.freeze(1, "switch_abort") is None
@@ -137,8 +140,8 @@ class TestFlightRecorder:
 
     def test_capture_cap_counts_overflow(self):
         recorder = FlightRecorder(max_captures=1)
-        recorder.record(1, {"t": 0.0, "name": "a", "kind": "i"})
-        recorder.record(2, {"t": 0.0, "name": "b", "kind": "i"})
+        recorder.record(1, RingEntry(0.0, "a", "i"))
+        recorder.record(2, RingEntry(0.0, "b", "i"))
         assert recorder.freeze(1, "x") is not None
         assert recorder.freeze(2, "x") is None
         assert recorder.captures_dropped == 1
@@ -153,7 +156,7 @@ class TestFlightRecorder:
         capture = recorder.captures[0]
         assert capture.group == 5
         assert capture.detail == "stalled"
-        assert [r["name"] for r in capture.records] == [
+        assert [r.name for r in capture.records] == [
             "token/hop",
             "switch/abort",
         ]
@@ -167,38 +170,19 @@ class TestFlightRecorder:
 
     def test_jsonl_export_round_trips(self, tmp_path):
         recorder = FlightRecorder()
-        recorder.record(3, {"t": 1.0, "name": "e", "kind": "i"})
+        recorder.record(3, RingEntry(1.0, "e", "i"))
         recorder.freeze(3, "slo:lat", detail="p99 over budget")
         path = tmp_path / "blackbox.jsonl"
-        assert recorder.write_jsonl(str(path)) == 2
-        lines = [json.loads(l) for l in path.read_text().splitlines()]
-        assert lines[0] == {
-            "type": "capture",
+        assert recorder.write_jsonl(str(path)) == 1
+        (line,) = [json.loads(l) for l in path.read_text().splitlines()]
+        assert line == {
             "group": 3,
             "trigger": "slo:lat",
             "time": 1.0,
             "detail": "p99 over budget",
-            "records": 1,
+            "records": [{"t": 1.0, "name": "e", "kind": "i"}],
         }
-        assert lines[1] == {
-            "type": "record",
-            "group": 3,
-            "t": 1.0,
-            "name": "e",
-            "kind": "i",
-        }
-
-
-class FakeOracleRecord:
-    def __init__(self, gid):
-        self.time = 0.0
-        self.group_id = gid
-        self.current = "sequencer"
-        self.target = "tokenring"
-        self.signal = 99.0
-
-    def as_dict(self):
-        return {"group_id": self.group_id, "signal": self.signal}
+        assert load(Capture, line, "capture") == recorder.captures[0]
 
 
 def make_plane(runtime=None, **config):
@@ -296,8 +280,9 @@ class TestTelemetryPlane:
         justification = oracle.snapshot_provider(9)
         assert justification["group"] == 9
         assert justification["window_partial"] == {"casts": 1, "delivered": 0}
-        oracle.on_decision(FakeOracleRecord(9))
-        assert plane.escalations == [{"group_id": 9, "signal": 99.0}]
+        record = DecisionRecord(0.0, 9, "sequencer", "tokenring", 99.0, None)
+        oracle.on_decision(record)
+        assert plane.escalations == [record]
         # The stopwatch started: a completing switch now has a duration.
         runtime.run_for(0.1)
         plane.note_switch(9)

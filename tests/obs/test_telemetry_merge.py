@@ -147,6 +147,11 @@ class TestMergeSnapshots:
         assert merged.fleet.groups == 1
 
 
+def escalation(time, group_id):
+    return {"time": time, "group_id": group_id, "from": "sequencer",
+            "to": "tokenring", "signal": None, "snapshot": None}
+
+
 class TestMergePayloads:
     def payloads(self):
         return [
@@ -155,14 +160,14 @@ class TestMergePayloads:
                 "kind": "telemetry",
                 "source": "file",
                 "snapshot": shard_snapshot([1, 3], t=4.0),
-                "escalations": [{"time": 2.5, "group_id": 3}],
+                "escalations": [escalation(2.5, 3)],
             },
             {
                 "schema_version": 1,
                 "kind": "telemetry",
                 "source": "file",
                 "snapshot": shard_snapshot([2], t=6.0),
-                "escalations": [{"time": 1.5, "group_id": 2}],
+                "escalations": [escalation(1.5, 2)],
             },
         ]
 
@@ -173,7 +178,7 @@ class TestMergePayloads:
         assert merged.merged_from == 2
         assert merged.sources == ["a.json", "b.json"]
         # Escalations interleave in time order across sources.
-        assert [e["group_id"] for e in merged.escalations] == [2, 3]
+        assert [e.group_id for e in merged.escalations] == [2, 3]
         assert "repro_fleet_delivered_total 600" in merged.prometheus
         assert 'repro_counter_total{name="net.sends"} 30' in merged.prometheus
 

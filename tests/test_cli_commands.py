@@ -604,25 +604,34 @@ def test_cmd_metrics_pretty_prints(capsys, tmp_path):
     assert "switch.duration_s" in out and "p99" in out
 
 
+def sections(**entries):
+    return json.dumps({"counters": {}, "gauges": {}, "histograms": {},
+                       **entries})
+
+
 @pytest.mark.parametrize(
-    "content",
+    "content, reason",
     [
-        None,
-        "[]",
-        '{"gauges": {"x": 1}}',
-        '{"histograms": {"h": [1, 2]}}',
+        (None, "No such file"),
+        ("[]", "metrics: expected an object, got list"),
+        (sections(gauges={"x": 1}), "metrics.gauges[x]: expected an object"),
+        (sections(histograms={"h": [1, 2]}),
+         "metrics.histograms[h]: expected an object, got list"),
+        (sections(gauges={"x": {"value": 1.0}}),
+         "metrics.gauges[x]: missing keys ['time']"),
     ],
     ids=["missing", "not-an-object", "gauge-not-an-object",
-         "histogram-not-an-object"],
+         "histogram-not-an-object", "gauge-without-time"],
 )
-def test_cmd_metrics_missing_file_exits_two(capsys, tmp_path, content):
+def test_cmd_metrics_missing_file_exits_two(capsys, tmp_path, content, reason):
     path = tmp_path / "nope.json"
     if content is not None:
         path.write_text(content)
     code = cli.main(["metrics", str(path)])
     out = capsys.readouterr().out
     assert code == 2
-    assert "cannot read metrics file" in out
+    assert out.startswith("cannot read metrics file")
+    assert reason in out
 
 
 # ----------------------------------------------------------------------
